@@ -13,10 +13,12 @@ observation, 4 invariant violation.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import click
@@ -36,7 +38,7 @@ from .attention import (
 )
 from .dual import bsde_residual_by_node, duality_report, estimator_path, solve_bsde, solve_optimal
 from .fixedpoint import fixed_point_residual, iterate, kl_divergence_bar
-from .hmm import HmmModel
+from .hmm import HmmModel, validate_tokens
 from .oracle import (
     ImpossibleObservationError,
     filter_process,
@@ -59,6 +61,18 @@ DEFAULT_TOLERANCES = {
     "eq8": 1e-12,
 }
 
+# Integer config fields and their least allowed value.
+INT_MINIMA = {
+    "seed": 0,
+    "T": 1,
+    "K": 1,
+    "draws": 1,
+    "enum_budget": 1,
+    "attn_d": 1,
+    "attn_heads": 1,
+    "attn_layers": 1,
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -79,11 +93,26 @@ class ExperimentConfig:
     attn_activation: str = "gelu"
 
     def validate(self) -> "ExperimentConfig":
-        if self.enum_budget < 1:
-            raise ValueError(f"enum_budget must be >= 1, got {self.enum_budget}")
+        """Type- and range-check every field; nothing is coerced, so the hash is the value given."""
+        for name, low in INT_MINIMA.items():
+            val = getattr(self, name)
+            if name == "T" and val is None:
+                continue
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+            if val < low:
+                raise ValueError(f"{name} must be >= {low}, got {val}")
+        for name in ("model_path", "output_dir", "attn_activation"):
+            val = getattr(self, name)
+            if not isinstance(val, str) and not (name == "model_path" and val is None):
+                raise ValueError(f"{name} must be a string, got {val!r}")
+        if not isinstance(self.zero_convention, bool):
+            raise ValueError(f"zero_convention must be true or false, got {self.zero_convention!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ValueError(f"tolerances must be a JSON object, got {self.tolerances!r}")
         for key, val in self.tolerances.items():
-            if not val > 0:
-                raise ValueError(f"tolerance {key!r} must be positive, got {val}")
+            if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < math.inf:
+                raise ValueError(f"tolerance {key!r} must be a positive number, got {val!r}")
         return self
 
     def hash(self) -> str:
@@ -97,6 +126,9 @@ class ExperimentConfig:
 
     def header_line(self) -> str:
         return f"# dualfilter {__version__} seed={self.seed} config={self.hash()}"
+
+
+CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def _fail(code: int, message: str):
@@ -114,9 +146,9 @@ def load_config(config_path: str | None, **overrides) -> ExperimentConfig:
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object with flat keys")
         for key, val in raw.items():
-            if key == "tolerances":
+            if key == "tolerances" and isinstance(val, dict):
                 cfg.tolerances.update(val)
-            elif hasattr(cfg, key):
+            elif key in CONFIG_FIELDS:
                 setattr(cfg, key, val)
             else:
                 raise ValueError(f"unknown config key {key!r}")
@@ -142,11 +174,7 @@ def _load_model(cfg: ExperimentConfig) -> HmmModel:
 def _parse_path(text: str | None, model: HmmModel, cfg: ExperimentConfig, rng) -> tuple[int, ...]:
     if text is None:
         return sample_path(model, rng, T=cfg.T)
-    toks = tuple(int(t) for t in text.replace(",", ".").split(".") if t != "")
-    for tok in toks:
-        if not 0 <= tok <= model.m:
-            raise ValueError(f"token {tok} outside alphabet 0..{model.m}")
-    return toks
+    return validate_tokens((t for t in text.replace(",", ".").split(".") if t != ""), model.m)
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -181,41 +209,58 @@ pass_config_options = [
 ]
 
 
-def with_common_options(fn):
-    for opt in reversed(pass_config_options):
-        fn = opt(fn)
-    return fn
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main():
     """Exact HMM filtering, its dual control system, and fixed-point inference checks."""
 
 
-@main.command("oracle")
-@with_common_options
-@click.option("--path", "path_text", type=str, default=None, help="Observation path, tokens joined by '.' or ','.")
-def cmd_oracle(model_path, config_path, seed, output_dir, zero_convention, path_text):
-    """Write the exact filter trajectory and next-token probabilities for one path."""
-    try:
-        cfg = load_config(
-            config_path,
-            model_path=model_path,
-            seed=seed,
-            output_dir=output_dir,
-            zero_convention=zero_convention,
-        )
-        model = _load_model(cfg)
-        rng = np.random.default_rng(cfg.seed)
-        z = _parse_path(path_text, model, cfg, rng)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+def command(name: str, *options, path_help: str | None = None):
+    """Register ``fn(cfg, model, rng, [z,] **flags)`` as a subcommand on the shared skeleton.
 
-    try:
-        pis = forward_filter(model, z, zero_convention=cfg.zero_convention)
-    except ImpossibleObservationError as exc:
-        _fail(EXIT_IMPOSSIBLE, str(exc))
+    The skeleton adds the common options, resolves the config (flags that
+    name an ExperimentConfig field override it), loads the model, seeds the
+    run's generator and, when ``path_help`` is given, takes a ``--path``
+    option and passes the tokens as ``z`` (sampled from the generator when
+    omitted). It owns the exit-code contract: an impossible observation
+    exits 3, any other ValueError 2, a normal return 0; the command itself
+    exits 4 on an invariant violation.
+    """
+    if path_help is not None:
+        options = (click.option("--path", "path_text", type=str, default=None, help=path_help), *options)
+
+    def register(fn):
+        @functools.wraps(fn)
+        def callback(config_path, path_text=None, **flags):
+            overrides = {key: flags.pop(key) for key in list(flags) if key in CONFIG_FIELDS}
+            try:
+                cfg = load_config(config_path, **overrides)
+                model = _load_model(cfg)
+                rng = np.random.default_rng(cfg.seed)
+                if path_help is not None:
+                    flags["z"] = _parse_path(path_text, model, cfg, rng)
+                fn(cfg, model, rng, **flags)
+            # ImpossibleObservationError subclasses ValueError, so it goes first
+            except ImpossibleObservationError as exc:
+                _fail(EXIT_IMPOSSIBLE, str(exc))
+            except ValueError as exc:
+                _fail(EXIT_INPUT, str(exc))
+            sys.exit(EXIT_OK)
+
+        for opt in reversed(pass_config_options + list(options)):
+            callback = opt(callback)
+        return main.command(name)(callback)
+
+    return register
+
+
+PATH_HELP = "Observation path, tokens joined by '.' or ','."
+
+
+@command("oracle", path_help=PATH_HELP)
+def cmd_oracle(cfg, model, rng, z):
+    """Write the exact filter trajectory and next-token probabilities for one path."""
+    pis = forward_filter(model, z, zero_convention=cfg.zero_convention)
 
     out = _out_dir(cfg)
     _write_csv(
@@ -236,45 +281,25 @@ def cmd_oracle(model_path, config_path, seed, output_dir, zero_convention, path_
         prob_rows.extend([t + 1, tok, repr(float(p[tok]))] for tok in range(model.m + 1))
     _write_csv(out / "next_token_probs.csv", cfg, ["t", "z", "prob"], prob_rows)
     click.echo(f"wrote filter trajectory for path {prefix_string(z)} to {out}")
-    sys.exit(EXIT_OK)
 
 
-@main.command("fixedpoint")
-@with_common_options
-@click.option("--path", "path_text", type=str, default=None, help="Observation path, tokens joined by '.' or ','.")
-@click.option("--mode", type=click.Choice(["path", "adapted"]), default="path", show_default=True)
-@click.option("--iterations", "K", type=int, default=None, help="Number of map applications for the trace.")
-def cmd_fixedpoint(model_path, config_path, seed, output_dir, zero_convention, path_text, mode, K):
+@command(
+    "fixedpoint",
+    click.option("--mode", type=click.Choice(["path", "adapted"]), default="path", show_default=True),
+    click.option("--iterations", "K", type=int, default=None, help="Number of map applications for the trace."),
+    path_help=PATH_HELP,
+)
+def cmd_fixedpoint(cfg, model, rng, z, mode):
     """Check the filter is a fixed point of the inference map and run the iteration driver."""
-    try:
-        cfg = load_config(
-            config_path,
-            model_path=model_path,
-            seed=seed,
-            output_dir=output_dir,
-            zero_convention=zero_convention,
-            K=K,
-        )
-        if cfg.K < 1:
-            raise ValueError(f"K must be >= 1, got {cfg.K}")
-        model = _load_model(cfg)
-        rng = np.random.default_rng(cfg.seed)
-        z = _parse_path(path_text, model, cfg, rng)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-
     tol = float(cfg.tolerances["fixed_point"])
     out = _out_dir(cfg)
-    try:
-        if mode == "path":
-            pis = forward_filter(model, z, zero_convention=cfg.zero_convention)
-            residual = fixed_point_residual(model, pis, z, mode="path")
-        else:
-            pi_proc = filter_process(model, zero_convention=cfg.zero_convention)
-            residual = fixed_point_residual(model, pi_proc, mode="adapted")
-        trace = iterate(model, z, K=cfg.K, zero_convention=cfg.zero_convention)
-    except ImpossibleObservationError as exc:
-        _fail(EXIT_IMPOSSIBLE, str(exc))
+    if mode == "path":
+        pis = forward_filter(model, z, zero_convention=cfg.zero_convention)
+        residual = fixed_point_residual(model, pis, z, mode="path")
+    else:
+        pi_proc = filter_process(model, zero_convention=cfg.zero_convention)
+        residual = fixed_point_residual(model, pi_proc, mode="adapted")
+    trace = iterate(model, z, K=cfg.K, zero_convention=cfg.zero_convention)
 
     rows = []
     for k in range(cfg.K):
@@ -311,58 +336,36 @@ def cmd_fixedpoint(model_path, config_path, seed, output_dir, zero_convention, p
         )
         _fail(EXIT_INVARIANT, f"fixed-point residual {residual:.3e} exceeds tolerance {tol:.1e}")
     click.echo(f"fixed-point residual {residual:.3e} (tolerance {tol:.1e}) -> pass")
-    sys.exit(EXIT_OK)
 
 
-@main.command("duality")
-@with_common_options
-@click.option("--draws", type=int, default=None, help="Number of random (U, F) draws.")
-def cmd_duality(model_path, config_path, seed, output_dir, zero_convention, draws):
+@command("duality", click.option("--draws", type=int, default=None, help="Number of random (U, F) draws."))
+def cmd_duality(cfg, model, rng):
     """Cross-check the control cost against the estimator mean-squared error."""
-    try:
-        cfg = load_config(
-            config_path,
-            model_path=model_path,
-            seed=seed,
-            output_dir=output_dir,
-            zero_convention=zero_convention,
-            draws=draws,
-        )
-        if cfg.draws < 1:
-            raise ValueError(f"draws must be >= 1, got {cfg.draws}")
-        model = _load_model(cfg)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-
-    rng = np.random.default_rng(cfg.seed)
     tol = float(cfg.tolerances["duality"])
     reports = []
     node_residuals: dict[tuple[int, tuple], float] = {}
-    try:
-        for _ in range(cfg.draws):
-            U = random_weight_process(rng, model.m, model.T)
-            F = rng.standard_normal(model.d)
-            reports.append(duality_report(model, U, F, budget=cfg.enum_budget))
-            traj = solve_bsde(model, U, F)
-            for key, res in bsde_residual_by_node(model, traj).items():
-                node_residuals[key] = max(node_residuals.get(key, 0.0), res)
-
-        # estimator identity along the optimal feedback trajectory
-        pi_proc = filter_process(model, zero_convention=cfg.zero_convention)
+    for _ in range(cfg.draws):
+        U = random_weight_process(rng, model.m, model.T)
         F = rng.standard_normal(model.d)
-        traj = solve_optimal(model, pi_proc, F)
-        est_rows = []
-        for t in range(model.T + 1):
-            worst = 0.0
-            for w in prefixes(model.m, t):
-                if t > 0 and path_probability(model, w) <= 0.0:
-                    continue
-                pi_t = model.mu if t == 0 else forward_filter(model, w)[-1]
-                lhs = float(pi_t @ np.asarray(traj.Y.at(w)))
-                worst = max(worst, abs(lhs - estimator_path(model, traj, w, t)))
-            est_rows.append(["estimator_identity", t, "", repr(worst)])
-    except ImpossibleObservationError as exc:
-        _fail(EXIT_IMPOSSIBLE, str(exc))
+        reports.append(duality_report(model, U, F, budget=cfg.enum_budget))
+        traj = solve_bsde(model, U, F)
+        for key, res in bsde_residual_by_node(model, traj).items():
+            node_residuals[key] = max(node_residuals.get(key, 0.0), res)
+
+    # estimator identity along the optimal feedback trajectory
+    pi_proc = filter_process(model, zero_convention=cfg.zero_convention)
+    F = rng.standard_normal(model.d)
+    traj = solve_optimal(model, pi_proc, F)
+    est_rows = []
+    for t in range(model.T + 1):
+        worst = 0.0
+        for w in prefixes(model.m, t):
+            if t > 0 and path_probability(model, w) <= 0.0:
+                continue
+            pi_t = model.mu if t == 0 else forward_filter(model, w)[-1]
+            lhs = float(pi_t @ np.asarray(traj.Y.at(w)))
+            worst = max(worst, abs(lhs - estimator_path(model, traj, w, t)))
+        est_rows.append(["estimator_identity", t, "", repr(worst)])
 
     out = _out_dir(cfg)
     gaps = [r["gap"] for r in reports]
@@ -379,32 +382,18 @@ def cmd_duality(model_path, config_path, seed, output_dir, zero_convention, draw
     if max(gaps) > tol:
         _fail(EXIT_INVARIANT, f"duality gap {max(gaps):.3e} exceeds tolerance {tol:.1e}")
     click.echo(f"duality gap over {cfg.draws} draws: max {max(gaps):.3e} (tolerance {tol:.1e}) -> pass")
-    sys.exit(EXIT_OK)
 
 
-@main.command("represent")
-@with_common_options
-@click.option("--z-query", type=int, default=0, show_default=True, help="Token whose conditional probability is represented.")
-def cmd_represent(model_path, config_path, seed, output_dir, zero_convention, z_query):
+@command(
+    "represent",
+    click.option("--z-query", type=int, default=0, show_default=True,
+                 help="Token whose conditional probability is represented."),
+)
+def cmd_represent(cfg, model, rng, z_query):
     """Build the predictor weights for a next-token conditional probability."""
-    try:
-        cfg = load_config(
-            config_path,
-            model_path=model_path,
-            seed=seed,
-            output_dir=output_dir,
-            zero_convention=zero_convention,
-        )
-        model = _load_model(cfg)
-        if not 0 <= z_query <= model.m:
-            raise ValueError(f"z-query {z_query} outside alphabet 0..{model.m}")
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-
-    try:
-        rep = represent_conditional(model, z_query, zero_convention=cfg.zero_convention)
-    except ImpossibleObservationError as exc:
-        _fail(EXIT_IMPOSSIBLE, str(exc))
+    if not 0 <= z_query <= model.m:
+        raise ValueError(f"z-query {z_query} outside alphabet 0..{model.m}")
+    rep = represent_conditional(model, z_query, zero_convention=cfg.zero_convention)
 
     # reconstruction check against the oracle on every path
     tol = float(cfg.tolerances["representation"])
@@ -424,37 +413,20 @@ def cmd_represent(model_path, config_path, seed, output_dir, zero_convention, z_
     if worst > tol:
         _fail(EXIT_INVARIANT, f"reconstruction error {worst:.3e} exceeds tolerance {tol:.1e}")
     click.echo(f"representation for z={z_query}: constant {rep.constant:.6f}, reconstruction error {worst:.3e}")
-    sys.exit(EXIT_OK)
 
 
-@main.command("attention-demo")
-@with_common_options
-@click.option("--path", "path_text", type=str, default=None, help="Prompt tokens joined by '.' or ','.")
-def cmd_attention_demo(model_path, config_path, seed, output_dir, zero_convention, path_text):
+@command("attention-demo", path_help="Prompt tokens joined by '.' or ','.")
+def cmd_attention_demo(cfg, model, rng, z):
     """Run a seeded toy attention stack and emit per-layer prediction tables."""
-    try:
-        cfg = load_config(
-            config_path,
-            model_path=model_path,
-            seed=seed,
-            output_dir=output_dir,
-            zero_convention=zero_convention,
-        )
-        model = _load_model(cfg)
-        rng = np.random.default_rng(cfg.seed)
-        z = _parse_path(path_text, model, cfg, rng)
-        d = int(cfg.attn_d)
-        params = random_layer_params(
-            rng, d, int(cfg.attn_heads), activation=cfg.attn_activation,
-            misc=MiscToggles(residual=True, layernorm=True, ffn=True),
-        )
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-
+    d = cfg.attn_d
+    params = random_layer_params(
+        rng, d, cfg.attn_heads, activation=cfg.attn_activation,
+        misc=MiscToggles(residual=True, layernorm=True, ffn=True),
+    )
     emb = rng.standard_normal((d, model.m + 1)) / np.sqrt(d)
     pe = positional_encoding(d, len(z))
     sig0 = embed_sequence(emb, pe, z)
-    layers = layer_stack(params, sig0, int(cfg.attn_layers))
+    layers = layer_stack(params, sig0, cfg.attn_layers)
     tables = [predictions(emb, sig) for sig in layers]
 
     out = _out_dir(cfg)
@@ -471,7 +443,7 @@ def cmd_attention_demo(model_path, config_path, seed, output_dir, zero_conventio
     _write_csv(out / "layer_divergence.csv", cfg, ["layer", "kl_bar"], kl_rows)
 
     # cross-path equality of the bilinear form against the plain layer, misc off
-    bare = random_layer_params(rng, d, int(cfg.attn_heads), activation=cfg.attn_activation)
+    bare = random_layer_params(rng, d, cfg.attn_heads, activation=cfg.attn_activation)
     sig = rng.standard_normal((d, len(z)))
     bare_out = layer_forward(bare, sig)
     tol = float(cfg.tolerances["eq8"])
@@ -484,15 +456,14 @@ def cmd_attention_demo(model_path, config_path, seed, output_dir, zero_conventio
         cfg,
         {
             "prompt": prefix_string(z),
-            "layers": int(cfg.attn_layers),
+            "layers": cfg.attn_layers,
             "bilinear_equality_error": worst,
             "bilinear_equality_ok": bool(worst <= tol),
         },
     )
     if worst > tol:
         _fail(EXIT_INVARIANT, f"bilinear-form equality error {worst:.3e} exceeds tolerance {tol:.1e}")
-    click.echo(f"attention demo wrote {int(cfg.attn_layers)} layer tables; bilinear equality error {worst:.3e}")
-    sys.exit(EXIT_OK)
+    click.echo(f"attention demo wrote {cfg.attn_layers} layer tables; bilinear equality error {worst:.3e}")
 
 
 if __name__ == "__main__":

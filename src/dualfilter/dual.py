@@ -15,7 +15,7 @@ independent; all functions are pure and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -49,16 +49,12 @@ class DualTrajectory:
 def _terminal_lookup(F, d: int, m: int, T: int):
     """Normalize a terminal condition to a path -> (d,) vector callable.
 
-    Accepts a deterministic (d,) vector, an AdaptedProcess complete at level
-    T, or a mapping from full paths to vectors.
+    Accepts a deterministic (d,) vector or an AdaptedProcess complete at
+    level T.
     """
     if isinstance(F, AdaptedProcess):
         F.check_complete(m, [T])
         return lambda path: np.asarray(F.at(path), dtype=float)
-    if isinstance(F, Mapping):
-        proc = AdaptedProcess({tuple(k): np.asarray(v, dtype=float) for k, v in F.items()})
-        proc.check_complete(m, [T])
-        return lambda path: np.asarray(proc.at(path), dtype=float)
     arr = np.array(F, dtype=float)
     if arr.shape != (d,):
         raise ValueError(f"deterministic terminal function must have shape ({d},), got {arr.shape}")
@@ -74,27 +70,43 @@ def _successor_split(model: HmmModel, Y_next: dict[Prefix, np.ndarray], w: Prefi
     return mean, V
 
 
-def solve_bsde(model: HmmModel, U: AdaptedProcess, F, horizon: int | None = None) -> DualTrajectory:
-    """Solve the backward equation for a given control U and terminal F.
+def _backward_sweep(
+    model: HmmModel, F, T: int, control: Callable[[int, Prefix, np.ndarray, np.ndarray], np.ndarray]
+):
+    """The backward equation Y_t = W + c U_t, W = mean + (c V) 1, from terminal F.
 
-    At each node the martingale part V_t is pinned by the mean/tilde split
-    of the successor values, which is the only choice keeping Y_t
-    measurable with respect to the prefix for every successor token; the
-    backward relation then holds identically, not just in expectation.
+    At each node V_t is pinned by the mean/tilde split of the successor
+    values, which is the only choice keeping Y_t measurable with respect to
+    the prefix for every successor token; ``control(t, prefix, W, V_t)``
+    then supplies U_t. Returns the Y, V and U trees.
     """
-    T = model.T if horizon is None else int(horizon)
-    U.check_complete(model.m, range(T))
     term = _terminal_lookup(F, model.d, model.m, T)
     c_mat = obs_matrix(model)
-
     Y_tree: dict[Prefix, np.ndarray] = {w: term(w) for w in prefixes(model.m, T)}
     V_tree: dict[Prefix, np.ndarray] = {}
+    U_tree: dict[Prefix, np.ndarray] = {}
     for t in range(T - 1, -1, -1):
         for w in prefixes(model.m, t):
             mean, V = _successor_split(model, Y_tree, w)
-            u = np.asarray(U.at(w), dtype=float)
+            W = mean + (c_mat * V).sum(axis=1)
+            u = control(t, w, W, V)
             V_tree[w] = V
-            Y_tree[w] = mean + c_mat @ u + (c_mat * V).sum(axis=1)
+            U_tree[w] = u
+            Y_tree[w] = W + c_mat @ u
+    return Y_tree, V_tree, U_tree
+
+
+def solve_bsde(model: HmmModel, U: AdaptedProcess, F, horizon: int | None = None) -> DualTrajectory:
+    """Solve the backward equation for a given control U and terminal F.
+
+    The backward relation holds identically at every node, not just in
+    expectation.
+    """
+    T = model.T if horizon is None else int(horizon)
+    U.check_complete(model.m, range(T))
+    Y_tree, V_tree, _ = _backward_sweep(
+        model, F, T, lambda t, w, W, V: np.asarray(U.at(w), dtype=float)
+    )
     return DualTrajectory(
         Y=AdaptedProcess(Y_tree), V=AdaptedProcess(V_tree), U=U, horizon=T
     )
@@ -227,18 +239,6 @@ def squared_error(
     return exact_expectation(model, h, T=T, budget=budget)
 
 
-def duality_gap(
-    model: HmmModel,
-    U: AdaptedProcess,
-    F,
-    horizon: int | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> float:
-    """|J(U; F) - E|F(X_T) - S_T|^2|; zero (to rounding) for every (U, F)."""
-    report = duality_report(model, U, F, horizon=horizon, budget=budget)
-    return report["gap"]
-
-
 def duality_report(
     model: HmmModel,
     U: AdaptedProcess,
@@ -254,6 +254,25 @@ def duality_report(
     return {"J_T": J, "mse": mse, "gap": abs(J - mse)}
 
 
+def _feedback_law(c_mat: np.ndarray, R: np.ndarray, rho: np.ndarray):
+    """phi(y, v; rho) = -G (lead(y) + drag(v)), returned as (G, lead, drag).
+
+    G = rho(R)^+ (relative singular-value cutoff PINV_RCOND), lead(y) =
+    rho((c - rho(c)) y) and drag(v) = rho(R v). lead is linear and also
+    takes a (d, k) stack of functions, one per column.
+    """
+    dev = c_mat - rho @ c_mat
+    G = np.linalg.pinv(np.einsum("x,xij->ij", rho, R), rcond=PINV_RCOND)
+
+    def lead(y):
+        return np.einsum("x,xi,x...->i...", rho, dev, y)
+
+    def drag(v):
+        return np.einsum("x,xij,xj->i", rho, R, v)
+
+    return G, lead, drag
+
+
 def optimal_feedback(model: HmmModel, y: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Feedback law phi(y, v; rho) = -rho(R)^+ (rho((c - rho(c)) y) + rho(R v)).
 
@@ -266,13 +285,8 @@ def optimal_feedback(model: HmmModel, y: np.ndarray, v: np.ndarray, rho: np.ndar
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    c_mat = obs_matrix(model)
-    R = risk_tensor(model)
-    cbar = rho @ c_mat
-    rho_R = np.einsum("x,xij->ij", rho, R)
-    lead = np.einsum("x,xi,x->i", rho, c_mat - cbar, y)
-    drag = np.einsum("x,xij,xj->i", rho, R, v)
-    return -np.linalg.pinv(rho_R, rcond=PINV_RCOND) @ (lead + drag)
+    G, lead, drag = _feedback_law(obs_matrix(model), risk_tensor(model), rho)
+    return -G @ (lead(y) + drag(v))
 
 
 def solve_optimal(
@@ -284,46 +298,33 @@ def solve_optimal(
     """Backward solve with the control eliminated by the feedback law.
 
     rho supplies the measure at prefixes of length 1..horizon-1; at the
-    root the prior mu is used (the time-0 history is trivial). At each node
-    V_t is the successor mean/tilde split as in solve_bsde, and the pair
-    (Y_t, U_t) satisfies Y_t = W + c U_t with U_t = phi(Y_t, V_t; rho_t).
-    Substituting is affine in U_t, giving an m x m linear system solved
-    exactly; singular systems fall back to the pseudo-inverse and are
-    flagged in the trajectory diagnostics.
+    root the prior mu is used (the time-0 history is trivial). The sweep is
+    solve_bsde's, with U_t = phi(Y_t, V_t; rho_t) and Y_t = W + c U_t.
+    Substituting is affine in U_t, giving the m x m linear system
+    (I + G lead(c)) U_t = -G (lead(W) + drag(V_t)), solved exactly; singular
+    systems fall back to the pseudo-inverse and are flagged in the
+    trajectory diagnostics.
     """
     T = model.T if horizon is None else int(horizon)
     if T >= 2:
         rho.check_complete(model.m, range(1, T))
-    term = _terminal_lookup(F, model.d, model.m, T)
     c_mat = obs_matrix(model)
     R = risk_tensor(model)
     eye_m = np.eye(model.m)
     diagnostics: list[str] = []
 
-    Y_tree: dict[Prefix, np.ndarray] = {w: term(w) for w in prefixes(model.m, T)}
-    V_tree: dict[Prefix, np.ndarray] = {}
-    U_tree: dict[Prefix, np.ndarray] = {}
-    for t in range(T - 1, -1, -1):
-        for w in prefixes(model.m, t):
-            mean, V = _successor_split(model, Y_tree, w)
-            nu = model.mu if t == 0 else np.asarray(rho.at(w), dtype=float)
-            W = mean + (c_mat * V).sum(axis=1)
-            cbar = nu @ c_mat
-            G = np.linalg.pinv(np.einsum("x,xij->ij", nu, R), rcond=PINV_RCOND)
-            M = np.einsum("x,xi,xj->ij", nu, c_mat - cbar, c_mat)
-            b = np.einsum("x,xi,x->i", nu, c_mat - cbar, W) + np.einsum(
-                "x,xij,xj->i", nu, R, V
-            )
-            lhs = eye_m + G @ M
-            rhs = -G @ b
-            try:
-                u = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError:
-                u = np.linalg.pinv(lhs, rcond=PINV_RCOND) @ rhs
-                diagnostics.append(f"singular feedback system at t={t}, prefix={w}")
-            V_tree[w] = V
-            U_tree[w] = u
-            Y_tree[w] = W + c_mat @ u
+    def feedback(t, w, W, V):
+        nu = model.mu if t == 0 else np.asarray(rho.at(w), dtype=float)
+        G, lead, drag = _feedback_law(c_mat, R, nu)
+        lhs = eye_m + G @ lead(c_mat)
+        rhs = -G @ (lead(W) + drag(V))
+        try:
+            return np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            diagnostics.append(f"singular feedback system at t={t}, prefix={w}")
+            return np.linalg.pinv(lhs, rcond=PINV_RCOND) @ rhs
+
+    Y_tree, V_tree, U_tree = _backward_sweep(model, F, T, feedback)
     return DualTrajectory(
         Y=AdaptedProcess(Y_tree),
         V=AdaptedProcess(V_tree),

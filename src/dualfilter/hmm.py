@@ -36,10 +36,6 @@ class Spaces:
                 f"spaces require d >= 1, m >= 1, T >= 1; got d={self.d}, m={self.m}, T={self.T}"
             )
 
-    @property
-    def n_tokens(self) -> int:
-        return self.m + 1
-
 
 def check_probability_vector(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.ndarray:
     """Validate entries >= 0 summing to 1 within ``tol``; returns the array."""
@@ -58,14 +54,6 @@ def is_probability_vector(p: np.ndarray, tol: float = 1e-10) -> bool:
     """Non-raising membership test for P(S), used for domain flags."""
     p = np.asarray(p, dtype=float)
     return bool(np.all(p >= -tol) and abs(p.sum() - 1.0) <= tol)
-
-
-def check_signed_measure(s: np.ndarray) -> np.ndarray:
-    """Signed measures only need finite entries."""
-    s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("signed measure has non-finite entries")
-    return s
 
 
 def _stochastic_matrix(M, name: str, rows: int, cols: int) -> np.ndarray:
@@ -183,12 +171,7 @@ def embed_token(z: int, m: int) -> np.ndarray:
     z = int(z)
     if not 0 <= z <= m:
         raise ValueError(f"token {z} outside alphabet 0..{m}")
-    e = np.zeros(m)
-    if z == 0:
-        e[:] = -1.0
-    else:
-        e[z - 1] = 1.0
-    return e
+    return token_basis(m)[z]
 
 
 def decompose(s: np.ndarray) -> tuple[float, np.ndarray]:

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from .adapted import AdaptedProcess, prefixes
+from .adapted import AdaptedProcess
 from .hmm import HmmModel, check_probability_vector, validate_tokens
 
 # Default cap on d^(T+1) * (m+1)^(T+1) for exhaustive expectations.
@@ -114,14 +114,6 @@ def path_probability(model: HmmModel, z) -> float:
     return float(w.sum())
 
 
-def joint_path_probability(model: HmmModel, x_path, z_path) -> float:
-    """P(X_0..X_T = x_path, Z_1..Z_T = z_path) for len(x_path) = len(z_path) + 1."""
-    p = model.mu[x_path[0]]
-    for t in range(len(z_path)):
-        p *= model.C[x_path[t], z_path[t]] * model.A[x_path[t], x_path[t + 1]]
-    return float(p)
-
-
 def path_probability_enumerated(model: HmmModel, z) -> float:
     """Brute-force P(Z = z): plain sum over all d^T hidden paths, no DP."""
     z = validate_tokens(z, model.m)
@@ -202,9 +194,3 @@ def sample_path(model: HmmModel, rng: np.random.Generator, T: int | None = None)
         toks.append(int(rng.choice(model.m + 1, p=model.C[x])))
         x = rng.choice(model.d, p=model.A[x])
     return tuple(toks)
-
-
-def all_paths(model: HmmModel, T: int | None = None):
-    """All (m+1)^T observation paths of length T."""
-    T = model.T if T is None else int(T)
-    return prefixes(model.m, T)

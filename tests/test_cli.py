@@ -198,16 +198,55 @@ class TestConfigResolution:
         assert res.exit_code == 2
 
 
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            ("oracle", {"seed": "abc"}, []),
+            ("fixedpoint", {"K": "5"}, []),
+            ("duality", {"tolerances": {"duality": "1e-9"}}, []),
+            ("duality", {"tolerances": 5}, []),
+            ("duality", {"enum_budget": "x"}, []),
+            ("duality", {"draws": 2.5}, []),
+            ("attention-demo", {"attn_heads": 0}, []),
+            ("attention-demo", {"attn_layers": 0}, []),
+            ("attention-demo", {"attn_activation": "foo"}, []),
+            ("duality", {"enum_budget": 1}, []),
+            ("oracle", {"zero_convention": "yes"}, []),
+            ("duality", {}, ["--seed", "-1"]),
+        ],
+        ids=[
+            "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "str-enum-budget",
+            "float-draws", "zero-heads", "zero-layers", "unknown-activation", "over-budget",
+            "str-zero-convention", "negative-seed-flag",
+        ],
+    )
+    def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, command, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_path": str(model_file), **config}))
+        res = runner.invoke(main, [command, "--config", str(cfg), *flags, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+        assert "Traceback" not in res.output
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical_across_runs(self, runner, model_file, tmp_path):
-        blobs = []
-        for sub in ("a", "b"):
-            out = tmp_path / sub
-            res = runner.invoke(
-                main, ["duality", "--model", str(model_file), "--seed", "7", "--draws", "3", "--out", str(out)]
-            )
-            assert res.exit_code == 0
-            blobs.append(
-                {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-            )
-        assert blobs[0] == blobs[1]
+        commands = [
+            ["oracle"],
+            ["fixedpoint", "--mode", "adapted", "--iterations", "2"],
+            ["duality", "--draws", "3"],
+            ["represent", "--z-query", "1"],
+            ["attention-demo"],
+        ]
+        for args in commands:
+            blobs = []
+            for sub in ("a", "b"):
+                out = tmp_path / args[0] / sub
+                res = runner.invoke(main, [*args, "--model", str(model_file), "--seed", "7", "--out", str(out)])
+                assert res.exit_code == 0, res.output
+                blobs.append(
+                    {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                )
+            assert blobs[0] == blobs[1], args[0]
