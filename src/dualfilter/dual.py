@@ -168,14 +168,39 @@ def _running_cost_tables(model: HmmModel, traj: DualTrajectory) -> list[dict[Pre
     return tables
 
 
+def _per_observation_path(lookup: Callable[[Prefix], object]) -> Callable[[Prefix], object]:
+    """``lookup`` memoized on the latest z_path, for integrands of exact_expectation.
+
+    exact_expectation passes one z_path tuple to all of that path's joint
+    terms in a row, so ``lookup`` runs once per observation path and each
+    joint term only reads what it returned.
+    """
+    last_z, last = None, None
+
+    def at(z_path):
+        nonlocal last_z, last
+        if z_path is not last_z:
+            last_z, last = z_path, lookup(z_path)
+        return last
+
+    return at
+
+
 def _cost_of_trajectory(model: HmmModel, traj: DualTrajectory, budget: int) -> float:
     y0 = traj.y0()
     var0 = float(model.mu @ (y0 * y0) - (model.mu @ y0) ** 2)
     tables = _running_cost_tables(model, traj)
     T = traj.horizon
+    rows = _per_observation_path(
+        lambda z_path: [tables[t][z_path[: t + 1]].tolist() for t in range(T)]
+    )
 
     def h(x_path, z_path):
-        return sum(tables[t][z_path[: t + 1]][x_path[t]] for t in range(T))
+        # an explicit left-to-right sum: sum() may compensate float sums (Python >= 3.12)
+        acc = 0.0
+        for row, x in zip(rows(z_path), x_path):
+            acc += row[x]
+        return acc
 
     return var0 + exact_expectation(model, h, T=T, budget=budget)
 
@@ -231,9 +256,11 @@ def squared_error(
     T = traj.horizon
     term = _terminal_lookup(F, model.d, model.m, T)
     est = estimator_values(model, traj)
+    at = _per_observation_path(lambda z_path: (term(z_path).tolist(), est[z_path]))
 
     def h(x_path, z_path):
-        diff = term(z_path)[x_path[-1]] - est[z_path]
+        row, s = at(z_path)
+        diff = row[x_path[-1]] - s
         return diff * diff
 
     return exact_expectation(model, h, T=T, budget=budget)
@@ -338,13 +365,16 @@ def mmse(model: HmmModel, F, horizon: int | None = None, budget: int = DEFAULT_E
     """E|F(X_T) - pi_T(F)|^2: the best achievable squared error, from the oracle filter."""
     T = model.T if horizon is None else int(horizon)
     term = _terminal_lookup(F, model.d, model.m, T)
-    cache: dict[Prefix, float] = {}
+
+    def terminal_and_estimate(z_path):
+        row = term(z_path)
+        return row.tolist(), float(forward_filter(model, z_path)[-1] @ row)
+
+    at = _per_observation_path(terminal_and_estimate)
 
     def h(x_path, z_path):
-        if z_path not in cache:
-            pi_T = forward_filter(model, z_path)[-1]
-            cache[z_path] = float(pi_T @ term(z_path))
-        diff = term(z_path)[x_path[-1]] - cache[z_path]
+        row, s = at(z_path)
+        diff = row[x_path[-1]] - s
         return diff * diff
 
     return exact_expectation(model, h, T=T, budget=budget)

@@ -50,8 +50,9 @@ def bde_solve(model: HmmModel, rho: np.ndarray, z, t: int, f: np.ndarray):
         raise ValueError(f"time {t} outside 1..{len(z)}")
     y = np.asarray(f, dtype=float)
     controls = np.zeros(t)
+    obs = [scalar_obs(model, tok) for tok in range(model.m + 1)]
     for s in range(t - 1, -1, -1):
-        c_next = scalar_obs(model, z[s])
+        c_next = obs[z[s]]
         nu = model.mu if s == 0 else rho[s - 1]
         u = scalar_feedback(model, y, nu, c_next)
         y = model.A @ y + c_next * u

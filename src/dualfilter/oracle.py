@@ -166,22 +166,34 @@ def exact_expectation(model: HmmModel, h, T: int | None = None, budget: int = DE
     """E[h(X, Z)] by exhaustive enumeration of joint paths.
 
     h is called as h(x_path, z_path) with x_path = (x_0, ..., x_T) and
-    z_path = (z_1, ..., z_T). This is the oracle for every expectation in
-    the dual-control machinery; tolerances there assume exactness, so there
-    is deliberately no sampling fallback.
+    z_path = (z_1, ..., z_T), once per joint path of positive probability,
+    in lexicographic (z_path, x_path) order: every x_path of one z_path, in
+    ``product`` order, before the next z_path. All calls for one z_path get
+    the same tuple object. Paths of probability zero are skipped and h is
+    not called on them. This is the oracle for every expectation in the
+    dual-control machinery; tolerances there assume exactness, so there is
+    deliberately no sampling fallback.
+
+    The weights of all d^(T+1) hidden paths of one z_path are built at once
+    with numpy: d^(T+1) floats, which is the working memory beyond the
+    model. Each weight is mu(x_0), multiplied in turn by
+    (C(x_t, z_{t+1}) A(x_t, x_{t+1})) for t = 0..T-1, and the terms
+    weight * h are added in call order, so the result is the same to the bit
+    as a term-by-term loop in that order.
     """
     T = model.T if T is None else int(T)
     check_enum_budget(model, T, budget)
     d, n_tok = model.d, model.m + 1
+    # steps[z][a, b] = C(a, z) A(a, b): the factor of one step a -> b emitting z.
+    steps = [model.C[:, [tok]] * model.A for tok in range(n_tok)]
     total = 0.0
     for z_path in product(range(n_tok), repeat=T):
-        C_cols = [model.C[:, tok] for tok in z_path]
-        for x_path in product(range(d), repeat=T + 1):
-            p = model.mu[x_path[0]]
-            for t in range(T):
-                p *= C_cols[t][x_path[t]] * model.A[x_path[t], x_path[t + 1]]
-            if p > 0.0:
-                total += p * h(x_path, z_path)
+        p = model.mu
+        for t, tok in enumerate(z_path):
+            p = p[..., None] * steps[tok].reshape((1,) * t + (d, d))
+        for x_path, w in zip(product(range(d), repeat=T + 1), p.ravel().tolist()):
+            if w > 0.0:
+                total += w * h(x_path, z_path)
     return float(total)
 
 

@@ -21,6 +21,20 @@ def random_model(rng, d, m, T):
     )
 
 
+def sparse_model(rng, d, m, T, p_zero=0.4):
+    """Dirichlet rows with entries zeroed at random (each row keeps one): some paths have probability 0."""
+
+    def rows(n, k):
+        P = rng.dirichlet(np.ones(k), size=n)
+        P[rng.random((n, k)) < p_zero] = 0.0
+        for row in P:
+            if row.sum() == 0.0:
+                row[rng.integers(k)] = 1.0
+        return P / P.sum(axis=1, keepdims=True)
+
+    return make_model(rows(1, d)[0], rows(d, d), rows(d, m + 1), T)
+
+
 def uninformative_model(rng, d, m, T):
     """Emission rows all uniform: observations carry no information about the state."""
     C = np.full((d, m + 1), 1.0 / (m + 1))

@@ -3,9 +3,11 @@ import pytest
 
 from dualfilter.adapted import AdaptedProcess, constant_process, prefixes, random_weight_process
 from dualfilter.dual import (
+    _running_cost_tables,
     bsde_residual,
     duality_report,
     estimator_path,
+    estimator_values,
     mmse,
     optimal_feedback,
     running_cost,
@@ -15,8 +17,8 @@ from dualfilter.dual import (
     total_cost,
 )
 from dualfilter.hmm import risk_matrix
-from dualfilter.oracle import filter_process, forward_filter, path_probability
-from conftest import make_model, random_model, uninformative_model
+from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
+from conftest import make_model, random_model, sparse_model, uninformative_model
 
 
 def random_terminal(rng, model, path_dependent=False):
@@ -257,3 +259,45 @@ class TestSquaredError:
         pi = filter_process(model, zero_convention=True)
         traj = solve_optimal(model, pi, F)
         assert squared_error(model, traj, F) <= 1e-12
+
+
+class TestIntegrandsBitIdentical:
+    """Cost, squared error and MMSE equal exact_expectation of the plain per-term integrands, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make, d, m, T", [(random_model, 2, 1, 3), (sparse_model, 3, 2, 2), (random_model, 3, 1, 4)]
+    )
+    def test_against_plain_integrands(self, rng, make, d, m, T):
+        for draw in range(7):
+            model = make(rng, d, m, T)
+            U = random_weight_process(rng, m, T)
+            F = random_terminal(rng, model, path_dependent=draw % 2 == 1)
+            if isinstance(F, AdaptedProcess):
+                term = lambda z: np.asarray(F.at(z), dtype=float)  # noqa: E731
+            else:
+                term = lambda z: F  # noqa: E731
+            traj = solve_bsde(model, U, F)
+            tables = _running_cost_tables(model, traj)
+            est = estimator_values(model, traj)
+            cache = {}
+
+            def cost(x_path, z_path):
+                return sum(tables[t][z_path[: t + 1]][x_path[t]] for t in range(T))
+
+            def error(x_path, z_path):
+                diff = term(z_path)[x_path[-1]] - est[z_path]
+                return diff * diff
+
+            def filter_error(x_path, z_path):
+                if z_path not in cache:
+                    cache[z_path] = float(forward_filter(model, z_path)[-1] @ term(z_path))
+                diff = term(z_path)[x_path[-1]] - cache[z_path]
+                return diff * diff
+
+            y0 = traj.y0()
+            J = float(model.mu @ (y0 * y0) - (model.mu @ y0) ** 2) + exact_expectation(model, cost)
+            mse = exact_expectation(model, error)
+            assert total_cost(model, U, F) == J
+            assert squared_error(model, traj, F) == mse
+            assert mmse(model, F) == exact_expectation(model, filter_error)
+            assert duality_report(model, U, F) == {"J_T": J, "mse": mse, "gap": abs(J - mse)}

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from dualfilter.oracle import (
     sample_path,
 )
 
-from conftest import make_model, random_model, uninformative_model
+from conftest import make_model, random_model, sparse_model, uninformative_model
 
 
 class TestForwardFilter:
@@ -165,6 +167,52 @@ class TestExactExpectation:
         model = random_model(rng, 4, 2, 6)
         with pytest.raises(EnumerationBudgetError, match="reduce"):
             exact_expectation(model, lambda x, z: 1.0, budget=1000)
+
+
+def scalar_enumeration(model, h, T):
+    """Reference for exact_expectation: each joint weight a product of numpy scalars, term by term."""
+    total = 0.0
+    for z_path in product(range(model.m + 1), repeat=T):
+        C_cols = [model.C[:, tok] for tok in z_path]
+        for x_path in product(range(model.d), repeat=T + 1):
+            p = model.mu[x_path[0]]
+            for t in range(T):
+                p *= C_cols[t][x_path[t]] * model.A[x_path[t], x_path[t + 1]]
+            if p > 0.0:
+                total += p * h(x_path, z_path)
+    return float(total)
+
+
+class TestExactExpectationAgainstScalarEnumeration:
+    @pytest.mark.parametrize("T", range(5))
+    def test_bit_identical_with_zero_entries(self, rng, T):
+        skipped = 0
+        for _ in range(4):
+            d, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            model = sparse_model(rng, d, m, max(T, 1))
+            values = {}
+
+            def h(x_path, z_path):
+                return values.setdefault((x_path, z_path), float(rng.standard_normal()))
+
+            ref = scalar_enumeration(model, h, T)
+            assert exact_expectation(model, h, T=T) == ref
+            skipped += d ** (T + 1) * (m + 1) ** T - len(values)
+        assert skipped > 0  # the sweep did meet zero-weight joint paths
+
+    @pytest.mark.parametrize("T", range(5))
+    def test_calls_h_once_per_positive_path_in_order(self, rng, T):
+        for _ in range(4):
+            d, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            model = sparse_model(rng, d, m, max(T, 1))
+            calls, positive = [], []
+            exact_expectation(model, lambda x, z: calls.append((x, z)) or 1.0, T=T)
+            scalar_enumeration(model, lambda x, z: positive.append((x, z)) or 1.0, T)
+            # one call per positive-weight joint path, none for a zero-weight one, in (z, x) order
+            assert calls == positive
+            assert calls == sorted(set(calls), key=lambda c: (c[1], c[0]))
+            for (_, z), (_, z_next) in zip(calls, calls[1:]):
+                assert (z is z_next) == (z == z_next)
 
 
 class TestSamplePath:
