@@ -33,6 +33,11 @@ class AdaptedProcess:
     tree: Mapping[Prefix, object] = field(default_factory=dict)
 
     def at(self, prefix) -> object:
+        """The value at ``prefix``: a tuple of ints, or any sequence of integer-valued tokens."""
+        try:
+            return self.tree[prefix]
+        except (KeyError, TypeError):  # TypeError: an unhashable prefix such as a list
+            pass
         key = tuple(int(t) for t in prefix)
         try:
             return self.tree[key]

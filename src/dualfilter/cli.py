@@ -41,6 +41,7 @@ from .fixedpoint import fixed_point_residual, iterate, kl_divergence_bar
 from .hmm import HmmModel, validate_tokens
 from .oracle import (
     ImpossibleObservationError,
+    _filter_walk,
     filter_process,
     forward_filter,
     next_token_prob,
@@ -398,11 +399,10 @@ def cmd_represent(cfg, model, rng, z_query):
     # reconstruction check against the oracle on every path
     tol = float(cfg.tolerances["representation"])
     worst = 0.0
-    for path in prefixes(model.m, model.T):
-        pis = forward_filter(model, path, zero_convention=cfg.zero_convention)
-        if pis[-1].sum() == 0.0:
+    for path, pi_T in _filter_walk(model, model.T, cfg.zero_convention, leaves=True):
+        if pi_T.sum() == 0.0:
             continue
-        target = float(next_token_prob(model, pis[-1])[z_query])
+        target = float(next_token_prob(model, pi_T)[z_query])
         worst = max(worst, abs(evaluate(rep, path) - target))
 
     out = _out_dir(cfg)

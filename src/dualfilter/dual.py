@@ -281,15 +281,17 @@ def duality_report(
     return {"J_T": J, "mse": mse, "gap": abs(J - mse)}
 
 
-def _feedback_law(c_mat: np.ndarray, R: np.ndarray, rho: np.ndarray):
+def _feedback_law(c_mat: np.ndarray, R: np.ndarray, rho: np.ndarray, G: np.ndarray | None = None):
     """phi(y, v; rho) = -G (lead(y) + drag(v)), returned as (G, lead, drag).
 
     G = rho(R)^+ (relative singular-value cutoff PINV_RCOND), lead(y) =
     rho((c - rho(c)) y) and drag(v) = rho(R v). lead is linear and also
-    takes a (d, k) stack of functions, one per column.
+    takes a (d, k) stack of functions, one per column. A ``G`` computed
+    earlier at the same rho is used as given.
     """
     dev = c_mat - rho @ c_mat
-    G = np.linalg.pinv(np.einsum("x,xij->ij", rho, R), rcond=PINV_RCOND)
+    if G is None:
+        G = np.linalg.pinv(np.einsum("x,xij->ij", rho, R), rcond=PINV_RCOND)
 
     def lead(y):
         return np.einsum("x,xi,x...->i...", rho, dev, y)
@@ -321,6 +323,8 @@ def solve_optimal(
     rho: AdaptedProcess,
     F,
     horizon: int | None = None,
+    *,
+    laws: dict[Prefix, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> DualTrajectory:
     """Backward solve with the control eliminated by the feedback law.
 
@@ -331,6 +335,13 @@ def solve_optimal(
     (I + G lead(c)) U_t = -G (lead(W) + drag(V_t)), solved exactly; singular
     systems fall back to the pseudo-inverse and are flagged in the
     trajectory diagnostics.
+
+    G and the system matrix I + G lead(c) depend only on the measure at the
+    node. ``laws`` is a memo of that pair per prefix, filled on first use:
+    pass one dict to several solves with the same model and rho (any F and
+    horizon) and each prefix's pseudo-inverse is computed once. It changes
+    no result; every solve still solves its own system at every node and
+    records its own diagnostics. By default each call has a fresh memo.
     """
     T = model.T if horizon is None else int(horizon)
     if T >= 2:
@@ -338,12 +349,16 @@ def solve_optimal(
     c_mat = obs_matrix(model)
     R = risk_tensor(model)
     eye_m = np.eye(model.m)
+    laws = {} if laws is None else laws
     diagnostics: list[str] = []
 
     def feedback(t, w, W, V):
         nu = model.mu if t == 0 else np.asarray(rho.at(w), dtype=float)
-        G, lead, drag = _feedback_law(c_mat, R, nu)
-        lhs = eye_m + G @ lead(c_mat)
+        G, lhs = laws.get(w, (None, None))
+        G, lead, drag = _feedback_law(c_mat, R, nu, G)
+        if lhs is None:
+            lhs = eye_m + G @ lead(c_mat)
+            laws[w] = (G, lhs)
         rhs = -G @ (lead(W) + drag(V))
         try:
             return np.linalg.solve(lhs, rhs)

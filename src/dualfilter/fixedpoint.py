@@ -96,7 +96,9 @@ def apply_N_adapted(
     For each time t, the dual backward equation is solved on the horizon-t
     subproblem once per terminal basis function, with the feedback law
     evaluated at rho (prior mu at the root); the time-t output at each
-    length-t prefix collects the estimator values. ``basis`` columns are the
+    length-t prefix collects the estimator values. The T*d solves share one
+    memo of the feedback law per prefix (see solve_optimal's ``laws``), so
+    each prefix's pseudo-inverse is computed once. ``basis`` columns are the
     terminal functions (canonical basis by default; any invertible basis is
     assembled back through a linear solve). Returns the output process and a
     per-prefix domain flag.
@@ -107,11 +109,11 @@ def apply_N_adapted(
         raise ValueError(f"basis must have shape ({model.d}, {model.d}), got {basis_mat.shape}")
 
     tree: dict[Prefix, np.ndarray] = {}
+    laws: dict = {}  # one feedback law per prefix, shared by all T*d solves
     for t in range(1, T + 1):
         vals = {w: np.zeros(model.d) for w in prefixes(model.m, t)}
         for j in range(model.d):
-            traj = solve_optimal(model, rho, basis_mat[:, j], horizon=t)
-            est = estimator_values(model, traj)
+            est = estimator_values(model, solve_optimal(model, rho, basis_mat[:, j], horizon=t, laws=laws))
             for w in prefixes(model.m, t):
                 vals[w][j] = est[w]
         for w, v in vals.items():

@@ -62,6 +62,45 @@ def forward_filter(model: HmmModel, z, zero_convention: bool = False) -> np.ndar
     return pis
 
 
+def _filter_walk(model: HmmModel, T: int, zero_convention: bool = False, leaves: bool = False):
+    """Yield (prefix, pi) for every prefix of length 1..T, depth first.
+
+    Prefixes come in preorder with tokens in increasing order, so the
+    length-T prefixes come in lexicographic order; ``leaves`` yields only
+    those. Each pi is computed from its parent's with forward_filter's own
+    arithmetic on 1-D arrays, so it equals forward_filter(model, prefix)[-1]
+    to the bit. The walk keeps an explicit stack of at most T (m+1) pending
+    children and stores no tree; every yielded pi is a new array.
+
+    The first zero-probability prefix in preorder raises
+    ImpossibleObservationError, the same (t, prefix) a forward_filter loop
+    over the length-T paths in lexicographic order raises first. With
+    ``zero_convention`` that prefix and every prefix below it carry the
+    zero measure instead.
+    """
+    n_tok = model.m + 1
+    cols = [model.C[:, tok] for tok in range(n_tok)]
+    # (prefix, parent's pi or None for a zero measure), popped in preorder
+    stack = [((tok,), model.mu) for tok in reversed(range(n_tok))] if T > 0 else []
+    while stack:
+        prefix, prev = stack.pop()
+        if prev is None:
+            pi = None
+        else:
+            w = prev * cols[prefix[-1]]
+            mass = w.sum()
+            if mass <= 0.0:
+                if not zero_convention:
+                    raise ImpossibleObservationError(len(prefix), prefix)
+                pi = None
+            else:
+                pi = model.A.T @ (w / mass)
+        if not leaves or len(prefix) == T:
+            yield prefix, np.zeros(model.d) if pi is None else pi
+        if len(prefix) < T:
+            stack.extend((prefix + (tok,), pi) for tok in reversed(range(n_tok)))
+
+
 def filter_process(model: HmmModel, T: int | None = None, zero_convention: bool = False) -> AdaptedProcess:
     """The filter as an adapted process: pi_t at every prefix of length 1..T.
 
@@ -69,32 +108,7 @@ def filter_process(model: HmmModel, T: int | None = None, zero_convention: bool 
     they carry the zero measure.
     """
     T = model.T if T is None else int(T)
-    tree = {}
-
-    def descend(prefix, prev):
-        t = len(prefix)
-        if t == T:
-            return
-        for tok in range(model.m + 1):
-            child = prefix + (tok,)
-            if prev is None:
-                tree[child] = np.zeros(model.d)
-                descend(child, None)
-                continue
-            w = prev * model.C[:, tok]
-            mass = w.sum()
-            if mass <= 0.0:
-                if not zero_convention:
-                    raise ImpossibleObservationError(t + 1, child)
-                tree[child] = np.zeros(model.d)
-                descend(child, None)
-            else:
-                pi = model.A.T @ (w / mass)
-                tree[child] = pi
-                descend(child, pi)
-
-    descend((), model.mu)
-    return AdaptedProcess(tree)
+    return AdaptedProcess(dict(_filter_walk(model, T, zero_convention)))
 
 
 def next_token_prob(model: HmmModel, pi: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefix_string, parse_prefix, prefixes
 from .hmm import HmmModel, decompose, token_basis, validate_tokens
-from .oracle import forward_filter, next_token_prob, ImpossibleObservationError
+from .oracle import _filter_walk, next_token_prob
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,9 @@ def represent_conditional(
 ) -> PredictorRepresentation:
     """Predictor weights for path -> P(Z_{T+1} = z_query | Z_1..Z_T = path).
 
-    The target is the filtered next-token probability on every path; with
-    ``zero_convention`` impossible paths contribute target value 0 (the
+    The target is the filtered next-token probability on every path, read
+    off one depth-first filter walk that holds one path's measure at a time;
+    with ``zero_convention`` impossible paths contribute target value 0 (the
     0/0 := 0 extension), otherwise they raise.
     """
     T = model.T if T is None else int(T)
@@ -117,12 +118,7 @@ def represent_conditional(
     if not 0 <= z_query <= model.m:
         raise ValueError(f"token {z_query} outside alphabet 0..{model.m}")
     target = {}
-    for path in prefixes(model.m, T):
-        try:
-            pis = forward_filter(model, path, zero_convention=zero_convention)
-        except ImpossibleObservationError:
-            raise
-        pi_T = pis[-1]
+    for path, pi_T in _filter_walk(model, T, zero_convention, leaves=True):
         if zero_convention and pi_T.sum() == 0.0:
             target[path] = 0.0
         else:

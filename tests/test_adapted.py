@@ -23,6 +23,17 @@ def test_lookup_and_missing_prefix():
         proc.at((2,))
 
 
+def test_lookup_accepts_any_integer_token_sequence():
+    proc = AdaptedProcess({(): 1.0, (0,): 2.0, (1, 0): 3.0})
+    for key in [(1, 0), [1, 0], np.array([1, 0]), (np.int64(1), np.int64(0)), (1.0, 0.0), iter((1, 0))]:
+        assert proc.at(key) == 3.0
+    assert proc.at("") == 1.0 and proc.at([]) == 1.0
+    for key, shown in [((1,), "(1,)"), ([0, 1], "(0, 1)"), (np.array([2]), "(2,)")]:
+        with pytest.raises(ValueError) as err:
+            proc.at(key)
+        assert str(err.value) == f"adapted process has no value at prefix {shown}"
+
+
 def test_levels_and_completeness():
     proc = constant_process(1, range(3), np.array([1.0, 2.0]))
     assert proc.levels() == [0, 1, 2]

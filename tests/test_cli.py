@@ -153,6 +153,20 @@ class TestRepresentCommand:
         )
         assert res.exit_code == 2
 
+    def test_impossible_path_exits_3_unless_zero_convention(self, runner, deterministic_model_file, tmp_path):
+        # the deterministic model never emits 0 first, so the walk stops at prefix (0,)
+        args = ["represent", "--model", str(deterministic_model_file)]
+        res = runner.invoke(main, args + ["--out", str(tmp_path / "a")])
+        assert res.exit_code == 3
+        assert res.stderr.splitlines() == [
+            "error: impossible observation: prefix z_1..z_1 = (0,) has probability 0"
+        ]
+        out = tmp_path / "b"
+        res = runner.invoke(main, args + ["--zero-convention", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads((out / "representation.json").read_text())
+        assert doc["reconstruction_error"] == 0.0
+
 
 class TestAttentionDemoCommand:
     def test_emits_tables_and_equality_flag(self, runner, model_file, tmp_path):

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from dualfilter.adapted import prefixes
+from dualfilter import fixedpoint
+from dualfilter.adapted import AdaptedProcess, prefixes
+from dualfilter.dual import estimator_values, solve_optimal
 from dualfilter.fixedpoint import (
     apply_N_adapted,
     apply_N_path,
@@ -11,7 +15,7 @@ from dualfilter.fixedpoint import (
     kl_divergence_bar,
     scalar_feedback,
 )
-from dualfilter.hmm import scalar_obs
+from dualfilter.hmm import is_probability_vector, scalar_obs
 from dualfilter.oracle import filter_process, forward_filter, path_probability, sample_path
 
 from conftest import make_model, random_model, uninformative_model
@@ -169,6 +173,87 @@ class TestApplyNAdapted:
             np.testing.assert_allclose(
                 np.asarray(out_b.at(w)), np.asarray(out_id.at(w)), atol=1e-10
             )
+
+
+def apply_N_adapted_by_solves(model, rho, basis=None, diagnostics=None):
+    """apply_N_adapted written as T*d independent solve_optimal calls, for comparison."""
+    basis_mat = np.eye(model.d) if basis is None else basis
+    tree = {}
+    for t in range(1, model.T + 1):
+        vals = {w: np.zeros(model.d) for w in prefixes(model.m, t)}
+        for j in range(model.d):
+            traj = solve_optimal(model, rho, basis_mat[:, j], horizon=t)
+            if diagnostics is not None:
+                diagnostics.append(traj.diagnostics)
+            est = estimator_values(model, traj)
+            for w in prefixes(model.m, t):
+                vals[w][j] = est[w]
+        for w, v in vals.items():
+            tree[w] = v if basis is None else np.linalg.solve(basis_mat.T, v)
+    return tree, {w: is_probability_vector(v) for w, v in tree.items()}
+
+
+def random_measure_process(rng, model):
+    """Probability vectors at every prefix of length 1..T-1: a rho that is not the filter."""
+    return AdaptedProcess.from_function(model.m, range(1, model.T), lambda _: rng.dirichlet(np.ones(model.d)))
+
+
+def assert_same_output(out, flags, ref_tree, ref_flags):
+    assert list(out.tree) == list(ref_tree)
+    for w, v in ref_tree.items():
+        assert out.at(w).tobytes() == v.tobytes(), w
+    assert flags == ref_flags
+
+
+class TestApplyNAdaptedSharedLaws:
+    """One feedback law per prefix, shared by the T*d solves: same bits as independent solves."""
+
+    @pytest.mark.parametrize("basis", ["identity", "triangular"])
+    def test_equals_independent_solves(self, rng, basis):
+        for _ in range(4):
+            d, m, T = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            model = random_model(rng, d, m, T)
+            B = None if basis == "identity" else np.triu(np.ones((d, d))) + np.diag(rng.random(d))
+            for rho in (filter_process(model), random_measure_process(rng, model)):
+                out, flags = apply_N_adapted(model, rho, basis=B)
+                assert_same_output(out, flags, *apply_N_adapted_by_solves(model, rho, basis=B))
+
+    def test_one_pseudo_inverse_per_prefix(self, rng):
+        model = random_model(rng, 3, 2, 3)
+        rho = filter_process(model)
+        with mock.patch.object(np.linalg, "pinv", side_effect=np.linalg.pinv) as pinv:
+            apply_N_adapted(model, rho)
+        # interior prefixes of lengths 0..T-1, each with one law for all T*d solves
+        assert pinv.call_count == sum((model.m + 1) ** t for t in range(model.T))
+
+    def test_forced_singular_systems_keep_per_solve_diagnostics(self, rng):
+        model = random_model(rng, 3, 2, 3)
+        rho = random_measure_process(rng, model)
+        solve = np.linalg.solve
+
+        def flaky_solve(a, b):
+            # a deterministic share of the feedback systems is declared singular:
+            # those whose (0, 0) entry has its lowest mantissa bit set
+            if np.float64(a[0, 0]).view(np.uint64) & 1:
+                raise np.linalg.LinAlgError("forced")
+            return solve(a, b)
+
+        ref_diag, got_diag = [], []
+
+        def recording_solve(*args, **kwargs):
+            traj = solve_optimal(*args, **kwargs)
+            got_diag.append(traj.diagnostics)
+            return traj
+
+        with mock.patch.object(np.linalg, "solve", flaky_solve):
+            ref = apply_N_adapted_by_solves(model, rho, diagnostics=ref_diag)
+            with mock.patch.object(fixedpoint, "solve_optimal", recording_solve):
+                out, flags = apply_N_adapted(model, rho)
+        assert_same_output(out, flags, *ref)
+        assert got_diag == ref_diag
+        flagged = sum(len(diag) for diag in ref_diag)
+        solved = sum((model.m + 1) ** s for t in range(1, model.T + 1) for s in range(t)) * model.d
+        assert 0 < flagged < solved  # some systems fell back, some did not
 
 
 class TestFixedPointResidual:

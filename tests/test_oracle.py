@@ -7,6 +7,7 @@ from dualfilter.adapted import prefixes
 from dualfilter.oracle import (
     EnumerationBudgetError,
     ImpossibleObservationError,
+    _filter_walk,
     exact_expectation,
     filter_by_enumeration,
     filter_process,
@@ -92,6 +93,67 @@ class TestFilterProcess:
             filter_process(model)
         proc = filter_process(model, zero_convention=True)
         assert np.asarray(proc.at((0,))).sum() == 0.0
+
+
+def first_impossible_by_paths(model, T):
+    """(t, prefix) of the error a forward_filter loop over the length-T paths raises first, or None."""
+    for path in prefixes(model.m, T):
+        try:
+            forward_filter(model, path)
+        except ImpossibleObservationError as exc:
+            return exc.t, exc.prefix
+    return None
+
+
+class TestFilterWalk:
+    """The shared depth-first walk against forward_filter, bit for bit."""
+
+    @pytest.mark.parametrize("zero_convention", [False, True])
+    @pytest.mark.parametrize("make", [random_model, sparse_model])
+    def test_every_prefix_equals_forward_filter_row(self, rng, make, zero_convention):
+        raised = 0
+        for _ in range(12):
+            d, m, T = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
+            model = make(rng, d, m, T)
+            first = None if zero_convention else first_impossible_by_paths(model, T)
+            if first is not None:
+                raised += 1
+                with pytest.raises(ImpossibleObservationError) as err:
+                    list(_filter_walk(model, T, zero_convention))
+                assert (err.value.t, err.value.prefix) == first
+                with pytest.raises(ImpossibleObservationError) as err:
+                    filter_process(model, T)
+                assert (err.value.t, err.value.prefix) == first
+                continue
+            nodes = list(_filter_walk(model, T, zero_convention))
+            want = [w for t in range(1, T + 1) for w in prefixes(m, t)]
+            assert sorted(p for p, _ in nodes) == sorted(want)
+            leaves = list(_filter_walk(model, T, zero_convention, leaves=True))
+            assert [p for p, _ in leaves] == list(prefixes(m, T))
+            proc = filter_process(model, T, zero_convention=zero_convention)
+            assert list(proc.tree) == [p for p, _ in nodes]
+            for prefix, pi in nodes + leaves:
+                row = forward_filter(model, prefix, zero_convention=zero_convention)[-1]
+                assert pi.tobytes() == row.tobytes(), prefix
+                assert proc.at(prefix).tobytes() == row.tobytes(), prefix
+        if make is sparse_model and not zero_convention:
+            assert raised > 0  # the sweep did meet impossible prefixes
+
+    def test_preorder_with_tokens_in_increasing_order(self, reference_model):
+        got = [p for p, _ in _filter_walk(reference_model, 2)]
+        assert got == [(0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
+
+    def test_streams_without_building_the_tree(self, rng):
+        # 3^40 leaves: only a walk that yields as it goes can return the first ones
+        model = random_model(rng, 2, 2, 40)
+        walk = _filter_walk(model, 40, leaves=True)
+        first, second = next(walk), next(walk)
+        assert first[0] == (0,) * 40 and second[0] == (0,) * 39 + (1,)
+        assert first[1].tobytes() == forward_filter(model, first[0])[-1].tobytes()
+
+    def test_zero_horizon_is_empty(self, reference_model):
+        assert list(_filter_walk(reference_model, 0)) == []
+        assert filter_process(reference_model, 0).tree == {}
 
 
 class TestNextTokenProb:

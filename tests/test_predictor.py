@@ -11,7 +11,7 @@ from dualfilter.predictor import (
     represent_conditional,
 )
 
-from conftest import make_model, random_model, uninformative_model
+from conftest import make_model, random_model, sparse_model, uninformative_model
 
 
 class TestBuildWeights:
@@ -142,6 +142,37 @@ class TestRepresentConditional:
     def test_bad_query_token(self, reference_model):
         with pytest.raises(ValueError, match="alphabet"):
             represent_conditional(reference_model, 2)
+
+
+def represent_by_paths(model, z_query, zero_convention):
+    """represent_conditional written as one forward_filter per path, for comparison."""
+    target = {}
+    for path in prefixes(model.m, model.T):
+        pi_T = forward_filter(model, path, zero_convention=zero_convention)[-1]
+        if zero_convention and pi_T.sum() == 0.0:
+            target[path] = 0.0
+        else:
+            target[path] = float(next_token_prob(model, pi_T)[z_query])
+    return build_weights(target, model.m, model.T)
+
+
+class TestRepresentAgainstPerPathLoop:
+    @pytest.mark.parametrize("zero_convention", [False, True])
+    @pytest.mark.parametrize("make", [random_model, sparse_model])
+    def test_same_weights_and_errors(self, rng, make, zero_convention):
+        for _ in range(8):
+            d, m, T = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            model = make(rng, d, m, T)
+            z_query = int(rng.integers(m + 1))
+            try:
+                ref = represent_by_paths(model, z_query, zero_convention)
+            except ImpossibleObservationError as exc:
+                with pytest.raises(ImpossibleObservationError) as err:
+                    represent_conditional(model, z_query, zero_convention=zero_convention)
+                assert (err.value.t, err.value.prefix) == (exc.t, exc.prefix)
+                continue
+            rep = represent_conditional(model, z_query, zero_convention=zero_convention)
+            assert rep.to_json() == ref.to_json()
 
 
 class TestSerialization:

@@ -1,0 +1,110 @@
+"""Report bytes pinned by sha256: every command on two small fixed models.
+
+Tolerance checks elsewhere let a change move the last bits of a report;
+these hashes do not. Each case runs inside an isolated working directory
+with relative model paths, so the config hash in every report header is the
+same wherever the suite runs. A change that is meant to alter report bytes
+(a new report field, a different order of summation) re-records the hashes
+with ``PYTHONPATH=src python tests/test_report_golden.py`` and says why in CHANGES.md; the
+hashes assume numpy's float64 arithmetic and may need re-recording after a
+numpy upgrade that changes rounding.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from dualfilter.cli import main
+
+# d=3, m=2, T=3; every entry positive, so every prefix is possible.
+DENSE = {
+    "d": 3,
+    "m": 2,
+    "T": 3,
+    "mu": [0.5, 0.3, 0.2],
+    "A": [[0.7, 0.2, 0.1], [0.15, 0.6, 0.25], [0.3, 0.3, 0.4]],
+    "C": [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]],
+}
+
+# d=3, m=1, T=3; state 0 only emits 0, state 2 only emits 1 and never
+# leaves, so some prefixes (1.0, 0.1.0, ...) have probability 0.
+SPARSE = {
+    "d": 3,
+    "m": 1,
+    "T": 3,
+    "mu": [0.5, 0.5, 0.0],
+    "A": [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+    "C": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
+}
+
+MODELS = {"dense.json": DENSE, "sparse.json": SPARSE}
+
+# (case, argv without --out, exit code, {report: sha256})
+CASES = [
+    ("oracle", ["oracle", "--model", "dense.json", "--path", "2.0.1"], 0, {
+        "filter_trajectory.csv": "14ab14daa8769d72dc3e60fbd537c1c4e2d42a182d01740d6e9f753f76613ad3",
+        "next_token_probs.csv": "eda4f2b419cbb99adaf46465e49b65920f5cbb3109208bc5e35b2d4b0dce51ed",
+    }),
+    ("fixedpoint-path", ["fixedpoint", "--model", "dense.json", "--path", "1.2.0", "--iterations", "2"], 0, {
+        "iteration_trace.csv": "bc2fba049f8f57a1821e964d7b4c50f3863b18decedc6ea78045221b6db00d9d",
+        "residual_report.json": "3a2b0b86a05540118cb25f2db466eac039a62f39481622ea3d6ba9b23787793c",
+    }),
+    ("fixedpoint-adapted", ["fixedpoint", "--model", "dense.json", "--mode", "adapted", "--path", "0.1.2",
+                            "--iterations", "2"], 0, {
+        "iteration_trace.csv": "f73a68ffc6d2b452c4d64f9e7d379d7f569241ce5131565a34e7ac8e90bb982b",
+        "residual_report.json": "4f1a3f0ae9a268c1ebf6a4015eb2bbfdf865ebbfa4548a022c443581bd33d047",
+    }),
+    ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
+        "diagnostics.csv": "93d7c90748d51747f63544c68083bde5dcca7f15a88ccbf7b5c8403c0f5360f3",
+        "duality_report.json": "1143a73957902b6f88ea2ef0a682fcf14ce91ee98f648260b62e5ee3fe5ad573",
+    }),
+    ("represent", ["represent", "--model", "dense.json", "--z-query", "1"], 0, {
+        "representation.json": "54a148ae23c3573443257fd5d121e0ed2fa02dd77cbd32248cd93f9a980f165d",
+    }),
+    ("attention-demo", ["attention-demo", "--model", "dense.json", "--path", "0.2.1.1.0", "--seed", "3"], 0, {
+        "attention_report.json": "27e56cd133b44429b69707c4da68d2dabbd04e4f73f972abe269b7868e330f44",
+        "layer_divergence.csv": "909de6b48a4bde06049e26c6fd7670b6e53eefd35d45c5fc8e6eedf32d734e8d",
+        "layer_predictions.csv": "cb0ba818037b78b5c12bea9313adb8db295005d2efe54f7963f6dc0337ff118e",
+    }),
+    ("represent-zero", ["represent", "--model", "sparse.json", "--z-query", "0", "--zero-convention"], 0, {
+        "representation.json": "5803b5a8752b1b4626cf908952496f8172ac8209edc5477d249f566409c45e9c",
+    }),
+    ("fixedpoint-adapted-zero", ["fixedpoint", "--model", "sparse.json", "--mode", "adapted", "--path", "0.1.1",
+                                 "--iterations", "1", "--zero-convention"], 0, {
+        "iteration_trace.csv": "9abc6bbe050e053d16cdd411e6042e717509a0a735507771ae7f8fd2ecf39cca",
+        "residual_report.json": "535ba850586a5decaa87962f75835c041fe1d21a9f4c34e2a11983ddcb2f0f95",
+    }),
+]
+
+
+def run_case(runner, argv):
+    """Run one case in the current directory; returns (click result, {report: sha256})."""
+    for name, model in MODELS.items():
+        Path(name).write_text(json.dumps(model))
+    out = Path("out")
+    res = runner.invoke(main, [*argv, "--out", str(out)])
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    return res, digests
+
+
+@pytest.mark.parametrize("case, argv, code, want", CASES, ids=[c[0] for c in CASES])
+def test_report_bytes_match_golden(case, argv, code, want):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        res, got = run_case(runner, argv)
+    assert res.exit_code == code, res.output
+    assert got == want
+
+
+if __name__ == "__main__":
+    # Re-record: print each case's exit code and digests.
+    runner = CliRunner()
+    for case, argv, _, _ in CASES:
+        with runner.isolated_filesystem():
+            res, got = run_case(runner, argv)
+        json.dump({"case": case, "exit": res.exit_code, "reports": got}, sys.stdout)
+        sys.stdout.write("\n")
