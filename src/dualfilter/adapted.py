@@ -7,6 +7,7 @@ structural: there is nowhere to store a look-ahead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterator, Mapping
@@ -51,9 +52,10 @@ class AdaptedProcess:
         return sorted((k, v) for k, v in self.tree.items() if len(k) == t)
 
     def check_complete(self, m: int, levels) -> "AdaptedProcess":
+        counts = Counter(len(k) for k in self.tree)
         for t in levels:
             want = (m + 1) ** t
-            have = sum(1 for k in self.tree if len(k) == t)
+            have = counts[t]
             if have != want:
                 raise ValueError(
                     f"adapted process incomplete at level {t}: {have} of {want} prefixes present"

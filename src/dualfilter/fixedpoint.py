@@ -25,37 +25,63 @@ from .oracle import forward_filter, next_token_prob
 DEGENERATE_TOL = 1e-12
 
 
-def scalar_feedback(model: HmmModel, f: np.ndarray, nu: np.ndarray, c: np.ndarray) -> float:
-    """Scalar control -nu((Af)(c - nu(c))) / (1 - nu(c)^2), or 0 when degenerate."""
-    f = np.asarray(f, dtype=float)
+def step_law(nu: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The part of the scalar feedback law fixed by the step: (nu, c - nu(c), 1 - nu(c)^2).
+
+    Returns None (the degenerate branch, control 0) when |1 - nu(c)^2| is at
+    or below ``DEGENERATE_TOL``.
+    """
     nu = np.asarray(nu, dtype=float)
     c = np.asarray(c, dtype=float)
     nc = float(nu @ c)
     denom = 1.0 - nc * nc
     if abs(denom) <= DEGENERATE_TOL:
+        return None
+    return nu, c - nc, denom
+
+
+def scalar_feedback(law: tuple[np.ndarray, np.ndarray, float] | None, Af: np.ndarray) -> float:
+    """Scalar control -nu((Af)(c - nu(c))) / (1 - nu(c)^2) under a ``step_law``; 0 when degenerate."""
+    if law is None:
         return 0.0
-    return float(-(nu @ ((model.A @ f) * (c - nc))) / denom)
+    nu, centered, denom = law
+    return float(-(nu @ (Af * centered)) / denom)
 
 
-def bde_solve(model: HmmModel, rho: np.ndarray, z, t: int, f: np.ndarray):
+def path_laws(model: HmmModel, rho: np.ndarray, z, t: int) -> list:
+    """(c_{s+1}, step law) for the backward steps s = 0..t-1 on the validated path z.
+
+    The law at step s >= 1 is taken at rho_s (row s-1 of rho) and at step 0
+    at the prior mu; c_{s+1} = 2 C(., z_{s+1}) - 1 is the observation signal.
+    """
+    obs = [scalar_obs(model, tok) for tok in range(model.m + 1)]
+    return [(obs[z[s]], step_law(model.mu if s == 0 else rho[s - 1], obs[z[s]])) for s in range(t)]
+
+
+def bde_solve(model: HmmModel, rho: np.ndarray, z, t: int, f: np.ndarray, *, laws: list | None = None):
     """Backward pass y_s = A y_{s+1} + c_{s+1} u_s from terminal y_t = f.
 
     rho is the per-path measure sequence as a (T, d) array (row s-1 holds
     rho_s); the control at step s >= 1 is the scalar feedback at rho_s and
     at step 0 it uses the prior mu. Returns (y_0, controls u_0..u_{t-1}).
+
+    ``laws`` is the output of ``path_laws`` for (rho, z) over at least t
+    steps. A caller making many passes on one path builds it once and
+    passes it to each; rho and z are then not read again. Without it the
+    pass validates z and t and builds its own.
     """
-    z = validate_tokens(z, model.m)
-    rho = np.asarray(rho, dtype=float)
-    if not 1 <= t <= len(z):
-        raise ValueError(f"time {t} outside 1..{len(z)}")
+    if laws is None:
+        z = validate_tokens(z, model.m)
+        if not 1 <= t <= len(z):
+            raise ValueError(f"time {t} outside 1..{len(z)}")
+        laws = path_laws(model, np.asarray(rho, dtype=float), z, t)
     y = np.asarray(f, dtype=float)
     controls = np.zeros(t)
-    obs = [scalar_obs(model, tok) for tok in range(model.m + 1)]
     for s in range(t - 1, -1, -1):
-        c_next = obs[z[s]]
-        nu = model.mu if s == 0 else rho[s - 1]
-        u = scalar_feedback(model, y, nu, c_next)
-        y = model.A @ y + c_next * u
+        c, law = laws[s]
+        Ay = model.A @ y
+        u = scalar_feedback(law, Ay)
+        y = Ay + c * u
         controls[s] = u
     return y, controls
 
@@ -68,19 +94,22 @@ def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.nd
     where in_domain[t-1] says whether rho_plus_t is a probability vector;
     leaving the domain is a flag, not an error. Mass is preserved
     structurally (the constant function rides through A with zero control),
-    and component t only reads z_1..z_t, so the map is causal.
+    and component t only reads z_1..z_t, so the map is causal. The step
+    laws depend only on (rho, z), so they are built once and shared by all
+    T*d passes.
     """
     z = validate_tokens(z, model.m)
     T = len(z)
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (T, model.d):
         raise ValueError(f"rho must have shape ({T}, {model.d}), got {rho.shape}")
+    laws = path_laws(model, rho, z, T)
     out = np.zeros_like(rho)
     for t in range(1, T + 1):
         for j in range(model.d):
             f = np.zeros(model.d)
             f[j] = 1.0
-            y0, controls = bde_solve(model, rho, z, t, f)
+            y0, controls = bde_solve(model, rho, z, t, f, laws=laws)
             out[t - 1, j] = float(model.mu @ y0) - float(controls.sum())
     in_domain = np.array([is_probability_vector(out[i]) for i in range(T)])
     return out, in_domain

@@ -42,6 +42,17 @@ def test_levels_and_completeness():
         AdaptedProcess({(0,): 0.0}).check_complete(1, [1])
 
 
+def test_completeness_names_first_incomplete_level():
+    proc = constant_process(1, range(4), np.array([1.0]))
+    tree = dict(proc.tree)
+    del tree[(1, 0)]
+    del tree[(0, 1, 1)]
+    with pytest.raises(ValueError) as err:
+        AdaptedProcess(tree).check_complete(1, range(4))
+    assert str(err.value) == "adapted process incomplete at level 2: 3 of 4 prefixes present"
+    AdaptedProcess(tree).check_complete(1, [0, 1])
+
+
 def test_constant_process_copies_values():
     proc = constant_process(1, [1], np.array([1.0]))
     a, b = proc.at((0,)), proc.at((1,))

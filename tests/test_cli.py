@@ -106,6 +106,24 @@ class TestFixedpointCommand:
         res = runner.invoke(main, args + ["--zero-convention", "--out", str(tmp_path / "b")])
         assert res.exit_code == 0, res.output
 
+    def test_point_mass_emissions_fail_adapted_loudly(self, runner, tmp_path):
+        # Emission rows are point masses, so the risk tensor is zero and every
+        # adapted control is 0: the adapted map returns the chain marginals, not
+        # the filter. That must surface as exit 4 with a finding, never as a pass;
+        # the per-path map has its own normalisation and passes on the same model.
+        model = make_model([0.5, 0.5, 0.0], [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+                           [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], 3)
+        path = tmp_path / "point_mass.json"
+        path.write_text(model.to_json())
+        args = ["fixedpoint", "--model", str(path), "--path", "0.1.1", "--zero-convention"]
+        res = runner.invoke(main, args + ["--mode", "adapted", "--out", str(tmp_path / "adapted")])
+        assert res.exit_code == 4, res.output
+        finding = json.loads((tmp_path / "adapted" / "findings.json").read_text())
+        assert finding["mode"] == "adapted" and finding["residual"] > 0.5
+        res = runner.invoke(main, args + ["--mode", "path", "--out", str(tmp_path / "path")])
+        assert res.exit_code == 0, res.output
+        assert not (tmp_path / "path" / "findings.json").exists()
+
 
 class TestDualityCommand:
     def test_gap_report(self, runner, model_file, tmp_path):

@@ -13,12 +13,14 @@ from dualfilter.fixedpoint import (
     fixed_point_residual,
     iterate,
     kl_divergence_bar,
+    path_laws,
     scalar_feedback,
+    step_law,
 )
 from dualfilter.hmm import is_probability_vector, scalar_obs
 from dualfilter.oracle import filter_process, forward_filter, path_probability, sample_path
 
-from conftest import make_model, random_model, uninformative_model
+from conftest import make_model, random_model, sparse_model, uninformative_model
 
 
 class TestScalarFeedback:
@@ -26,14 +28,14 @@ class TestScalarFeedback:
         model = reference_model
         nu = rng.dirichlet(np.ones(model.d))
         c = scalar_obs(model, 1)
-        assert abs(scalar_feedback(model, np.full(model.d, 2.0), nu, c)) <= 1e-14
+        assert abs(scalar_feedback(step_law(nu, c), model.A @ np.full(model.d, 2.0))) <= 1e-14
 
     def test_degenerate_branch(self):
         # a token emitted surely by every state drives nu(c) to 1
         model = make_model([0.5, 0.5], np.eye(2), [[0.0, 1.0], [0.0, 1.0]], 1)
         c = scalar_obs(model, 1)
         np.testing.assert_array_equal(c, [1.0, 1.0])
-        assert scalar_feedback(model, np.array([1.0, -2.0]), np.array([0.3, 0.7]), c) == 0.0
+        assert scalar_feedback(step_law(np.array([0.3, 0.7]), c), model.A @ np.array([1.0, -2.0])) == 0.0
 
     def test_against_independent_transcription(self, rng):
         model = random_model(rng, 3, 1, 1)
@@ -42,7 +44,7 @@ class TestScalarFeedback:
         c = scalar_obs(model, 1)
         nc = sum(nu[x] * c[x] for x in range(3))
         expect = -sum(nu[x] * (model.A[x] @ f) * (c[x] - nc) for x in range(3)) / (1 - nc**2)
-        assert abs(scalar_feedback(model, f, nu, c) - expect) <= 1e-14
+        assert abs(scalar_feedback(step_law(nu, c), model.A @ f) - expect) <= 1e-14
 
 
 class TestBdeSolve:
@@ -60,7 +62,7 @@ class TestBdeSolve:
         z = (1, 0, 1)
         y0, controls = bde_solve(model, rho, z, 1, f)
         c1 = scalar_obs(model, z[0])
-        u0 = scalar_feedback(model, f, model.mu, c1)
+        u0 = scalar_feedback(step_law(model.mu, c1), model.A @ f)
         assert controls.shape == (1,)
         assert controls[0] == u0
         np.testing.assert_allclose(y0, model.A @ f + c1 * u0, atol=1e-14)
@@ -132,6 +134,104 @@ class TestApplyNPath:
     def test_shape_mismatch_rejected(self, reference_model):
         with pytest.raises(ValueError, match="shape"):
             apply_N_path(reference_model, np.zeros((2, 2)), (1, 0, 1))
+
+
+def bde_solve_per_call(model, rho, z, t, f):
+    """The backward pass with the whole feedback law recomputed at every step, for comparison.
+
+    nu(c), 1 - nu(c)^2, c - nu(c) and A y are computed inside the control,
+    and A y once more for the update.
+    """
+    y = np.asarray(f, dtype=float)
+    controls = np.zeros(t)
+    for s in range(t - 1, -1, -1):
+        c = scalar_obs(model, z[s])
+        nu = model.mu if s == 0 else rho[s - 1]
+        nc = float(nu @ c)
+        denom = 1.0 - nc * nc
+        u = 0.0 if abs(denom) <= fixedpoint.DEGENERATE_TOL else float(-(nu @ ((model.A @ y) * (c - nc))) / denom)
+        y = model.A @ y + c * u
+        controls[s] = u
+    return y, controls
+
+
+def apply_N_path_per_call(model, rho, z):
+    """apply_N_path written as T*d passes that each rebuild every step's law."""
+    out = np.zeros_like(rho)
+    for t in range(1, len(z) + 1):
+        for j in range(model.d):
+            y0, controls = bde_solve_per_call(model, rho, z, t, np.eye(model.d)[j])
+            out[t - 1, j] = float(model.mu @ y0) - float(controls.sum())
+    return out, np.array([is_probability_vector(row) for row in out])
+
+
+def random_path(rng, model):
+    return tuple(int(tok) for tok in rng.integers(0, model.m + 1, size=model.T))
+
+
+class TestApplyNPathSharedLaws:
+    """One law per step, shared by the T*d passes: same bits as passes that rebuild it."""
+
+    def assert_same_map(self, model, rho, z):
+        out, flags = apply_N_path(model, rho, z)
+        ref_out, ref_flags = apply_N_path_per_call(model, rho, z)
+        assert out.tobytes() == ref_out.tobytes()
+        assert flags.tobytes() == ref_flags.tobytes()
+        laws = path_laws(model, rho, z, len(z))
+        f = np.random.default_rng(len(z)).standard_normal(model.d)
+        for t in range(1, len(z) + 1):
+            y0, controls = bde_solve(model, rho, z, t, f)
+            shared = bde_solve(model, rho, z, t, f, laws=laws)
+            ref = bde_solve_per_call(model, rho, z, t, f)
+            for got in (shared, ref):
+                assert y0.tobytes() == got[0].tobytes() and controls.tobytes() == got[1].tobytes()
+
+    def test_random_models_filter_and_random_rho(self, rng):
+        for _ in range(8):
+            d, m, T = int(rng.integers(2, 9)), int(rng.integers(1, 3)), int(rng.integers(1, 31))
+            model = random_model(rng, d, m, T)
+            z = sample_path(model, rng)
+            self.assert_same_map(model, forward_filter(model, z), z)
+            self.assert_same_map(model, rng.dirichlet(np.ones(d), size=T), z)
+
+    def test_zero_convention_filters_with_zero_rows(self, rng):
+        zero_rows = 0
+        for _ in range(12):
+            d, m, T = int(rng.integers(2, 6)), int(rng.integers(1, 3)), int(rng.integers(2, 12))
+            model = sparse_model(rng, d, m, T)
+            z = random_path(rng, model)
+            rho = forward_filter(model, z, zero_convention=True)
+            zero_rows += int((rho.sum(axis=1) == 0.0).sum())
+            self.assert_same_map(model, rho, z)
+        assert zero_rows > 0
+
+    def test_degenerate_branch(self, rng):
+        # token 1 is emitted surely by every state: c = 1 and nu(c) = 1 at every step
+        model = make_model([0.3, 0.7], [[0.6, 0.4], [0.2, 0.8]], [[0.0, 1.0], [0.0, 1.0]], 5)
+        z = (1, 1, 1, 1, 1)
+        assert all(law is None for _, law in path_laws(model, forward_filter(model, z), z, 5))
+        self.assert_same_map(model, forward_filter(model, z), z)
+        self.assert_same_map(model, rng.dirichlet(np.ones(2), size=5), z)
+
+    def test_one_feedback_call_per_step_and_one_law_per_step(self, rng):
+        model = random_model(rng, 3, 1, 6)
+        z = sample_path(model, rng)
+        rho = rng.dirichlet(np.ones(3), size=6)
+        with mock.patch.object(fixedpoint, "scalar_feedback", side_effect=scalar_feedback) as feedback, \
+                mock.patch.object(fixedpoint, "step_law", side_effect=step_law) as law:
+            apply_N_path(model, rho, z)
+        assert feedback.call_count == model.d * 6 * 7 // 2
+        assert law.call_count == 6
+
+    def test_standalone_pass_keeps_its_validation(self, reference_model):
+        model = reference_model
+        rho = np.full((model.T, model.d), 0.5)
+        f = np.ones(model.d)
+        for z, t, text in [((1, 0, 1), 0, "time 0 outside 1..3"), ((1, 0, 1), 4, "time 4 outside 1..3"),
+                           ((1, 2, 1), 1, "token z_2 = 2 outside alphabet 0..1")]:
+            with pytest.raises(ValueError) as err:
+                bde_solve(model, rho, z, t, f)
+            assert str(err.value) == text
 
 
 class TestApplyNAdapted:

@@ -78,6 +78,13 @@ CASES = [
         "iteration_trace.csv": "9abc6bbe050e053d16cdd411e6042e717509a0a735507771ae7f8fd2ecf39cca",
         "residual_report.json": "535ba850586a5decaa87962f75835c041fe1d21a9f4c34e2a11983ddcb2f0f95",
     }),
+    # rows 2 and 3 of the filter are zero measures and row 1 is (0, 0, 1), where
+    # 1 - nu(c)^2 = 0: the per-path map's zero-row and degenerate branches
+    ("fixedpoint-path-zero", ["fixedpoint", "--model", "sparse.json", "--path", "1.0.1", "--iterations", "2",
+                              "--zero-convention"], 0, {
+        "iteration_trace.csv": "33ee1e04c5640e56900f0d8af51d5961ccaf190d187531ef2443f632bdd7a0d2",
+        "residual_report.json": "078749e4a17c6013394aae8088631dff7f8de951cc0d6739bfc3da9cc46041a8",
+    }),
 ]
 
 
