@@ -26,14 +26,20 @@ from .oracle import DEFAULT_ENUM_BUDGET, exact_expectation, forward_filter
 # Relative singular-value cutoff for every pseudo-inverse in this module.
 PINV_RCOND = 1e-10
 
+# A next token whose predictive probability (rho C)(z) is at or below this is
+# treated as impossible: the predictive covariance is then singular and the
+# feedback control takes its minimum-norm value.
+PRED_PROB_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DualTrajectory:
     """Solution of the backward equation: Y at levels 0..horizon, (V, U) below.
 
     Y values are (d,) vectors per prefix, V values are (d, m) arrays (an
-    R^m row per state), U values are (m,) vectors. ``diagnostics`` records
-    pseudo-inverse fallbacks on singular feedback systems.
+    R^m row per state), U values are (m,) vectors. ``diagnostics`` names
+    each node whose feedback control took the minimum-norm value of a
+    singular system.
     """
 
     Y: AdaptedProcess
@@ -63,10 +69,17 @@ def _terminal_lookup(F, d: int, m: int, T: int):
 
 
 def _successor_split(model: HmmModel, Y_next: dict[Prefix, np.ndarray], w: Prefix):
-    """Mean/tilde split of z -> (A Y_{t+1})(prefix + z); returns (mean (d,), V (d, m))."""
-    succ = np.stack([model.A @ Y_next[w + (z,)] for z in range(model.m + 1)])
-    mean = succ.mean(axis=0)
-    V = (succ[1:] - mean).T
+    """Mean/tilde split of z -> (A Y_{t+1})(prefix + z); returns (mean (d,), V (d, m)).
+
+    The successors are added left to right and divided by m+1, which is
+    what ``np.mean`` over the stacked successors does, to the bit.
+    """
+    succ = [model.A @ Y_next[w + (z,)] for z in range(model.m + 1)]
+    total = succ[0]
+    for s in succ[1:]:
+        total = total + s
+    mean = total / (model.m + 1)
+    V = (np.array(succ[1:]) - mean).T
     return mean, V
 
 
@@ -223,14 +236,20 @@ def total_cost(
 
 
 def estimator_values(model: HmmModel, traj: DualTrajectory) -> dict[Prefix, float]:
-    """mu(Y_0) - sum_s U_s^T e(z_{s+1}) at every prefix, including the root."""
-    E = token_basis(model.m)
+    """mu(Y_0) - sum_s U_s^T e(z_{s+1}) at every prefix, including the root.
+
+    Each prefix's terms u^T e(z) are read once: u @ e(0) for z = 0 and u_z
+    for z >= 1, the same bits as u @ e(z) for every z (the z = 0 row of
+    E @ u is not, from m = 4 on).
+    """
+    e0 = token_basis(model.m)[0]
     vals: dict[Prefix, float] = {(): float(model.mu @ traj.y0())}
     for t in range(traj.horizon):
         for w in prefixes(model.m, t):
             u = np.asarray(traj.U.at(w))
-            for z in range(model.m + 1):
-                vals[w + (z,)] = vals[w] - float(u @ E[z])
+            base = vals[w]
+            for z, term in enumerate([float(u @ e0), *u.tolist()]):
+                vals[w + (z,)] = base - term
     return vals
 
 
@@ -281,25 +300,16 @@ def duality_report(
     return {"J_T": J, "mse": mse, "gap": abs(J - mse)}
 
 
-def _feedback_law(c_mat: np.ndarray, R: np.ndarray, rho: np.ndarray, G: np.ndarray | None = None):
-    """phi(y, v; rho) = -G (lead(y) + drag(v)), returned as (G, lead, drag).
+def _lead_drag(c_mat: np.ndarray, R: np.ndarray, rho: np.ndarray):
+    """The two terms of the feedback law at rho as matrices: (lead (m, d), drag (m, d m)).
 
-    G = rho(R)^+ (relative singular-value cutoff PINV_RCOND), lead(y) =
-    rho((c - rho(c)) y) and drag(v) = rho(R v). lead is linear and also
-    takes a (d, k) stack of functions, one per column. A ``G`` computed
-    earlier at the same rho is used as given.
+    lead @ y = rho((c - rho(c)) y) and drag @ v.ravel() = rho(R v) for a
+    function y (d,) and a (d, m) array v.
     """
-    dev = c_mat - rho @ c_mat
-    if G is None:
-        G = np.linalg.pinv(np.einsum("x,xij->ij", rho, R), rcond=PINV_RCOND)
-
-    def lead(y):
-        return np.einsum("x,xi,x...->i...", rho, dev, y)
-
-    def drag(v):
-        return np.einsum("x,xij,xj->i", rho, R, v)
-
-    return G, lead, drag
+    d, m = c_mat.shape
+    lead = (rho[:, None] * (c_mat - rho @ c_mat)).T
+    drag = (rho[:, None, None] * R).transpose(1, 0, 2).reshape(m, d * m)
+    return lead, drag
 
 
 def optimal_feedback(model: HmmModel, y: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -314,8 +324,37 @@ def optimal_feedback(model: HmmModel, y: np.ndarray, v: np.ndarray, rho: np.ndar
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    G, lead, drag = _feedback_law(obs_matrix(model), risk_tensor(model), rho)
-    return -G @ (lead(y) + drag(v))
+    R = risk_tensor(model)
+    lead, drag = _lead_drag(obs_matrix(model), R, rho)
+    G = np.linalg.pinv(np.einsum("x,xij->ij", rho, R), rcond=PINV_RCOND)
+    return -G @ (lead @ y + drag @ v.ravel())
+
+
+def _control_operator(model: HmmModel, c_mat: np.ndarray, R: np.ndarray, rho: np.ndarray):
+    """The feedback law at rho solved for the control: (K_lead, K_drag, singular).
+
+    With Y = W + c u, the law u = phi(Y, V; rho) is the linear system
+    Sigma_p u = -(lead @ W + drag @ V.ravel()), where Sigma_p = rho(R) +
+    lead @ c is the covariance of e(Z) under the predictive law p = rho C.
+    So u = -(K_lead @ W + K_drag @ V.ravel()) with [K_lead | K_drag] =
+    Sigma_p^{-1} [lead | drag]. Sigma_p is singular exactly when some token
+    has p(z) = 0, decided with PRED_PROB_TOL; then K is the minimum-norm
+    solution (pseudo-inverse, cutoff PINV_RCOND) and ``singular`` is True.
+    LAPACK's exact-singularity error, which the tolerance should preclude,
+    takes the same branch.
+    """
+    lead, drag = _lead_drag(c_mat, R, rho)
+    sigma = np.einsum("x,xij->ij", rho, R) + lead @ c_mat
+    gains = np.hstack([lead, drag])
+    singular = bool((rho @ model.C).min() <= PRED_PROB_TOL)
+    if not singular:
+        try:
+            K = np.linalg.solve(sigma, gains)
+        except np.linalg.LinAlgError:
+            singular = True
+    if singular:
+        K = np.linalg.pinv(sigma, rcond=PINV_RCOND) @ gains
+    return K[:, : model.d], K[:, model.d :], singular
 
 
 def solve_optimal(
@@ -324,47 +363,48 @@ def solve_optimal(
     F,
     horizon: int | None = None,
     *,
-    laws: dict[Prefix, tuple[np.ndarray, np.ndarray]] | None = None,
+    laws: dict[Prefix, tuple[np.ndarray, np.ndarray, bool]] | None = None,
 ) -> DualTrajectory:
     """Backward solve with the control eliminated by the feedback law.
 
     rho supplies the measure at prefixes of length 1..horizon-1; at the
     root the prior mu is used (the time-0 history is trivial). The sweep is
     solve_bsde's, with U_t = phi(Y_t, V_t; rho_t) and Y_t = W + c U_t.
-    Substituting is affine in U_t, giving the m x m linear system
-    (I + G lead(c)) U_t = -G (lead(W) + drag(V_t)), solved exactly; singular
-    systems fall back to the pseudo-inverse and are flagged in the
-    trajectory diagnostics.
+    Substituting is affine in U_t. Multiplied through by rho(R) it is the
+    m x m system Sigma_p U_t = -(lead(W) + drag(V_t)) in the predictive
+    covariance Sigma_p = rho(R) + lead(c) (see ``_control_operator``), which
+    needs no pseudo-inverse of rho(R). Nodes where Sigma_p is singular (a
+    next token of predictive probability 0) take the minimum-norm control
+    and are named in the trajectory diagnostics.
 
-    G and the system matrix I + G lead(c) depend only on the measure at the
-    node. ``laws`` is a memo of that pair per prefix, filled on first use:
-    pass one dict to several solves with the same model and rho (any F and
-    horizon) and each prefix's pseudo-inverse is computed once. It changes
-    no result; every solve still solves its own system at every node and
-    records its own diagnostics. By default each call has a fresh memo.
+    The solved law, a control operator (K_lead, K_drag), depends only on
+    the measure at the node, so each node does U_t = -(K_lead W + K_drag
+    vec(V_t)). ``laws`` is a memo of that operator per prefix, filled on
+    first use: pass one dict to several solves with the same model and rho
+    (any F and horizon) and each prefix's law is solved once. It changes no
+    result, and every solve records its own diagnostics. A caller passing
+    ``laws`` has checked rho complete on the levels the solve reads
+    (apply_N_adapted checks once for all its solves); without it the solve
+    checks, with a fresh memo.
     """
     T = model.T if horizon is None else int(horizon)
-    if T >= 2:
-        rho.check_complete(model.m, range(1, T))
+    if laws is None:
+        if T >= 2:
+            rho.check_complete(model.m, range(1, T))
+        laws = {}
     c_mat = obs_matrix(model)
     R = risk_tensor(model)
-    eye_m = np.eye(model.m)
-    laws = {} if laws is None else laws
     diagnostics: list[str] = []
 
     def feedback(t, w, W, V):
-        nu = model.mu if t == 0 else np.asarray(rho.at(w), dtype=float)
-        G, lhs = laws.get(w, (None, None))
-        G, lead, drag = _feedback_law(c_mat, R, nu, G)
-        if lhs is None:
-            lhs = eye_m + G @ lead(c_mat)
-            laws[w] = (G, lhs)
-        rhs = -G @ (lead(W) + drag(V))
-        try:
-            return np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            diagnostics.append(f"singular feedback system at t={t}, prefix={w}")
-            return np.linalg.pinv(lhs, rcond=PINV_RCOND) @ rhs
+        law = laws.get(w)
+        if law is None:
+            nu = model.mu if t == 0 else np.asarray(rho.at(w), dtype=float)
+            law = laws[w] = _control_operator(model, c_mat, R, nu)
+        K_lead, K_drag, singular = law
+        if singular:
+            diagnostics.append(f"singular predictive covariance at t={t}, prefix={w}: minimum-norm control")
+        return -(K_lead @ W + K_drag @ V.ravel())
 
     Y_tree, V_tree, U_tree = _backward_sweep(model, F, T, feedback)
     return DualTrajectory(

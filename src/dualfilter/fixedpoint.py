@@ -5,9 +5,13 @@ driven by the scalar observation signal 2 C(x, z_t) - 1, and an
 adapted-process form driven by the dual-control feedback law. Both send a
 candidate measure sequence rho to the sequence of estimator values obtained
 by solving a backward equation per basis function; the exact filter is a
-fixed point. The two forms use different normalizations (1 - nu(c)^2 versus
-the averaged risk matrix) and are not reconciled here: any numerical
-discrepancy surfaces in the residual diagnostics instead.
+fixed point. Both normalize by a predictive covariance: the adapted form
+solves its feedback law in Sigma_p = rho(R) + lead(c), the covariance of the
+embedded next token e(Z) under p = rho C (law of total covariance, since
+c(x) is the conditional mean of e(Z) given X = x), and for m = 1 this is
+1 - rho(c)^2, the per-path form's denominator. The two maps still differ off
+the fixed point, so neither is a special case of the other; both have the
+filter as a fixed point.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefixes
 from .dual import estimator_values, solve_optimal
-from .hmm import HmmModel, is_probability_vector, scalar_obs, validate_tokens
+from .hmm import HmmModel, drop_rounding_negatives, is_probability_vector, scalar_obs, validate_tokens
 from .oracle import forward_filter, next_token_prob
 
 # |1 - nu(c)^2| at or below this is treated as the degenerate branch (control 0).
@@ -125,17 +129,19 @@ def apply_N_adapted(
     For each time t, the dual backward equation is solved on the horizon-t
     subproblem once per terminal basis function, with the feedback law
     evaluated at rho (prior mu at the root); the time-t output at each
-    length-t prefix collects the estimator values. The T*d solves share one
-    memo of the feedback law per prefix (see solve_optimal's ``laws``), so
-    each prefix's pseudo-inverse is computed once. ``basis`` columns are the
-    terminal functions (canonical basis by default; any invertible basis is
-    assembled back through a linear solve). Returns the output process and a
-    per-prefix domain flag.
+    length-t prefix collects the estimator values. rho is checked complete
+    once, and the T*d solves share one memo of the feedback law per prefix
+    (see solve_optimal's ``laws``), so each prefix's predictive-covariance
+    system is solved once. ``basis`` columns are the terminal functions
+    (canonical basis by default; any invertible basis is assembled back
+    through a linear solve). Returns the output process and a per-prefix
+    domain flag.
     """
     T = model.T
     basis_mat = np.eye(model.d) if basis is None else np.asarray(basis, dtype=float)
     if basis_mat.shape != (model.d, model.d):
         raise ValueError(f"basis must have shape ({model.d}, {model.d}), got {basis_mat.shape}")
+    rho.check_complete(model.m, range(1, T))
 
     tree: dict[Prefix, np.ndarray] = {}
     laws: dict = {}  # one feedback law per prefix, shared by all T*d solves
@@ -209,11 +215,12 @@ def iterate(
     """Apply the per-path map K times, recording residuals and KL diagnostics.
 
     No convergence is asserted anywhere: this is an exploratory driver. The
-    default start is the uniform measure at every time. Iterates that leave
-    the simplex are clipped at zero and renormalized (and flagged) so the
-    iteration is total. Under the zero convention, times with an impossible
-    observation prefix contribute a zero reference column and drop out of
-    the KL diagnostic.
+    default start is the uniform measure at every time. Rounding-level
+    negative entries read as 0 (``drop_rounding_negatives``); iterates that
+    leave the simplex beyond that are clipped at zero and renormalized (and
+    flagged) so the iteration is total. Under the zero convention, times
+    with an impossible observation prefix contribute a zero reference
+    column and drop out of the KL diagnostic.
     """
     z = validate_tokens(z, model.m)
     T = len(z)
@@ -240,6 +247,7 @@ def iterate(
         out, flags = apply_N_path(model, cur, z)
         residuals[k] = float(np.max(np.abs(out - cur)))
         in_domain[k] = flags
+        out = drop_rounding_negatives(out)
         if not flags.all():
             out = np.clip(out, 0.0, None)
             sums = out.sum(axis=1, keepdims=True)

@@ -21,6 +21,10 @@ ROW_SUM_TOL = 1e-9
 # Probability vectors must sum to 1 within this tolerance.
 PROB_SUM_TOL = 1e-12
 
+# A computed probability entry in [-ROUNDING_TOL, 0) is rounding error and
+# reads as 0; an entry below -ROUNDING_TOL is a real negative.
+ROUNDING_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Spaces:
@@ -38,22 +42,33 @@ class Spaces:
 
 
 def check_probability_vector(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.ndarray:
-    """Validate entries >= 0 summing to 1 within ``tol``; returns the array."""
+    """Validate entries >= 0 summing to 1 within ``tol``; returns the array.
+
+    Rounding-level negative entries read as 0 (``drop_rounding_negatives``).
+    """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"probability vector must be 1-d, got shape {p.shape}")
     if np.any(p < 0):
-        raise ValueError(f"probability vector has negative entries: {p}")
+        p = drop_rounding_negatives(p)
+        if np.any(p < 0):
+            raise ValueError(f"probability vector has negative entries: {p}")
     s = p.sum()
     if abs(s - 1.0) > tol:
         raise ValueError(f"probability vector sums to {s!r}, expected 1 within {tol}")
     return p
 
 
-def is_probability_vector(p: np.ndarray, tol: float = 1e-10) -> bool:
+def is_probability_vector(p: np.ndarray, tol: float = ROUNDING_TOL) -> bool:
     """Non-raising membership test for P(S), used for domain flags."""
     p = np.asarray(p, dtype=float)
     return bool(np.all(p >= -tol) and abs(p.sum() - 1.0) <= tol)
+
+
+def drop_rounding_negatives(p: np.ndarray) -> np.ndarray:
+    """p with every entry in [-ROUNDING_TOL, 0) set to 0; other entries unchanged."""
+    p = np.asarray(p, dtype=float)
+    return np.where((p < 0.0) & (p >= -ROUNDING_TOL), 0.0, p)
 
 
 def _stochastic_matrix(M, name: str, rows: int, cols: int) -> np.ndarray:

@@ -112,7 +112,11 @@ def filter_process(model: HmmModel, T: int | None = None, zero_convention: bool 
 
 
 def next_token_prob(model: HmmModel, pi: np.ndarray) -> np.ndarray:
-    """p(z) = sum_x pi(x) C(x, z), a probability vector over the alphabet."""
+    """p(z) = sum_x pi(x) C(x, z), a probability vector over the alphabet.
+
+    pi is validated by ``check_probability_vector``, so rounding-level
+    negative entries read as 0.
+    """
     pi = check_probability_vector(pi, tol=1e-9)
     return pi @ model.C
 

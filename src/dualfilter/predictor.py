@@ -127,13 +127,22 @@ def represent_conditional(
 
 
 def evaluate(rep: PredictorRepresentation, z) -> float:
-    """constant - sum_t U_t(z_1..z_t)^T e(z_{t+1}) along one path."""
+    """constant - sum_t U_t(z_1..z_t)^T e(z_{t+1}) along one path.
+
+    The weights are read off the tree directly. u^T e(z) is u_z for z >= 1
+    and u^T e(0) = -(u_1 + ... + u_m), which is added as u^T 1: the same
+    bits as the dot with e(z).
+    """
     z = validate_tokens(z, rep.m)
     if len(z) != rep.T:
         raise ValueError(f"path length {len(z)} does not match horizon {rep.T}")
-    E = token_basis(rep.m)
+    tree = rep.weights.tree
+    ones = np.ones(rep.m)
     acc = rep.constant
-    for t in range(rep.T):
-        u = rep.weights.at(z[:t])
-        acc -= float(np.dot(u, E[z[t]]))
+    for t, tok in enumerate(z):
+        u = tree[z[:t]]
+        if tok:
+            acc -= float(u[tok - 1])
+        else:
+            acc += float(np.dot(u, ones))
     return acc

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualfilter.adapted import AdaptedProcess
 from dualfilter.hmm import HmmModel, Spaces
 
 
@@ -33,6 +34,17 @@ def sparse_model(rng, d, m, T, p_zero=0.4):
         return P / P.sum(axis=1, keepdims=True)
 
     return make_model(rows(1, d)[0], rows(d, d), rows(d, m + 1), T)
+
+
+def point_mass_model():
+    """d=3, m=1, T=3: every emission row is a point mass, so the risk tensor is zero."""
+    return make_model([0.5, 0.5, 0.0], [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+                      [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], 3)
+
+
+def random_measure_process(rng, model):
+    """Probability vectors at every prefix of length 1..T-1: a rho that is not the filter."""
+    return AdaptedProcess.from_function(model.m, range(1, model.T), lambda _: rng.dirichlet(np.ones(model.d)))
 
 
 def uninformative_model(rng, d, m, T):

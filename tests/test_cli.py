@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from dualfilter.cli import main
 
-from conftest import make_model, random_model, uninformative_model
+from conftest import make_model, point_mass_model, random_model, uninformative_model
 
 
 @pytest.fixture
@@ -106,23 +106,35 @@ class TestFixedpointCommand:
         res = runner.invoke(main, args + ["--zero-convention", "--out", str(tmp_path / "b")])
         assert res.exit_code == 0, res.output
 
-    def test_point_mass_emissions_fail_adapted_loudly(self, runner, tmp_path):
-        # Emission rows are point masses, so the risk tensor is zero and every
-        # adapted control is 0: the adapted map returns the chain marginals, not
-        # the filter. That must surface as exit 4 with a finding, never as a pass;
-        # the per-path map has its own normalisation and passes on the same model.
-        model = make_model([0.5, 0.5, 0.0], [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
-                           [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], 3)
+    @pytest.fixture
+    def point_mass_model_file(self, tmp_path):
+        # rho(R) is zero at every node, so only the predictive covariance
+        # rho(R) + lead(c) carries the adapted feedback law
         path = tmp_path / "point_mass.json"
-        path.write_text(model.to_json())
-        args = ["fixedpoint", "--model", str(path), "--path", "0.1.1", "--zero-convention"]
-        res = runner.invoke(main, args + ["--mode", "adapted", "--out", str(tmp_path / "adapted")])
-        assert res.exit_code == 4, res.output
-        finding = json.loads((tmp_path / "adapted" / "findings.json").read_text())
-        assert finding["mode"] == "adapted" and finding["residual"] > 0.5
-        res = runner.invoke(main, args + ["--mode", "path", "--out", str(tmp_path / "path")])
+        path.write_text(point_mass_model().to_json())
+        return path
+
+    @pytest.mark.parametrize("mode", ["adapted", "path"])
+    def test_point_mass_emissions_pass_both_maps(self, runner, tmp_path, point_mass_model_file, mode):
+        out = tmp_path / mode
+        args = ["fixedpoint", "--model", str(point_mass_model_file), "--path", "0.1.1", "--zero-convention"]
+        res = runner.invoke(main, args + ["--mode", mode, "--out", str(out)])
         assert res.exit_code == 0, res.output
-        assert not (tmp_path / "path" / "findings.json").exists()
+        report = json.loads((out / "residual_report.json").read_text())
+        assert report[mode]["residual"] == 0.0 and report[mode]["pass"] is True
+        assert not (out / "findings.json").exists()
+
+    @pytest.mark.parametrize("zero_convention", [[], ["--zero-convention"]])
+    def test_rounding_level_negative_iterate_exits_0(self, runner, tmp_path, point_mass_model_file,
+                                                     zero_convention):
+        # on path 0.0.1 the first iterate carries a -5.6e-17 entry, which is rounding, not negative mass
+        out = tmp_path / "fp"
+        res = runner.invoke(main, ["fixedpoint", "--model", str(point_mass_model_file), "--path", "0.0.1",
+                                   "--mode", "path", *zero_convention, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        trace = read_lines(out / "iteration_trace.csv")
+        assert len(trace) == 2 + 10 * 3
+        assert all(line.endswith(",1") for line in trace[2:])
 
 
 class TestDualityCommand:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from dualfilter import dual
 from dualfilter.adapted import AdaptedProcess, constant_process, prefixes, random_weight_process
 from dualfilter.dual import (
+    _backward_sweep,
     _running_cost_tables,
+    _successor_split,
     bsde_residual,
     duality_report,
     estimator_path,
@@ -16,9 +19,32 @@ from dualfilter.dual import (
     squared_error,
     total_cost,
 )
-from dualfilter.hmm import risk_matrix
+from dualfilter.hmm import obs_matrix, risk_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
-from conftest import make_model, random_model, sparse_model, uninformative_model
+from conftest import make_model, random_measure_process, random_model, sparse_model, uninformative_model
+
+
+def node_measure(model, rho, w):
+    return model.mu if len(w) == 0 else np.asarray(rho.at(w))
+
+
+def old_feedback_system(model, rho):
+    """The law solved as (I + G lead(c)) u = -G (lead(W) + drag(V)), G = pinv(rho(R)), node by node."""
+    c = obs_matrix(model)
+    R = risk_tensor(model)
+
+    def control(t, w, W, V):
+        nu = node_measure(model, rho, w)
+        dev = c - nu @ c
+        G = np.linalg.pinv(np.einsum("x,xij->ij", nu, R), rcond=1e-10)
+
+        def lead(y):
+            return np.einsum("x,xi,x...->i...", nu, dev, y)
+
+        drag = np.einsum("x,xij,xj->i", nu, R, V)
+        return np.linalg.solve(np.eye(model.m) + G @ lead(c), -G @ (lead(W) + drag))
+
+    return control
 
 
 def random_terminal(rng, model, path_dependent=False):
@@ -192,6 +218,107 @@ class TestSolveOptimal:
                 {w: np.asarray(traj.U.at(w)) + np.asarray(bump.at(w)) for w in bump.tree}
             )
             assert total_cost(model, U_pert, F) + 1e-9 >= J_opt
+
+
+class TestPredictiveCovarianceLaw:
+    """solve_optimal's law in the predictive covariance Sigma_p = rho(R) + lead(c)."""
+
+    def test_control_is_phi_where_risk_average_is_nonsingular(self, rng):
+        checked = 0
+        for _ in range(6):
+            d, m, T = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            model = random_model(rng, d, m, T)
+            R = risk_tensor(model)
+            for rho in (filter_process(model), random_measure_process(rng, model)):
+                traj = solve_optimal(model, rho, rng.standard_normal(d))
+                assert traj.diagnostics == ()
+                for t in range(T):
+                    for w in prefixes(m, t):
+                        nu = node_measure(model, rho, w)
+                        if np.linalg.eigvalsh(np.einsum("x,xij->ij", nu, R)).min() <= 1e-8:
+                            continue
+                        phi = optimal_feedback(model, np.asarray(traj.Y.at(w)), np.asarray(traj.V.at(w)), nu)
+                        np.testing.assert_allclose(np.asarray(traj.U.at(w)), phi, rtol=0, atol=1e-12)
+                        checked += 1
+        assert checked > 0
+
+    def test_agrees_with_the_old_system(self, rng):
+        for _ in range(12):
+            d, m, T = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            model = random_model(rng, d, m, T)
+            rho = random_measure_process(rng, model)
+            F = rng.standard_normal(d)
+            traj = solve_optimal(model, rho, F)
+            Y_old, V_old, U_old = _backward_sweep(model, F, T, old_feedback_system(model, rho))
+            for t in range(T):
+                for w in prefixes(m, t):
+                    assert np.max(np.abs(np.asarray(traj.U.at(w)) - U_old[w])) <= 1e-14
+                    assert np.max(np.abs(np.asarray(traj.Y.at(w)) - Y_old[w])) <= 1e-14
+
+    def test_predictive_covariance_is_risk_average_plus_lead(self, rng):
+        # law of total covariance: Cov_p e(Z) = rho(R) + Cov_rho c(X), with p = rho C
+        for _ in range(10):
+            d, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            model = random_model(rng, d, m, 1)
+            nu = rng.dirichlet(np.ones(d))
+            c = obs_matrix(model)
+            lead, _ = dual._lead_drag(c, risk_tensor(model), nu)
+            sigma = np.einsum("x,xij->ij", nu, risk_tensor(model)) + lead @ c
+            E, p = token_basis(m), nu @ model.C
+            mean = p @ E
+            np.testing.assert_allclose(sigma, (E - mean).T @ (p[:, None] * (E - mean)), rtol=0, atol=1e-14)
+            if m == 1:
+                assert abs(sigma[0, 0] - (1.0 - float(nu @ (2.0 * model.C[:, 1] - 1.0)) ** 2)) <= 1e-14
+
+    def test_zero_probability_token_takes_the_minimum_norm_control(self, rng):
+        # token 2 is emitted only by state 2, and rho puts no mass there at prefix (1,)
+        C = [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]]
+        model = make_model(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3), size=3), C, 3)
+        rho = random_measure_process(rng, model)
+        tree = dict(rho.tree)
+        tree[(1,)] = np.array([0.4, 0.6, 0.0])
+        rho = AdaptedProcess(tree)
+        traj = solve_optimal(model, rho, rng.standard_normal(3))
+        assert len(traj.diagnostics) == 1 and "t=1, prefix=(1,)" in traj.diagnostics[0]
+
+        c, R, nu = obs_matrix(model), risk_tensor(model), tree[(1,)]
+        u, V = np.asarray(traj.U.at((1,))), np.asarray(traj.V.at((1,)))
+        W = np.asarray(traj.Y.at((1,))) - c @ u
+        lead, drag = dual._lead_drag(c, R, nu)
+        sigma = np.einsum("x,xij->ij", nu, R) + lead @ c
+        rhs = -(lead @ W + drag @ V.ravel())
+        assert np.linalg.matrix_rank(sigma) == 1
+        np.testing.assert_allclose(sigma @ u, rhs, rtol=0, atol=1e-14)  # the system is consistent
+        np.testing.assert_allclose(u, np.linalg.lstsq(sigma, rhs, rcond=None)[0], rtol=0, atol=1e-14)
+        # e(0) = (-1, -1) and e(1) = (1, 0) differ by (2, 1): the null direction (1, -2) gets no control
+        assert abs(u @ np.array([1.0, -2.0])) <= 1e-14
+
+
+class TestSuccessorSplit:
+    def test_mean_matches_stacked_mean_bit_for_bit(self, rng):
+        for _ in range(300):
+            d, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            model = make_model(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d), size=d),
+                               rng.dirichlet(np.ones(m + 1), size=d), 1)
+            Y_next = {(z,): rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3) for z in range(m + 1)}
+            succ = np.stack([model.A @ Y_next[(z,)] for z in range(m + 1)])
+            mean, V = _successor_split(model, Y_next, ())
+            assert mean.tobytes() == succ.mean(axis=0).tobytes()
+            assert V.tobytes() == (succ[1:] - succ.mean(axis=0)).T.tobytes()
+
+
+class TestEstimatorValues:
+    def test_match_dot_with_embedded_tokens_bit_for_bit(self, rng):
+        for m in range(1, 7):
+            model = random_model(rng, 2, m, 2)
+            traj = solve_bsde(model, random_weight_process(rng, m, 2), rng.standard_normal(2))
+            E = token_basis(m)
+            vals = estimator_values(model, traj)
+            for w in prefixes(m, 2):
+                acc = float(model.mu @ traj.y0())
+                for s in range(2):
+                    acc -= float(np.asarray(traj.U.at(w[:s])) @ E[w[s]])
+                assert vals[w] == acc
 
 
 class TestEstimatorPath:

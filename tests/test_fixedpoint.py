@@ -20,7 +20,14 @@ from dualfilter.fixedpoint import (
 from dualfilter.hmm import is_probability_vector, scalar_obs
 from dualfilter.oracle import filter_process, forward_filter, path_probability, sample_path
 
-from conftest import make_model, random_model, sparse_model, uninformative_model
+from conftest import (
+    make_model,
+    point_mass_model,
+    random_measure_process,
+    random_model,
+    sparse_model,
+    uninformative_model,
+)
 
 
 class TestScalarFeedback:
@@ -293,11 +300,6 @@ def apply_N_adapted_by_solves(model, rho, basis=None, diagnostics=None):
     return tree, {w: is_probability_vector(v) for w, v in tree.items()}
 
 
-def random_measure_process(rng, model):
-    """Probability vectors at every prefix of length 1..T-1: a rho that is not the filter."""
-    return AdaptedProcess.from_function(model.m, range(1, model.T), lambda _: rng.dirichlet(np.ones(model.d)))
-
-
 def assert_same_output(out, flags, ref_tree, ref_flags):
     assert list(out.tree) == list(ref_tree)
     for w, v in ref_tree.items():
@@ -318,13 +320,53 @@ class TestApplyNAdaptedSharedLaws:
                 out, flags = apply_N_adapted(model, rho, basis=B)
                 assert_same_output(out, flags, *apply_N_adapted_by_solves(model, rho, basis=B))
 
-    def test_one_pseudo_inverse_per_prefix(self, rng):
+    def test_one_predictive_covariance_solve_per_interior_prefix(self, rng):
         model = random_model(rng, 3, 2, 3)
         rho = filter_process(model)
-        with mock.patch.object(np.linalg, "pinv", side_effect=np.linalg.pinv) as pinv:
+        with mock.patch.object(np.linalg, "solve", side_effect=np.linalg.solve) as solve, \
+                mock.patch.object(np.linalg, "pinv", side_effect=np.linalg.pinv) as pinv:
             apply_N_adapted(model, rho)
-        # interior prefixes of lengths 0..T-1, each with one law for all T*d solves
-        assert pinv.call_count == sum((model.m + 1) ** t for t in range(model.T))
+        # interior prefixes of lengths 0..T-1, each with one Sigma_p system for all T*d solves
+        assert solve.call_count == sum((model.m + 1) ** t for t in range(model.T))
+        assert all(call.args[0].shape == (model.m, model.m) for call in solve.call_args_list)
+        assert pinv.call_count == 0
+
+    def test_zero_probability_token_flags_each_solve_once(self, rng):
+        # token 2 is emitted only by state 2, and rho puts no mass there at prefix (1,)
+        C = [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]]
+        model = make_model(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3), size=3), C, 3)
+        tree = dict(random_measure_process(rng, model).tree)
+        tree[(1,)] = np.array([0.4, 0.6, 0.0])
+        rho = AdaptedProcess(tree)
+        ref_diag, got_diag = [], []
+
+        def recording_solve(*args, **kwargs):
+            traj = solve_optimal(*args, **kwargs)
+            got_diag.append((kwargs["horizon"], traj.diagnostics))
+            return traj
+
+        ref = apply_N_adapted_by_solves(model, rho, diagnostics=ref_diag)
+        with mock.patch.object(fixedpoint, "solve_optimal", recording_solve):
+            out, flags = apply_N_adapted(model, rho)
+        assert_same_output(out, flags, *ref)
+        assert [diag for _, diag in got_diag] == ref_diag
+        # horizon 1 never reaches prefix (1,); every longer solve visits it once
+        want = ("singular predictive covariance at t=1, prefix=(1,): minimum-norm control",)
+        assert got_diag == [(t, () if t == 1 else want) for t in range(1, 4) for _ in range(3)]
+
+    def test_rho_is_checked_once_with_the_same_text(self, rng):
+        model = random_model(rng, 2, 1, 3)
+        pi = filter_process(model)
+        with mock.patch.object(AdaptedProcess, "check_complete", autospec=True,
+                               side_effect=AdaptedProcess.check_complete) as check:
+            apply_N_adapted(model, pi)
+        assert check.call_count == 1  # not once per solve
+        tree = dict(pi.tree)
+        del tree[(0, 1)]
+        for run in (lambda rho: apply_N_adapted(model, rho), lambda rho: solve_optimal(model, rho, np.ones(2))):
+            with pytest.raises(ValueError) as err:
+                run(AdaptedProcess(tree))
+            assert str(err.value) == "adapted process incomplete at level 2: 3 of 4 prefixes present"
 
     def test_forced_singular_systems_keep_per_solve_diagnostics(self, rng):
         model = random_model(rng, 3, 2, 3)
@@ -420,6 +462,16 @@ class TestIterate:
     def test_zero_iterations_rejected(self, reference_model):
         with pytest.raises(ValueError, match="K"):
             iterate(reference_model, (1, 0, 1), K=0)
+
+    def test_rounding_level_negatives_read_as_zero(self):
+        # point-mass emissions: the map's first image on path 0.0.1 carries a -5.6e-17 entry
+        model = point_mass_model()
+        z = (0, 0, 1)
+        raw, flags = apply_N_path(model, np.full((3, 3), 1.0 / 3), z)
+        assert flags.all() and -1e-15 < raw.min() < 0.0
+        trace = iterate(model, z, K=2)
+        assert trace.iterates.min() == 0.0 and not trace.projected.any()
+        assert np.array_equal(trace.iterates[1], np.where(raw < 0.0, 0.0, raw))
 
     def test_impossible_path_under_zero_convention(self):
         model = make_model([1.0, 0.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]], 2)

@@ -6,9 +6,12 @@ import pytest
 from dualfilter.hmm import (
     HmmModel,
     Spaces,
+    ROUNDING_TOL,
     decompose,
+    drop_rounding_negatives,
     embed_token,
     gamma_op,
+    is_probability_vector,
     obs_vector,
     risk_matrix,
     scalar_obs,
@@ -61,6 +64,18 @@ class TestModelConstruction:
     def test_missing_key_is_loud(self):
         with pytest.raises(ValueError, match="missing key"):
             HmmModel.from_dict({"d": 2, "m": 1, "T": 1, "mu": [1, 0], "A": [[1, 0], [0, 1]]})
+
+
+class TestRoundingNegatives:
+    def test_only_rounding_level_negatives_read_as_zero(self):
+        p = np.array([0.5, -5.55e-17, -ROUNDING_TOL, -2 * ROUNDING_TOL, 0.25, -0.0])
+        out = drop_rounding_negatives(p)
+        assert out.tolist() == [0.5, 0.0, 0.0, -2 * ROUNDING_TOL, 0.25, -0.0]
+        assert p[1] == -5.55e-17  # the input is not modified
+
+    def test_domain_flag_uses_the_same_rule(self):
+        assert is_probability_vector([0.5, 0.5 + ROUNDING_TOL, -ROUNDING_TOL])
+        assert not is_probability_vector([0.5, 0.5 + 2 * ROUNDING_TOL, -2 * ROUNDING_TOL])
 
 
 class TestEmbedToken:

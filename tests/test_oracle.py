@@ -172,6 +172,12 @@ class TestNextTokenProb:
         p = next_token_prob(model, np.array([0.5, 0.5]))
         np.testing.assert_allclose(p, [0.45, 0.55])
 
+    def test_rounding_level_negative_reads_as_zero(self):
+        model = make_model([0.5, 0.5, 0.0], np.eye(3), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], 1)
+        assert next_token_prob(model, np.array([0.5, 0.5, -5.55e-17])).tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError, match="negative"):
+            next_token_prob(model, np.array([0.5, 0.5 + 1e-6, -1e-6]))
+
     def test_matches_conditional_by_enumeration(self, rng):
         # the filtered mixture equals P(Z_{t+1} = z | z_1..z_t) computed from path masses
         for _ in range(3):

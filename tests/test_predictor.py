@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualfilter.adapted import prefixes
+from dualfilter.hmm import token_basis
 from dualfilter.oracle import ImpossibleObservationError, forward_filter, next_token_prob
 from dualfilter.predictor import (
     PredictorRepresentation,
@@ -73,6 +74,18 @@ class TestEvaluate:
         target = {z: 1.5 for z in prefixes(1, 2)}
         rep = build_weights(target, m=1, T=2)
         assert evaluate(rep, (0, 1)) == 1.5
+
+    def test_matches_dot_with_embedded_tokens_bit_for_bit(self, rng):
+        for m in range(1, 10):
+            T = 3 if m < 4 else 2
+            target = {z: float(rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)) for z in prefixes(m, T)}
+            rep = build_weights(target, m=m, T=T)
+            E = token_basis(m)
+            for z in prefixes(m, T):
+                acc = rep.constant
+                for t in range(T):
+                    acc -= float(np.dot(rep.weights.at(z[:t]), E[z[t]]))
+                assert evaluate(rep, z) == acc
 
     def test_wrong_length_rejected(self):
         rep = build_weights({(0,): 0.0, (1,): 1.0}, m=1, T=1)

@@ -59,7 +59,7 @@ CASES = [
         "residual_report.json": "4f1a3f0ae9a268c1ebf6a4015eb2bbfdf865ebbfa4548a022c443581bd33d047",
     }),
     ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
-        "diagnostics.csv": "93d7c90748d51747f63544c68083bde5dcca7f15a88ccbf7b5c8403c0f5360f3",
+        "diagnostics.csv": "6b31ca57dd49e9d281c11dcb473f0713bd40ff45169eb074c694eb4183aab28a",
         "duality_report.json": "1143a73957902b6f88ea2ef0a682fcf14ce91ee98f648260b62e5ee3fe5ad573",
     }),
     ("represent", ["represent", "--model", "dense.json", "--z-query", "1"], 0, {
