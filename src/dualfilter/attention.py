@@ -1,9 +1,12 @@
 """Desk-scale decoder-only attention layer over signed-measure signals.
 
 Sequences live as (d, T) matrices whose column t-1 is the signal at
-position t. Causality is structural: every per-position computation only
-ever slices columns 1..t. No training, no dropout, no caching; this module
-exercises the layer map itself.
+position t. Causality is structural. The query, key and value projections,
+the output projection and the misc ops act on each column alone, so they
+run once on the whole (d, T) matrix; the only step that mixes positions is
+the softmax at position t, and it reads columns 1..t only. Memory is
+O(d T): no (T, T) score matrix is formed. No training, no dropout, no
+caching; this module exercises the layer map itself.
 """
 
 from __future__ import annotations
@@ -82,6 +85,11 @@ class AttentionHeadParams:
         return self.W_V.shape[0]
 
 
+def _down_columns(v, y) -> np.ndarray:
+    """A (d,) vector shaped to broadcast down the columns of y, (d,) or (d, T)."""
+    return np.reshape(np.asarray(v, dtype=float), (-1,) + (1,) * (np.ndim(y) - 1))
+
+
 @dataclass(frozen=True)
 class FeedForwardParams:
     """Affine, nonlinearity, affine; the nonlinearity is a config knob."""
@@ -93,7 +101,8 @@ class FeedForwardParams:
     activation: str = "gelu"
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        h = np.asarray(self.W1) @ y + np.asarray(self.b1)
+        """Apply to one (d,) signal or column-wise to a (d, T) matrix."""
+        h = np.asarray(self.W1) @ y + _down_columns(self.b1, y)
         if self.activation == "gelu":
             # tanh form of the smooth gate
             h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h**3)))
@@ -103,7 +112,7 @@ class FeedForwardParams:
             h = np.maximum(h, 0.0)
         else:
             raise ValueError(f"unknown activation {self.activation!r}")
-        return np.asarray(self.W2) @ h + np.asarray(self.b2)
+        return np.asarray(self.W2) @ h + _down_columns(self.b2, y)
 
 
 @dataclass(frozen=True)
@@ -163,8 +172,12 @@ def attention_weights(head: AttentionHeadParams, sigmas: np.ndarray) -> np.ndarr
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] < 1:
         raise ValueError(f"need a (d, t) block with t >= 1, got shape {sigmas.shape}")
-    q = head.W_Q @ sigmas[:, -1]
-    logits = (head.W_K @ sigmas).T @ q / np.sqrt(head.d_K)
+    return _softmax_weights(head.W_K @ sigmas, head.W_Q @ sigmas[:, -1], head.d_K)
+
+
+def _softmax_weights(keys: np.ndarray, q: np.ndarray, d_K: int) -> np.ndarray:
+    """Max-subtracted softmax over the columns k_s of keys of q . k_s / sqrt(d_K)."""
+    logits = keys.T @ q / np.sqrt(d_K)
     logits -= logits.max()
     w = np.exp(logits)
     return w / w.sum()
@@ -176,27 +189,19 @@ def head_output(head: AttentionHeadParams, sigmas: np.ndarray) -> np.ndarray:
     return head.W_V @ (np.asarray(sigmas) @ alpha)
 
 
-def _attention_only(params: LayerParams, sigmas: np.ndarray, t: int) -> np.ndarray:
-    block = sigmas[:, :t]
-    concat = np.concatenate([head_output(h, block) for h in params.heads])
-    return params.W_O @ concat
-
-
 def layer_norm(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """gamma * (y - mean) / std + beta, with population std over the d entries.
 
+    y is one (d,) signal or a (d, T) matrix normalized column by column.
     A near-zero variance falls back to sqrt(var + eps) so constant inputs
     normalize to zero rather than dividing by zero; elsewhere the plain
     root keeps the normalized output at exactly unit standard deviation.
     """
     y = np.asarray(y, dtype=float)
-    mean = y.mean()
-    var = np.mean((y - mean) ** 2)
-    if var <= LAYERNORM_DEGENERATE_VAR:
-        denom = np.sqrt(var + LAYERNORM_EPS)
-    else:
-        denom = np.sqrt(var)
-    return gamma * ((y - mean) / denom) + beta
+    mean = y.mean(axis=0, keepdims=True)
+    var = np.mean((y - mean) ** 2, axis=0, keepdims=True)
+    denom = np.sqrt(np.where(var <= LAYERNORM_DEGENERATE_VAR, var + LAYERNORM_EPS, var))
+    return _down_columns(gamma, y) * ((y - mean) / denom) + _down_columns(beta, y)
 
 
 def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
@@ -204,27 +209,33 @@ def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
 
     Misc order: residual add, layernorm, feed-forward with residual,
     layernorm. Every output column depends only on input columns at or
-    before it.
+    before it: each head projects all columns at once, and position t's
+    softmax and weighted value sum read the first t columns of those
+    projections. Everything after the heads acts column by column.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     d, T = sigmas.shape
     if d != params.d:
         raise ValueError(f"input dimension {d} does not match parameters ({params.d})")
-    out = np.zeros_like(sigmas)
-    for t in range(1, T + 1):
-        y = _attention_only(params, sigmas, t)
-        if params.misc.residual:
-            y = y + sigmas[:, t - 1]
-        if params.misc.layernorm:
-            y = layer_norm(y, params.gamma, params.beta)
-        if params.misc.ffn:
-            if params.ffn is None:
-                raise ValueError("ffn toggle is on but no feed-forward parameters were given")
-            y = y + params.ffn(y)
-        if params.misc.layernorm:
-            y = layer_norm(y, params.gamma, params.beta)
-        out[:, t - 1] = y
-    return out
+    d_V = params.heads[0].d_V
+    concat = np.empty((d, T))
+    for h, head in enumerate(params.heads):
+        Q, K, V = head.W_Q @ sigmas, head.W_K @ sigmas, head.W_V @ sigmas
+        rows = concat[h * d_V : (h + 1) * d_V]
+        for t in range(1, T + 1):
+            rows[:, t - 1] = V[:, :t] @ _softmax_weights(K[:, :t], Q[:, t - 1], head.d_K)
+    y = params.W_O @ concat
+    if params.misc.residual:
+        y = y + sigmas
+    if params.misc.layernorm:
+        y = layer_norm(y, params.gamma, params.beta)
+    if params.misc.ffn:
+        if params.ffn is None:
+            raise ValueError("ffn toggle is on but no feed-forward parameters were given")
+        y = y + params.ffn(y)
+    if params.misc.layernorm:
+        y = layer_norm(y, params.gamma, params.beta)
+    return y
 
 
 def simplified_form(params: LayerParams, sigmas: np.ndarray, t: int, f: np.ndarray) -> float:
@@ -246,24 +257,25 @@ def simplified_form(params: LayerParams, sigmas: np.ndarray, t: int, f: np.ndarr
     for h, head in enumerate(params.heads):
         L_h = params.W_O[:, h * d_V : (h + 1) * d_V] @ head.W_V
         alpha = attention_weights(head, block)
-        proj = L_h.T @ f
-        for s in range(t):
-            total += alpha[s] * float(block[:, s] @ proj)
+        total += float(alpha @ (block.T @ (L_h.T @ f)))
     return total
 
 
 def unembed(emb: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Softmax over tokens of the logits sigma . emb(:, z)."""
+    """Softmax over tokens of the logits sigma . emb(:, z).
+
+    sigma is one (d,) signal or a stack (..., d) of them; the softmax runs
+    along the last axis, one distribution per signal.
+    """
     logits = np.asarray(sigma, dtype=float) @ np.asarray(emb, dtype=float)
-    logits = logits - logits.max()
+    logits = logits - logits.max(axis=-1, keepdims=True)
     w = np.exp(logits)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def predictions(emb: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """(m+1, T) table of per-position next-token distributions."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    return np.stack([unembed(emb, sigmas[:, t]) for t in range(sigmas.shape[1])], axis=1)
+    return unembed(emb, np.asarray(sigmas, dtype=float).T).T
 
 
 def layer_stack(params: LayerParams, sigmas: np.ndarray, n_layers: int) -> list[np.ndarray]:

@@ -348,8 +348,8 @@ def cmd_duality(cfg, model, rng):
     for _ in range(cfg.draws):
         U = random_weight_process(rng, model.m, model.T)
         F = rng.standard_normal(model.d)
-        reports.append(duality_report(model, U, F, budget=cfg.enum_budget))
         traj = solve_bsde(model, U, F)
+        reports.append(duality_report(model, traj, F, budget=cfg.enum_budget))
         for key, res in bsde_residual_by_node(model, traj).items():
             node_residuals[key] = max(node_residuals.get(key, 0.0), res)
 

@@ -287,14 +287,23 @@ def squared_error(
 
 def duality_report(
     model: HmmModel,
-    U: AdaptedProcess,
+    U: AdaptedProcess | DualTrajectory,
     F,
     horizon: int | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict:
-    """Both sides of the duality identity: {'J_T': ..., 'mse': ..., 'gap': ...}."""
-    T = model.T if horizon is None else int(horizon)
-    traj = solve_bsde(model, U, F, horizon=T)
+    """Both sides of the duality identity: {'J_T': ..., 'mse': ..., 'gap': ...}.
+
+    U is the control process, or its trajectory as ``solve_bsde(model, U,
+    F)`` returned it, for a caller that reads the trajectory too; the
+    horizon is then the trajectory's own.
+    """
+    if isinstance(U, DualTrajectory):
+        if horizon is not None and int(horizon) != U.horizon:
+            raise ValueError(f"horizon {horizon} differs from the trajectory's ({U.horizon})")
+        traj = U
+    else:
+        traj = solve_bsde(model, U, F, horizon=horizon)
     J = _cost_of_trajectory(model, traj, budget)
     mse = squared_error(model, traj, F, budget=budget)
     return {"J_T": J, "mse": mse, "gap": abs(J - mse)}

@@ -1,7 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dualfilter.attention import (
+    LAYERNORM_DEGENERATE_VAR,
+    LAYERNORM_EPS,
     AttentionHeadParams,
     FeedForwardParams,
     LayerParams,
@@ -18,6 +23,62 @@ from dualfilter.attention import (
     simplified_form,
     unembed,
 )
+
+
+def per_position_layer(params, sigmas):
+    """layer_forward written as one full layer evaluation per position on columns 1..t."""
+
+    def norm(y):
+        mean = y.mean()
+        var = np.mean((y - mean) ** 2)
+        denom = np.sqrt(var + LAYERNORM_EPS) if var <= LAYERNORM_DEGENERATE_VAR else np.sqrt(var)
+        return params.gamma * ((y - mean) / denom) + params.beta
+
+    def ffn(y):
+        f = params.ffn
+        h = f.W1 @ y + f.b1
+        if f.activation == "gelu":
+            h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h**3)))
+        elif f.activation == "tanh":
+            h = np.tanh(h)
+        else:
+            h = np.maximum(h, 0.0)
+        return f.W2 @ h + f.b2
+
+    out = np.zeros_like(sigmas)
+    for t in range(1, sigmas.shape[1] + 1):
+        block = sigmas[:, :t]
+        heads = []
+        for head in params.heads:
+            q = head.W_Q @ block[:, -1]
+            logits = (head.W_K @ block).T @ q / np.sqrt(head.d_K)
+            w = np.exp(logits - logits.max())
+            heads.append(head.W_V @ (block @ (w / w.sum())))
+        y = params.W_O @ np.concatenate(heads)
+        if params.misc.residual:
+            y = y + sigmas[:, t - 1]
+        if params.misc.layernorm:
+            y = norm(y)
+        if params.misc.ffn:
+            y = y + ffn(y)
+        if params.misc.layernorm:
+            y = norm(y)
+        out[:, t - 1] = y
+    return out
+
+
+def per_position_bilinear(params, sigmas, t, f):
+    """simplified_form as a sum over the visible positions s, one term at a time."""
+    block = sigmas[:, :t]
+    d_V = params.heads[0].d_V
+    total = 0.0
+    for h, head in enumerate(params.heads):
+        L_h = params.W_O[:, h * d_V : (h + 1) * d_V] @ head.W_V
+        alpha = attention_weights(head, block)
+        proj = L_h.T @ f
+        for s in range(t):
+            total += alpha[s] * float(block[:, s] @ proj)
+    return total
 
 
 class TestPositionalEncoding:
@@ -156,6 +217,38 @@ class TestLayerForward:
         out_b = layer_forward(params, bumped)
         assert np.array_equal(out_a[:, :4], out_b[:, :4])
 
+    @pytest.mark.parametrize(
+        "toggles", list(itertools.product([False, True], repeat=3)),
+        ids=lambda tg: "".join(c if on else "-" for c, on in zip("RLF", tg)),
+    )
+    @pytest.mark.parametrize("activation", ["gelu", "tanh", "relu"])
+    def test_matches_per_position_evaluation(self, rng, toggles, activation):
+        for n_head in (1, 2, 4):
+            params = random_layer_params(rng, 8, n_head, activation=activation, misc=MiscToggles(*toggles))
+            for T in (1, 7, 64):
+                sig = rng.standard_normal((8, T))
+                diff = layer_forward(params, sig) - per_position_layer(params, sig)
+                assert np.max(np.abs(diff)) <= 1e-13
+
+    def test_causality_bit_exact_long_sequence(self, rng):
+        params = random_layer_params(rng, 8, 2, misc=MiscToggles(True, True, True))
+        sig = rng.standard_normal((8, 300))
+        bumped = sig.copy()
+        bumped[:, 200:] = rng.standard_normal((8, 100))
+        assert np.array_equal(layer_forward(params, sig)[:, :200], layer_forward(params, bumped)[:, :200])
+
+    def test_memory_is_linear_in_length(self, rng):
+        # one (T, T) float64 array at T = 1000 would take 7.6 MiB
+        params = random_layer_params(rng, 8, 2, misc=MiscToggles(True, True, True))
+        sig = rng.standard_normal((8, 1000))
+        tracemalloc.start()
+        try:
+            layer_forward(params, sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_ffn_toggle_requires_parameters(self, rng):
         head = AttentionHeadParams(W_Q=np.eye(2), W_K=np.eye(2), W_V=np.eye(2))
         params = LayerParams(
@@ -181,6 +274,15 @@ class TestLayerNorm:
     def test_degenerate_input_maps_to_zero(self):
         out = layer_norm(np.full(8, 3.0), np.ones(8), np.zeros(8))
         np.testing.assert_array_equal(out, np.zeros(8))
+
+    def test_matrix_normalizes_each_column(self, rng):
+        y = rng.standard_normal((8, 5)) * np.array([0.01, 1.0, 50.0, 1.0, 1.0])
+        y[:, 3] = 2.0  # a degenerate column
+        gamma = rng.standard_normal(8)
+        beta = rng.standard_normal(8)
+        out = layer_norm(y, gamma, beta)
+        for t in range(5):
+            np.testing.assert_allclose(out[:, t], layer_norm(y[:, t], gamma, beta), rtol=0, atol=1e-14)
 
     def test_gain_and_offset_applied(self, rng):
         y = rng.standard_normal(8)
@@ -213,6 +315,16 @@ class TestSimplifiedForm:
             for t in range(1, 6):
                 assert abs(float(f @ out[:, t - 1]) - simplified_form(params, sig, t, f)) <= 1e-12
 
+    @pytest.mark.parametrize("n_head", [1, 2, 4])
+    def test_matches_per_position_sum(self, rng, n_head):
+        for _ in range(5):
+            params = random_layer_params(rng, 8, n_head)
+            sig = rng.standard_normal((8, 64))
+            for t in (1, 2, 31, 64):
+                f = rng.standard_normal(8)
+                expect = per_position_bilinear(params, sig, t, f)
+                assert abs(simplified_form(params, sig, t, f) - expect) <= 1e-13
+
     def test_requires_misc_disabled(self, rng):
         params = random_layer_params(rng, 4, 2, misc=MiscToggles(residual=True))
         with pytest.raises(ValueError, match="disable"):
@@ -243,6 +355,13 @@ class TestUnembed:
         sigma = np.array([sigma1, 0.0])
         np.testing.assert_allclose(unembed(emb, sigma), p, atol=1e-12)
 
+    def test_stacked_signals_give_one_distribution_each(self, rng):
+        emb = rng.standard_normal((4, 3))
+        sigmas = 5.0 * rng.standard_normal((6, 4))
+        table = unembed(emb, sigmas)
+        for row, sigma in zip(table, sigmas):
+            np.testing.assert_allclose(row, unembed(emb, sigma), rtol=0, atol=1e-15)
+
     def test_predictions_table_shape_and_columns(self, rng):
         emb = rng.standard_normal((4, 3))
         sig = rng.standard_normal((4, 5))
@@ -263,6 +382,20 @@ class TestFeedForward:
         )
         out = ffn(rng.standard_normal(4))
         assert out.shape == (4,) and np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("activation", ["gelu", "tanh", "relu"])
+    def test_matrix_input_acts_column_wise(self, rng, activation):
+        ffn = FeedForwardParams(
+            W1=rng.standard_normal((8, 4)),
+            b1=rng.standard_normal(8),
+            W2=rng.standard_normal((4, 8)),
+            b2=rng.standard_normal(4),
+            activation=activation,
+        )
+        y = rng.standard_normal((4, 6))
+        out = ffn(y)
+        for t in range(6):
+            np.testing.assert_allclose(out[:, t], ffn(y[:, t]), rtol=0, atol=1e-13)
 
     def test_unknown_activation(self, rng):
         ffn = FeedForwardParams(

@@ -160,6 +160,24 @@ class TestDualityCommand:
         )
         assert res.exit_code == 2
 
+    def test_one_backward_solve_per_draw(self, runner, model_file, tmp_path, monkeypatch):
+        from dualfilter import cli, dual
+
+        calls = []
+        solve = dual.solve_bsde
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        for module in (cli, dual):
+            monkeypatch.setattr(module, "solve_bsde", counted)
+        res = runner.invoke(
+            main, ["duality", "--model", str(model_file), "--draws", "3", "--out", str(tmp_path / "d")]
+        )
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 3
+
 
 class TestRepresentCommand:
     def test_uninformative_model_has_zero_weights(self, runner, tmp_path, rng):

@@ -139,6 +139,14 @@ class TestDuality:
         rep = duality_report(reference_model, U, F)
         assert rep["gap"] == abs(rep["J_T"] - rep["mse"])
 
+    def test_solved_trajectory_gives_the_same_report(self, rng, reference_model):
+        U = random_weight_process(rng, 1, 3)
+        F = rng.standard_normal(2)
+        traj = solve_bsde(reference_model, U, F)
+        assert duality_report(reference_model, traj, F) == duality_report(reference_model, U, F)
+        with pytest.raises(ValueError, match="horizon"):
+            duality_report(reference_model, traj, F, horizon=2)
+
 
 class TestOptimalFeedback:
     def test_constant_y_zero_v(self, rng, reference_model):

@@ -67,8 +67,8 @@ CASES = [
     }),
     ("attention-demo", ["attention-demo", "--model", "dense.json", "--path", "0.2.1.1.0", "--seed", "3"], 0, {
         "attention_report.json": "27e56cd133b44429b69707c4da68d2dabbd04e4f73f972abe269b7868e330f44",
-        "layer_divergence.csv": "909de6b48a4bde06049e26c6fd7670b6e53eefd35d45c5fc8e6eedf32d734e8d",
-        "layer_predictions.csv": "cb0ba818037b78b5c12bea9313adb8db295005d2efe54f7963f6dc0337ff118e",
+        "layer_divergence.csv": "d0d9071f33d11134d6d1202d2d3bb662c5c3f3b4d8cf6abcbc9f6b75e07c756b",
+        "layer_predictions.csv": "8a054791e00cf589a7960acce587980d8e12c55b134021202e0c27182dffc2d2",
     }),
     ("represent-zero", ["represent", "--model", "sparse.json", "--z-query", "0", "--zero-convention"], 0, {
         "representation.json": "5803b5a8752b1b4626cf908952496f8172ac8209edc5477d249f566409c45e9c",
