@@ -7,10 +7,7 @@ from .hmm import (
     HmmModel,
     Spaces,
     decompose,
-    embed_token,
     gamma_op,
-    obs_vector,
-    risk_matrix,
     scalar_obs,
     token_basis,
 )
@@ -35,13 +32,9 @@ from .dual import (
     bsde_residual,
     duality_report,
     estimator_path,
-    mmse,
-    optimal_feedback,
-    running_cost,
     solve_bsde,
     solve_optimal,
     squared_error,
-    total_cost,
 )
 from .fixedpoint import (
     IterationTrace,
@@ -73,7 +66,6 @@ __all__ = [
     "build_weights",
     "decompose",
     "duality_report",
-    "embed_token",
     "estimator_path",
     "evaluate",
     "exact_expectation",
@@ -83,18 +75,13 @@ __all__ = [
     "gamma_op",
     "iterate",
     "kl_divergence_bar",
-    "mmse",
     "next_token_prob",
-    "obs_vector",
-    "optimal_feedback",
     "parse_prefix",
     "path_laws",
     "path_probability",
     "prefix_string",
     "prefixes",
     "represent_conditional",
-    "risk_matrix",
-    "running_cost",
     "sample_path",
     "scalar_feedback",
     "scalar_obs",
@@ -103,5 +90,4 @@ __all__ = [
     "squared_error",
     "step_law",
     "token_basis",
-    "total_cost",
 ]

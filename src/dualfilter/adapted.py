@@ -34,19 +34,17 @@ class AdaptedProcess:
     tree: Mapping[Prefix, object] = field(default_factory=dict)
 
     def at(self, prefix) -> object:
-        """The value at ``prefix``: a tuple of ints, or any sequence of integer-valued tokens."""
-        try:
-            return self.tree[prefix]
-        except (KeyError, TypeError):  # TypeError: an unhashable prefix such as a list
-            pass
-        key = tuple(int(t) for t in prefix)
+        """The value at ``prefix``, any sequence of integer-valued tokens.
+
+        Integer-valued floats and numpy integers hash like the ints they
+        equal, so they find the same key; a token such as 1.5 finds none.
+        """
+        key = tuple(prefix)
         try:
             return self.tree[key]
         except KeyError:
-            raise ValueError(f"adapted process has no value at prefix {key}") from None
-
-    def levels(self) -> list[int]:
-        return sorted({len(k) for k in self.tree})
+            shown = tuple(np.asarray(key).tolist())
+            raise ValueError(f"adapted process has no value at prefix {shown}") from None
 
     def level_items(self, t: int) -> list[tuple[Prefix, object]]:
         return sorted((k, v) for k, v in self.tree.items() if len(k) == t)
@@ -69,12 +67,6 @@ class AdaptedProcess:
             for w in prefixes(m, t):
                 tree[w] = fn(w)
         return cls(tree)
-
-
-def constant_process(m: int, levels, value) -> AdaptedProcess:
-    """Same value at every prefix (deterministic process)."""
-    arr = np.asarray(value, dtype=float)
-    return AdaptedProcess.from_function(m, levels, lambda _: arr.copy())
 
 
 def random_weight_process(rng: np.random.Generator, m: int, T: int, scale: float = 1.0) -> AdaptedProcess:

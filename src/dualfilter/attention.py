@@ -11,7 +11,7 @@ caching; this module exercises the layer map itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +24,10 @@ LAYERNORM_DEGENERATE_VAR = 1e-12
 LAYERNORM_EPS = 1e-5
 
 
-@dataclass(frozen=True)
-class PositionalEncoding:
-    """Sinusoidal position signals: values[x, t-1] encodes position t."""
+def positional_encoding(d: int, T: int, ell_max: float = DEFAULT_ELL_MAX) -> np.ndarray:
+    """(d, T) sinusoidal position signals; column t-1 encodes position t.
 
-    values: np.ndarray
-    ell_max: float = DEFAULT_ELL_MAX
-
-
-def positional_encoding(d: int, T: int, ell_max: float = DEFAULT_ELL_MAX) -> PositionalEncoding:
-    """Rows 2i-1 / 2i (1-based) are sin / cos at frequency ell_max^(-2i/d), t = 1..T.
+    Rows 2i-1 / 2i (1-based) are sin / cos at frequency ell_max^(-2i/d).
 
     d must be even; the frequencies sweep a wide range of scales as i runs
     over 1..d/2. All entries lie in [-1, 1].
@@ -46,17 +40,16 @@ def positional_encoding(d: int, T: int, ell_max: float = DEFAULT_ELL_MAX) -> Pos
         freq = ell_max ** (-2.0 * i / d)
         W[2 * i - 2] = np.sin(freq * ts)
         W[2 * i - 1] = np.cos(freq * ts)
-    return PositionalEncoding(values=W, ell_max=ell_max)
+    return W
 
 
-def embed_sequence(emb: np.ndarray, pe: PositionalEncoding, z) -> np.ndarray:
-    """Column t-1 of the output is emb[:, z_t] + positional column t-1."""
+def embed_sequence(emb: np.ndarray, pe: np.ndarray, z) -> np.ndarray:
+    """Column t-1 of the output is emb[:, z_t] + pe[:, t-1], for a (d, T) positional encoding pe."""
     emb = np.asarray(emb, dtype=float)
     z = validate_tokens(z, emb.shape[1] - 1)
-    if len(z) > pe.values.shape[1]:
-        raise ValueError(f"path length {len(z)} exceeds encoded horizon {pe.values.shape[1]}")
-    cols = emb[:, list(z)] + pe.values[:, : len(z)]
-    return cols
+    if len(z) > pe.shape[1]:
+        raise ValueError(f"path length {len(z)} exceeds encoded horizon {pe.shape[1]}")
+    return emb[:, list(z)] + pe[:, : len(z)]
 
 
 @dataclass(frozen=True)
@@ -116,25 +109,15 @@ class FeedForwardParams:
 
 
 @dataclass(frozen=True)
-class MiscToggles:
-    """Per-op switches for the stabilization tail after attention."""
-
-    residual: bool = False
-    layernorm: bool = False
-    ffn: bool = False
-
-    def any(self) -> bool:
-        return self.residual or self.layernorm or self.ffn
-
-
-@dataclass(frozen=True)
 class LayerParams:
+    """One layer's parameters; ``misc`` switches on the stabilization tail after attention."""
+
     heads: tuple[AttentionHeadParams, ...]
     W_O: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
     ffn: FeedForwardParams | None = None
-    misc: MiscToggles = field(default_factory=MiscToggles)
+    misc: bool = False
 
     def __post_init__(self):
         heads = tuple(self.heads)
@@ -183,12 +166,6 @@ def _softmax_weights(keys: np.ndarray, q: np.ndarray, d_K: int) -> np.ndarray:
     return w / w.sum()
 
 
-def head_output(head: AttentionHeadParams, sigmas: np.ndarray) -> np.ndarray:
-    """Value projection of the attention-weighted average of the visible columns."""
-    alpha = attention_weights(head, sigmas)
-    return head.W_V @ (np.asarray(sigmas) @ alpha)
-
-
 def layer_norm(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """gamma * (y - mean) / std + beta, with population std over the d entries.
 
@@ -205,7 +182,7 @@ def layer_norm(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
 
 
 def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
-    """One layer: causal multi-head attention, then the enabled misc ops per position.
+    """One layer: causal multi-head attention, then the misc ops if ``params.misc``.
 
     Misc order: residual add, layernorm, feed-forward with residual,
     layernorm. Every output column depends only on input columns at or
@@ -225,16 +202,11 @@ def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
         for t in range(1, T + 1):
             rows[:, t - 1] = V[:, :t] @ _softmax_weights(K[:, :t], Q[:, t - 1], head.d_K)
     y = params.W_O @ concat
-    if params.misc.residual:
-        y = y + sigmas
-    if params.misc.layernorm:
-        y = layer_norm(y, params.gamma, params.beta)
-    if params.misc.ffn:
+    if params.misc:
         if params.ffn is None:
-            raise ValueError("ffn toggle is on but no feed-forward parameters were given")
-        y = y + params.ffn(y)
-    if params.misc.layernorm:
-        y = layer_norm(y, params.gamma, params.beta)
+            raise ValueError("misc ops are on but no feed-forward parameters were given")
+        y = layer_norm(y + sigmas, params.gamma, params.beta)
+        y = layer_norm(y + params.ffn(y), params.gamma, params.beta)
     return y
 
 
@@ -245,7 +217,7 @@ def simplified_form(params: LayerParams, sigmas: np.ndarray, t: int, f: np.ndarr
     times W_V of head h. Equals f . (layer output at position t) when the
     misc ops are disabled, which is required here.
     """
-    if params.misc.any():
+    if params.misc:
         raise ValueError("the bilinear form describes the attention map alone; disable misc ops")
     sigmas = np.asarray(sigmas, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -294,7 +266,7 @@ def random_layer_params(
     n_head: int,
     d_K: int | None = None,
     activation: str = "gelu",
-    misc: MiscToggles | None = None,
+    misc: bool = False,
 ) -> LayerParams:
     """Seeded Gaussian parameters scaled by 1/sqrt(d) for reproducible demos."""
     if d % n_head != 0:
@@ -324,5 +296,5 @@ def random_layer_params(
         gamma=np.ones(d),
         beta=np.zeros(d),
         ffn=ffn,
-        misc=misc or MiscToggles(),
+        misc=misc,
     )

@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .adapted import prefix_string, prefixes, random_weight_process
 from .attention import (
-    MiscToggles,
     embed_sequence,
     layer_forward,
     layer_stack,
@@ -419,10 +418,7 @@ def cmd_represent(cfg, model, rng, z_query):
 def cmd_attention_demo(cfg, model, rng, z):
     """Run a seeded toy attention stack and emit per-layer prediction tables."""
     d = cfg.attn_d
-    params = random_layer_params(
-        rng, d, cfg.attn_heads, activation=cfg.attn_activation,
-        misc=MiscToggles(residual=True, layernorm=True, ffn=True),
-    )
+    params = random_layer_params(rng, d, cfg.attn_heads, activation=cfg.attn_activation, misc=True)
     emb = rng.standard_normal((d, model.m + 1)) / np.sqrt(d)
     pe = positional_encoding(d, len(z))
     sig0 = embed_sequence(emb, pe, z)

@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefixes
-from .hmm import HmmModel, gamma_op, obs_matrix, risk_matrix, risk_tensor, token_basis
-from .oracle import DEFAULT_ENUM_BUDGET, exact_expectation, forward_filter
+from .hmm import HmmModel, gamma_op, obs_matrix, risk_tensor, token_basis
+from .oracle import DEFAULT_ENUM_BUDGET, exact_expectation
 
 # Relative singular-value cutoff for every pseudo-inverse in this module.
 PINV_RCOND = 1e-10
@@ -150,19 +150,6 @@ def bsde_residual(model: HmmModel, traj: DualTrajectory) -> float:
     return max(by_node.values()) if by_node else 0.0
 
 
-def running_cost(model: HmmModel, y: np.ndarray, v: np.ndarray, u: np.ndarray, x: int) -> float:
-    """l(y, v, u; x): transition variance of y plus the (u + v(x)) quadratic risk."""
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if v.shape != (model.d, model.m):
-        raise ValueError(f"v must have shape ({model.d}, {model.m}), got {v.shape}")
-    if u.shape != (model.m,):
-        raise ValueError(f"u must have shape ({model.m},), got {u.shape}")
-    s = u + v[x]
-    return float(gamma_op(model, y)[x] + s @ risk_matrix(model, x) @ s)
-
-
 def _running_cost_tables(model: HmmModel, traj: DualTrajectory) -> list[dict[Prefix, np.ndarray]]:
     """Per step t, map from z_{1..t+1} to the (d,) vector x -> l(Y_{t+1}, V_t, U_t; x)."""
     R = risk_tensor(model)
@@ -216,23 +203,6 @@ def _cost_of_trajectory(model: HmmModel, traj: DualTrajectory, budget: int) -> f
         return acc
 
     return var0 + exact_expectation(model, h, T=T, budget=budget)
-
-
-def total_cost(
-    model: HmmModel,
-    U: AdaptedProcess,
-    F,
-    horizon: int | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> float:
-    """J(U; F) = var(Y_0(X_0)) + E[sum_t l(Y_{t+1}, V_t, U_t; X_t)], exactly.
-
-    Y_0 is deterministic because the root of the prefix tree is a single
-    node, so the variance term is under the prior mu alone.
-    """
-    T = model.T if horizon is None else int(horizon)
-    traj = solve_bsde(model, U, F, horizon=T)
-    return _cost_of_trajectory(model, traj, budget)
 
 
 def estimator_values(model: HmmModel, traj: DualTrajectory) -> dict[Prefix, float]:
@@ -321,24 +291,6 @@ def _lead_drag(c_mat: np.ndarray, R: np.ndarray, rho: np.ndarray):
     return lead, drag
 
 
-def optimal_feedback(model: HmmModel, y: np.ndarray, v: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Feedback law phi(y, v; rho) = -rho(R)^+ (rho((c - rho(c)) y) + rho(R v)).
-
-    This is the stationarity condition of the cost in the control: the
-    rho-weighted covariance coupling of y with c plus the risk-weighted
-    martingale term, premultiplied by the pseudo-inverse of rho(R) (relative
-    singular-value cutoff PINV_RCOND), so the law is total even when rho(R)
-    is singular.
-    """
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    R = risk_tensor(model)
-    lead, drag = _lead_drag(obs_matrix(model), R, rho)
-    G = np.linalg.pinv(np.einsum("x,xij->ij", rho, R), rcond=PINV_RCOND)
-    return -G @ (lead @ y + drag @ v.ravel())
-
-
 def _control_operator(model: HmmModel, c_mat: np.ndarray, R: np.ndarray, rho: np.ndarray):
     """The feedback law at rho solved for the control: (K_lead, K_drag, singular).
 
@@ -423,22 +375,3 @@ def solve_optimal(
         horizon=T,
         diagnostics=tuple(diagnostics),
     )
-
-
-def mmse(model: HmmModel, F, horizon: int | None = None, budget: int = DEFAULT_ENUM_BUDGET) -> float:
-    """E|F(X_T) - pi_T(F)|^2: the best achievable squared error, from the oracle filter."""
-    T = model.T if horizon is None else int(horizon)
-    term = _terminal_lookup(F, model.d, model.m, T)
-
-    def terminal_and_estimate(z_path):
-        row = term(z_path)
-        return row.tolist(), float(forward_filter(model, z_path)[-1] @ row)
-
-    at = _per_observation_path(terminal_and_estimate)
-
-    def h(x_path, z_path):
-        row, s = at(z_path)
-        diff = row[x_path[-1]] - s
-        return diff * diff
-
-    return exact_expectation(model, h, T=T, budget=budget)

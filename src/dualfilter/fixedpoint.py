@@ -119,43 +119,29 @@ def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.nd
     return out, in_domain
 
 
-def apply_N_adapted(
-    model: HmmModel,
-    rho: AdaptedProcess,
-    basis: np.ndarray | None = None,
-) -> tuple[AdaptedProcess, dict[Prefix, bool]]:
+def apply_N_adapted(model: HmmModel, rho: AdaptedProcess) -> tuple[AdaptedProcess, dict[Prefix, bool]]:
     """One application of the adapted-process map over the whole prefix tree.
 
     For each time t, the dual backward equation is solved on the horizon-t
-    subproblem once per terminal basis function, with the feedback law
+    subproblem once per terminal indicator 1_{x=j}, with the feedback law
     evaluated at rho (prior mu at the root); the time-t output at each
     length-t prefix collects the estimator values. rho is checked complete
     once, and the T*d solves share one memo of the feedback law per prefix
     (see solve_optimal's ``laws``), so each prefix's predictive-covariance
-    system is solved once. ``basis`` columns are the terminal functions
-    (canonical basis by default; any invertible basis is assembled back
-    through a linear solve). Returns the output process and a per-prefix
+    system is solved once. Returns the output process and a per-prefix
     domain flag.
     """
-    T = model.T
-    basis_mat = np.eye(model.d) if basis is None else np.asarray(basis, dtype=float)
-    if basis_mat.shape != (model.d, model.d):
-        raise ValueError(f"basis must have shape ({model.d}, {model.d}), got {basis_mat.shape}")
-    rho.check_complete(model.m, range(1, T))
-
+    rho.check_complete(model.m, range(1, model.T))
+    indicators = np.eye(model.d)
     tree: dict[Prefix, np.ndarray] = {}
     laws: dict = {}  # one feedback law per prefix, shared by all T*d solves
-    for t in range(1, T + 1):
+    for t in range(1, model.T + 1):
         vals = {w: np.zeros(model.d) for w in prefixes(model.m, t)}
         for j in range(model.d):
-            est = estimator_values(model, solve_optimal(model, rho, basis_mat[:, j], horizon=t, laws=laws))
+            est = estimator_values(model, solve_optimal(model, rho, indicators[j], horizon=t, laws=laws))
             for w in prefixes(model.m, t):
                 vals[w][j] = est[w]
-        for w, v in vals.items():
-            if basis is None:
-                tree[w] = v
-            else:
-                tree[w] = np.linalg.solve(basis_mat.T, v)
+        tree.update(vals)
     flags = {w: is_probability_vector(v) for w, v in tree.items()}
     return AdaptedProcess(tree), flags
 
@@ -280,13 +266,14 @@ def kl_divergence_bar(p_final: np.ndarray, p_layer: np.ndarray) -> float:
     p_layer = np.asarray(p_layer, dtype=float)
     if p_final.shape != p_layer.shape or p_final.ndim != 2:
         raise ValueError(f"shapes must match and be 2-d, got {p_final.shape} and {p_layer.shape}")
-    T = p_final.shape[1]
+    support = p_final > 0.0
+    if np.any(support & (p_layer <= 0.0)):
+        return float("inf")
+    # only supported entries are divided and weighted, so log(0) and 0/0 never occur
+    ratio = np.divide(p_final, p_layer, out=np.ones_like(p_final), where=support)
+    terms = np.multiply(p_final, np.log(ratio), out=np.zeros_like(p_final), where=support)
     total = 0.0
-    for t in range(T):
-        p, q = p_final[:, t], p_layer[:, t]
-        support = p > 0.0
-        if np.any(q[support] <= 0.0):
-            return float("inf")
-        total += float(np.sum(p[support] * np.log(p[support] / q[support])))
+    for col in terms.sum(axis=0).tolist():  # column by column, left to right
+        total += col
     # KL is nonnegative; rounding on near-identical inputs can dip a few ulp below zero.
-    return max(total / T, 0.0)
+    return max(total / p_final.shape[1], 0.0)

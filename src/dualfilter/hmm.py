@@ -162,13 +162,6 @@ def validate_tokens(z, m: int) -> tuple[int, ...]:
     return z
 
 
-def validate_state(x: int, d: int) -> int:
-    x = int(x)
-    if not 0 <= x < d:
-        raise ValueError(f"state index {x} outside 0..{d - 1}")
-    return x
-
-
 def token_basis(m: int) -> np.ndarray:
     """(m+1, m) matrix whose row z is the embedded token e(z).
 
@@ -179,14 +172,6 @@ def token_basis(m: int) -> np.ndarray:
     E[1:, :] = np.eye(m)
     E[0, :] = -1.0
     return E
-
-
-def embed_token(z: int, m: int) -> np.ndarray:
-    """Embedded token e(z) in R^m."""
-    z = int(z)
-    if not 0 <= z <= m:
-        raise ValueError(f"token {z} outside alphabet 0..{m}")
-    return token_basis(m)[z]
 
 
 def decompose(s: np.ndarray) -> tuple[float, np.ndarray]:
@@ -204,14 +189,8 @@ def decompose(s: np.ndarray) -> tuple[float, np.ndarray]:
     return float(mean), tilde
 
 
-def obs_vector(model: HmmModel, x: int) -> np.ndarray:
-    """c(x) = [C(x,1) - C(x,0), ..., C(x,m) - C(x,0)], an m-vector."""
-    x = validate_state(x, model.d)
-    return model.C[x, 1:] - model.C[x, 0]
-
-
 def obs_matrix(model: HmmModel) -> np.ndarray:
-    """(d, m) matrix stacking c(x) for every state."""
+    """(d, m) matrix whose row x is c(x) = [C(x,1) - C(x,0), ..., C(x,m) - C(x,0)]."""
     return model.C[:, 1:] - model.C[:, :1]
 
 
@@ -235,19 +214,12 @@ def gamma_op(model: HmmModel, f: np.ndarray) -> np.ndarray:
     return model.A @ (f * f) - (model.A @ f) ** 2
 
 
-def risk_matrix(model: HmmModel, x: int) -> np.ndarray:
-    """R(x) = diag(c(x)) + C(x,0) (I + 11^T) - c(x) c(x)^T, an (m, m) matrix.
+def risk_tensor(model: HmmModel) -> np.ndarray:
+    """(d, m, m) stack of R(x) = diag(c(x)) + C(x,0) (I + 11^T) - c(x) c(x)^T over states.
 
-    Equals the conditional covariance of the embedded next token e(Z_{t+1})
+    R(x) is the conditional covariance of the embedded next token e(Z_{t+1})
     given X_t = x, hence symmetric positive semidefinite.
     """
-    x = validate_state(x, model.d)
-    m = model.m
-    c = obs_vector(model, x)
-    ones = np.ones((m, m))
-    return np.diag(c) + model.C[x, 0] * (np.eye(m) + ones) - np.outer(c, c)
-
-
-def risk_tensor(model: HmmModel) -> np.ndarray:
-    """(d, m, m) stack of R(x) over states."""
-    return np.stack([risk_matrix(model, x) for x in range(model.d)])
+    c = obs_matrix(model)
+    eye = np.eye(model.m)
+    return c[:, :, None] * eye + model.C[:, 0, None, None] * (eye + 1.0) - c[:, :, None] * c[:, None, :]

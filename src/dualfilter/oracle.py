@@ -14,7 +14,8 @@ import numpy as np
 from .adapted import AdaptedProcess
 from .hmm import HmmModel, check_probability_vector, validate_tokens
 
-# Default cap on d^(T+1) * (m+1)^(T+1) for exhaustive expectations.
+# Default cap on d^(T+1) * (m+1)^(T+1) for exhaustive expectations: (m+1) times
+# the d^(T+1) * (m+1)^T joint paths that exact_expectation walks.
 DEFAULT_ENUM_BUDGET = 10**7
 
 
@@ -132,51 +133,12 @@ def path_probability(model: HmmModel, z) -> float:
     return float(w.sum())
 
 
-def path_probability_enumerated(model: HmmModel, z) -> float:
-    """Brute-force P(Z = z): plain sum over all d^T hidden paths, no DP."""
-    z = validate_tokens(z, model.m)
-    T = len(z)
-    total = 0.0
-    for x_path in product(range(model.d), repeat=T):
-        p = model.mu[x_path[0]]
-        for t in range(T):
-            p *= model.C[x_path[t], z[t]]
-            if t + 1 < T:
-                p *= model.A[x_path[t], x_path[t + 1]]
-        total += p
-    return float(total)
-
-
-def filter_by_enumeration(model: HmmModel, z) -> np.ndarray:
-    """Filter by brute-force conditioning on the joint path space.
-
-    Independent of forward_filter: enumerates every hidden path consistent
-    with each prefix and normalizes. (T, d) output matching forward_filter.
-    """
-    z = validate_tokens(z, model.m)
-    T = len(z)
-    pis = np.zeros((T, model.d))
-    for t in range(1, T + 1):
-        # joint weights of (x_0..x_t, z_1..z_t); marginalize onto x_t
-        marg = np.zeros(model.d)
-        for x_path in product(range(model.d), repeat=t + 1):
-            p = model.mu[x_path[0]]
-            for s in range(t):
-                p *= model.C[x_path[s], z[s]] * model.A[x_path[s], x_path[s + 1]]
-            marg[x_path[-1]] += p
-        mass = marg.sum()
-        if mass <= 0.0:
-            raise ImpossibleObservationError(t, z[:t])
-        pis[t - 1] = marg / mass
-    return pis
-
-
 def check_enum_budget(model: HmmModel, T: int, budget: int = DEFAULT_ENUM_BUDGET) -> None:
     cost = model.d ** (T + 1) * (model.m + 1) ** (T + 1)
     if cost > budget:
         raise EnumerationBudgetError(
-            f"exhaustive enumeration needs d^(T+1)*(m+1)^(T+1) = {cost} terms, "
-            f"budget is {budget}; reduce T, d, or m"
+            f"d^(T+1)*(m+1)^(T+1) = {cost} exceeds the enumeration budget {budget} "
+            f"((m+1) times the d^(T+1)*(m+1)^T joint paths walked); reduce T, d, or m"
         )
 
 

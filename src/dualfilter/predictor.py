@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefix_string, parse_prefix, prefixes
-from .hmm import HmmModel, decompose, token_basis, validate_tokens
+from .hmm import HmmModel, decompose, validate_tokens
 from .oracle import _filter_walk, next_token_prob
 
 
@@ -75,27 +75,6 @@ def build_weights(target: Mapping, m: int, T: int) -> PredictorRepresentation:
             mean, tilde = decompose(s)
             tree[w] = -tilde
             next_level[w] = mean
-        level = next_level
-    return PredictorRepresentation(constant=level[()], weights=AdaptedProcess(tree), m=m, T=T)
-
-
-def build_weights_lstsq(target: Mapping, m: int, T: int) -> PredictorRepresentation:
-    """Independent construction: per-prefix least-squares fit of mean + tilde^T e(z).
-
-    Same induction shape as build_weights but each split solves the
-    (m+1) x (m+1) linear system against the token basis instead of using
-    the closed-form decomposition; used to cross-check uniqueness.
-    """
-    level = _check_target(target, m, T)
-    design = np.hstack([np.ones((m + 1, 1)), token_basis(m)])
-    tree: dict[Prefix, np.ndarray] = {}
-    for t in range(T, 0, -1):
-        next_level: dict[Prefix, float] = {}
-        for w in prefixes(m, t - 1):
-            s = np.array([level[w + (z,)] for z in range(m + 1)])
-            coef, *_ = np.linalg.lstsq(design, s, rcond=None)
-            tree[w] = -coef[1:]
-            next_level[w] = float(coef[0])
         level = next_level
     return PredictorRepresentation(constant=level[()], weights=AdaptedProcess(tree), m=m, T=T)
 

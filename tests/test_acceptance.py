@@ -20,7 +20,7 @@ from dualfilter.attention import (
     simplified_form,
 )
 from dualfilter.cli import main
-from dualfilter.dual import duality_report, mmse, solve_optimal, total_cost
+from dualfilter.dual import duality_report, solve_optimal
 from dualfilter.fixedpoint import apply_N_adapted, apply_N_path, kl_divergence_bar
 from dualfilter.hmm import decompose, token_basis
 from dualfilter.oracle import (
@@ -30,9 +30,10 @@ from dualfilter.oracle import (
     path_probability,
     sample_path,
 )
-from dualfilter.predictor import build_weights, build_weights_lstsq, evaluate, represent_conditional
+from dualfilter.predictor import build_weights, evaluate, represent_conditional
 
 from conftest import make_model, random_model
+from oracles import build_weights_lstsq, mmse, total_cost
 
 
 def report(number, name, ok, detail):
@@ -284,9 +285,9 @@ def test_criterion_09_kl_metric():
     zero_ok = kl_divergence_bar(p, p) == 0.0
     ln2_err = abs(kl_divergence_bar(np.array([[1.0], [0.0]]), np.array([[0.5], [0.5]])) - np.log(2.0))
     # demo outputs: seeded stack, divergence of each layer against the last
-    from dualfilter.attention import MiscToggles, embed_sequence, layer_stack, positional_encoding, predictions
+    from dualfilter.attention import embed_sequence, layer_stack, positional_encoding, predictions
 
-    params = random_layer_params(rng, 8, 2, misc=MiscToggles(True, True, True))
+    params = random_layer_params(rng, 8, 2, misc=True)
     emb = rng.standard_normal((8, 3)) / np.sqrt(8)
     pe = positional_encoding(8, 6)
     sig0 = embed_sequence(emb, pe, tuple(int(t) for t in rng.integers(0, 3, size=6)))

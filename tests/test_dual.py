@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualfilter import dual
-from dualfilter.adapted import AdaptedProcess, constant_process, prefixes, random_weight_process
+from dualfilter.adapted import AdaptedProcess, prefixes, random_weight_process
 from dualfilter.dual import (
     _backward_sweep,
     _running_cost_tables,
@@ -11,17 +11,14 @@ from dualfilter.dual import (
     duality_report,
     estimator_path,
     estimator_values,
-    mmse,
-    optimal_feedback,
-    running_cost,
     solve_bsde,
     solve_optimal,
     squared_error,
-    total_cost,
 )
-from dualfilter.hmm import obs_matrix, risk_matrix, risk_tensor, token_basis
+from dualfilter.hmm import obs_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
 from conftest import make_model, random_measure_process, random_model, sparse_model, uninformative_model
+from oracles import mmse, optimal_feedback, running_cost, total_cost
 
 
 def node_measure(model, rho, w):
@@ -58,7 +55,7 @@ def random_terminal(rng, model, path_dependent=False):
 class TestSolveBsde:
     def test_constants_are_fixed_points(self, reference_model):
         model = reference_model
-        U = constant_process(model.m, range(model.T), np.zeros(model.m))
+        U = AdaptedProcess.from_function(model.m, range(model.T), lambda _: np.zeros(model.m))
         traj = solve_bsde(model, U, np.full(model.d, 2.5))
         for t in range(model.T + 1):
             for w in prefixes(model.m, t):
@@ -112,14 +109,14 @@ class TestRunningCost:
             # spelled out with explicit sums
             gamma = sum(model.A[x, j] * y[j] ** 2 for j in range(3)) - (model.A[x] @ y) ** 2
             s = u + v[x]
-            expect = gamma + s @ risk_matrix(model, x) @ s
+            expect = gamma + s @ risk_tensor(model)[x] @ s
             assert abs(running_cost(model, y, v, u, x) - expect) <= 1e-12
 
 
 class TestDuality:
     def test_zero_control_constant_terminal_costs_nothing(self, reference_model):
         model = reference_model
-        U = constant_process(model.m, range(model.T), np.zeros(model.m))
+        U = AdaptedProcess.from_function(model.m, range(model.T), lambda _: np.zeros(model.m))
         F = np.full(model.d, 4.0)
         assert abs(total_cost(model, U, F)) <= 1e-13
         assert duality_report(model, U, F)["gap"] <= 1e-13
@@ -167,10 +164,11 @@ class TestOptimalFeedback:
         v = rng.standard_normal((3, 2))
         rho = rng.dirichlet(np.ones(3))
         c = model.C[:, 1:] - model.C[:, :1]
-        rho_R = sum(rho[x] * risk_matrix(model, x) for x in range(3))
+        R = risk_tensor(model)
+        rho_R = sum(rho[x] * R[x] for x in range(3))
         cbar = sum(rho[x] * c[x] for x in range(3))
         lead = sum(rho[x] * (c[x] - cbar) * y[x] for x in range(3))
-        drag = sum(rho[x] * risk_matrix(model, x) @ v[x] for x in range(3))
+        drag = sum(rho[x] * R[x] @ v[x] for x in range(3))
         expect = -np.linalg.pinv(rho_R, rcond=1e-10) @ (lead + drag)
         np.testing.assert_allclose(optimal_feedback(model, y, v, rho), expect, atol=1e-12)
 

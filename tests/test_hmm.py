@@ -9,16 +9,15 @@ from dualfilter.hmm import (
     ROUNDING_TOL,
     decompose,
     drop_rounding_negatives,
-    embed_token,
     gamma_op,
     is_probability_vector,
-    obs_vector,
-    risk_matrix,
+    obs_matrix,
+    risk_tensor,
     scalar_obs,
     token_basis,
 )
 
-from conftest import make_model, random_model
+from conftest import make_model, random_model, sparse_model
 
 
 class TestSpaces:
@@ -79,21 +78,21 @@ class TestRoundingNegatives:
 
 
 class TestEmbedToken:
+    """Row z of token_basis(m) is the embedded token e(z)."""
+
     def test_binary_alphabet(self):
-        np.testing.assert_array_equal(embed_token(1, 1), [1.0])
-        np.testing.assert_array_equal(embed_token(0, 1), [-1.0])
+        np.testing.assert_array_equal(token_basis(1)[1], [1.0])
+        np.testing.assert_array_equal(token_basis(1)[0], [-1.0])
 
     def test_canonical_basis(self):
-        np.testing.assert_array_equal(embed_token(2, 3), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(token_basis(3)[2], [0.0, 1.0, 0.0])
 
     def test_zero_token_is_minus_sum(self):
-        np.testing.assert_array_equal(embed_token(0, 3), [-1.0, -1.0, -1.0])
+        np.testing.assert_array_equal(token_basis(3)[0], [-1.0, -1.0, -1.0])
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            embed_token(4, 3)
-        with pytest.raises(ValueError):
-            embed_token(-1, 3)
+        # one row per token 0..m and no other
+        assert token_basis(3).shape == (4, 3)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_basis_balance(self, m):
@@ -141,21 +140,23 @@ class TestDecompose:
 
 
 class TestObsVector:
+    """Row x of obs_matrix is c(x) = [C(x,1) - C(x,0), ..., C(x,m) - C(x,0)]."""
+
     def test_binary(self):
         model = make_model([1.0, 0.0], np.eye(2), [[0.2, 0.8], [0.7, 0.3]], 1)
-        np.testing.assert_allclose(obs_vector(model, 0), [0.6])
+        np.testing.assert_allclose(obs_matrix(model)[0], [0.6])
 
     def test_uniform_row_vanishes(self):
         model = make_model([1.0], [[1.0]], [[1 / 3, 1 / 3, 1 / 3]], 1)
-        np.testing.assert_allclose(obs_vector(model, 0), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(obs_matrix(model)[0], [0.0, 0.0], atol=1e-15)
 
     def test_componentwise(self):
         model = make_model([1.0], [[1.0]], [[0.5, 0.3, 0.2]], 1)
-        np.testing.assert_allclose(obs_vector(model, 0), [-0.2, -0.3])
+        np.testing.assert_allclose(obs_matrix(model)[0], [-0.2, -0.3])
 
     def test_out_of_range(self, reference_model):
-        with pytest.raises(ValueError):
-            obs_vector(reference_model, 2)
+        # one row per state 0..d-1 and no other
+        assert obs_matrix(reference_model).shape == (2, 1)
 
 
 class TestScalarObs:
@@ -175,7 +176,7 @@ class TestScalarObs:
         for _ in range(20):
             model = random_model(rng, 3, 1, 1)
             np.testing.assert_allclose(
-                [obs_vector(model, x)[0] for x in range(3)], scalar_obs(model, 1)
+                obs_matrix(model)[:, 0], scalar_obs(model, 1)
             )
 
     def test_out_of_range(self, reference_model):
@@ -206,24 +207,26 @@ class TestGammaOp:
 
 
 class TestRiskMatrix:
+    """Slice x of risk_tensor is R(x) = diag(c(x)) + C(x,0) (I + 11^T) - c(x) c(x)^T."""
+
     def test_binary_reduction(self):
         # for a binary alphabet the matrix collapses to the scalar 1 - c^2
         model = make_model([1.0, 0.0], np.eye(2), [[0.2, 0.8], [0.7, 0.3]], 1)
         c = 0.6
-        np.testing.assert_allclose(risk_matrix(model, 0), [[1 - c * c]])
-        np.testing.assert_allclose(risk_matrix(model, 0), [[0.64]])
+        np.testing.assert_allclose(risk_tensor(model)[0], [[1 - c * c]])
+        np.testing.assert_allclose(risk_tensor(model)[0], [[0.64]])
 
     def test_uniform_row(self):
         model = make_model([1.0], [[1.0]], [[0.25, 0.25, 0.25, 0.25]], 1)
         expect = 0.25 * (np.eye(3) + np.ones((3, 3)))
-        np.testing.assert_allclose(risk_matrix(model, 0), expect, atol=1e-15)
+        np.testing.assert_allclose(risk_tensor(model)[0], expect, atol=1e-15)
 
     def test_against_independent_transcription(self):
         model = make_model([1.0], [[1.0]], [[0.2, 0.5, 0.3]], 1)
         # term-by-term evaluation, written out without the library helpers
         c = np.array([0.5 - 0.2, 0.3 - 0.2])
         expect = np.diag(c) + 0.2 * (np.eye(2) + np.ones((2, 2))) - np.outer(c, c)
-        np.testing.assert_allclose(risk_matrix(model, 0), expect)
+        np.testing.assert_allclose(risk_tensor(model)[0], expect)
 
     def test_symmetric_psd_property(self, rng):
         # the matrix is a conditional covariance, so its spectrum stays nonnegative
@@ -231,6 +234,17 @@ class TestRiskMatrix:
             m = int(rng.integers(1, 5))
             row = rng.dirichlet(np.ones(m + 1) * rng.uniform(0.2, 3.0))
             model = make_model([1.0], [[1.0]], row[None, :], 1)
-            R = risk_matrix(model, 0)
+            R = risk_tensor(model)[0]
             assert np.max(np.abs(R - R.T)) <= 1e-12
             assert np.linalg.eigvalsh(R).min() >= -1e-10
+
+    def test_equals_per_state_stack(self, rng):
+        # the whole-array expression against the formula evaluated one state at a time
+        for i in range(200):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            model = (random_model if i % 2 else sparse_model)(rng, d, m, 1)
+            stack = []
+            for x in range(d):
+                c = model.C[x, 1:] - model.C[x, 0]
+                stack.append(np.diag(c) + model.C[x, 0] * (np.eye(m) + np.ones((m, m))) - np.outer(c, c))
+            assert np.array_equal(risk_tensor(model), np.stack(stack))

@@ -9,16 +9,15 @@ from dualfilter.oracle import (
     ImpossibleObservationError,
     _filter_walk,
     exact_expectation,
-    filter_by_enumeration,
     filter_process,
     forward_filter,
     next_token_prob,
     path_probability,
-    path_probability_enumerated,
     sample_path,
 )
 
 from conftest import make_model, random_model, sparse_model, uninformative_model
+from oracles import filter_by_enumeration, path_probability_enumerated
 
 
 class TestForwardFilter:

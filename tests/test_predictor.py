@@ -7,12 +7,12 @@ from dualfilter.oracle import ImpossibleObservationError, forward_filter, next_t
 from dualfilter.predictor import (
     PredictorRepresentation,
     build_weights,
-    build_weights_lstsq,
     evaluate,
     represent_conditional,
 )
 
 from conftest import make_model, random_model, sparse_model, uninformative_model
+from oracles import build_weights_lstsq
 
 
 class TestBuildWeights:
