@@ -258,6 +258,52 @@ class TestLayerForward:
             random_layer_params(rng, 8, 3)
 
 
+class TestParameterValidation:
+    @pytest.mark.parametrize(
+        "shapes, match",
+        [(((2, 4), (3, 4), (2, 4)), "must agree"), (((2, 4), (2, 4), (2, 3)), "input dimension")],
+        ids=["query-key", "value-input"],
+    )
+    def test_head_shapes_must_agree(self, shapes, match):
+        W_Q, W_K, W_V = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError, match=match):
+            AttentionHeadParams(W_Q=W_Q, W_K=W_K, W_V=W_V)
+
+    @pytest.mark.parametrize(
+        "d_Vs, W_O_shape, match",
+        [((), (4, 4), "at least one"), ((2, 2), (4, 2), "square"), ((2, 1), (4, 4), "share d_V"),
+         ((2,), (4, 4), "must equal d")],
+        ids=["no-heads", "nonsquare-W_O", "mixed-d_V", "short-concat"],
+    )
+    def test_layer_shapes_must_agree(self, d_Vs, W_O_shape, match):
+        heads = tuple(AttentionHeadParams(W_Q=np.zeros((2, 4)), W_K=np.zeros((2, 4)), W_V=np.zeros((d_V, 4)))
+                      for d_V in d_Vs)
+        with pytest.raises(ValueError, match=match):
+            LayerParams(heads=heads, W_O=np.zeros(W_O_shape), gamma=np.ones(4), beta=np.zeros(4))
+
+    def test_dimensions_read_from_parameters(self, rng):
+        params = random_layer_params(rng, 8, 4)
+        assert (params.d, params.n_head) == (8, 4)
+        assert all((head.d_K, head.d_V) == (2, 2) for head in params.heads)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 0)], ids=["vector", "no-columns"])
+    def test_attention_weights_need_a_block(self, rng, shape):
+        head = random_layer_params(rng, 4, 1).heads[0]
+        with pytest.raises(ValueError, match="block"):
+            attention_weights(head, np.zeros(shape))
+
+    def test_layer_input_dimension_must_match(self, rng):
+        params = random_layer_params(rng, 4, 2)
+        with pytest.raises(ValueError, match="does not match"):
+            layer_forward(params, rng.standard_normal((6, 3)))
+
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_simplified_form_position_in_range(self, rng, t):
+        params = random_layer_params(rng, 4, 2)
+        with pytest.raises(ValueError, match="outside"):
+            simplified_form(params, rng.standard_normal((4, 3)), t, np.zeros(4))
+
+
 class TestLayerNorm:
     def test_normalizes_to_zero_mean_unit_std(self, rng):
         for _ in range(20):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dualfilter import cli
 from dualfilter.cli import main
 
 from conftest import make_model, point_mass_model, random_model, uninformative_model
@@ -57,6 +58,11 @@ class TestOracleCommand:
     def test_missing_model_exits_2(self, runner, tmp_path):
         res = runner.invoke(main, ["oracle", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+
+    def test_unreadable_model_file_exits_2(self, runner, tmp_path):
+        res = runner.invoke(main, ["oracle", "--model", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: cannot read model file"), res.stderr
 
     def test_impossible_path_exits_3(self, runner, deterministic_model_file, tmp_path):
         res = runner.invoke(
@@ -259,6 +265,15 @@ class TestConfigResolution:
         res = runner.invoke(main, ["duality", "--config", str(cfg), "--out", str(tmp_path / "d")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("text", [None, "{ not json", "[1, 2]"], ids=["missing", "not-json", "not-object"])
+    def test_unreadable_config_exits_2(self, runner, model_file, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        res = runner.invoke(main, ["oracle", "--model", str(model_file), "--config", str(cfg),
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ") and "config" in res.stderr, res.stderr
 
     @pytest.mark.parametrize(
         "command, config, flags",
@@ -272,13 +287,14 @@ class TestConfigResolution:
             ("attention-demo", {"attn_heads": 0}, []),
             ("attention-demo", {"attn_layers": 0}, []),
             ("attention-demo", {"attn_activation": "foo"}, []),
+            ("attention-demo", {"attn_activation": 3}, []),
             ("duality", {"enum_budget": 1}, []),
             ("oracle", {"zero_convention": "yes"}, []),
             ("duality", {}, ["--seed", "-1"]),
         ],
         ids=[
             "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "str-enum-budget",
-            "float-draws", "zero-heads", "zero-layers", "unknown-activation", "over-budget",
+            "float-draws", "zero-heads", "zero-layers", "unknown-activation", "int-activation", "over-budget",
             "str-zero-convention", "negative-seed-flag",
         ],
     )
@@ -291,6 +307,40 @@ class TestConfigResolution:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
         assert "Traceback" not in res.output
+
+
+class TestInvariantViolation:
+    """A check outside its tolerance writes its report, then exits 4; a shift by 1 stands in for a broken layer."""
+
+    @pytest.mark.parametrize(
+        "command, flags, target, report, failed",
+        [
+            ("fixedpoint", ["--mode", "path"], "fixed_point_residual", "residual_report.json",
+             lambda doc: doc["path"]["pass"] is False),
+            ("fixedpoint", ["--mode", "adapted"], "fixed_point_residual", "residual_report.json",
+             lambda doc: doc["adapted"]["pass"] is False),
+            ("duality", [], "duality_report", "duality_report.json", lambda doc: doc["pass"] is False),
+            ("represent", [], "evaluate", "representation.json", lambda doc: doc["reconstruction_error"] >= 1.0),
+            ("attention-demo", [], "simplified_form", "attention_report.json",
+             lambda doc: doc["bilinear_equality_ok"] is False),
+        ],
+        ids=["fixedpoint-path", "fixedpoint-adapted", "duality", "represent", "attention-demo"],
+    )
+    def test_exits_4_after_writing_the_report(self, runner, model_file, tmp_path, monkeypatch,
+                                              command, flags, target, report, failed):
+        real = getattr(cli, target)
+
+        def off_by_one(*args, **kwargs):
+            val = real(*args, **kwargs)
+            return {**val, "gap": val["gap"] + 1.0} if isinstance(val, dict) else val + 1.0
+
+        monkeypatch.setattr(cli, target, off_by_one)
+        out = tmp_path / "o"
+        res = runner.invoke(main, [command, "--model", str(model_file), *flags, "--out", str(out)])
+        assert res.exit_code == 4, res.output
+        assert res.stderr.startswith("error: ") and "exceeds tolerance" in res.stderr, res.stderr
+        assert failed(json.loads((out / report).read_text()))
+        assert (out / "findings.json").exists() == (command == "fixedpoint")
 
 
 class TestDeterminism:

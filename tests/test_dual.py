@@ -85,6 +85,11 @@ class TestSolveBsde:
         with pytest.raises(ValueError, match="incomplete"):
             solve_bsde(reference_model, AdaptedProcess({(): np.zeros(1)}), np.zeros(2))
 
+    def test_terminal_vector_shape_rejected(self, rng, reference_model):
+        U = random_weight_process(rng, reference_model.m, reference_model.T)
+        with pytest.raises(ValueError, match="terminal function must have shape"):
+            solve_bsde(reference_model, U, np.zeros(3))
+
 
 class TestRunningCost:
     def test_vanishes_when_control_cancels(self, rng, reference_model):

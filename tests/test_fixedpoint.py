@@ -270,6 +270,20 @@ class TestApplyNAdapted:
             for w in prefixes(1, t):
                 np.testing.assert_allclose(np.asarray(out.at(w)), marginal, atol=1e-12)
 
+    def test_nonidentity_basis_assembles_same_measure(self, rng, reference_model):
+        # the estimator is linear in the terminal function, so solving for the columns of
+        # any invertible basis B and mapping back through B^T gives the map's measure
+        model = reference_model
+        pi = filter_process(model)
+        basis = np.array([[1.0, 1.0], [0.0, 1.0]])
+        out, _ = apply_N_adapted(model, pi)
+        for t in range(1, model.T + 1):
+            est = [estimator_values(model, solve_optimal(model, pi, basis[:, j], horizon=t))
+                   for j in range(model.d)]
+            for w in prefixes(model.m, t):
+                v = np.array([e[w] for e in est])
+                np.testing.assert_allclose(np.linalg.solve(basis.T, v), np.asarray(out.at(w)), atol=1e-10)
+
 
 def apply_N_adapted_by_solves(model, rho, diagnostics=None):
     """apply_N_adapted written as T*d independent solve_optimal calls, for comparison."""
@@ -428,6 +442,17 @@ class TestIterate:
         trace = iterate(model, z, K=4)
         assert trace.residuals[1] <= 1e-12
         assert np.max(trace.kl_per_iter) <= 1e-12
+
+    def test_start_off_the_simplex_is_projected_back(self, reference_model):
+        model = reference_model
+        z = (1, 0, 1)
+        rho0 = np.tile([2.0, -1.0], (model.T, 1))
+        trace = iterate(model, z, rho0=rho0, K=2)
+        image, flags = apply_N_path(model, rho0, z)
+        assert not flags.all() and not trace.in_domain[0].all()
+        clipped = np.clip(image, 0.0, None)
+        np.testing.assert_array_equal(trace.iterates[1], clipped / clipped.sum(axis=1, keepdims=True))
+        assert trace.projected.tolist() == [True, False]
 
     def test_exploratory_run_emits_full_trace(self, rng, reference_model):
         model = reference_model

@@ -7,6 +7,7 @@ from dualfilter.hmm import (
     HmmModel,
     Spaces,
     ROUNDING_TOL,
+    check_probability_vector,
     decompose,
     drop_rounding_negatives,
     gamma_op,
@@ -38,6 +39,25 @@ class TestModelConstruction:
     def test_bad_row_sum_fails(self):
         with pytest.raises(ValueError, match="sums to"):
             make_model([0.5, 0.5], [[0.6, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], 1)
+
+    @pytest.mark.parametrize(
+        "shapes, match",
+        [(((3,), (2, 2), (2, 2)), "mu must have shape"), (((2,), (2, 3), (2, 2)), "A must have shape"),
+         (((2,), (2, 2), (2, 3)), "C must have shape")],
+        ids=["mu", "A", "C"],
+    )
+    def test_wrong_shapes_fail(self, shapes, match):
+        mu, A, C = (np.full(shape, 1.0 / shape[-1]) for shape in shapes)
+        with pytest.raises(ValueError, match=match):
+            HmmModel(Spaces(d=2, m=1, T=1), mu, A, C)
+
+    def test_negative_emission_fails(self):
+        with pytest.raises(ValueError, match="C has negative"):
+            make_model([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[1.1, -0.1], [0.5, 0.5]], 1)
+
+    def test_bad_prior_sum_fails(self):
+        with pytest.raises(ValueError, match="mu sums to"):
+            make_model([0.6, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], 1)
 
     def test_rows_renormalized(self, rng):
         # sums within 1e-9 of 1 are accepted and snapped back
@@ -75,6 +95,20 @@ class TestRoundingNegatives:
     def test_domain_flag_uses_the_same_rule(self):
         assert is_probability_vector([0.5, 0.5 + ROUNDING_TOL, -ROUNDING_TOL])
         assert not is_probability_vector([0.5, 0.5 + 2 * ROUNDING_TOL, -2 * ROUNDING_TOL])
+
+
+class TestCheckProbabilityVector:
+    def test_returns_the_vector(self):
+        assert check_probability_vector([0.25, 0.75]).tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize(
+        "p, match",
+        [([[0.5, 0.5]], "1-d"), ([0.5, 0.6], "sums to"), ([1.5, -0.5], "negative entries")],
+        ids=["matrix", "bad-sum", "negative"],
+    )
+    def test_rejects(self, p, match):
+        with pytest.raises(ValueError, match=match):
+            check_probability_vector(p)
 
 
 class TestEmbedToken:
@@ -117,6 +151,11 @@ class TestDecompose:
         mean, tilde = decompose(np.full(4, 7.5))
         assert mean == 7.5
         np.testing.assert_array_equal(tilde, np.zeros(3))
+
+    @pytest.mark.parametrize("s", [[1.0], [[1.0, 2.0], [3.0, 4.0]]], ids=["one-token", "matrix"])
+    def test_rejects_non_alphabet_input(self, s):
+        with pytest.raises(ValueError, match="length-"):
+            decompose(s)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_round_trip(self, m, rng):
@@ -198,6 +237,10 @@ class TestGammaOp:
     def test_bernoulli_variance(self):
         model = make_model([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], 1)
         np.testing.assert_allclose(gamma_op(model, np.array([0.0, 2.0])), [1.0, 1.0])
+
+    def test_wrong_shape(self, reference_model):
+        with pytest.raises(ValueError, match="f must have shape"):
+            gamma_op(reference_model, np.zeros(3))
 
     def test_nonnegative(self, rng):
         for _ in range(200):
