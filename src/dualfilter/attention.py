@@ -17,17 +17,15 @@ import numpy as np
 
 from .hmm import validate_tokens
 
-DEFAULT_ELL_MAX = 10000.0
-
 # Variance at or below this triggers the epsilon-regularized layernorm branch.
 LAYERNORM_DEGENERATE_VAR = 1e-12
 LAYERNORM_EPS = 1e-5
 
 
-def positional_encoding(d: int, T: int, ell_max: float = DEFAULT_ELL_MAX) -> np.ndarray:
+def positional_encoding(d: int, T: int) -> np.ndarray:
     """(d, T) sinusoidal position signals; column t-1 encodes position t.
 
-    Rows 2i-1 / 2i (1-based) are sin / cos at frequency ell_max^(-2i/d).
+    Rows 2i-1 / 2i (1-based) are sin / cos at frequency 10000^(-2i/d).
 
     d must be even; the frequencies sweep a wide range of scales as i runs
     over 1..d/2. All entries lie in [-1, 1].
@@ -37,7 +35,7 @@ def positional_encoding(d: int, T: int, ell_max: float = DEFAULT_ELL_MAX) -> np.
     W = np.zeros((d, T))
     ts = np.arange(1, T + 1, dtype=float)
     for i in range(1, d // 2 + 1):
-        freq = ell_max ** (-2.0 * i / d)
+        freq = 10000.0 ** (-2.0 * i / d)
         W[2 * i - 2] = np.sin(freq * ts)
         W[2 * i - 1] = np.cos(freq * ts)
     return W
@@ -264,7 +262,6 @@ def random_layer_params(
     rng: np.random.Generator,
     d: int,
     n_head: int,
-    d_K: int | None = None,
     activation: str = "gelu",
     misc: bool = False,
 ) -> LayerParams:
@@ -272,12 +269,11 @@ def random_layer_params(
     if d % n_head != 0:
         raise ValueError(f"n_head = {n_head} must divide d = {d}")
     d_V = d // n_head
-    d_K = d_V if d_K is None else d_K
     scale = 1.0 / np.sqrt(d)
     heads = tuple(
         AttentionHeadParams(
-            W_Q=scale * rng.standard_normal((d_K, d)),
-            W_K=scale * rng.standard_normal((d_K, d)),
+            W_Q=scale * rng.standard_normal((d_V, d)),
+            W_K=scale * rng.standard_normal((d_V, d)),
             W_V=scale * rng.standard_normal((d_V, d)),
         )
         for _ in range(n_head)

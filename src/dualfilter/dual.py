@@ -259,21 +259,14 @@ def duality_report(
     model: HmmModel,
     U: AdaptedProcess | DualTrajectory,
     F,
-    horizon: int | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict:
     """Both sides of the duality identity: {'J_T': ..., 'mse': ..., 'gap': ...}.
 
     U is the control process, or its trajectory as ``solve_bsde(model, U,
-    F)`` returned it, for a caller that reads the trajectory too; the
-    horizon is then the trajectory's own.
+    F)`` returned it, for a caller that reads the trajectory too.
     """
-    if isinstance(U, DualTrajectory):
-        if horizon is not None and int(horizon) != U.horizon:
-            raise ValueError(f"horizon {horizon} differs from the trajectory's ({U.horizon})")
-        traj = U
-    else:
-        traj = solve_bsde(model, U, F, horizon=horizon)
+    traj = U if isinstance(U, DualTrajectory) else solve_bsde(model, U, F)
     J = _cost_of_trajectory(model, traj, budget)
     mse = squared_error(model, traj, F, budget=budget)
     return {"J_T": J, "mse": mse, "gap": abs(J - mse)}

@@ -29,11 +29,15 @@ from .oracle import forward_filter, next_token_prob
 DEGENERATE_TOL = 1e-12
 
 
-def step_law(nu: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """The part of the scalar feedback law fixed by the step: (nu, c - nu(c), 1 - nu(c)^2).
+def step_law(A: np.ndarray, nu: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The step's feedback gain k and closed-loop transition M = A + c k^T.
 
-    Returns None (the degenerate branch, control 0) when |1 - nu(c)^2| is at
-    or below ``DEGENERATE_TOL``.
+    The scalar control -nu((A y)(c - nu(c))) / (1 - nu(c)^2) is linear in y,
+    so it is u = k . y with k = -A^T (nu * (c - nu(c))) / (1 - nu(c)^2), and
+    the backward step y -> A y + c u is the one matrix M. Since A 1 = 1 and
+    nu(c - nu(c)) = 0, k . 1 = 0: the constant function rides through with
+    zero control. Returns None (the degenerate branch, control 0, M = A)
+    when |1 - nu(c)^2| is at or below ``DEGENERATE_TOL``.
     """
     nu = np.asarray(nu, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -41,25 +45,27 @@ def step_law(nu: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, flo
     denom = 1.0 - nc * nc
     if abs(denom) <= DEGENERATE_TOL:
         return None
-    return nu, c - nc, denom
+    k = -(A.T @ (nu * (c - nc))) / denom
+    return k, A + np.outer(c, k)
 
 
-def scalar_feedback(law: tuple[np.ndarray, np.ndarray, float] | None, Af: np.ndarray) -> float:
-    """Scalar control -nu((Af)(c - nu(c))) / (1 - nu(c)^2) under a ``step_law``; 0 when degenerate."""
+def scalar_feedback(law: tuple[np.ndarray, np.ndarray] | None, y: np.ndarray) -> float:
+    """Scalar control k . y under a ``step_law``; 0 when degenerate."""
     if law is None:
         return 0.0
-    nu, centered, denom = law
-    return float(-(nu @ (Af * centered)) / denom)
+    return float(law[0] @ y)
 
 
 def path_laws(model: HmmModel, rho: np.ndarray, z, t: int) -> list:
-    """(c_{s+1}, step law) for the backward steps s = 0..t-1 on the validated path z.
+    """(M_s, step law) for the backward steps s = 0..t-1 on the validated path z.
 
     The law at step s >= 1 is taken at rho_s (row s-1 of rho) and at step 0
-    at the prior mu; c_{s+1} = 2 C(., z_{s+1}) - 1 is the observation signal.
+    at the prior mu, with the observation signal c_{s+1} = 2 C(., z_{s+1}) - 1.
+    M_s is the law's closed-loop transition, or A on the degenerate branch.
     """
     obs = [scalar_obs(model, tok) for tok in range(model.m + 1)]
-    return [(obs[z[s]], step_law(model.mu if s == 0 else rho[s - 1], obs[z[s]])) for s in range(t)]
+    laws = [step_law(model.A, model.mu if s == 0 else rho[s - 1], obs[z[s]]) for s in range(t)]
+    return [(model.A if law is None else law[1], law) for law in laws]
 
 
 def bde_solve(model: HmmModel, rho: np.ndarray, z, t: int, f: np.ndarray, *, laws: list | None = None):
@@ -67,7 +73,10 @@ def bde_solve(model: HmmModel, rho: np.ndarray, z, t: int, f: np.ndarray, *, law
 
     rho is the per-path measure sequence as a (T, d) array (row s-1 holds
     rho_s); the control at step s >= 1 is the scalar feedback at rho_s and
-    at step 0 it uses the prior mu. Returns (y_0, controls u_0..u_{t-1}).
+    at step 0 it uses the prior mu. Each step runs in closed-loop form,
+    u_s = k_s . y_{s+1} and y_s = M_s y_{s+1} (see ``step_law``); this sums
+    in another order than A y + c u, so values agree with the open-loop
+    form to rounding, not bit for bit. Returns (y_0, controls u_0..u_{t-1}).
 
     ``laws`` is the output of ``path_laws`` for (rho, z) over at least t
     steps. A caller making many passes on one path builds it once and
@@ -82,11 +91,9 @@ def bde_solve(model: HmmModel, rho: np.ndarray, z, t: int, f: np.ndarray, *, law
     y = np.asarray(f, dtype=float)
     controls = np.zeros(t)
     for s in range(t - 1, -1, -1):
-        c, law = laws[s]
-        Ay = model.A @ y
-        u = scalar_feedback(law, Ay)
-        y = Ay + c * u
-        controls[s] = u
+        M, law = laws[s]
+        controls[s] = scalar_feedback(law, y)
+        y = M @ y
     return y, controls
 
 
@@ -97,10 +104,10 @@ def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.nd
     rho_plus_t(j) = mu(y_0) - sum_{s<t} u_s. Returns (rho_plus, in_domain)
     where in_domain[t-1] says whether rho_plus_t is a probability vector;
     leaving the domain is a flag, not an error. Mass is preserved
-    structurally (the constant function rides through A with zero control),
-    and component t only reads z_1..z_t, so the map is causal. The step
-    laws depend only on (rho, z), so they are built once and shared by all
-    T*d passes.
+    structurally (k . 1 = 0, so the constant function rides through each
+    M_s with zero control), and component t only reads z_1..z_t, so the map
+    is causal. The step laws depend only on (rho, z), so they are built
+    once and shared by all T*d passes.
     """
     z = validate_tokens(z, model.m)
     T = len(z)

@@ -4,12 +4,10 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 complete. Tolerances are pinned here and match the per-module contracts.
 """
 
-import json
 import time
 from itertools import product
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from dualfilter.adapted import AdaptedProcess, prefixes, random_weight_process
@@ -30,9 +28,9 @@ from dualfilter.oracle import (
     path_probability,
     sample_path,
 )
-from dualfilter.predictor import build_weights, evaluate, represent_conditional
+from dualfilter.predictor import evaluate, represent_conditional
 
-from conftest import make_model, random_model
+from conftest import random_model
 from oracles import build_weights_lstsq, mmse, total_cost
 
 

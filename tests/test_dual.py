@@ -146,8 +146,6 @@ class TestDuality:
         F = rng.standard_normal(2)
         traj = solve_bsde(reference_model, U, F)
         assert duality_report(reference_model, traj, F) == duality_report(reference_model, U, F)
-        with pytest.raises(ValueError, match="horizon"):
-            duality_report(reference_model, traj, F, horizon=2)
 
 
 class TestOptimalFeedback:

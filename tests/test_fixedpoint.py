@@ -18,7 +18,7 @@ from dualfilter.fixedpoint import (
     step_law,
 )
 from dualfilter.hmm import is_probability_vector, scalar_obs
-from dualfilter.oracle import filter_process, forward_filter, path_probability, sample_path
+from dualfilter.oracle import filter_process, forward_filter, sample_path
 
 from conftest import (
     make_model,
@@ -35,14 +35,14 @@ class TestScalarFeedback:
         model = reference_model
         nu = rng.dirichlet(np.ones(model.d))
         c = scalar_obs(model, 1)
-        assert abs(scalar_feedback(step_law(nu, c), model.A @ np.full(model.d, 2.0))) <= 1e-14
+        assert abs(scalar_feedback(step_law(model.A, nu, c), np.full(model.d, 2.0))) <= 1e-14
 
     def test_degenerate_branch(self):
         # a token emitted surely by every state drives nu(c) to 1
         model = make_model([0.5, 0.5], np.eye(2), [[0.0, 1.0], [0.0, 1.0]], 1)
         c = scalar_obs(model, 1)
         np.testing.assert_array_equal(c, [1.0, 1.0])
-        assert scalar_feedback(step_law(np.array([0.3, 0.7]), c), model.A @ np.array([1.0, -2.0])) == 0.0
+        assert scalar_feedback(step_law(model.A, np.array([0.3, 0.7]), c), np.array([1.0, -2.0])) == 0.0
 
     def test_against_independent_transcription(self, rng):
         model = random_model(rng, 3, 1, 1)
@@ -51,7 +51,7 @@ class TestScalarFeedback:
         c = scalar_obs(model, 1)
         nc = sum(nu[x] * c[x] for x in range(3))
         expect = -sum(nu[x] * (model.A[x] @ f) * (c[x] - nc) for x in range(3)) / (1 - nc**2)
-        assert abs(scalar_feedback(step_law(nu, c), model.A @ f) - expect) <= 1e-14
+        assert abs(scalar_feedback(step_law(model.A, nu, c), f) - expect) <= 1e-14
 
 
 class TestBdeSolve:
@@ -69,7 +69,7 @@ class TestBdeSolve:
         z = (1, 0, 1)
         y0, controls = bde_solve(model, rho, z, 1, f)
         c1 = scalar_obs(model, z[0])
-        u0 = scalar_feedback(step_law(model.mu, c1), model.A @ f)
+        u0 = scalar_feedback(step_law(model.A, model.mu, c1), f)
         assert controls.shape == (1,)
         assert controls[0] == u0
         np.testing.assert_allclose(y0, model.A @ f + c1 * u0, atol=1e-14)
@@ -144,10 +144,10 @@ class TestApplyNPath:
 
 
 def bde_solve_per_call(model, rho, z, t, f):
-    """The backward pass with the whole feedback law recomputed at every step, for comparison.
+    """The backward pass with the closed-loop law recomputed at every step, for comparison.
 
-    nu(c), 1 - nu(c)^2, c - nu(c) and A y are computed inside the control,
-    and A y once more for the update.
+    nu(c), 1 - nu(c)^2, the gain k and the transition M = A + c k^T are
+    rebuilt at each step; the degenerate branch steps with A and control 0.
     """
     y = np.asarray(f, dtype=float)
     controls = np.zeros(t)
@@ -156,9 +156,13 @@ def bde_solve_per_call(model, rho, z, t, f):
         nu = model.mu if s == 0 else rho[s - 1]
         nc = float(nu @ c)
         denom = 1.0 - nc * nc
-        u = 0.0 if abs(denom) <= fixedpoint.DEGENERATE_TOL else float(-(nu @ ((model.A @ y) * (c - nc))) / denom)
-        y = model.A @ y + c * u
-        controls[s] = u
+        if abs(denom) <= fixedpoint.DEGENERATE_TOL:
+            controls[s] = 0.0
+            y = model.A @ y
+            continue
+        k = -(model.A.T @ (nu * (c - nc))) / denom
+        controls[s] = float(k @ y)
+        y = (model.A + np.outer(c, k)) @ y
     return y, controls
 
 
@@ -239,6 +243,61 @@ class TestApplyNPathSharedLaws:
             with pytest.raises(ValueError) as err:
                 bde_solve(model, rho, z, t, f)
             assert str(err.value) == text
+
+
+class TestClosedLoopStep:
+    """Each closed-loop step (u = k . y, then M y) is the paper's step y -> A y + c u."""
+
+    def assert_paper_steps(self, rng, model, rho, z):
+        for s, (M, law) in enumerate(path_laws(model, rho, z, len(z))):
+            nu = model.mu if s == 0 else rho[s - 1]
+            c = scalar_obs(model, z[s])
+            y = rng.standard_normal(model.d)
+            u = scalar_feedback(law, y)
+            Ay = model.A @ y
+            nc = sum(nu[x] * c[x] for x in range(model.d))
+            if abs(1 - nc**2) <= fixedpoint.DEGENERATE_TOL:
+                assert law is None and u == 0.0
+            else:
+                expect = -sum(nu[x] * Ay[x] * (c[x] - nc) for x in range(model.d)) / (1 - nc**2)
+                assert abs(u - expect) <= 1e-14
+                assert abs(law[0] @ np.ones(model.d)) <= 1e-14
+            assert np.max(np.abs(M @ y - (Ay + c * u))) <= 1e-14
+
+    def test_random_models(self, rng):
+        for _ in range(10):
+            d, m, T = int(rng.integers(2, 9)), int(rng.integers(1, 3)), int(rng.integers(1, 21))
+            model = random_model(rng, d, m, T)
+            z = sample_path(model, rng)
+            self.assert_paper_steps(rng, model, forward_filter(model, z), z)
+            self.assert_paper_steps(rng, model, rng.dirichlet(np.ones(d), size=T), z)
+
+    def test_zero_convention_rows(self, rng):
+        zero_rows = 0
+        for _ in range(12):
+            d, m, T = int(rng.integers(2, 6)), int(rng.integers(1, 3)), int(rng.integers(2, 12))
+            model = sparse_model(rng, d, m, T)
+            z = random_path(rng, model)
+            rho = forward_filter(model, z, zero_convention=True)
+            zero_rows += int((rho.sum(axis=1) == 0.0).sum())
+            self.assert_paper_steps(rng, model, rho, z)
+        assert zero_rows > 0
+
+    def test_all_degenerate(self, rng):
+        model = make_model([0.3, 0.7], [[0.6, 0.4], [0.2, 0.8]], [[0.0, 1.0], [0.0, 1.0]], 5)
+        z = (1, 1, 1, 1, 1)
+        laws = path_laws(model, forward_filter(model, z), z, 5)
+        assert all(law is None and M is model.A for M, law in laws)
+        self.assert_paper_steps(rng, model, rng.dirichlet(np.ones(2), size=5), z)
+
+    def test_long_horizon_filter_is_fixed_point(self, rng):
+        # d T (T + 1) / 2 = 20,200 closed-loop steps
+        model = random_model(rng, 4, 1, 100)
+        z = sample_path(model, rng)
+        pis = forward_filter(model, z)
+        out, flags = apply_N_path(model, pis, z)
+        assert np.max(np.abs(out - pis)) <= 1e-10
+        assert flags.all()
 
 
 class TestApplyNAdapted:

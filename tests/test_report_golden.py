@@ -50,12 +50,12 @@ CASES = [
         "next_token_probs.csv": "eda4f2b419cbb99adaf46465e49b65920f5cbb3109208bc5e35b2d4b0dce51ed",
     }),
     ("fixedpoint-path", ["fixedpoint", "--model", "dense.json", "--path", "1.2.0", "--iterations", "2"], 0, {
-        "iteration_trace.csv": "bc2fba049f8f57a1821e964d7b4c50f3863b18decedc6ea78045221b6db00d9d",
-        "residual_report.json": "3a2b0b86a05540118cb25f2db466eac039a62f39481622ea3d6ba9b23787793c",
+        "iteration_trace.csv": "3bbb1984e5d06b8badff3f03b7b4ebbb11e468789624f674cd83798798407c1f",
+        "residual_report.json": "ef9ca470e97aae0e210db93217eebff5f0834fe7468aeec52ceecc3be91b9e50",
     }),
     ("fixedpoint-adapted", ["fixedpoint", "--model", "dense.json", "--mode", "adapted", "--path", "0.1.2",
                             "--iterations", "2"], 0, {
-        "iteration_trace.csv": "f73a68ffc6d2b452c4d64f9e7d379d7f569241ce5131565a34e7ac8e90bb982b",
+        "iteration_trace.csv": "ee3dd527e51516a9c66858b1564de7b653297025b80e2c5bda5de40a623879d4",
         "residual_report.json": "4f1a3f0ae9a268c1ebf6a4015eb2bbfdf865ebbfa4548a022c443581bd33d047",
     }),
     ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
@@ -82,7 +82,7 @@ CASES = [
     # 1 - nu(c)^2 = 0: the per-path map's zero-row and degenerate branches
     ("fixedpoint-path-zero", ["fixedpoint", "--model", "sparse.json", "--path", "1.0.1", "--iterations", "2",
                               "--zero-convention"], 0, {
-        "iteration_trace.csv": "33ee1e04c5640e56900f0d8af51d5961ccaf190d187531ef2443f632bdd7a0d2",
+        "iteration_trace.csv": "633fc703675a4003e0ad99deda8b7ff3aa3e0f64e44b09f9c78271c954dc7da5",
         "residual_report.json": "078749e4a17c6013394aae8088631dff7f8de951cc0d6739bfc3da9cc46041a8",
     }),
 ]
