@@ -40,7 +40,7 @@ from .fixedpoint import fixed_point_residual, iterate, kl_divergence_bar
 from .hmm import HmmModel, validate_tokens
 from .oracle import (
     ImpossibleObservationError,
-    _filter_walk,
+    filter_levels,
     filter_process,
     forward_filter,
     next_token_prob,
@@ -273,12 +273,13 @@ def cmd_oracle(cfg, model, rng, z):
             for x in range(model.d)
         ],
     )
-    prob_rows = []
-    for t in range(len(z)):
-        if pis[t].sum() == 0.0:
-            continue
-        p = next_token_prob(model, pis[t])
-        prob_rows.extend([t + 1, tok, repr(float(p[tok]))] for tok in range(model.m + 1))
+    possible = np.flatnonzero(pis.sum(axis=1) != 0.0)
+    probs = next_token_prob(model, pis[possible])
+    prob_rows = [
+        [t + 1, tok, repr(p)]
+        for t, row in zip(possible.tolist(), probs.tolist())
+        for tok, p in enumerate(row)
+    ]
     _write_csv(out / "next_token_probs.csv", cfg, ["t", "z", "prob"], prob_rows)
     click.echo(f"wrote filter trajectory for path {prefix_string(z)} to {out}")
 
@@ -395,14 +396,13 @@ def cmd_represent(cfg, model, rng, z_query):
         raise ValueError(f"z-query {z_query} outside alphabet 0..{model.m}")
     rep = represent_conditional(model, z_query, zero_convention=cfg.zero_convention)
 
-    # reconstruction check against the oracle on every path
+    # reconstruction check against the oracle on every possible path
     tol = float(cfg.tolerances["representation"])
-    worst = 0.0
-    for path, pi_T in _filter_walk(model, model.T, cfg.zero_convention, leaves=True):
-        if pi_T.sum() == 0.0:
-            continue
-        target = float(next_token_prob(model, pi_T)[z_query])
-        worst = max(worst, abs(evaluate(rep, path) - target))
+    pi_T = filter_levels(model, model.T, cfg.zero_convention)[-1]
+    possible = pi_T.sum(axis=1) != 0.0
+    paths = np.indices((model.m + 1,) * model.T).reshape(model.T, -1).T[possible]
+    target = next_token_prob(model, pi_T[possible])[:, z_query]
+    worst = float(np.max(np.abs(evaluate(rep, paths) - target), initial=0.0))
 
     out = _out_dir(cfg)
     payload = rep.to_dict()

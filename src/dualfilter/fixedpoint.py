@@ -35,9 +35,11 @@ def step_law(A: np.ndarray, nu: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, 
     The scalar control -nu((A y)(c - nu(c))) / (1 - nu(c)^2) is linear in y,
     so it is u = k . y with k = -A^T (nu * (c - nu(c))) / (1 - nu(c)^2), and
     the backward step y -> A y + c u is the one matrix M. Since A 1 = 1 and
-    nu(c - nu(c)) = 0, k . 1 = 0: the constant function rides through with
-    zero control. Returns None (the degenerate branch, control 0, M = A)
-    when |1 - nu(c)^2| is at or below ``DEGENERATE_TOL``.
+    nu(c - nu(c)) = 0, k . 1 = 0 in exact arithmetic: the constant function
+    rides through with zero control. In floating point |k . 1| is rounding
+    divided by 1 - nu(c)^2, about eps / (1 - nu(c)^2), so it grows near the
+    degenerate branch. Returns None (the degenerate branch, control 0,
+    M = A) when |1 - nu(c)^2| is at or below ``DEGENERATE_TOL``.
     """
     nu = np.asarray(nu, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -103,9 +105,11 @@ def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.nd
     For each time t and each basis function 1_{x=j}, the backward pass gives
     rho_plus_t(j) = mu(y_0) - sum_{s<t} u_s. Returns (rho_plus, in_domain)
     where in_domain[t-1] says whether rho_plus_t is a probability vector;
-    leaving the domain is a flag, not an error. Mass is preserved
-    structurally (k . 1 = 0, so the constant function rides through each
-    M_s with zero control), and component t only reads z_1..z_t, so the map
+    leaving the domain is a flag, not an error. Mass is preserved up to
+    rounding: k . 1 = 0 in exact arithmetic, so the constant function rides
+    through each M_s with zero control, but in floating point each step
+    adds about eps / (1 - nu(c)^2), which is large near the degenerate
+    branch (see ``step_law``). Component t only reads z_1..z_t, so the map
     is causal. The step laws depend only on (rho, z), so they are built
     once and shared by all T*d passes.
     """
@@ -224,10 +228,9 @@ def iterate(
     rho0 = np.asarray(rho0, dtype=float)
 
     pis_ref = forward_filter(model, z, zero_convention=zero_convention)
+    possible = pis_ref.sum(axis=1) > 0.0
     p_ref = np.zeros((model.m + 1, T))
-    for t in range(T):
-        if pis_ref[t].sum() > 0.0:
-            p_ref[:, t] = next_token_prob(model, pis_ref[t])
+    p_ref[:, possible] = next_token_prob(model, pis_ref[possible]).T
 
     iterates = np.zeros((K + 1, T, model.d))
     iterates[0] = rho0
@@ -247,10 +250,7 @@ def iterate(
             sums[sums == 0.0] = 1.0
             out = out / sums
             projected[k] = True
-        p_iter = np.zeros_like(p_ref)
-        for t in range(T):
-            p_iter[:, t] = next_token_prob(model, out[t])
-        kls[k] = kl_divergence_bar(p_ref, p_iter)
+        kls[k] = kl_divergence_bar(p_ref, next_token_prob(model, out).T)
         iterates[k + 1] = out
         cur = out
     return IterationTrace(

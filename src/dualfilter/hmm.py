@@ -44,18 +44,23 @@ class Spaces:
 def check_probability_vector(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.ndarray:
     """Validate entries >= 0 summing to 1 within ``tol``; returns the array.
 
+    p is one vector or a stack of them along the last axis, and every one
+    is checked; an error names the first bad vector's entries or sum.
     Rounding-level negative entries read as 0 (``drop_rounding_negatives``).
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError(f"probability vector must be 1-d, got shape {p.shape}")
+    if p.ndim == 0:
+        raise ValueError("probability vector must have at least one axis, got a scalar")
     if np.any(p < 0):
         p = drop_rounding_negatives(p)
-        if np.any(p < 0):
-            raise ValueError(f"probability vector has negative entries: {p}")
-    s = p.sum()
-    if abs(s - 1.0) > tol:
-        raise ValueError(f"probability vector sums to {s!r}, expected 1 within {tol}")
+        negative = np.any(p < 0, axis=-1)
+        if np.any(negative):
+            row = p.reshape(-1, p.shape[-1])[np.flatnonzero(negative)[0]]
+            raise ValueError(f"probability vector has negative entries: {row}")
+    s = p.sum(axis=-1)
+    bad = np.flatnonzero(np.abs(s - 1.0) > tol)
+    if bad.size:
+        raise ValueError(f"probability vector sums to {np.ravel(s)[bad[0]]!r}, expected 1 within {tol}")
     return p
 
 
@@ -174,19 +179,19 @@ def token_basis(m: int) -> np.ndarray:
     return E
 
 
-def decompose(s: np.ndarray) -> tuple[float, np.ndarray]:
-    """Split a token-indexed function s into (mean, tilde) with s(z) = mean + tilde . e(z).
+def decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split token-indexed functions s into (mean, tilde) with s(z) = mean + tilde . e(z).
 
-    s is a length-(m+1) vector indexed by z = 0..m. The decomposition is
-    unique: mean is the plain average over the alphabet and tilde(i) =
-    s(i) - mean for i = 1..m. Total function, no error cases.
+    s is one length-(m+1) vector indexed by z = 0..m, or a stack of them
+    along the last axis. The decomposition is unique: mean is the plain
+    average over the alphabet, of shape s.shape[:-1] (a numpy float for one
+    vector), and tilde(i) = s(i) - mean for i = 1..m.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim != 1 or s.shape[0] < 2:
-        raise ValueError(f"expected a length-(m+1) vector with m >= 1, got shape {s.shape}")
-    mean = s.mean()
-    tilde = s[1:] - mean
-    return float(mean), tilde
+    if s.ndim == 0 or s.shape[-1] < 2:
+        raise ValueError(f"expected length-(m+1) vectors with m >= 1 along the last axis, got shape {s.shape}")
+    mean = s.mean(axis=-1)
+    return mean, s[..., 1:] - mean[..., None]
 
 
 def obs_matrix(model: HmmModel) -> np.ndarray:

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from .adapted import AdaptedProcess
+from .adapted import AdaptedProcess, prefixes
 from .hmm import HmmModel, check_probability_vector, validate_tokens
 
 # Default cap on d^(T+1) * (m+1)^(T+1) for exhaustive expectations: (m+1) times
@@ -63,63 +63,70 @@ def forward_filter(model: HmmModel, z, zero_convention: bool = False) -> np.ndar
     return pis
 
 
-def _filter_walk(model: HmmModel, T: int, zero_convention: bool = False, leaves: bool = False):
-    """Yield (prefix, pi) for every prefix of length 1..T, depth first.
+def filter_levels(model: HmmModel, T: int, zero_convention: bool = False) -> list[np.ndarray]:
+    """The filter at every prefix of length 1..T, one array per level.
 
-    Prefixes come in preorder with tokens in increasing order, so the
-    length-T prefixes come in lexicographic order; ``leaves`` yields only
-    those. Each pi is computed from its parent's with forward_filter's own
-    arithmetic on 1-D arrays, so it equals forward_filter(model, prefix)[-1]
-    to the bit. The walk keeps an explicit stack of at most T (m+1) pending
-    children and stores no tree; every yielded pi is a new array.
+    Level t is a ((m+1)^t, d) array whose row r is pi_t at the prefix whose
+    base-(m+1) digits are r: rows come in ``prefixes(m, t)`` order, and the
+    children of row r are rows r (m+1) + z. Each level is computed from the
+    one above with forward_filter's arithmetic on the whole stack; the
+    stacked ``A.T @ v`` runs the same product per vector, so every row
+    equals forward_filter(model, prefix)[-1] to the bit. All levels together
+    hold about (m+1)/m (m+1)^T d floats.
 
-    The first zero-probability prefix in preorder raises
-    ImpossibleObservationError, the same (t, prefix) a forward_filter loop
-    over the length-T paths in lexicographic order raises first. With
-    ``zero_convention`` that prefix and every prefix below it carry the
-    zero measure instead.
+    A zero-probability prefix raises ImpossibleObservationError unless
+    ``zero_convention``, in which case it and every prefix below it carry
+    the zero measure. The error names the lexicographically smallest
+    impossible prefix whose own prefixes are all possible: the first one a
+    forward_filter loop over the length-T paths in lexicographic order
+    meets, whatever its length.
     """
-    n_tok = model.m + 1
-    cols = [model.C[:, tok] for tok in range(n_tok)]
-    # (prefix, parent's pi or None for a zero measure), popped in preorder
-    stack = [((tok,), model.mu) for tok in reversed(range(n_tok))] if T > 0 else []
-    while stack:
-        prefix, prev = stack.pop()
-        if prev is None:
-            pi = None
-        else:
-            w = prev * cols[prefix[-1]]
-            mass = w.sum()
-            if mass <= 0.0:
-                if not zero_convention:
-                    raise ImpossibleObservationError(len(prefix), prefix)
-                pi = None
-            else:
-                pi = model.A.T @ (w / mass)
-        if not leaves or len(prefix) == T:
-            yield prefix, np.zeros(model.d) if pi is None else pi
-        if len(prefix) < T:
-            stack.extend((prefix + (tok,), pi) for tok in reversed(range(n_tok)))
+    # row z is C(., z); in C order every row of w is contiguous, so its sum has forward_filter's bits
+    emit = np.ascontiguousarray(model.C.T)
+    levels = []
+    first = None  # smallest impossible prefix with a possible parent, over all levels
+    prev, alive = model.mu[None, :], np.ones(1, dtype=bool)
+    for t in range(1, T + 1):
+        w = prev[:, None, :] * emit
+        mass = w.sum(axis=-1)
+        possible = mass > 0.0
+        if not zero_convention:
+            fresh = np.flatnonzero(alive[:, None] & ~possible)
+            if fresh.size:
+                prefix = tuple(int(i) for i in np.unravel_index(fresh[0], (model.m + 1,) * t))
+                first = prefix if first is None else min(first, prefix)
+        # a zero-mass row of w is all zeros, so dividing it by 1 keeps its measure zero
+        pi = (model.A.T @ (w / np.where(possible, mass, 1.0)[..., None])[..., None])[..., 0]
+        prev, alive = pi.reshape(-1, model.d), possible.reshape(-1)
+        levels.append(prev)
+    if first is not None:
+        raise ImpossibleObservationError(len(first), first)
+    return levels
 
 
 def filter_process(model: HmmModel, T: int | None = None, zero_convention: bool = False) -> AdaptedProcess:
     """The filter as an adapted process: pi_t at every prefix of length 1..T.
 
-    Zero-probability prefixes raise unless ``zero_convention``, in which case
-    they carry the zero measure.
+    The values are the rows of ``filter_levels``, keyed level by level.
+    Zero-probability prefixes raise unless ``zero_convention``, in which
+    case they carry the zero measure.
     """
     T = model.T if T is None else int(T)
-    return AdaptedProcess(dict(_filter_walk(model, T, zero_convention)))
+    tree = {}
+    for t, level in enumerate(filter_levels(model, T, zero_convention), start=1):
+        tree.update(zip(prefixes(model.m, t), level))
+    return AdaptedProcess(tree)
 
 
 def next_token_prob(model: HmmModel, pi: np.ndarray) -> np.ndarray:
-    """p(z) = sum_x pi(x) C(x, z), a probability vector over the alphabet.
+    """p(z) = sum_x pi(x) C(x, z) for one measure (d,) or each row of a stack (..., d).
 
-    pi is validated by ``check_probability_vector``, so rounding-level
-    negative entries read as 0.
+    Every row is validated by ``check_probability_vector``, so
+    rounding-level negative entries read as 0. Each row is its own
+    vector-matrix product, so its bits do not depend on the stack.
     """
     pi = check_probability_vector(pi, tol=1e-9)
-    return pi @ model.C
+    return (pi[..., None, :] @ model.C)[..., 0, :]
 
 
 def path_probability(model: HmmModel, z) -> float:

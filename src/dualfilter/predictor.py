@@ -16,8 +16,8 @@ from typing import Mapping
 import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefix_string, parse_prefix, prefixes
-from .hmm import HmmModel, decompose, validate_tokens
-from .oracle import _filter_walk, next_token_prob
+from .hmm import HmmModel, decompose
+from .oracle import filter_levels, next_token_prob
 
 
 @dataclass(frozen=True)
@@ -50,33 +50,34 @@ class PredictorRepresentation:
         )
 
 
-def _check_target(target: Mapping, m: int, T: int) -> dict[Prefix, float]:
-    out = {}
+def _check_target(target, m: int, T: int) -> np.ndarray:
+    n_paths = (m + 1) ** T
+    if not isinstance(target, Mapping):
+        values = np.asarray(target, dtype=float)
+        if values.shape != (n_paths,):
+            raise ValueError(f"target array must hold all (m+1)^T = {n_paths} path values, got shape {values.shape}")
+        return values
     for path in prefixes(m, T):
         if path not in target:
             raise ValueError(f"target map missing path {path}; all (m+1)^T paths are required")
-        out[path] = float(target[path])
-    return out
+    return np.array([float(target[path]) for path in prefixes(m, T)])
 
 
-def build_weights(target: Mapping, m: int, T: int) -> PredictorRepresentation:
+def build_weights(target, m: int, T: int) -> PredictorRepresentation:
     """Backward induction from a complete map over all (m+1)^T paths.
 
-    Level by level, the map z -> S_t(prefix, z) is decomposed into
-    (mean, tilde); the weight at the prefix is -tilde and the mean becomes
-    the level t-1 value. Reconstruction along every path is exact.
+    ``target`` maps every path to its value, or is the array of the values
+    in ``prefixes(m, T)`` order. Level by level, the values are reshaped to
+    one row of m+1 children per prefix and each row is decomposed into
+    (mean, tilde); the weight at the prefix is -tilde and the means are the
+    level t-1 values. Reconstruction along every path is exact.
     """
     level = _check_target(target, m, T)
     tree: dict[Prefix, np.ndarray] = {}
     for t in range(T, 0, -1):
-        next_level: dict[Prefix, float] = {}
-        for w in prefixes(m, t - 1):
-            s = np.array([level[w + (z,)] for z in range(m + 1)])
-            mean, tilde = decompose(s)
-            tree[w] = -tilde
-            next_level[w] = mean
-        level = next_level
-    return PredictorRepresentation(constant=level[()], weights=AdaptedProcess(tree), m=m, T=T)
+        level, tilde = decompose(level.reshape(-1, m + 1))
+        tree.update(zip(prefixes(m, t - 1), -tilde))
+    return PredictorRepresentation(constant=float(level[0]), weights=AdaptedProcess(tree), m=m, T=T)
 
 
 def represent_conditional(
@@ -88,40 +89,49 @@ def represent_conditional(
     """Predictor weights for path -> P(Z_{T+1} = z_query | Z_1..Z_T = path).
 
     The target is the filtered next-token probability on every path, read
-    off one depth-first filter walk that holds one path's measure at a time;
-    with ``zero_convention`` impossible paths contribute target value 0 (the
-    0/0 := 0 extension), otherwise they raise.
+    off the last of ``filter_levels`` in one stacked ``next_token_prob``
+    call; with ``zero_convention`` impossible paths contribute target value
+    0 (the 0/0 := 0 extension), otherwise they raise.
     """
     T = model.T if T is None else int(T)
     z_query = int(z_query)
     if not 0 <= z_query <= model.m:
         raise ValueError(f"token {z_query} outside alphabet 0..{model.m}")
-    target = {}
-    for path, pi_T in _filter_walk(model, T, zero_convention, leaves=True):
-        if zero_convention and pi_T.sum() == 0.0:
-            target[path] = 0.0
-        else:
-            target[path] = float(next_token_prob(model, pi_T)[z_query])
+    pi_T = [model.mu[None, :], *filter_levels(model, T, zero_convention)][-1]
+    possible = pi_T.sum(axis=-1) != 0.0  # zero rows only under the zero convention
+    target = np.zeros(len(pi_T))
+    target[possible] = next_token_prob(model, pi_T[possible])[:, z_query]
     return build_weights(target, model.m, T)
 
 
-def evaluate(rep: PredictorRepresentation, z) -> float:
-    """constant - sum_t U_t(z_1..z_t)^T e(z_{t+1}) along one path.
+def evaluate(rep: PredictorRepresentation, z):
+    """constant - sum_t U_t(z_1..z_t)^T e(z_{t+1}) along one path or each row of a stack.
 
-    The weights are read off the tree directly. u^T e(z) is u_z for z >= 1
-    and u^T e(0) = -(u_1 + ... + u_m), which is added as u^T 1: the same
-    bits as the dot with e(z).
+    z is one path (T,), which gives a float, or paths (N, T), which give an
+    (N,) array. Each level's weights are stacked in prefix-rank order and
+    gathered by the rank of every path's prefix. u^T e(z) is u_z for z >= 1
+    and u^T e(0) = -(u^T 1), taken as one (1, m) @ 1 product per row, so
+    every path gets the same bits as a per-path loop of dots with e(z).
     """
-    z = validate_tokens(z, rep.m)
-    if len(z) != rep.T:
-        raise ValueError(f"path length {len(z)} does not match horizon {rep.T}")
-    tree = rep.weights.tree
+    z = np.asarray(z)
+    if z.ndim not in (1, 2):
+        raise ValueError(f"expected one path (T,) or paths (N, T), got shape {z.shape}")
+    if z.shape[-1] != rep.T:
+        raise ValueError(f"path length {z.shape[-1]} does not match horizon {rep.T}")
+    paths = np.atleast_2d(z)
+    toks = paths.astype(int)
+    bad = (toks != paths) | (toks < 0) | (toks > rep.m)
+    if bad.any():
+        row, i = np.argwhere(bad)[0]
+        raise ValueError(f"token z_{i + 1} = {paths[row, i]} outside alphabet 0..{rep.m}")
+    n = len(toks)
     ones = np.ones(rep.m)
-    acc = rep.constant
-    for t, tok in enumerate(z):
-        u = tree[z[:t]]
-        if tok:
-            acc -= float(u[tok - 1])
-        else:
-            acc += float(np.dot(u, ones))
-    return acc
+    acc = np.full(n, rep.constant)
+    rank = np.zeros(n, dtype=np.intp)
+    for t in range(rep.T):
+        U = np.array([rep.weights.tree[w] for w in prefixes(rep.m, t)])[rank]
+        tok = toks[:, t]
+        # acc - (-(u . 1)) is acc + u . 1 to the bit
+        acc -= np.where(tok > 0, U[np.arange(n), tok - 1], -(U[:, None, :] @ ones)[:, 0])
+        rank = rank * (rep.m + 1) + tok
+    return float(acc[0]) if z.ndim == 1 else acc

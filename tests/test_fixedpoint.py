@@ -290,6 +290,26 @@ class TestClosedLoopStep:
         assert all(law is None and M is model.A for M, law in laws)
         self.assert_paper_steps(rng, model, rng.dirichlet(np.ones(2), size=5), z)
 
+    def test_gain_sums_to_zero_only_to_rounding_over_the_denominator(self, rng):
+        # nu close to a point mass on a state whose emission is a point mass: 1 - nu(c)^2 is
+        # small, and k . 1 = 0 holds only to about eps / (1 - nu(c)^2)
+        eps = np.finfo(float).eps
+        above_absolute = 0
+        for _ in range(200):
+            d, m = int(rng.integers(2, 9)), int(rng.integers(1, 3))
+            model = sparse_model(rng, d, m, 1)
+            c = scalar_obs(model, int(rng.integers(m + 1)))
+            x = int(np.argmax(np.abs(c)))
+            for e in 10.0 ** -rng.uniform(1, 11, 3):
+                nu = (1 - e) * np.eye(d)[x] + e * rng.dirichlet(np.ones(d))
+                law = step_law(model.A, nu, c)
+                if law is None:
+                    continue
+                gain_sum = abs(law[0] @ np.ones(d))
+                assert gain_sum <= 4 * d * eps / (1 - float(nu @ c) ** 2)
+                above_absolute += gain_sum > 1e-14
+        assert above_absolute > 0  # the sweep met sums the absolute 1e-14 above does not bound
+
     def test_long_horizon_filter_is_fixed_point(self, rng):
         # d T (T + 1) / 2 = 20,200 closed-loop steps
         model = random_model(rng, 4, 1, 100)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,12 +103,28 @@ class TestCheckProbabilityVector:
 
     @pytest.mark.parametrize(
         "p, match",
-        [([[0.5, 0.5]], "1-d"), ([0.5, 0.6], "sums to"), ([1.5, -0.5], "negative entries")],
-        ids=["matrix", "bad-sum", "negative"],
+        [(0.5, "scalar"), ([0.5, 0.6], "sums to"), ([1.5, -0.5], "negative entries")],
+        ids=["scalar", "bad-sum", "negative"],
     )
     def test_rejects(self, p, match):
         with pytest.raises(ValueError, match=match):
             check_probability_vector(p)
+
+    def test_checks_every_row_of_a_stack(self, rng):
+        P = rng.dirichlet(np.ones(3), size=(4, 5))
+        assert check_probability_vector(P).tobytes() == P.tobytes()
+        P[2, 3, 1] += 1e-6
+        with pytest.raises(ValueError, match=re.escape(f"sums to {P[2, 3].sum()!r},")):
+            check_probability_vector(P)
+        P[2, 3, 1] -= 1e-6
+        P[1, 4] = [0.5, 0.5 + 1e-6, -1e-6]
+        with pytest.raises(ValueError, match="negative entries") as err:
+            check_probability_vector(P)
+        assert str(P[1, 4]) in str(err.value)
+
+    def test_rounding_negatives_in_a_stack_read_as_zero(self):
+        P = np.array([[0.25, 0.75, 0.0], [0.5, 0.5, -5.55e-17]])
+        assert check_probability_vector(P).tolist() == [[0.25, 0.75, 0.0], [0.5, 0.5, 0.0]]
 
 
 class TestEmbedToken:
@@ -150,10 +168,18 @@ class TestDecompose:
         assert mean == 7.5
         np.testing.assert_array_equal(tilde, np.zeros(3))
 
-    @pytest.mark.parametrize("s", [[1.0], [[1.0, 2.0], [3.0, 4.0]]], ids=["one-token", "matrix"])
+    @pytest.mark.parametrize("s", [[1.0], 1.0], ids=["one-token", "scalar"])
     def test_rejects_non_alphabet_input(self, s):
         with pytest.raises(ValueError, match="length-"):
             decompose(s)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 9])
+    def test_rows_split_like_single_vectors(self, m, rng):
+        S = rng.standard_normal((50, m + 1)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
+        mean, tilde = decompose(S)
+        for s, mu, ti in zip(S, mean, tilde):
+            one_mean, one_tilde = decompose(s)
+            assert mu == one_mean and ti.tobytes() == one_tilde.tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_round_trip(self, m, rng):

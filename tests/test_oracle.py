@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -7,8 +8,8 @@ from dualfilter.adapted import prefixes
 from dualfilter.oracle import (
     EnumerationBudgetError,
     ImpossibleObservationError,
-    _filter_walk,
     exact_expectation,
+    filter_levels,
     filter_process,
     forward_filter,
     next_token_prob,
@@ -105,53 +106,60 @@ def first_impossible_by_paths(model, T):
 
 
 class TestFilterWalk:
-    """The shared depth-first walk against forward_filter, bit for bit."""
+    """The level-by-level filter (``filter_levels``) against forward_filter, bit for bit."""
 
     @pytest.mark.parametrize("zero_convention", [False, True])
     @pytest.mark.parametrize("make", [random_model, sparse_model])
     def test_every_prefix_equals_forward_filter_row(self, rng, make, zero_convention):
         raised = 0
         for _ in range(12):
-            d, m, T = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
+            d, m, T = int(rng.integers(1, 9)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
             model = make(rng, d, m, T)
             first = None if zero_convention else first_impossible_by_paths(model, T)
             if first is not None:
                 raised += 1
-                with pytest.raises(ImpossibleObservationError) as err:
-                    list(_filter_walk(model, T, zero_convention))
-                assert (err.value.t, err.value.prefix) == first
-                with pytest.raises(ImpossibleObservationError) as err:
-                    filter_process(model, T)
-                assert (err.value.t, err.value.prefix) == first
+                for build in (filter_levels, filter_process):
+                    with pytest.raises(ImpossibleObservationError) as err:
+                        build(model, T)
+                    assert (err.value.t, err.value.prefix) == first
                 continue
-            nodes = list(_filter_walk(model, T, zero_convention))
-            want = [w for t in range(1, T + 1) for w in prefixes(m, t)]
-            assert sorted(p for p, _ in nodes) == sorted(want)
-            leaves = list(_filter_walk(model, T, zero_convention, leaves=True))
-            assert [p for p, _ in leaves] == list(prefixes(m, T))
+            levels = filter_levels(model, T, zero_convention)
+            assert [level.shape for level in levels] == [((m + 1) ** t, d) for t in range(1, T + 1)]
             proc = filter_process(model, T, zero_convention=zero_convention)
-            assert list(proc.tree) == [p for p, _ in nodes]
-            for prefix, pi in nodes + leaves:
-                row = forward_filter(model, prefix, zero_convention=zero_convention)[-1]
-                assert pi.tobytes() == row.tobytes(), prefix
-                assert proc.at(prefix).tobytes() == row.tobytes(), prefix
+            assert list(proc.tree) == [w for t in range(1, T + 1) for w in prefixes(m, t)]
+            for t, level in enumerate(levels, start=1):
+                for prefix, pi in zip(prefixes(m, t), level):
+                    row = forward_filter(model, prefix, zero_convention=zero_convention)[-1]
+                    assert pi.tobytes() == row.tobytes(), prefix
+                    assert proc.at(prefix).tobytes() == row.tobytes(), prefix
         if make is sparse_model and not zero_convention:
             assert raised > 0  # the sweep did meet impossible prefixes
 
-    def test_preorder_with_tokens_in_increasing_order(self, reference_model):
-        got = [p for p, _ in _filter_walk(reference_model, 2)]
-        assert got == [(0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
+    def test_rows_in_prefix_rank_order(self, reference_model):
+        levels = filter_levels(reference_model, 2)
+        for t, level in enumerate(levels, start=1):
+            want = [forward_filter(reference_model, w)[-1] for w in prefixes(1, t)]
+            assert level.tobytes() == np.array(want).tobytes()
+        got = list(filter_process(reference_model, 2).tree)
+        assert got == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
 
-    def test_streams_without_building_the_tree(self, rng):
-        # 3^40 leaves: only a walk that yields as it goes can return the first ones
-        model = random_model(rng, 2, 2, 40)
-        walk = _filter_walk(model, 40, leaves=True)
-        first, second = next(walk), next(walk)
-        assert first[0] == (0,) * 40 and second[0] == (0,) * 39 + (1,)
-        assert first[1].tobytes() == forward_filter(model, first[0])[-1].tobytes()
+    def test_deeper_impossible_prefix_first_in_preorder_is_named(self):
+        # (1,) is impossible at level 1, but (0, 0, 0) at level 3 comes first in preorder:
+        # state 0 emits only 0 and moves to state 1, which emits both and moves to state 2,
+        # which emits only 1
+        model = make_model([1.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+                           [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], 3)
+        assert first_impossible_by_paths(model, 3) == (3, (0, 0, 0))
+        for build in (filter_levels, filter_process):
+            with pytest.raises(ImpossibleObservationError) as err:
+                build(model, 3)
+            assert (err.value.t, err.value.prefix) == (3, (0, 0, 0))
+        with pytest.raises(ImpossibleObservationError) as err:
+            filter_levels(model, 2)
+        assert (err.value.t, err.value.prefix) == (1, (1,))
 
     def test_zero_horizon_is_empty(self, reference_model):
-        assert list(_filter_walk(reference_model, 0)) == []
+        assert filter_levels(reference_model, 0) == []
         assert filter_process(reference_model, 0).tree == {}
 
 
@@ -176,6 +184,28 @@ class TestNextTokenProb:
         assert next_token_prob(model, np.array([0.5, 0.5, -5.55e-17])).tolist() == [0.5, 0.5]
         with pytest.raises(ValueError, match="negative"):
             next_token_prob(model, np.array([0.5, 0.5 + 1e-6, -1e-6]))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 9])
+    def test_stack_equals_per_row_products(self, rng, m):
+        for d in (1, 2, 3, 4, 8, 13):
+            model = random_model(rng, d, m, 1)
+            P = rng.dirichlet(np.ones(d), size=(6, 7))
+            got = next_token_prob(model, P)
+            assert got.shape == (6, 7, m + 1)
+            assert got.tobytes() == np.array([[p @ model.C for p in rows] for rows in P]).tobytes()
+            assert next_token_prob(model, P[0, 0]).tobytes() == (P[0, 0] @ model.C).tobytes()
+
+    def test_stack_with_one_bad_row_names_its_sum(self, rng):
+        model = random_model(rng, 3, 2, 1)
+        P = rng.dirichlet(np.ones(3), size=5)
+        P[3, 0] += 1e-6
+        with pytest.raises(ValueError, match=re.escape(f"sums to {P[3].sum()!r},")):
+            next_token_prob(model, P)
+
+    def test_rounding_level_negatives_in_a_stack_read_as_zero(self):
+        model = make_model([0.5, 0.5, 0.0], np.eye(3), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], 1)
+        P = np.array([[0.25, 0.75, 0.0], [0.5, 0.5, -5.55e-17]])
+        assert next_token_prob(model, P).tolist() == [[0.25, 0.75], [0.5, 0.5]]
 
     def test_matches_conditional_by_enumeration(self, rng):
         # the filtered mixture equals P(Z_{t+1} = z | z_1..z_t) computed from path masses

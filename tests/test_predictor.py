@@ -48,6 +48,13 @@ class TestBuildWeights:
     def test_incomplete_target_rejected(self):
         with pytest.raises(ValueError, match="missing path"):
             build_weights({(0,): 1.0}, m=1, T=1)
+        with pytest.raises(ValueError, match="path values"):
+            build_weights(np.zeros(3), m=1, T=1)
+
+    def test_array_target_in_prefix_order(self, rng):
+        target = {z: float(rng.standard_normal()) for z in prefixes(2, 3)}
+        from_array = build_weights(np.array(list(target.values())), m=2, T=3)
+        assert from_array.to_json() == build_weights(target, m=2, T=3).to_json()
 
     def test_round_trip_random_targets(self, rng):
         for _ in range(10):
@@ -81,11 +88,28 @@ class TestEvaluate:
             target = {z: float(rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)) for z in prefixes(m, T)}
             rep = build_weights(target, m=m, T=T)
             E = token_basis(m)
+            want = []
             for z in prefixes(m, T):
                 acc = rep.constant
                 for t in range(T):
                     acc -= float(np.dot(rep.weights.at(z[:t]), E[z[t]]))
                 assert evaluate(rep, z) == acc
+                want.append(acc)
+            # the stacked form, on all paths in a shuffled order, gives each path's bits
+            order = rng.permutation(len(want))
+            paths = np.array(list(prefixes(m, T)))[order]
+            assert evaluate(rep, paths).tobytes() == np.array(want)[order].tobytes()
+
+    @pytest.mark.parametrize(
+        "z, match",
+        [([[0, 1], [1, 2]], r"token z_2 = 2 outside alphabet 0\.\.1"), ([[0.5, 1]], "token z_1 = 0.5"),
+         ([[[0, 1]]], "shape"), ([[0, 1, 1]], "length")],
+        ids=["out-of-alphabet", "not-integer", "three-axes", "wrong-length"],
+    )
+    def test_rejects_bad_stacks(self, z, match):
+        rep = build_weights({w: 0.0 for w in prefixes(1, 2)}, m=1, T=2)
+        with pytest.raises(ValueError, match=match):
+            evaluate(rep, z)
 
     def test_wrong_length_rejected(self):
         rep = build_weights({(0,): 0.0, (1,): 1.0}, m=1, T=1)
@@ -151,6 +175,11 @@ class TestRepresentConditional:
         rep = represent_conditional(model, 0, zero_convention=True)
         # the only possible path is (1, 1); its conditional is C(0, 0) = 0 after staying in state 0
         assert abs(evaluate(rep, (1, 1)) - 0.0) <= 1e-12
+
+    def test_zero_horizon_is_the_first_token_law(self, reference_model):
+        rep = represent_conditional(reference_model, 1, T=0)
+        assert rep.constant == (reference_model.mu @ reference_model.C)[1]
+        assert rep.weights.tree == {} and evaluate(rep, ()) == rep.constant
 
     def test_bad_query_token(self, reference_model):
         with pytest.raises(ValueError, match="alphabet"):
