@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .adapted import AdaptedProcess, prefixes, prefix_string, parse_prefix
+from .adapted import AdaptedProcess, prefixes, prefix_string
 from .hmm import (
     HmmModel,
     Spaces,
@@ -78,7 +78,6 @@ __all__ = [
     "iterate",
     "kl_divergence_bar",
     "next_token_prob",
-    "parse_prefix",
     "path_laws",
     "path_probability",
     "prefix_string",

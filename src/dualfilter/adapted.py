@@ -1,87 +1,88 @@
-"""Adapted processes stored as trees keyed by observation prefixes.
+"""Adapted processes stored as one array per level of the observation prefix tree.
 
 A value attached to the prefix (z_1, ..., z_t) can only depend on the first
 t observations, so measurability with respect to the observation history is
 structural: there is nowhere to store a look-ahead.
+
+Level t holds the (m+1)^t prefixes of length t in prefix-rank order: row r
+is the prefix whose base-(m+1) digits are r, first token most significant,
+which is the order of ``prefixes(m, t)``. So the children of row r are rows
+r (m+1) + z of level t+1, and a level of shape ((m+1)^t, ...) reshapes to
+((m+1)^(t-1), m+1, ...) with one row of siblings per parent.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
+
+from .hmm import validate_tokens
 
 Prefix = tuple[int, ...]
 
 
 def prefixes(m: int, t: int) -> Iterator[Prefix]:
-    """All (m+1)^t token prefixes of length t, in lexicographic order."""
+    """All (m+1)^t token prefixes of length t, in prefix-rank order."""
     return product(range(m + 1), repeat=t)
+
+
+def prefix_rank(prefix: Prefix, m: int) -> int:
+    """The row of a validated prefix in its level: the number with base-(m+1) digits ``prefix``."""
+    return functools.reduce(lambda rank, tok: rank * (m + 1) + tok, prefix, 0)
 
 
 @dataclass(frozen=True)
 class AdaptedProcess:
-    """Prefix-keyed values; the value at a length-t key is the time-t value.
+    """Values at every prefix of the levels present, over the alphabet 0..m.
 
-    Values are floats or numpy arrays. The tree is stored densely over all
-    (m+1)^t prefixes per level (desk scale), which the completeness checks
-    below enforce.
+    ``levels[t]`` is None where level t is absent, or an array of shape
+    ((m+1)^t, ...) whose row r is the time-t value at the prefix of rank r,
+    so a level present is complete by construction. Rows are floats or
+    arrays, of one shape per level.
     """
 
-    tree: Mapping[Prefix, object] = field(default_factory=dict)
+    m: int
+    levels: tuple
+
+    def __post_init__(self):
+        levels = tuple(None if level is None else np.asarray(level) for level in self.levels)
+        for t, level in enumerate(levels):
+            if level is not None and level.shape[:1] != ((self.m + 1) ** t,):
+                raise ValueError(f"level {t} must have {(self.m + 1) ** t} rows, got shape {level.shape}")
+        object.__setattr__(self, "levels", levels)
 
     def at(self, prefix) -> object:
-        """The value at ``prefix``, any sequence of integer-valued tokens.
+        """The value at ``prefix``, any sequence of integer-valued tokens (``validate_tokens``)."""
+        w = validate_tokens(prefix, self.m)
+        if len(w) >= len(self.levels) or self.levels[len(w)] is None:
+            raise ValueError(f"adapted process has no value at prefix {w}")
+        return self.levels[len(w)][prefix_rank(w, self.m)]
 
-        Integer-valued floats and numpy integers hash like the ints they
-        equal, so they find the same key; a token such as 1.5 finds none.
-        """
-        key = tuple(prefix)
-        try:
-            return self.tree[key]
-        except KeyError:
-            shown = tuple(np.asarray(key).tolist())
-            raise ValueError(f"adapted process has no value at prefix {shown}") from None
-
-    def level_items(self, t: int) -> list[tuple[Prefix, object]]:
-        return sorted((k, v) for k, v in self.tree.items() if len(k) == t)
+    @property
+    def tree(self) -> dict[Prefix, object]:
+        """A prefix-keyed copy of the values, level by level in rank order, for tests and inspection."""
+        present = [(t, level) for t, level in enumerate(self.levels) if level is not None]
+        return {w: value for t, level in present for w, value in zip(prefixes(self.m, t), level)}
 
     def check_complete(self, m: int, levels) -> "AdaptedProcess":
-        counts = Counter(len(k) for k in self.tree)
+        """Check the alphabet is 0..m and every level in ``levels`` is present; returns self."""
+        if self.m != m:
+            raise ValueError(f"adapted process is over the alphabet 0..{self.m}, expected 0..{m}")
         for t in levels:
-            want = (m + 1) ** t
-            have = counts[t]
-            if have != want:
-                raise ValueError(
-                    f"adapted process incomplete at level {t}: {have} of {want} prefixes present"
-                )
+            if t >= len(self.levels) or self.levels[t] is None:
+                raise ValueError(f"adapted process incomplete: level {t} is absent")
         return self
-
-    @classmethod
-    def from_function(cls, m: int, levels, fn: Callable[[Prefix], object]) -> "AdaptedProcess":
-        tree = {}
-        for t in levels:
-            for w in prefixes(m, t):
-                tree[w] = fn(w)
-        return cls(tree)
 
 
 def random_weight_process(rng: np.random.Generator, m: int, T: int, scale: float = 1.0) -> AdaptedProcess:
-    """Seeded random control process: an R^m value at every prefix of length 0..T-1."""
-    return AdaptedProcess.from_function(
-        m, range(T), lambda _: scale * rng.standard_normal(m)
-    )
+    """Seeded random control process: an R^m value at every prefix of length 0..T-1, drawn in rank order."""
+    return AdaptedProcess(m, tuple(scale * rng.standard_normal(((m + 1) ** t, m)) for t in range(T)))
 
 
 def prefix_string(prefix: Prefix) -> str:
     """Serialize a prefix as token digits joined by '.'; the root is ''."""
     return ".".join(str(t) for t in prefix)
-
-
-def parse_prefix(text: str) -> Prefix:
-    if text == "":
-        return ()
-    return tuple(int(t) for t in text.split("."))

@@ -174,7 +174,7 @@ def _load_model(cfg: ExperimentConfig) -> HmmModel:
 def _parse_path(text: str | None, model: HmmModel, cfg: ExperimentConfig, rng) -> tuple[int, ...]:
     if text is None:
         return sample_path(model, rng, T=cfg.T)
-    return validate_tokens((t for t in text.replace(",", ".").split(".") if t != ""), model.m)
+    return validate_tokens([int(t) for t in text.replace(",", ".").split(".") if t != ""], model.m)
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -344,14 +344,14 @@ def cmd_duality(cfg, model, rng):
     """Cross-check the control cost against the estimator mean-squared error."""
     tol = float(cfg.tolerances["duality"])
     reports = []
-    node_residuals: dict[tuple[int, tuple], float] = {}
+    node_residuals = [np.zeros((model.m + 1) ** t) for t in range(model.T)]  # max over draws, per level
     for _ in range(cfg.draws):
         U = random_weight_process(rng, model.m, model.T)
         F = rng.standard_normal(model.d)
         traj = solve_bsde(model, U, F)
         reports.append(duality_report(model, traj, F, budget=cfg.enum_budget))
-        for key, res in bsde_residual_by_node(model, traj).items():
-            node_residuals[key] = max(node_residuals.get(key, 0.0), res)
+        for worst, level in zip(node_residuals, bsde_residual_by_node(model, traj).levels):
+            np.maximum(worst, level, out=worst)
 
     # estimator identity along the optimal feedback trajectory
     pi_proc = filter_process(model, zero_convention=cfg.zero_convention)
@@ -377,7 +377,8 @@ def cmd_duality(cfg, model, rng):
     )
     diag_rows = [
         ["bsde_residual", t, prefix_string(w), repr(res)]
-        for (t, w), res in sorted(node_residuals.items())
+        for t, level in enumerate(node_residuals)
+        for w, res in zip(prefixes(model.m, t), level.tolist())
     ] + est_rows
     _write_csv(out / "diagnostics.csv", cfg, ["check", "t", "prefix", "max_residual"], diag_rows)
     if max(gaps) > tol:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adapted import AdaptedProcess, Prefix, prefixes
+from .adapted import AdaptedProcess, Prefix, prefix_rank, prefixes
 from .hmm import HmmModel, gamma_op, obs_matrix, risk_tensor, token_basis
 from .oracle import DEFAULT_ENUM_BUDGET, exact_expectation
 
@@ -34,12 +34,12 @@ PRED_PROB_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DualTrajectory:
-    """Solution of the backward equation: Y at levels 0..horizon, (V, U) below.
+    """Solution of the backward equation: Y at levels 0..horizon, (V, U) at levels 0..horizon-1.
 
-    Y values are (d,) vectors per prefix, V values are (d, m) arrays (an
-    R^m row per state), U values are (m,) vectors. ``diagnostics`` names
-    each node whose feedback control took the minimum-norm value of a
-    singular system.
+    As level arrays (see ``adapted``), Y's level t has shape ((m+1)^t, d),
+    a (d,) vector per prefix; V's has shape ((m+1)^t, d, m), an R^m row per
+    state; U's has shape ((m+1)^t, m). ``diagnostics`` names each node whose
+    feedback control took the minimum-norm value of a singular system.
     """
 
     Y: AdaptedProcess
@@ -49,64 +49,59 @@ class DualTrajectory:
     diagnostics: tuple[str, ...] = ()
 
     def y0(self) -> np.ndarray:
-        return np.asarray(self.Y.at(()))
+        return self.Y.levels[0][0]
 
 
-def _terminal_lookup(F, d: int, m: int, T: int):
-    """Normalize a terminal condition to a path -> (d,) vector callable.
-
-    Accepts a deterministic (d,) vector or an AdaptedProcess complete at
-    level T.
-    """
+def _terminal_level(F, d: int, m: int, T: int) -> np.ndarray:
+    """Terminal F as a ((m+1)^T, d) level: a deterministic (d,) vector at every prefix, or a process's level T."""
     if isinstance(F, AdaptedProcess):
-        F.check_complete(m, [T])
-        return lambda path: np.asarray(F.at(path), dtype=float)
+        return np.asarray(F.check_complete(m, [T]).levels[T], dtype=float)
     arr = np.array(F, dtype=float)
     if arr.shape != (d,):
         raise ValueError(f"deterministic terminal function must have shape ({d},), got {arr.shape}")
-    arr.setflags(write=False)
-    return lambda path: arr
+    return np.broadcast_to(arr, ((m + 1) ** T, d))
 
 
-def _successor_split(model: HmmModel, Y_next: dict[Prefix, np.ndarray], w: Prefix):
-    """Mean/tilde split of z -> (A Y_{t+1})(prefix + z); returns (mean (d,), V (d, m)).
+def _successor_split(model: HmmModel, Y_next: np.ndarray, row: int):
+    """Mean/tilde split of z -> (A Y_{t+1})(prefix + z) at one row of level t; returns (mean (d,), V (d, m)).
 
-    The successors are added left to right and divided by m+1, which is
+    ``Y_next`` is level t+1 of Y, whose rows row (m+1) + z are the
+    successors. They are added left to right and divided by m+1, which is
     what ``np.mean`` over the stacked successors does, to the bit.
     """
-    succ = [model.A @ Y_next[w + (z,)] for z in range(model.m + 1)]
+    n = model.m + 1
+    succ = [model.A @ y for y in Y_next[row * n : (row + 1) * n]]
     total = succ[0]
     for s in succ[1:]:
         total = total + s
-    mean = total / (model.m + 1)
+    mean = total / n
     V = (np.array(succ[1:]) - mean).T
     return mean, V
 
 
-def _backward_sweep(
-    model: HmmModel, F, T: int, control: Callable[[int, Prefix, np.ndarray, np.ndarray], np.ndarray]
-):
+def _backward_sweep(model: HmmModel, F, T: int, control: Callable[..., np.ndarray]):
     """The backward equation Y_t = W + c U_t, W = mean + (c V) 1, from terminal F.
 
     At each node V_t is pinned by the mean/tilde split of the successor
     values, which is the only choice keeping Y_t measurable with respect to
-    the prefix for every successor token; ``control(t, prefix, W, V_t)``
-    then supplies U_t. Returns the Y, V and U trees.
+    the prefix for every successor token; ``control(t, row, prefix, W,
+    V_t)`` then supplies U_t. Returns the Y, V and U processes.
     """
-    term = _terminal_lookup(F, model.d, model.m, T)
+    d, m = model.d, model.m
     c_mat = obs_matrix(model)
-    Y_tree: dict[Prefix, np.ndarray] = {w: term(w) for w in prefixes(model.m, T)}
-    V_tree: dict[Prefix, np.ndarray] = {}
-    U_tree: dict[Prefix, np.ndarray] = {}
+    Y = [None] * T + [_terminal_level(F, d, m, T)]
+    V, U = [None] * T, [None] * T
     for t in range(T - 1, -1, -1):
-        for w in prefixes(model.m, t):
-            mean, V = _successor_split(model, Y_tree, w)
-            W = mean + (c_mat * V).sum(axis=1)
-            u = control(t, w, W, V)
-            V_tree[w] = V
-            U_tree[w] = u
-            Y_tree[w] = W + c_mat @ u
-    return Y_tree, V_tree, U_tree
+        n = (m + 1) ** t
+        # V rows keep the transposed layout _successor_split returns, so every reader sums in its order
+        Y[t], V[t], U[t] = np.empty((n, d)), np.empty((n, m, d)).transpose(0, 2, 1), np.empty((n, m))
+        for r, w in enumerate(prefixes(m, t)):
+            mean, v = _successor_split(model, Y[t + 1], r)
+            W = mean + (c_mat * v).sum(axis=1)
+            u = control(t, r, w, W, v)
+            V[t][r], U[t][r] = v, u
+            Y[t][r] = W + c_mat @ u
+    return AdaptedProcess(m, tuple(Y)), AdaptedProcess(m, tuple(V)), AdaptedProcess(m, tuple(U))
 
 
 def solve_bsde(model: HmmModel, U: AdaptedProcess, F, horizon: int | None = None) -> DualTrajectory:
@@ -117,53 +112,44 @@ def solve_bsde(model: HmmModel, U: AdaptedProcess, F, horizon: int | None = None
     """
     T = model.T if horizon is None else int(horizon)
     U.check_complete(model.m, range(T))
-    Y_tree, V_tree, _ = _backward_sweep(
-        model, F, T, lambda t, w, W, V: np.asarray(U.at(w), dtype=float)
-    )
-    return DualTrajectory(
-        Y=AdaptedProcess(Y_tree), V=AdaptedProcess(V_tree), U=U, horizon=T
-    )
+    Y, V, _ = _backward_sweep(model, F, T, lambda t, r, w, W, V: U.levels[t][r])
+    return DualTrajectory(Y=Y, V=V, U=U, horizon=T)
 
 
-def bsde_residual_by_node(model: HmmModel, traj: DualTrajectory) -> dict[tuple[int, Prefix], float]:
-    """Backward-relation residual per (time, prefix), maxed over states and successor tokens."""
+def bsde_residual_by_node(model: HmmModel, traj: DualTrajectory) -> AdaptedProcess:
+    """Backward-relation residual at every node of levels 0..horizon-1, maxed over states and successor tokens."""
     E = token_basis(model.m)
     c_mat = obs_matrix(model)
-    out: dict[tuple[int, Prefix], float] = {}
+    levels = []
     for t in range(traj.horizon):
-        for w in prefixes(model.m, t):
-            Yw = np.asarray(traj.Y.at(w))
-            V = np.asarray(traj.V.at(w))
-            u = np.asarray(traj.U.at(w))
-            worst = 0.0
+        Y, V, U = traj.Y.levels[t], traj.V.levels[t], traj.U.levels[t]
+        Y_next = traj.Y.levels[t + 1].reshape(len(Y), model.m + 1, model.d)
+        worst = np.zeros(len(Y))
+        for r in range(len(Y)):
             for z in range(model.m + 1):
-                ay = model.A @ np.asarray(traj.Y.at(w + (z,)))
-                rhs = ay + c_mat @ u + (c_mat * V).sum(axis=1) - V @ E[z]
-                worst = max(worst, float(np.max(np.abs(Yw - rhs))))
-            out[(t, w)] = worst
-    return out
+                rhs = model.A @ Y_next[r, z] + c_mat @ U[r] + (c_mat * V[r]).sum(axis=1) - V[r] @ E[z]
+                worst[r] = max(worst[r], float(np.max(np.abs(Y[r] - rhs))))
+        levels.append(worst)
+    return AdaptedProcess(model.m, tuple(levels))
 
 
 def bsde_residual(model: HmmModel, traj: DualTrajectory) -> float:
     """Max over (node, state, successor token) of the backward-relation residual."""
-    by_node = bsde_residual_by_node(model, traj)
-    return max(by_node.values()) if by_node else 0.0
+    return max((float(level.max()) for level in bsde_residual_by_node(model, traj).levels), default=0.0)
 
 
-def _running_cost_tables(model: HmmModel, traj: DualTrajectory) -> list[dict[Prefix, np.ndarray]]:
-    """Per step t, map from z_{1..t+1} to the (d,) vector x -> l(Y_{t+1}, V_t, U_t; x)."""
+def _running_cost_tables(model: HmmModel, traj: DualTrajectory) -> list[np.ndarray]:
+    """Per step t, level t+1 of x -> l(Y_{t+1}, V_t, U_t; x): a ((m+1)^(t+1), d) array."""
     R = risk_tensor(model)
     tables = []
     for t in range(traj.horizon):
-        table: dict[Prefix, np.ndarray] = {}
-        for w in prefixes(model.m, t):
-            V = np.asarray(traj.V.at(w))
-            u = np.asarray(traj.U.at(w))
-            S = u[None, :] + V
+        V, U, Y_next = traj.V.levels[t], traj.U.levels[t], traj.Y.levels[t + 1]
+        table = np.empty_like(Y_next)
+        for r in range(len(U)):
+            S = U[r][None, :] + V[r]
             quad = np.einsum("xi,xij,xj->x", S, R, S)
-            for z in range(model.m + 1):
-                y_next = np.asarray(traj.Y.at(w + (z,)))
-                table[w + (z,)] = gamma_op(model, y_next) + quad
+            for k in range(r * (model.m + 1), (r + 1) * (model.m + 1)):
+                table[k] = gamma_op(model, Y_next[k]) + quad
         tables.append(table)
     return tables
 
@@ -189,10 +175,10 @@ def _per_observation_path(lookup: Callable[[Prefix], object]) -> Callable[[Prefi
 def _cost_of_trajectory(model: HmmModel, traj: DualTrajectory, budget: int) -> float:
     y0 = traj.y0()
     var0 = float(model.mu @ (y0 * y0) - (model.mu @ y0) ** 2)
-    tables = _running_cost_tables(model, traj)
+    tables = [table.tolist() for table in _running_cost_tables(model, traj)]
     T = traj.horizon
     rows = _per_observation_path(
-        lambda z_path: [tables[t][z_path[: t + 1]].tolist() for t in range(T)]
+        lambda z_path: [tables[t][prefix_rank(z_path[: t + 1], model.m)] for t in range(T)]
     )
 
     def h(x_path, z_path):
@@ -205,22 +191,20 @@ def _cost_of_trajectory(model: HmmModel, traj: DualTrajectory, budget: int) -> f
     return var0 + exact_expectation(model, h, T=T, budget=budget)
 
 
-def estimator_values(model: HmmModel, traj: DualTrajectory) -> dict[Prefix, float]:
-    """mu(Y_0) - sum_s U_s^T e(z_{s+1}) at every prefix, including the root.
+def estimator_values(model: HmmModel, traj: DualTrajectory) -> AdaptedProcess:
+    """mu(Y_0) - sum_s U_s^T e(z_{s+1}) at every prefix: levels 0..horizon of shape ((m+1)^t,).
 
-    Each prefix's terms u^T e(z) are read once: u @ e(0) for z = 0 and u_z
-    for z >= 1, the same bits as u @ e(z) for every z (the z = 0 row of
-    E @ u is not, from m = 4 on).
+    Each child is its parent's value minus the term u^T e(z), taken as
+    u @ e(0) for z = 0 (one dot per row) and u_z for z >= 1: the same bits
+    as u @ e(z) for every z (the z = 0 row of E @ u is not, from m = 4 on).
     """
     e0 = token_basis(model.m)[0]
-    vals: dict[Prefix, float] = {(): float(model.mu @ traj.y0())}
+    levels = [np.array([float(model.mu @ traj.y0())])]
     for t in range(traj.horizon):
-        for w in prefixes(model.m, t):
-            u = np.asarray(traj.U.at(w))
-            base = vals[w]
-            for z, term in enumerate([float(u @ e0), *u.tolist()]):
-                vals[w + (z,)] = base - term
-    return vals
+        U = traj.U.levels[t]
+        terms = np.concatenate([U[:, None, :] @ e0, U], axis=1)
+        levels.append((levels[-1][:, None] - terms).ravel())
+    return AdaptedProcess(model.m, tuple(levels))
 
 
 def estimator_path(model: HmmModel, traj: DualTrajectory, z, t: int) -> float:
@@ -243,9 +227,9 @@ def squared_error(
 ) -> float:
     """E|F(X_T) - S_T|^2 for the estimator S_T induced by the trajectory."""
     T = traj.horizon
-    term = _terminal_lookup(F, model.d, model.m, T)
-    est = estimator_values(model, traj)
-    at = _per_observation_path(lambda z_path: (term(z_path).tolist(), est[z_path]))
+    rows = _terminal_level(F, model.d, model.m, T).tolist()
+    est = estimator_values(model, traj).levels[T].tolist()
+    at = _per_observation_path(lambda z_path: (lambda r: (rows[r], est[r]))(prefix_rank(z_path, model.m)))
 
     def h(x_path, z_path):
         row, s = at(z_path)
@@ -317,7 +301,7 @@ def solve_optimal(
     F,
     horizon: int | None = None,
     *,
-    laws: dict[Prefix, tuple[np.ndarray, np.ndarray, bool]] | None = None,
+    laws: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, bool]] | None = None,
 ) -> DualTrajectory:
     """Backward solve with the control eliminated by the feedback law.
 
@@ -333,38 +317,31 @@ def solve_optimal(
 
     The solved law, a control operator (K_lead, K_drag), depends only on
     the measure at the node, so each node does U_t = -(K_lead W + K_drag
-    vec(V_t)). ``laws`` is a memo of that operator per prefix, filled on
-    first use: pass one dict to several solves with the same model and rho
-    (any F and horizon) and each prefix's law is solved once. It changes no
-    result, and every solve records its own diagnostics. A caller passing
-    ``laws`` has checked rho complete on the levels the solve reads
-    (apply_N_adapted checks once for all its solves); without it the solve
-    checks, with a fresh memo.
+    vec(V_t)). ``laws`` is a memo of that operator per node, keyed by
+    (t, row), filled on first use: pass one dict to several solves with the
+    same model and rho (any F and horizon) and each prefix's law is solved
+    once. It changes no result, and every solve records its own
+    diagnostics. A caller passing ``laws`` has checked rho complete on the
+    levels the solve reads (apply_N_adapted checks once for all its
+    solves); without it the solve checks, with a fresh memo.
     """
     T = model.T if horizon is None else int(horizon)
     if laws is None:
-        if T >= 2:
-            rho.check_complete(model.m, range(1, T))
+        rho.check_complete(model.m, range(1, T))
         laws = {}
     c_mat = obs_matrix(model)
     R = risk_tensor(model)
     diagnostics: list[str] = []
 
-    def feedback(t, w, W, V):
-        law = laws.get(w)
+    def feedback(t, r, w, W, V):
+        law = laws.get((t, r))
         if law is None:
             nu = model.mu if t == 0 else np.asarray(rho.at(w), dtype=float)
-            law = laws[w] = _control_operator(model, c_mat, R, nu)
+            law = laws[t, r] = _control_operator(model, c_mat, R, nu)
         K_lead, K_drag, singular = law
         if singular:
             diagnostics.append(f"singular predictive covariance at t={t}, prefix={w}: minimum-norm control")
         return -(K_lead @ W + K_drag @ V.ravel())
 
-    Y_tree, V_tree, U_tree = _backward_sweep(model, F, T, feedback)
-    return DualTrajectory(
-        Y=AdaptedProcess(Y_tree),
-        V=AdaptedProcess(V_tree),
-        U=AdaptedProcess(U_tree),
-        horizon=T,
-        diagnostics=tuple(diagnostics),
-    )
+    Y, V, U = _backward_sweep(model, F, T, feedback)
+    return DualTrajectory(Y=Y, V=V, U=U, horizon=T, diagnostics=tuple(diagnostics))

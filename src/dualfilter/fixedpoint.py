@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapted import AdaptedProcess, Prefix, prefixes
+from .adapted import AdaptedProcess
 from .dual import estimator_values, solve_optimal
 from .hmm import HmmModel, drop_rounding_negatives, is_probability_vector, scalar_obs, validate_tokens
 from .oracle import forward_filter, next_token_prob
@@ -109,9 +109,13 @@ def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.nd
     rounding: k . 1 = 0 in exact arithmetic, so the constant function rides
     through each M_s with zero control, but in floating point each step
     adds about eps / (1 - nu(c)^2), which is large near the degenerate
-    branch (see ``step_law``). Component t only reads z_1..z_t, so the map
-    is causal. The step laws depend only on (rho, z), so they are built
-    once and shared by all T*d passes.
+    branch (see ``step_law``). The step laws depend only on (rho, z), so
+    they are built once and shared by all T*d passes.
+
+    The map is strictly causal: component t reads z_1..z_t and rho only at
+    times before t (step s uses rho_s, and step 0 uses mu). So rho_T never
+    matters, and if rho equals the filter at times < t, N(rho) equals it at
+    times <= t up to rounding: T applications from any start give the filter.
     """
     z = validate_tokens(z, model.m)
     T = len(z)
@@ -126,62 +130,59 @@ def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.nd
             f[j] = 1.0
             y0, controls = bde_solve(model, rho, z, t, f, laws=laws)
             out[t - 1, j] = float(model.mu @ y0) - float(controls.sum())
-    in_domain = np.array([is_probability_vector(out[i]) for i in range(T)])
-    return out, in_domain
+    return out, is_probability_vector(out)
 
 
-def apply_N_adapted(model: HmmModel, rho: AdaptedProcess) -> tuple[AdaptedProcess, dict[Prefix, bool]]:
+def apply_N_adapted(model: HmmModel, rho: AdaptedProcess) -> tuple[AdaptedProcess, AdaptedProcess]:
     """One application of the adapted-process map over the whole prefix tree.
 
     For each time t, the dual backward equation is solved on the horizon-t
     subproblem once per terminal indicator 1_{x=j}, with the feedback law
-    evaluated at rho (prior mu at the root); the time-t output at each
-    length-t prefix collects the estimator values. rho is checked complete
-    once, and the T*d solves share one memo of the feedback law per prefix
-    (see solve_optimal's ``laws``), so each prefix's predictive-covariance
-    system is solved once. Returns the output process and a per-prefix
-    domain flag.
+    evaluated at rho (prior mu at the root); level t of the output, a
+    ((m+1)^t, d) array, collects column j from the estimator values. rho is
+    checked complete once, and the T*d solves share one memo of the
+    feedback law per prefix (see solve_optimal's ``laws``), so each
+    prefix's predictive-covariance system is solved once. Returns the
+    output process and its domain flags, a process of bools, both with
+    levels 1..T.
+
+    Like the per-path map it is strictly causal: level t of the output
+    reads rho only at levels 1..t-1, so rho's level T never matters and T
+    applications from any start give the filter.
     """
     rho.check_complete(model.m, range(1, model.T))
     indicators = np.eye(model.d)
-    tree: dict[Prefix, np.ndarray] = {}
+    levels = [None]
     laws: dict = {}  # one feedback law per prefix, shared by all T*d solves
     for t in range(1, model.T + 1):
-        vals = {w: np.zeros(model.d) for w in prefixes(model.m, t)}
+        level = np.zeros(((model.m + 1) ** t, model.d))
         for j in range(model.d):
-            est = estimator_values(model, solve_optimal(model, rho, indicators[j], horizon=t, laws=laws))
-            for w in prefixes(model.m, t):
-                vals[w][j] = est[w]
-        tree.update(vals)
-    flags = {w: is_probability_vector(v) for w, v in tree.items()}
-    return AdaptedProcess(tree), flags
+            traj = solve_optimal(model, rho, indicators[j], horizon=t, laws=laws)
+            level[:, j] = estimator_values(model, traj).levels[t]
+        levels.append(level)
+    flags = [None, *(is_probability_vector(level) for level in levels[1:])]
+    return AdaptedProcess(model.m, tuple(levels)), AdaptedProcess(model.m, tuple(flags))
 
 
 def fixed_point_residual(model: HmmModel, rho, z=None, mode: str = "path") -> float:
     """Max-norm distance between rho and its image under the map.
 
     In path mode rho is a (T, d) array for the path z; in adapted mode rho
-    is the full prefix-tree process and z is ignored. Entries carrying a
-    zero measure (the zero-probability convention) are skipped in the
-    comparison.
+    is the full prefix-tree process, levels 1..T, and z is ignored. Entries
+    carrying a zero measure (the zero-probability convention) are skipped
+    in the comparison.
     """
     if mode == "path":
         rho = np.asarray(rho, dtype=float)
         out, _ = apply_N_path(model, rho, z)
-        keep = rho.sum(axis=1) != 0.0
-        if not keep.any():
-            return 0.0
-        return float(np.max(np.abs(out[keep] - rho[keep])))
-    if mode == "adapted":
-        out, _ = apply_N_adapted(model, rho)
-        worst = 0.0
-        for w, v in out.tree.items():
-            ref = np.asarray(rho.at(w), dtype=float)
-            if ref.sum() == 0.0:
-                continue
-            worst = max(worst, float(np.max(np.abs(v - ref))))
-        return worst
-    raise ValueError(f"mode must be 'path' or 'adapted', got {mode!r}")
+        pairs = [(out, rho)]
+    elif mode == "adapted":
+        out, _ = apply_N_adapted(model, rho.check_complete(model.m, range(1, model.T + 1)))
+        pairs = [(out.levels[t], np.asarray(rho.levels[t], dtype=float)) for t in range(1, model.T + 1)]
+    else:
+        raise ValueError(f"mode must be 'path' or 'adapted', got {mode!r}")
+    gaps = [np.abs(got - ref)[ref.sum(axis=1) != 0.0].ravel() for got, ref in pairs]
+    return float(np.max(np.concatenate(gaps), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,9 @@ def iterate(
 ) -> IterationTrace:
     """Apply the per-path map K times, recording residuals and KL diagnostics.
 
-    No convergence is asserted anywhere: this is an exploratory driver. The
-    default start is the uniform measure at every time. Rounding-level
+    The map is strictly causal (see ``apply_N_path``), so from any start,
+    K >= T applications give the filter up to rounding. The default start
+    is the uniform measure at every time. Rounding-level
     negative entries read as 0 (``drop_rounding_negatives``); iterates that
     leave the simplex beyond that are clipped at zero and renormalized (and
     flagged) so the iteration is total. Under the zero convention, times

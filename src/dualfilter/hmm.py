@@ -10,6 +10,7 @@ read-only use.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,14 @@ def check_probability_vector(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.nda
     return p
 
 
-def is_probability_vector(p: np.ndarray, tol: float = ROUNDING_TOL) -> bool:
-    """Non-raising membership test for P(S), used for domain flags."""
+def is_probability_vector(p: np.ndarray, tol: float = ROUNDING_TOL) -> bool | np.ndarray:
+    """Non-raising membership test for P(S), used for domain flags.
+
+    One vector gives a bool; a stack along the last axis gives a bool array of shape p.shape[:-1].
+    """
     p = np.asarray(p, dtype=float)
-    return bool(np.all(p >= -tol) and abs(p.sum() - 1.0) <= tol)
+    ok = np.all(p >= -tol, axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= tol)
+    return bool(ok) if p.ndim == 1 else ok
 
 
 def drop_rounding_negatives(p: np.ndarray) -> np.ndarray:
@@ -159,12 +164,21 @@ class HmmModel:
 
 
 def validate_tokens(z, m: int) -> tuple[int, ...]:
-    """Check every token lies in {0, ..., m}; returns the path as a tuple."""
-    z = tuple(int(t) for t in z)
+    """Check z is a sequence of integer-valued tokens in {0, ..., m}; returns it as a tuple of ints.
+
+    1.0 and numpy integers pass as the ints they equal; 1.5, '1' or a z that is not iterable raise ValueError.
+    """
+    try:
+        z = tuple(z)
+    except TypeError:
+        raise ValueError(f"observation path must be a sequence of tokens, got {z!r}") from None
     for i, tok in enumerate(z):
+        # plain ints, the common case, skip the slower abstract-class check
+        if type(tok) is not int and not (isinstance(tok, numbers.Real) and float(tok).is_integer()):
+            raise ValueError(f"token z_{i + 1} = {tok!r} is not an integer")
         if not 0 <= tok <= m:
-            raise ValueError(f"token z_{i + 1} = {tok} outside alphabet 0..{m}")
-    return z
+            raise ValueError(f"token z_{i + 1} = {int(tok)} outside alphabet 0..{m}")
+    return tuple(int(tok) for tok in z)
 
 
 def token_basis(m: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from .adapted import AdaptedProcess, prefixes
+from .adapted import AdaptedProcess
 from .hmm import HmmModel, check_probability_vector, validate_tokens
 
 # Default cap on d^(T+1) * (m+1)^(T+1) for exhaustive expectations: (m+1) times
@@ -66,9 +66,8 @@ def forward_filter(model: HmmModel, z, zero_convention: bool = False) -> np.ndar
 def filter_levels(model: HmmModel, T: int, zero_convention: bool = False) -> list[np.ndarray]:
     """The filter at every prefix of length 1..T, one array per level.
 
-    Level t is a ((m+1)^t, d) array whose row r is pi_t at the prefix whose
-    base-(m+1) digits are r: rows come in ``prefixes(m, t)`` order, and the
-    children of row r are rows r (m+1) + z. Each level is computed from the
+    Level t is a ((m+1)^t, d) array whose row r is pi_t at the prefix of
+    rank r (the level layout of ``adapted``). Each level is computed from the
     one above with forward_filter's arithmetic on the whole stack; the
     stacked ``A.T @ v`` runs the same product per vector, so every row
     equals forward_filter(model, prefix)[-1] to the bit. All levels together
@@ -107,15 +106,12 @@ def filter_levels(model: HmmModel, T: int, zero_convention: bool = False) -> lis
 def filter_process(model: HmmModel, T: int | None = None, zero_convention: bool = False) -> AdaptedProcess:
     """The filter as an adapted process: pi_t at every prefix of length 1..T.
 
-    The values are the rows of ``filter_levels``, keyed level by level.
+    Its levels 1..T are the arrays of ``filter_levels``; level 0 is absent.
     Zero-probability prefixes raise unless ``zero_convention``, in which
     case they carry the zero measure.
     """
     T = model.T if T is None else int(T)
-    tree = {}
-    for t, level in enumerate(filter_levels(model, T, zero_convention), start=1):
-        tree.update(zip(prefixes(model.m, t), level))
-    return AdaptedProcess(tree)
+    return AdaptedProcess(model.m, (None, *filter_levels(model, T, zero_convention)))
 
 
 def next_token_prob(model: HmmModel, pi: np.ndarray) -> np.ndarray:

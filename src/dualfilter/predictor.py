@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .adapted import AdaptedProcess, Prefix, prefix_string, parse_prefix, prefixes
+from .adapted import AdaptedProcess, prefix_string, prefixes
 from .hmm import HmmModel, decompose
 from .oracle import filter_levels, next_token_prob
 
@@ -32,8 +32,8 @@ class PredictorRepresentation:
     def to_dict(self) -> dict:
         pairs = []
         for t in range(self.T):
-            for w, val in self.weights.level_items(t):
-                pairs.append([prefix_string(w), np.asarray(val).tolist()])
+            rows = self.weights.levels[t].tolist()
+            pairs.extend([prefix_string(w), row] for w, row in zip(prefixes(self.m, t), rows))
         return {"constant": self.constant, "weights": pairs, "m": self.m, "T": self.T}
 
     def to_json(self) -> str:
@@ -41,13 +41,16 @@ class PredictorRepresentation:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PredictorRepresentation":
-        tree = {parse_prefix(k): np.asarray(v, dtype=float) for k, v in obj["weights"]}
-        return cls(
-            constant=float(obj["constant"]),
-            weights=AdaptedProcess(tree),
-            m=int(obj["m"]),
-            T=int(obj["T"]),
-        )
+        """Load ``to_dict``'s output; a prefix of length 0..T-1 missing, or any other prefix, raises ValueError."""
+        m, T = int(obj["m"]), int(obj["T"])
+        given = dict(obj["weights"])
+        names = [[prefix_string(w) for w in prefixes(m, t)] for t in range(T)]
+        odd = sorted(set(given).symmetric_difference(key for level in names for key in level))
+        if odd:
+            raise ValueError(f"weights must name each prefix of length 0..{T - 1} over the alphabet 0..{m} "
+                             f"and no other; {odd[0]!r} is {'extra' if odd[0] in given else 'missing'}")
+        levels = tuple(np.array([given[k] for k in level], dtype=float).reshape(len(level), m) for level in names)
+        return cls(constant=float(obj["constant"]), weights=AdaptedProcess(m, levels), m=m, T=T)
 
 
 def _check_target(target, m: int, T: int) -> np.ndarray:
@@ -73,11 +76,11 @@ def build_weights(target, m: int, T: int) -> PredictorRepresentation:
     level t-1 values. Reconstruction along every path is exact.
     """
     level = _check_target(target, m, T)
-    tree: dict[Prefix, np.ndarray] = {}
+    weights = [None] * T
     for t in range(T, 0, -1):
         level, tilde = decompose(level.reshape(-1, m + 1))
-        tree.update(zip(prefixes(m, t - 1), -tilde))
-    return PredictorRepresentation(constant=float(level[0]), weights=AdaptedProcess(tree), m=m, T=T)
+        weights[t - 1] = -tilde
+    return PredictorRepresentation(constant=float(level[0]), weights=AdaptedProcess(m, tuple(weights)), m=m, T=T)
 
 
 def represent_conditional(
@@ -108,10 +111,10 @@ def evaluate(rep: PredictorRepresentation, z):
     """constant - sum_t U_t(z_1..z_t)^T e(z_{t+1}) along one path or each row of a stack.
 
     z is one path (T,), which gives a float, or paths (N, T), which give an
-    (N,) array. Each level's weights are stacked in prefix-rank order and
-    gathered by the rank of every path's prefix. u^T e(z) is u_z for z >= 1
-    and u^T e(0) = -(u^T 1), taken as one (1, m) @ 1 product per row, so
-    every path gets the same bits as a per-path loop of dots with e(z).
+    (N,) array. Each level's weights are gathered by the rank of every
+    path's prefix. u^T e(z) is u_z for z >= 1 and u^T e(0) = -(u^T 1),
+    taken as one (1, m) @ 1 product per row, so every path gets the same
+    bits as a per-path loop of dots with e(z).
     """
     z = np.asarray(z)
     if z.ndim not in (1, 2):
@@ -129,7 +132,7 @@ def evaluate(rep: PredictorRepresentation, z):
     acc = np.full(n, rep.constant)
     rank = np.zeros(n, dtype=np.intp)
     for t in range(rep.T):
-        U = np.array([rep.weights.tree[w] for w in prefixes(rep.m, t)])[rank]
+        U = rep.weights.levels[t][rank]
         tok = toks[:, t]
         # acc - (-(u . 1)) is acc + u . 1 to the bit
         acc -= np.where(tok > 0, U[np.arange(n), tok - 1], -(U[:, None, :] @ ones)[:, 0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualfilter.adapted import AdaptedProcess
+from dualfilter.adapted import AdaptedProcess, prefixes
 from dualfilter.hmm import HmmModel, Spaces
 
 
@@ -42,9 +42,22 @@ def point_mass_model():
                       [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], 3)
 
 
+def from_tree(m, tree):
+    """The AdaptedProcess holding a prefix-keyed dict's values; each level present must be complete.
+
+    Tests that edit single prefixes edit ``proc.tree`` and rebuild with this.
+    """
+    depth = max((len(w) for w in tree), default=-1) + 1
+    return AdaptedProcess(m, tuple(
+        np.array([tree[w] for w in prefixes(m, t)]) if any(len(w) == t for w in tree) else None
+        for t in range(depth)
+    ))
+
+
 def random_measure_process(rng, model):
     """Probability vectors at every prefix of length 1..T-1: a rho that is not the filter."""
-    return AdaptedProcess.from_function(model.m, range(1, model.T), lambda _: rng.dirichlet(np.ones(model.d)))
+    levels = [rng.dirichlet(np.ones(model.d), size=(model.m + 1) ** t) for t in range(1, model.T)]
+    return AdaptedProcess(model.m, (None, *levels))
 
 
 def uninformative_model(rng, d, m, T):

@@ -65,16 +65,17 @@ def build_weights_lstsq(target, m: int, T: int) -> PredictorRepresentation:
     """
     level = {w: float(target[w]) for w in prefixes(m, T)}
     design = np.hstack([np.ones((m + 1, 1)), token_basis(m)])
-    tree = {}
+    weights = [None] * T
     for t in range(T, 0, -1):
-        next_level = {}
+        next_level, rows = {}, []
         for w in prefixes(m, t - 1):
             s = np.array([level[w + (z,)] for z in range(m + 1)])
             coef, *_ = np.linalg.lstsq(design, s, rcond=None)
-            tree[w] = -coef[1:]
+            rows.append(-coef[1:])
             next_level[w] = float(coef[0])
+        weights[t - 1] = np.array(rows)
         level = next_level
-    return PredictorRepresentation(constant=level[()], weights=AdaptedProcess(tree), m=m, T=T)
+    return PredictorRepresentation(constant=level[()], weights=AdaptedProcess(m, tuple(weights)), m=m, T=T)
 
 
 def optimal_feedback(model, y, v, rho) -> np.ndarray:
@@ -105,12 +106,12 @@ def total_cost(model, U, F) -> float:
 
 def mmse(model, F) -> float:
     """E|F(X_T) - pi_T(F)|^2: the best achievable squared error, from the oracle filter."""
-    term = dual._terminal_lookup(F, model.d, model.m, model.T)
+    term = AdaptedProcess(model.m, (None,) * model.T + (dual._terminal_level(F, model.d, model.m, model.T),))
     estimates = {}
 
     def h(x_path, z_path):
         if z_path not in estimates:
-            row = term(z_path)
+            row = term.at(z_path)
             estimates[z_path] = (row.tolist(), float(forward_filter(model, z_path)[-1] @ row))
         row, s = estimates[z_path]
         diff = row[x_path[-1]] - s

@@ -97,7 +97,7 @@ def test_criterion_03_duality_principle():
         model = random_model(rng, d, m, T)
         U = random_weight_process(rng, m, T)
         if i % 3 == 0:
-            F = AdaptedProcess({w: rng.standard_normal(d) for w in prefixes(m, T)})
+            F = AdaptedProcess(m, (None,) * T + (rng.standard_normal(((m + 1) ** T, d)),))
         else:
             F = rng.standard_normal(d)
         worst = max(worst, duality_report(model, U, F)["gap"])
@@ -124,9 +124,7 @@ def test_criterion_04_optimality():
         worst_mmse = max(worst_mmse, abs(J_opt - mmse(model, F)))
         for _ in range(50):
             bump = random_weight_process(rng, m, T, scale=float(rng.uniform(0.01, 1.0)))
-            U_pert = AdaptedProcess(
-                {w: np.asarray(traj.U.at(w)) + np.asarray(bump.at(w)) for w in bump.tree}
-            )
+            U_pert = AdaptedProcess(m, tuple(u + b for u, b in zip(traj.U.levels, bump.levels)))
             worst_gain = max(worst_gain, J_opt - total_cost(model, U_pert, F))
     ok = worst_mmse <= 1e-9 and worst_gain <= 1e-9
     report(

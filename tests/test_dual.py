@@ -17,7 +17,7 @@ from dualfilter.dual import (
 )
 from dualfilter.hmm import obs_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
-from conftest import make_model, random_measure_process, random_model, sparse_model, uninformative_model
+from conftest import from_tree, make_model, random_measure_process, random_model, sparse_model, uninformative_model
 from oracles import mmse, optimal_feedback, running_cost, total_cost
 
 
@@ -30,7 +30,7 @@ def old_feedback_system(model, rho):
     c = obs_matrix(model)
     R = risk_tensor(model)
 
-    def control(t, w, W, V):
+    def control(t, r, w, W, V):
         nu = node_measure(model, rho, w)
         dev = c - nu @ c
         G = np.linalg.pinv(np.einsum("x,xij->ij", nu, R), rcond=1e-10)
@@ -44,18 +44,20 @@ def old_feedback_system(model, rho):
     return control
 
 
+def zero_controls(model):
+    return AdaptedProcess(model.m, tuple(np.zeros(((model.m + 1) ** t, model.m)) for t in range(model.T)))
+
+
 def random_terminal(rng, model, path_dependent=False):
     if not path_dependent:
         return rng.standard_normal(model.d)
-    return AdaptedProcess(
-        {w: rng.standard_normal(model.d) for w in prefixes(model.m, model.T)}
-    )
+    return AdaptedProcess(model.m, (None,) * model.T + (rng.standard_normal(((model.m + 1) ** model.T, model.d)),))
 
 
 class TestSolveBsde:
     def test_constants_are_fixed_points(self, reference_model):
         model = reference_model
-        U = AdaptedProcess.from_function(model.m, range(model.T), lambda _: np.zeros(model.m))
+        U = zero_controls(model)
         traj = solve_bsde(model, U, np.full(model.d, 2.5))
         for t in range(model.T + 1):
             for w in prefixes(model.m, t):
@@ -68,7 +70,7 @@ class TestSolveBsde:
         model = random_model(rng, 3, 2, 1)
         u0 = rng.standard_normal(2)
         F = rng.standard_normal(3)
-        traj = solve_bsde(model, AdaptedProcess({(): u0}), F)
+        traj = solve_bsde(model, AdaptedProcess(2, (u0[None, :],)), F)
         c_mat = model.C[:, 1:] - model.C[:, :1]
         np.testing.assert_allclose(np.asarray(traj.V.at(())), np.zeros((3, 2)), atol=1e-15)
         np.testing.assert_allclose(traj.y0(), model.A @ F + c_mat @ u0, atol=1e-14)
@@ -83,7 +85,7 @@ class TestSolveBsde:
 
     def test_incomplete_control_rejected(self, reference_model):
         with pytest.raises(ValueError, match="incomplete"):
-            solve_bsde(reference_model, AdaptedProcess({(): np.zeros(1)}), np.zeros(2))
+            solve_bsde(reference_model, AdaptedProcess(1, (np.zeros((1, 1)),)), np.zeros(2))
 
     def test_terminal_vector_shape_rejected(self, rng, reference_model):
         U = random_weight_process(rng, reference_model.m, reference_model.T)
@@ -121,7 +123,7 @@ class TestRunningCost:
 class TestDuality:
     def test_zero_control_constant_terminal_costs_nothing(self, reference_model):
         model = reference_model
-        U = AdaptedProcess.from_function(model.m, range(model.T), lambda _: np.zeros(model.m))
+        U = zero_controls(model)
         F = np.full(model.d, 4.0)
         assert abs(total_cost(model, U, F)) <= 1e-13
         assert duality_report(model, U, F)["gap"] <= 1e-13
@@ -223,9 +225,7 @@ class TestSolveOptimal:
         J_opt = total_cost(model, traj.U, F)
         for _ in range(20):
             bump = random_weight_process(rng, model.m, model.T, scale=rng.uniform(0.01, 0.5))
-            U_pert = AdaptedProcess(
-                {w: np.asarray(traj.U.at(w)) + np.asarray(bump.at(w)) for w in bump.tree}
-            )
+            U_pert = AdaptedProcess(model.m, tuple(u + b for u, b in zip(traj.U.levels, bump.levels)))
             assert total_cost(model, U_pert, F) + 1e-9 >= J_opt
 
 
@@ -260,9 +260,8 @@ class TestPredictiveCovarianceLaw:
             traj = solve_optimal(model, rho, F)
             Y_old, V_old, U_old = _backward_sweep(model, F, T, old_feedback_system(model, rho))
             for t in range(T):
-                for w in prefixes(m, t):
-                    assert np.max(np.abs(np.asarray(traj.U.at(w)) - U_old[w])) <= 1e-14
-                    assert np.max(np.abs(np.asarray(traj.Y.at(w)) - Y_old[w])) <= 1e-14
+                assert np.max(np.abs(traj.U.levels[t] - U_old.levels[t])) <= 1e-14
+                assert np.max(np.abs(traj.Y.levels[t] - Y_old.levels[t])) <= 1e-14
 
     def test_predictive_covariance_is_risk_average_plus_lead(self, rng):
         # law of total covariance: Cov_p e(Z) = rho(R) + Cov_rho c(X), with p = rho C
@@ -284,9 +283,9 @@ class TestPredictiveCovarianceLaw:
         C = [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]]
         model = make_model(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3), size=3), C, 3)
         rho = random_measure_process(rng, model)
-        tree = dict(rho.tree)
+        tree = rho.tree
         tree[(1,)] = np.array([0.4, 0.6, 0.0])
-        rho = AdaptedProcess(tree)
+        rho = from_tree(model.m, tree)
         traj = solve_optimal(model, rho, rng.standard_normal(3))
         assert len(traj.diagnostics) == 1 and "t=1, prefix=(1,)" in traj.diagnostics[0]
 
@@ -309,9 +308,10 @@ class TestSuccessorSplit:
             d, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
             model = make_model(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d), size=d),
                                rng.dirichlet(np.ones(m + 1), size=d), 1)
-            Y_next = {(z,): rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3) for z in range(m + 1)}
-            succ = np.stack([model.A @ Y_next[(z,)] for z in range(m + 1)])
-            mean, V = _successor_split(model, Y_next, ())
+            row = int(rng.integers(3))
+            Y_next = rng.standard_normal((3 * (m + 1), d)) * 10.0 ** rng.uniform(-3, 3)
+            succ = np.stack([model.A @ Y_next[row * (m + 1) + z] for z in range(m + 1)])
+            mean, V = _successor_split(model, Y_next, row)
             assert mean.tobytes() == succ.mean(axis=0).tobytes()
             assert V.tobytes() == (succ[1:] - succ.mean(axis=0)).T.tobytes()
 
@@ -327,7 +327,7 @@ class TestEstimatorValues:
                 acc = float(model.mu @ traj.y0())
                 for s in range(2):
                     acc -= float(np.asarray(traj.U.at(w[:s])) @ E[w[s]])
-                assert vals[w] == acc
+                assert vals.at(w) == acc
 
 
 class TestEstimatorPath:
@@ -373,13 +373,12 @@ class TestAdaptedness:
         # the solution at that prefix bit-identical
         model = reference_model
         U = random_weight_process(rng, model.m, model.T)
-        F_tree = {w: rng.standard_normal(model.d) for w in prefixes(model.m, model.T)}
-        traj_a = solve_bsde(model, U, AdaptedProcess(dict(F_tree)))
-        bumped = dict(F_tree)
+        F_tree = random_terminal(rng, model, path_dependent=True).tree
+        traj_a = solve_bsde(model, U, from_tree(model.m, F_tree))
         for w in prefixes(model.m, model.T):
             if w[0] != 0:
-                bumped[w] = bumped[w] + rng.standard_normal(model.d)
-        traj_b = solve_bsde(model, U, AdaptedProcess(bumped))
+                F_tree[w] = F_tree[w] + rng.standard_normal(model.d)
+        traj_b = solve_bsde(model, U, from_tree(model.m, F_tree))
         for t in range(1, model.T):
             for w in prefixes(model.m, t):
                 if w[0] == 0:
@@ -413,15 +412,16 @@ class TestIntegrandsBitIdentical:
             else:
                 term = lambda z: F  # noqa: E731
             traj = solve_bsde(model, U, F)
-            tables = _running_cost_tables(model, traj)
+            tables = [AdaptedProcess(m, (None,) * (t + 1) + (table,))
+                      for t, table in enumerate(_running_cost_tables(model, traj))]
             est = estimator_values(model, traj)
             cache = {}
 
             def cost(x_path, z_path):
-                return sum(tables[t][z_path[: t + 1]][x_path[t]] for t in range(T))
+                return sum(tables[t].at(z_path[: t + 1])[x_path[t]] for t in range(T))
 
             def error(x_path, z_path):
-                diff = term(z_path)[x_path[-1]] - est[z_path]
+                diff = term(z_path)[x_path[-1]] - est.at(z_path)
                 return diff * diff
 
             def filter_error(x_path, z_path):

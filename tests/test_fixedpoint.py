@@ -21,6 +21,7 @@ from dualfilter.hmm import is_probability_vector, scalar_obs
 from dualfilter.oracle import filter_process, forward_filter, sample_path
 
 from conftest import (
+    from_tree,
     make_model,
     point_mass_model,
     random_measure_process,
@@ -331,7 +332,7 @@ class TestApplyNAdapted:
             for t in range(1, T + 1):
                 for w in prefixes(m, t):
                     assert np.max(np.abs(np.asarray(out.at(w)) - np.asarray(pi.at(w)))) <= 1e-10
-                    assert flags[w]
+                    assert flags.at(w)
 
     def test_mass_is_one_on_every_prefix(self, rng, reference_model):
         model = reference_model
@@ -360,12 +361,12 @@ class TestApplyNAdapted:
             est = [estimator_values(model, solve_optimal(model, pi, basis[:, j], horizon=t))
                    for j in range(model.d)]
             for w in prefixes(model.m, t):
-                v = np.array([e[w] for e in est])
+                v = np.array([e.at(w) for e in est])
                 np.testing.assert_allclose(np.linalg.solve(basis.T, v), np.asarray(out.at(w)), atol=1e-10)
 
 
 def apply_N_adapted_by_solves(model, rho, diagnostics=None):
-    """apply_N_adapted written as T*d independent solve_optimal calls, for comparison."""
+    """apply_N_adapted written as T*d independent solve_optimal calls, one prefix at a time, for comparison."""
     tree = {}
     for t in range(1, model.T + 1):
         vals = {w: np.zeros(model.d) for w in prefixes(model.m, t)}
@@ -375,16 +376,16 @@ def apply_N_adapted_by_solves(model, rho, diagnostics=None):
                 diagnostics.append(traj.diagnostics)
             est = estimator_values(model, traj)
             for w in prefixes(model.m, t):
-                vals[w][j] = est[w]
+                vals[w][j] = est.at(w)
         tree.update(vals)
     return tree, {w: is_probability_vector(v) for w, v in tree.items()}
 
 
 def assert_same_output(out, flags, ref_tree, ref_flags):
-    assert list(out.tree) == list(ref_tree)
+    assert list(out.tree) == list(ref_tree) == list(flags.tree)
     for w, v in ref_tree.items():
         assert out.at(w).tobytes() == v.tobytes(), w
-    assert flags == ref_flags
+        assert flags.at(w) == ref_flags[w], w
 
 
 class TestApplyNAdaptedSharedLaws:
@@ -413,9 +414,9 @@ class TestApplyNAdaptedSharedLaws:
         # token 2 is emitted only by state 2, and rho puts no mass there at prefix (1,)
         C = [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]]
         model = make_model(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3), size=3), C, 3)
-        tree = dict(random_measure_process(rng, model).tree)
+        tree = random_measure_process(rng, model).tree
         tree[(1,)] = np.array([0.4, 0.6, 0.0])
-        rho = AdaptedProcess(tree)
+        rho = from_tree(model.m, tree)
         ref_diag, got_diag = [], []
 
         def recording_solve(*args, **kwargs):
@@ -439,12 +440,11 @@ class TestApplyNAdaptedSharedLaws:
                                side_effect=AdaptedProcess.check_complete) as check:
             apply_N_adapted(model, pi)
         assert check.call_count == 1  # not once per solve
-        tree = dict(pi.tree)
-        del tree[(0, 1)]
+        without_level_2 = AdaptedProcess(model.m, (None, pi.levels[1], None, pi.levels[3]))
         for run in (lambda rho: apply_N_adapted(model, rho), lambda rho: solve_optimal(model, rho, np.ones(2))):
             with pytest.raises(ValueError) as err:
-                run(AdaptedProcess(tree))
-            assert str(err.value) == "adapted process incomplete at level 2: 3 of 4 prefixes present"
+                run(without_level_2)
+            assert str(err.value) == "adapted process incomplete: level 2 is absent"
 
     def test_forced_singular_systems_keep_per_solve_diagnostics(self, rng):
         model = random_model(rng, 3, 2, 3)
@@ -476,6 +476,59 @@ class TestApplyNAdaptedSharedLaws:
         assert 0 < flagged < solved  # some systems fell back, some did not
 
 
+class TestStrictCausality:
+    """Component t of N(rho) reads rho only before t, so T applications from any start give the filter."""
+
+    def test_last_row_of_rho_leaves_the_path_map_unchanged(self, rng):
+        for _ in range(20):
+            d, m, T = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            model = random_model(rng, d, m, T)
+            z = sample_path(model, rng)
+            rho = rng.dirichlet(np.ones(d), size=T)
+            other = rho.copy()
+            other[-1] = rng.standard_normal(d)
+            (a, flags_a), (b, flags_b) = apply_N_path(model, rho, z), apply_N_path(model, other, z)
+            assert a.tobytes() == b.tobytes() and flags_a.tolist() == flags_b.tolist()
+
+    def test_last_level_of_rho_leaves_the_adapted_map_unchanged(self, rng):
+        for _ in range(6):
+            d, m, T = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            model = random_model(rng, d, m, T)
+            rho = random_measure_process(rng, model)  # levels 1..T-1
+            outs = [apply_N_adapted(model, proc) for proc in (
+                rho,
+                AdaptedProcess(m, (*rho.levels, rng.dirichlet(np.ones(d), size=(m + 1) ** T))),
+                AdaptedProcess(m, (*rho.levels, rng.standard_normal(((m + 1) ** T, d)))),
+            )]
+            for t in range(1, T + 1):
+                assert len({out.levels[t].tobytes() for out, _ in outs}) == 1
+                assert len({flags.levels[t].tobytes() for _, flags in outs}) == 1
+
+    def test_T_path_map_applications_give_the_filter(self, rng):
+        for _ in range(40):
+            d, m, T = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            model = random_model(rng, d, m, T)
+            z = sample_path(model, rng)
+            pis = forward_filter(model, z)
+            rho = rng.dirichlet(np.ones(d), size=T)
+            for k in range(1, T + 1):
+                rho, _ = apply_N_path(model, rho, z)
+                assert np.max(np.abs(rho[:k] - pis[:k])) <= 1e-10  # exact up to time k after k steps
+            assert fixed_point_residual(model, rho, z) <= 1e-10
+
+    def test_T_adapted_map_applications_give_the_filter(self, rng):
+        for _ in range(10):
+            d, m, T = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            model = random_model(rng, d, m, T)
+            pi = filter_process(model)
+            rho = random_measure_process(rng, model)
+            for k in range(1, T + 1):
+                rho, _ = apply_N_adapted(model, rho)
+                for t in range(1, k + 1):
+                    assert np.max(np.abs(rho.levels[t] - pi.levels[t])) <= 1e-10
+            assert fixed_point_residual(model, rho, mode="adapted") <= 1e-10
+
+
 class TestFixedPointResidual:
     def test_filter_residual_tiny(self, reference_model):
         model = reference_model
@@ -500,6 +553,16 @@ class TestFixedPointResidual:
         rho = np.array([[0.9, 0.1]])
         out, _ = apply_N_path(model, rho, z)
         assert fixed_point_residual(model, out, z, mode="path") <= 1e-14
+
+    def test_path_mode_needs_a_path(self, reference_model):
+        rho = forward_filter(reference_model, (1, 1, 0))
+        with pytest.raises(ValueError, match="observation path must be a sequence of tokens, got None"):
+            fixed_point_residual(reference_model, rho)
+
+    def test_adapted_mode_needs_the_last_level(self, reference_model):
+        rho = random_measure_process(np.random.default_rng(0), reference_model)  # levels 1..T-1
+        with pytest.raises(ValueError, match="level 3 is absent"):
+            fixed_point_residual(reference_model, rho, mode="adapted")
 
     def test_unknown_mode(self, reference_model):
         with pytest.raises(ValueError, match="mode"):

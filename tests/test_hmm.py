@@ -16,6 +16,7 @@ from dualfilter.hmm import (
     risk_tensor,
     scalar_obs,
     token_basis,
+    validate_tokens,
 )
 
 from conftest import make_model, random_model, sparse_model
@@ -95,6 +96,43 @@ class TestRoundingNegatives:
     def test_domain_flag_uses_the_same_rule(self):
         assert is_probability_vector([0.5, 0.5 + ROUNDING_TOL, -ROUNDING_TOL])
         assert not is_probability_vector([0.5, 0.5 + 2 * ROUNDING_TOL, -2 * ROUNDING_TOL])
+
+    def test_domain_flag_takes_a_stack_along_the_last_axis(self, rng):
+        p = rng.dirichlet(np.ones(3), size=(4, 5))
+        p[1, 2] = [0.5, 0.6, -0.1]
+        p[3, 0] = [0.5, 0.5 + 2 * ROUNDING_TOL, 0.0]
+        p[2, 4] = [0.5, 0.5 + ROUNDING_TOL, -ROUNDING_TOL]
+        flags = is_probability_vector(p)
+        assert flags.shape == (4, 5) and flags.dtype == bool
+        assert flags.tolist() == [[is_probability_vector(row) for row in block] for block in p]
+        assert flags.sum() == 18
+        assert is_probability_vector(p[0, 0]) is True
+
+
+class TestValidateTokens:
+    def test_integer_valued_tokens_read_as_ints(self):
+        got = validate_tokens([1, 1.0, np.int64(2), np.float64(0.0), True], 2)
+        assert got == (1, 1, 2, 0, 1) and all(type(tok) is int for tok in got)
+        assert validate_tokens(np.array([2, 0]), 2) == (2, 0)
+        assert validate_tokens(iter([]), 2) == ()
+
+    @pytest.mark.parametrize("z, text", [
+        ([0, 1.5], "token z_2 = 1.5 is not an integer"),
+        ([0.9, 1.2], "token z_1 = 0.9 is not an integer"),
+        (["1"], "token z_1 = '1' is not an integer"),
+        ("10", "token z_1 = '1' is not an integer"),
+        ([float("nan")], "token z_1 = nan is not an integer"),
+        ([float("inf")], "token z_1 = inf is not an integer"),
+        ([None], "token z_1 = None is not an integer"),
+        ([1, 3], "token z_2 = 3 outside alphabet 0..2"),
+        ([-1.0], "token z_1 = -1 outside alphabet 0..2"),
+        (None, "observation path must be a sequence of tokens, got None"),
+        (5, "observation path must be a sequence of tokens, got 5"),
+    ])
+    def test_rejects_what_is_not_a_token_path(self, z, text):
+        with pytest.raises(ValueError) as err:
+            validate_tokens(z, 2)
+        assert str(err.value) == text
 
 
 class TestCheckProbabilityVector:

@@ -60,6 +60,10 @@ class TestForwardFilter:
         for t in range(1, len(z) + 1):
             np.testing.assert_array_equal(forward_filter(reference_model, z[:t]), full[:t])
 
+    def test_non_integer_tokens_are_rejected_not_truncated(self, reference_model):
+        with pytest.raises(ValueError, match="token z_1 = 0.9 is not an integer"):
+            forward_filter(reference_model, [0.9, 1.2])
+
     def test_impossible_prefix_names_time(self):
         model = make_model([1.0, 0.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]], 2)
         with pytest.raises(ImpossibleObservationError) as err:

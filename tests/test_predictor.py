@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,25 @@ class TestSerialization:
         for t in range(rep.T):
             for w in prefixes(rep.m, t):
                 np.testing.assert_array_equal(clone.weights.at(w), rep.weights.at(w))
+
+    def test_json_round_trip_is_byte_identical(self, rng):
+        for d, m, T in [(2, 1, 1), (3, 2, 3), (2, 3, 2)]:
+            rep = represent_conditional(random_model(rng, d, m, T), 1)
+            assert PredictorRepresentation.from_dict(json.loads(rep.to_json())).to_json() == rep.to_json()
+        empty = represent_conditional(random_model(rng, 2, 1, 1), 0, T=0)
+        assert PredictorRepresentation.from_dict(empty.to_dict()).to_json() == empty.to_json()
+
+    @pytest.mark.parametrize("edit, name, how", [
+        (lambda pairs: pairs[:-1], "1", "missing"),
+        (lambda pairs: pairs[1:], "", "missing"),
+        (lambda pairs: pairs + [["2", [0.0]]], "2", "extra"),
+        (lambda pairs: pairs + [["0.1", [0.0]]], "0.1", "extra"),
+    ])
+    def test_loading_rejects_incomplete_or_foreign_weights(self, rng, edit, name, how):
+        obj = represent_conditional(random_model(rng, 2, 1, 2), 0).to_dict()
+        obj["weights"] = edit(obj["weights"])
+        with pytest.raises(ValueError) as err:
+            PredictorRepresentation.from_dict(obj)
+        assert str(err.value) == (
+            f"weights must name each prefix of length 0..1 over the alphabet 0..1 and no other; {name!r} is {how}"
+        )
