@@ -5,13 +5,14 @@ driven by the scalar observation signal 2 C(x, z_t) - 1, and an
 adapted-process form driven by the dual-control feedback law. Both send a
 candidate measure sequence rho to the sequence of estimator values obtained
 by solving a backward equation per basis function; the exact filter is a
-fixed point. Both normalize by a predictive covariance: the adapted form
-solves its feedback law in Sigma_p = rho(R) + lead(c), the covariance of the
-embedded next token e(Z) under p = rho C (law of total covariance, since
-c(x) is the conditional mean of e(Z) given X = x), and for m = 1 this is
-1 - rho(c)^2, the per-path form's denominator. The two maps still differ off
-the fixed point, so neither is a special case of the other; both have the
-filter as a fixed point.
+fixed point. Both normalize by the predictive covariance of the next
+token: the adapted form solves its feedback law in Sigma_p = rho(R) +
+lead(c), the covariance of the embedded next token e(Z) under p = rho C
+(law of total covariance, since c(x) is the conditional mean of e(Z) given
+X = x); for m = 1 this is 4 p_0 p_1, the per-path form's denominator. Both
+call a step degenerate when a predictive probability is at or below
+PRED_PROB_TOL. The two maps still differ off the fixed point, so neither is
+a special case of the other; both have the filter as a fixed point.
 """
 
 from __future__ import annotations
@@ -21,53 +22,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapted import AdaptedProcess
-from .dual import estimator_values, solve_optimal
-from .hmm import HmmModel, drop_rounding_negatives, is_probability_vector, scalar_obs, validate_tokens
+from .dual import PRED_PROB_TOL, estimator_values, solve_optimal
+from .hmm import HmmModel, drop_rounding_negatives, is_probability_vector, validate_tokens
 from .oracle import forward_filter, next_token_prob
 
-# |1 - nu(c)^2| at or below this is treated as the degenerate branch (control 0).
-DEGENERATE_TOL = 1e-12
 
-
-def step_law(A: np.ndarray, nu: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def step_law(A: np.ndarray, nu: np.ndarray, col: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The step's feedback gain k and closed-loop transition M = A + c k^T.
 
-    The scalar control -nu((A y)(c - nu(c))) / (1 - nu(c)^2) is linear in y,
-    so it is u = k . y with k = -A^T (nu * (c - nu(c))) / (1 - nu(c)^2), and
-    the backward step y -> A y + c u is the one matrix M. Since A 1 = 1 and
-    nu(c - nu(c)) = 0, k . 1 = 0 in exact arithmetic: the constant function
-    rides through with zero control. In floating point |k . 1| is rounding
-    divided by 1 - nu(c)^2, about eps / (1 - nu(c)^2), so it grows near the
-    degenerate branch. Returns None (the degenerate branch, control 0,
-    M = A) when |1 - nu(c)^2| is at or below ``DEGENERATE_TOL``.
+    col = C(., z) is the observed token's emission column, rest the sum of
+    C's other columns, and c = 2 col - 1 the scalar signal. The control
+    -nu((A y)(c - nu(c))) / (1 - nu(c)^2) is linear in y, so it is u = k . y
+    and the backward step y -> A y + c u is the one matrix M. In the
+    predictive probabilities p = nu(col) and q = nu(rest), 1 - nu(c)^2 =
+    4 p q (Sigma_p at m = 1) and nu (c - nu(c)) = 2 nu (col - p) =
+    -2 nu (rest - q), so k = -A^T (nu (col - p)) / (2 p q), or, when q < p,
+    the equal A^T (nu (rest - q)) / (2 p q), so it never subtracts a p or q
+    near 1. Since A 1 = 1, k . 1 = 0 to a few eps: the constant function
+    rides through with zero control. The step is degenerate when
+    min(|p|, |q|) <= PRED_PROB_TOL, the adapted map's rule on the simplex
+    (see dual._control_operator; the absolute values keep signed measures
+    of mass 1 off that branch); then k = 0 and M is A itself.
     """
-    nu = np.asarray(nu, dtype=float)
-    c = np.asarray(c, dtype=float)
-    nc = float(nu @ c)
-    denom = 1.0 - nc * nc
-    if abs(denom) <= DEGENERATE_TOL:
-        return None
-    k = -(A.T @ (nu * (c - nc))) / denom
-    return k, A + np.outer(c, k)
+    p, q = float(nu @ col), float(nu @ rest)
+    if min(abs(p), abs(q)) <= PRED_PROB_TOL:
+        return np.zeros(len(nu)), A
+    if p <= q:
+        k = -(A.T @ (nu * (col - p))) / (2.0 * p * q)
+    else:
+        k = (A.T @ (nu * (rest - q))) / (2.0 * p * q)
+    return k, A + np.outer(2.0 * col - 1.0, k)
 
 
-def scalar_feedback(law: tuple[np.ndarray, np.ndarray] | None, y: np.ndarray) -> float:
-    """Scalar control k . y under a ``step_law``; 0 when degenerate."""
-    if law is None:
-        return 0.0
-    return float(law[0] @ y)
+def scalar_feedback(k: np.ndarray, y: np.ndarray) -> float:
+    """Scalar control k . y under a ``step_law`` gain."""
+    return float(k @ y)
 
 
-def path_laws(model: HmmModel, rho: np.ndarray, z, t: int) -> list:
-    """(M_s, step law) for the backward steps s = 0..t-1 on the validated path z.
+def path_laws(model: HmmModel, rho: np.ndarray, z, t: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``step_law``'s (k_s, M_s) for the backward steps s = 0..t-1 on the validated path z.
 
     The law at step s >= 1 is taken at rho_s (row s-1 of rho) and at step 0
-    at the prior mu, with the observation signal c_{s+1} = 2 C(., z_{s+1}) - 1.
-    M_s is the law's closed-loop transition, or A on the degenerate branch.
+    at the prior mu, with the observed token z_{s+1}. Each token's column
+    and rest sum are built once.
     """
-    obs = [scalar_obs(model, tok) for tok in range(model.m + 1)]
-    laws = [step_law(model.A, model.mu if s == 0 else rho[s - 1], obs[z[s]]) for s in range(t)]
-    return [(model.A if law is None else law[1], law) for law in laws]
+    C = model.C
+    cols = [(C[:, tok], np.delete(C, tok, axis=1).sum(axis=1)) for tok in range(model.m + 1)]
+    return [step_law(model.A, model.mu if s == 0 else rho[s - 1], *cols[z[s]]) for s in range(t)]
 
 
 def bde_solve(model: HmmModel, rho: np.ndarray, z, t: int, f: np.ndarray, *, laws: list | None = None):
@@ -93,8 +94,8 @@ def bde_solve(model: HmmModel, rho: np.ndarray, z, t: int, f: np.ndarray, *, law
     y = np.asarray(f, dtype=float)
     controls = np.zeros(t)
     for s in range(t - 1, -1, -1):
-        M, law = laws[s]
-        controls[s] = scalar_feedback(law, y)
+        k, M = laws[s]
+        controls[s] = scalar_feedback(k, y)
         y = M @ y
     return y, controls
 
@@ -105,12 +106,11 @@ def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.nd
     For each time t and each basis function 1_{x=j}, the backward pass gives
     rho_plus_t(j) = mu(y_0) - sum_{s<t} u_s. Returns (rho_plus, in_domain)
     where in_domain[t-1] says whether rho_plus_t is a probability vector;
-    leaving the domain is a flag, not an error. Mass is preserved up to
-    rounding: k . 1 = 0 in exact arithmetic, so the constant function rides
-    through each M_s with zero control, but in floating point each step
-    adds about eps / (1 - nu(c)^2), which is large near the degenerate
-    branch (see ``step_law``). The step laws depend only on (rho, z), so
-    they are built once and shared by all T*d passes.
+    leaving the domain is a flag, not an error. Mass is preserved to a few
+    eps per step: k . 1 = 0 up to rounding, so the constant function rides
+    through each M_s with zero control (see ``step_law``). The step laws
+    depend only on (rho, z), so they are built once and shared by all T*d
+    passes.
 
     The map is strictly causal: component t reads z_1..z_t and rho only at
     times before t (step s uses rho_s, and step 0 uses mu). So rho_T never

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from dualfilter import fixedpoint
 from dualfilter.adapted import AdaptedProcess, prefixes
-from dualfilter.dual import estimator_values, solve_optimal
+from dualfilter.dual import PRED_PROB_TOL, _control_operator, estimator_values, solve_optimal
 from dualfilter.fixedpoint import (
     apply_N_adapted,
     apply_N_path,
@@ -17,7 +18,7 @@ from dualfilter.fixedpoint import (
     scalar_feedback,
     step_law,
 )
-from dualfilter.hmm import is_probability_vector, scalar_obs
+from dualfilter.hmm import is_probability_vector, obs_matrix, risk_tensor, scalar_obs
 from dualfilter.oracle import filter_process, forward_filter, sample_path
 
 from conftest import (
@@ -31,19 +32,29 @@ from conftest import (
 )
 
 
+def token_columns(model, z):
+    """C(., z) and the sum of C's other columns, added one by one."""
+    rest = sum(model.C[:, tok] for tok in range(model.m + 1) if tok != z)
+    return model.C[:, z], rest
+
+
+def token_law(model, nu, z):
+    return step_law(model.A, nu, *token_columns(model, z))
+
+
 class TestScalarFeedback:
     def test_constant_function_gives_zero(self, rng, reference_model):
         model = reference_model
         nu = rng.dirichlet(np.ones(model.d))
-        c = scalar_obs(model, 1)
-        assert abs(scalar_feedback(step_law(model.A, nu, c), np.full(model.d, 2.0))) <= 1e-14
+        k, _ = token_law(model, nu, 1)
+        assert abs(scalar_feedback(k, np.full(model.d, 2.0))) <= 1e-14
 
     def test_degenerate_branch(self):
-        # a token emitted surely by every state drives nu(c) to 1
+        # a token emitted surely by every state: p = 1 and q = 0
         model = make_model([0.5, 0.5], np.eye(2), [[0.0, 1.0], [0.0, 1.0]], 1)
-        c = scalar_obs(model, 1)
-        np.testing.assert_array_equal(c, [1.0, 1.0])
-        assert scalar_feedback(step_law(model.A, np.array([0.3, 0.7]), c), np.array([1.0, -2.0])) == 0.0
+        k, M = token_law(model, np.array([0.3, 0.7]), 1)
+        assert np.all(k == 0.0) and M is model.A
+        assert scalar_feedback(k, np.array([1.0, -2.0])) == 0.0
 
     def test_against_independent_transcription(self, rng):
         model = random_model(rng, 3, 1, 1)
@@ -52,7 +63,7 @@ class TestScalarFeedback:
         c = scalar_obs(model, 1)
         nc = sum(nu[x] * c[x] for x in range(3))
         expect = -sum(nu[x] * (model.A[x] @ f) * (c[x] - nc) for x in range(3)) / (1 - nc**2)
-        assert abs(scalar_feedback(step_law(model.A, nu, c), f) - expect) <= 1e-14
+        assert abs(scalar_feedback(token_law(model, nu, 1)[0], f) - expect) <= 1e-14
 
 
 class TestBdeSolve:
@@ -70,7 +81,7 @@ class TestBdeSolve:
         z = (1, 0, 1)
         y0, controls = bde_solve(model, rho, z, 1, f)
         c1 = scalar_obs(model, z[0])
-        u0 = scalar_feedback(step_law(model.A, model.mu, c1), f)
+        u0 = scalar_feedback(token_law(model, model.mu, z[0])[0], f)
         assert controls.shape == (1,)
         assert controls[0] == u0
         np.testing.assert_allclose(y0, model.A @ f + c1 * u0, atol=1e-14)
@@ -88,7 +99,7 @@ class TestBdeSolve:
             c = 2.0 * model.C[:, z[s]] - 1.0
             nu = model.mu if s == 0 else rho[s - 1]
             nc = nu @ c
-            u = 0.0 if abs(1 - nc**2) <= 1e-12 else -(nu @ ((model.A @ y) * (c - nc))) / (1 - nc**2)
+            u = -(nu @ ((model.A @ y) * (c - nc))) / (1 - nc**2)
             y = model.A @ y + c * u
             expect[s] = u
         np.testing.assert_allclose(controls, expect, atol=1e-14)
@@ -147,23 +158,27 @@ class TestApplyNPath:
 def bde_solve_per_call(model, rho, z, t, f):
     """The backward pass with the closed-loop law recomputed at every step, for comparison.
 
-    nu(c), 1 - nu(c)^2, the gain k and the transition M = A + c k^T are
-    rebuilt at each step; the degenerate branch steps with A and control 0.
+    The predictive probabilities p = nu(C(., z)) and q = nu(rest), the gain
+    k in whichever difference is taken away from 1, and the transition
+    M = A + c k^T are rebuilt at each step; a step with min(|p|, |q|) at or
+    below PRED_PROB_TOL steps with A and control 0.
     """
     y = np.asarray(f, dtype=float)
     controls = np.zeros(t)
     for s in range(t - 1, -1, -1):
-        c = scalar_obs(model, z[s])
+        col, rest = token_columns(model, z[s])
         nu = model.mu if s == 0 else rho[s - 1]
-        nc = float(nu @ c)
-        denom = 1.0 - nc * nc
-        if abs(denom) <= fixedpoint.DEGENERATE_TOL:
+        p, q = float(nu @ col), float(nu @ rest)
+        if min(abs(p), abs(q)) <= PRED_PROB_TOL:
             controls[s] = 0.0
             y = model.A @ y
             continue
-        k = -(model.A.T @ (nu * (c - nc))) / denom
+        if p <= q:
+            k = -(model.A.T @ (nu * (col - p))) / (2.0 * p * q)
+        else:
+            k = (model.A.T @ (nu * (rest - q))) / (2.0 * p * q)
         controls[s] = float(k @ y)
-        y = (model.A + np.outer(c, k)) @ y
+        y = (model.A + np.outer(scalar_obs(model, z[s]), k)) @ y
     return y, controls
 
 
@@ -218,10 +233,10 @@ class TestApplyNPathSharedLaws:
         assert zero_rows > 0
 
     def test_degenerate_branch(self, rng):
-        # token 1 is emitted surely by every state: c = 1 and nu(c) = 1 at every step
+        # token 1 is emitted surely by every state: q = 0 at every step
         model = make_model([0.3, 0.7], [[0.6, 0.4], [0.2, 0.8]], [[0.0, 1.0], [0.0, 1.0]], 5)
         z = (1, 1, 1, 1, 1)
-        assert all(law is None for _, law in path_laws(model, forward_filter(model, z), z, 5))
+        assert all(np.all(k == 0.0) and M is model.A for k, M in path_laws(model, forward_filter(model, z), z, 5))
         self.assert_same_map(model, forward_filter(model, z), z)
         self.assert_same_map(model, rng.dirichlet(np.ones(2), size=5), z)
 
@@ -250,19 +265,21 @@ class TestClosedLoopStep:
     """Each closed-loop step (u = k . y, then M y) is the paper's step y -> A y + c u."""
 
     def assert_paper_steps(self, rng, model, rho, z):
-        for s, (M, law) in enumerate(path_laws(model, rho, z, len(z))):
+        eps = np.finfo(float).eps
+        for s, (k, M) in enumerate(path_laws(model, rho, z, len(z))):
             nu = model.mu if s == 0 else rho[s - 1]
             c = scalar_obs(model, z[s])
             y = rng.standard_normal(model.d)
-            u = scalar_feedback(law, y)
+            u = scalar_feedback(k, y)
             Ay = model.A @ y
-            nc = sum(nu[x] * c[x] for x in range(model.d))
-            if abs(1 - nc**2) <= fixedpoint.DEGENERATE_TOL:
-                assert law is None and u == 0.0
+            p = sum(nu[x] * model.C[x, z[s]] for x in range(model.d))
+            if min(abs(p), abs(nu.sum() - p)) <= PRED_PROB_TOL:
+                assert np.all(k == 0.0) and M is model.A and u == 0.0
             else:
+                nc = sum(nu[x] * c[x] for x in range(model.d))
                 expect = -sum(nu[x] * Ay[x] * (c[x] - nc) for x in range(model.d)) / (1 - nc**2)
                 assert abs(u - expect) <= 1e-14
-                assert abs(law[0] @ np.ones(model.d)) <= 1e-14
+                assert abs(k @ np.ones(model.d)) <= 4 * model.d * eps
             assert np.max(np.abs(M @ y - (Ay + c * u))) <= 1e-14
 
     def test_random_models(self, rng):
@@ -288,28 +305,76 @@ class TestClosedLoopStep:
         model = make_model([0.3, 0.7], [[0.6, 0.4], [0.2, 0.8]], [[0.0, 1.0], [0.0, 1.0]], 5)
         z = (1, 1, 1, 1, 1)
         laws = path_laws(model, forward_filter(model, z), z, 5)
-        assert all(law is None and M is model.A for M, law in laws)
+        assert all(np.all(k == 0.0) and M is model.A for k, M in laws)
         self.assert_paper_steps(rng, model, rng.dirichlet(np.ones(2), size=5), z)
 
-    def test_gain_sums_to_zero_only_to_rounding_over_the_denominator(self, rng):
-        # nu close to a point mass on a state whose emission is a point mass: 1 - nu(c)^2 is
-        # small, and k . 1 = 0 holds only to about eps / (1 - nu(c)^2)
+    def test_gain_sums_to_zero_to_a_few_eps(self, rng):
+        # nu close to a point mass on a state whose emission is a point mass: one predictive
+        # probability is small, yet k . 1 = 0 holds to rounding with no 1 / (p q) growth
         eps = np.finfo(float).eps
-        above_absolute = 0
+        smallest = 1.0
         for _ in range(200):
             d, m = int(rng.integers(2, 9)), int(rng.integers(1, 3))
             model = sparse_model(rng, d, m, 1)
-            c = scalar_obs(model, int(rng.integers(m + 1)))
-            x = int(np.argmax(np.abs(c)))
+            z = int(rng.integers(m + 1))
+            x = int(np.argmax(np.abs(scalar_obs(model, z))))
             for e in 10.0 ** -rng.uniform(1, 11, 3):
                 nu = (1 - e) * np.eye(d)[x] + e * rng.dirichlet(np.ones(d))
-                law = step_law(model.A, nu, c)
-                if law is None:
-                    continue
-                gain_sum = abs(law[0] @ np.ones(d))
-                assert gain_sum <= 4 * d * eps / (1 - float(nu @ c) ** 2)
-                above_absolute += gain_sum > 1e-14
-        assert above_absolute > 0  # the sweep met sums the absolute 1e-14 above does not bound
+                k, _ = token_law(model, nu, z)
+                assert abs(k @ np.ones(d)) <= 4 * d * eps
+                if np.any(k != 0.0):
+                    p = float(nu @ model.C[:, z])
+                    smallest = min(smallest, p, 1 - p)
+        assert smallest < 1e-9  # the sweep reached steps close to the degenerate branch
+
+    def test_gain_matches_exact_arithmetic_near_degenerate(self, rng):
+        # every state emits z with probability within 2^-30..2^-10 of 0 (or of 1), so one
+        # predictive probability is small; A, C and nu are dyadic and exactly normalized
+        def dyadic_simplex(n, bits):
+            cuts = np.sort(rng.integers(0, 2**bits + 1, n - 1))
+            return np.diff(np.concatenate([[0], cuts, [2**bits]])) / 2.0**bits
+
+        smallest = 1.0
+        for _ in range(200):
+            d, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            z = int(rng.integers(m + 1))
+            near = 2.0 ** -rng.integers(10, 31, d)
+            high = rng.random() < 0.5
+            others = np.array([dyadic_simplex(m, 16) for _ in range(d)]) * (near if high else 1 - near)[:, None]
+            C = np.insert(others, z, 1 - near if high else near, axis=1)
+            model = make_model(dyadic_simplex(d, 20), [dyadic_simplex(d, 20) for _ in range(d)], C, 1)
+            nu = dyadic_simplex(d, 30)
+            assert all(sum(map(Fraction, row)) == 1 for row in [*C, nu])
+            k, _ = token_law(model, nu, z)
+            # the paper's gain -A^T (nu (c - nu(c))) / (1 - nu(c)^2), in rationals
+            c = [2 * Fraction(v) - 1 for v in C[:, z]]
+            nc = sum(Fraction(nu[x]) * c[x] for x in range(d))
+            v = [Fraction(nu[x]) * (c[x] - nc) for x in range(d)]
+            exact = [-sum(Fraction(model.A[x, j]) * v[x] for x in range(d)) / (1 - nc * nc) for j in range(d)]
+            scale = max(abs(g) for g in exact)
+            assert max(abs(Fraction(k[j]) - exact[j]) for j in range(d)) <= Fraction(1e-12) * scale
+            smallest = min(smallest, float((1 - nc * nc) / 4))
+        assert smallest < 1e-6  # p q: the old form 1 - nu(c)^2 loses about eps / (p q) here
+
+    def test_one_degeneracy_rule_with_the_adapted_map(self, rng):
+        # m = 1: step_law is degenerate exactly when the adapted law's Sigma_p = 4 p_0 p_1 is singular
+        cases = {True: 0, False: 0}
+        for _ in range(30):
+            d = int(rng.integers(2, 6))
+            C = rng.dirichlet(np.ones(2), size=d)
+            C[0] = [1.0, 0.0] if rng.random() < 0.5 else [0.0, 1.0]  # state 0 emits one token surely
+            C[1] = [0.5, 0.5]
+            model = make_model(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d), size=d), C, 1)
+            c_mat, R = obs_matrix(model), risk_tensor(model)
+            for e in (0.0, 1e-16, 1e-14, 1e-12, 1e-10, 1e-6, 0.5):
+                # the smaller predictive probability is e / 2: clearly below or above PRED_PROB_TOL
+                nu = (1 - e) * np.eye(d)[0] + e * np.eye(d)[1]
+                singular = _control_operator(model, c_mat, R, nu)[2]
+                for z in (0, 1):
+                    k, M = token_law(model, nu, z)
+                    assert (np.all(k == 0.0) and M is model.A) == singular
+                cases[singular] += 1
+        assert min(cases.values()) > 0
 
     def test_long_horizon_filter_is_fixed_point(self, rng):
         # d T (T + 1) / 2 = 20,200 closed-loop steps
@@ -516,6 +581,23 @@ class TestStrictCausality:
                 assert np.max(np.abs(rho[:k] - pis[:k])) <= 1e-10  # exact up to time k after k steps
             assert fixed_point_residual(model, rho, z) <= 1e-10
 
+    def test_sparse_paths_under_the_zero_convention(self, rng):
+        # start uniform and project back to the simplex as iterate does; after k applications
+        # the possible rows at times <= k match the filter
+        impossible = 0
+        for _ in range(40):
+            d, m, T = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            model = sparse_model(rng, d, m, T)
+            z = random_path(rng, model)
+            pis = forward_filter(model, z, zero_convention=True)
+            possible = pis.sum(axis=1) > 0.0
+            impossible += int((~possible).sum())
+            trace = iterate(model, z, K=T, zero_convention=True)
+            for k in range(1, T + 1):
+                rows = possible & (np.arange(T) < k)
+                assert np.max(np.abs(trace.iterates[k][rows] - pis[rows]), initial=0.0) <= 1e-10
+        assert impossible > 0
+
     def test_T_adapted_map_applications_give_the_filter(self, rng):
         for _ in range(10):
             d, m, T = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
@@ -624,6 +706,16 @@ class TestIterate:
         trace = iterate(model, z, K=2)
         assert trace.iterates.min() == 0.0 and not trace.projected.any()
         assert np.array_equal(trace.iterates[1], np.where(raw < 0.0, 0.0, raw))
+
+    def test_impossible_times_keep_their_mass_under_zero_convention(self):
+        # token 1 is never emitted, so z_10 makes times 10 and 11 impossible; the map still
+        # preserves each row's mass, so projection never leaves a zero row for next_token_prob
+        model = make_model([1.0, 0.0], [[0.31372608573215877, 0.6862739142678413], [0.0, 1.0]],
+                           [[0.06408592081455812, 0.0, 0.888178865351324, 0.04773521383411797],
+                            [0.2449533579787974, 0.0, 0.00890394533834512, 0.7461426966828575]], 11)
+        trace = iterate(model, (3, 2, 3, 0, 3, 2, 3, 2, 3, 1, 2), K=11, zero_convention=True)
+        np.testing.assert_allclose(trace.iterates.sum(axis=2), 1.0, atol=1e-12)
+        assert np.all(np.isfinite(trace.kl_per_iter))
 
     def test_impossible_path_under_zero_convention(self):
         model = make_model([1.0, 0.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]], 2)

@@ -50,12 +50,12 @@ CASES = [
         "next_token_probs.csv": "eda4f2b419cbb99adaf46465e49b65920f5cbb3109208bc5e35b2d4b0dce51ed",
     }),
     ("fixedpoint-path", ["fixedpoint", "--model", "dense.json", "--path", "1.2.0", "--iterations", "2"], 0, {
-        "iteration_trace.csv": "3bbb1984e5d06b8badff3f03b7b4ebbb11e468789624f674cd83798798407c1f",
+        "iteration_trace.csv": "ea0ce11c45781a7f20ba4edf381bb7d32b9179244ce9603c83369a5a4c6ba88a",
         "residual_report.json": "ef9ca470e97aae0e210db93217eebff5f0834fe7468aeec52ceecc3be91b9e50",
     }),
     ("fixedpoint-adapted", ["fixedpoint", "--model", "dense.json", "--mode", "adapted", "--path", "0.1.2",
                             "--iterations", "2"], 0, {
-        "iteration_trace.csv": "ee3dd527e51516a9c66858b1564de7b653297025b80e2c5bda5de40a623879d4",
+        "iteration_trace.csv": "68d27f082c6fbf0532d5d99b315be387ad0432a7b72d8993e704e10c67b6b4b7",
         "residual_report.json": "4f1a3f0ae9a268c1ebf6a4015eb2bbfdf865ebbfa4548a022c443581bd33d047",
     }),
     ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
@@ -79,7 +79,7 @@ CASES = [
         "residual_report.json": "535ba850586a5decaa87962f75835c041fe1d21a9f4c34e2a11983ddcb2f0f95",
     }),
     # rows 2 and 3 of the filter are zero measures and row 1 is (0, 0, 1), where
-    # 1 - nu(c)^2 = 0: the per-path map's zero-row and degenerate branches
+    # token 0 has predictive probability 0: both reach the per-path map's degenerate branch
     ("fixedpoint-path-zero", ["fixedpoint", "--model", "sparse.json", "--path", "1.0.1", "--iterations", "2",
                               "--zero-convention"], 0, {
         "iteration_trace.csv": "633fc703675a4003e0ad99deda8b7ff3aa3e0f64e44b09f9c78271c954dc7da5",
