@@ -3,14 +3,7 @@
 __version__ = "0.1.0"
 
 from .adapted import AdaptedProcess, prefixes, prefix_string
-from .hmm import (
-    HmmModel,
-    Spaces,
-    decompose,
-    gamma_op,
-    scalar_obs,
-    token_basis,
-)
+from .hmm import HmmModel, decompose, gamma_op, token_basis
 from .oracle import (
     ImpossibleObservationError,
     EnumerationBudgetError,
@@ -30,7 +23,6 @@ from .predictor import (
 )
 from .dual import (
     DualTrajectory,
-    bsde_residual,
     duality_report,
     estimator_path,
     solve_bsde,
@@ -59,11 +51,9 @@ __all__ = [
     "ImpossibleObservationError",
     "IterationTrace",
     "PredictorRepresentation",
-    "Spaces",
     "apply_N_adapted",
     "apply_N_path",
     "bde_solve",
-    "bsde_residual",
     "build_weights",
     "decompose",
     "duality_report",
@@ -85,7 +75,6 @@ __all__ = [
     "represent_conditional",
     "sample_path",
     "scalar_feedback",
-    "scalar_obs",
     "solve_bsde",
     "solve_optimal",
     "squared_error",

@@ -114,7 +114,7 @@ class LayerParams:
     W_O: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
-    ffn: FeedForwardParams | None = None
+    ffn: FeedForwardParams
     misc: bool = False
 
     def __post_init__(self):
@@ -201,8 +201,6 @@ def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
             rows[:, t - 1] = V[:, :t] @ _softmax_weights(K[:, :t], Q[:, t - 1], head.d_K)
     y = params.W_O @ concat
     if params.misc:
-        if params.ffn is None:
-            raise ValueError("misc ops are on but no feed-forward parameters were given")
         y = layer_norm(y + sigmas, params.gamma, params.beta)
         y = layer_norm(y + params.ffn(y), params.gamma, params.beta)
     return y

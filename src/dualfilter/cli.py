@@ -174,7 +174,10 @@ def _load_model(cfg: ExperimentConfig) -> HmmModel:
 def _parse_path(text: str | None, model: HmmModel, cfg: ExperimentConfig, rng) -> tuple[int, ...]:
     if text is None:
         return sample_path(model, rng, T=cfg.T)
-    return validate_tokens([int(t) for t in text.replace(",", ".").split(".") if t != ""], model.m)
+    tokens = text.replace(",", ".").split(".")
+    if "" in tokens:
+        raise ValueError(f"path must be one or more tokens joined by '.' or ',' with none empty, got {text!r}")
+    return validate_tokens([int(t) for t in tokens], model.m)
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:

@@ -36,17 +36,21 @@ PRED_PROB_TOL = 1e-12
 class DualTrajectory:
     """Solution of the backward equation: Y at levels 0..horizon, (V, U) at levels 0..horizon-1.
 
-    As level arrays (see ``adapted``), Y's level t has shape ((m+1)^t, d),
-    a (d,) vector per prefix; V's has shape ((m+1)^t, d, m), an R^m row per
-    state; U's has shape ((m+1)^t, m). ``diagnostics`` names each node whose
-    feedback control took the minimum-norm value of a singular system.
+    The horizon is read off Y's levels. As level arrays (see ``adapted``),
+    Y's level t has shape ((m+1)^t, d), a (d,) vector per prefix; V's has
+    shape ((m+1)^t, d, m), an R^m row per state; U's has shape ((m+1)^t,
+    m). ``diagnostics`` names each node whose feedback control took the
+    minimum-norm value of a singular system.
     """
 
     Y: AdaptedProcess
     V: AdaptedProcess
     U: AdaptedProcess
-    horizon: int
     diagnostics: tuple[str, ...] = ()
+
+    @property
+    def horizon(self) -> int:
+        return len(self.Y.levels) - 1
 
     def y0(self) -> np.ndarray:
         return self.Y.levels[0][0]
@@ -104,16 +108,15 @@ def _backward_sweep(model: HmmModel, F, T: int, control: Callable[..., np.ndarra
     return AdaptedProcess(m, tuple(Y)), AdaptedProcess(m, tuple(V)), AdaptedProcess(m, tuple(U))
 
 
-def solve_bsde(model: HmmModel, U: AdaptedProcess, F, horizon: int | None = None) -> DualTrajectory:
-    """Solve the backward equation for a given control U and terminal F.
+def solve_bsde(model: HmmModel, U: AdaptedProcess, F) -> DualTrajectory:
+    """Solve the backward equation over the model's horizon for a given control U and terminal F.
 
     The backward relation holds identically at every node, not just in
     expectation.
     """
-    T = model.T if horizon is None else int(horizon)
-    U.check_complete(model.m, range(T))
-    Y, V, _ = _backward_sweep(model, F, T, lambda t, r, w, W, V: U.levels[t][r])
-    return DualTrajectory(Y=Y, V=V, U=U, horizon=T)
+    U.check_complete(model.m, range(model.T))
+    Y, V, _ = _backward_sweep(model, F, model.T, lambda t, r, w, W, V: U.levels[t][r])
+    return DualTrajectory(Y=Y, V=V, U=U)
 
 
 def bsde_residual_by_node(model: HmmModel, traj: DualTrajectory) -> AdaptedProcess:
@@ -131,11 +134,6 @@ def bsde_residual_by_node(model: HmmModel, traj: DualTrajectory) -> AdaptedProce
                 worst[r] = max(worst[r], float(np.max(np.abs(Y[r] - rhs))))
         levels.append(worst)
     return AdaptedProcess(model.m, tuple(levels))
-
-
-def bsde_residual(model: HmmModel, traj: DualTrajectory) -> float:
-    """Max over (node, state, successor token) of the backward-relation residual."""
-    return max((float(level.max()) for level in bsde_residual_by_node(model, traj).levels), default=0.0)
 
 
 def _running_cost_tables(model: HmmModel, traj: DualTrajectory) -> list[np.ndarray]:
@@ -239,18 +237,11 @@ def squared_error(
     return exact_expectation(model, h, T=T, budget=budget)
 
 
-def duality_report(
-    model: HmmModel,
-    U: AdaptedProcess | DualTrajectory,
-    F,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> dict:
+def duality_report(model: HmmModel, traj: DualTrajectory, F, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Both sides of the duality identity: {'J_T': ..., 'mse': ..., 'gap': ...}.
 
-    U is the control process, or its trajectory as ``solve_bsde(model, U,
-    F)`` returned it, for a caller that reads the trajectory too.
+    traj is the trajectory ``solve_bsde(model, U, F)`` returns for the control U.
     """
-    traj = U if isinstance(U, DualTrajectory) else solve_bsde(model, U, F)
     J = _cost_of_trajectory(model, traj, budget)
     mse = squared_error(model, traj, F, budget=budget)
     return {"J_T": J, "mse": mse, "gap": abs(J - mse)}
@@ -344,4 +335,4 @@ def solve_optimal(
         return -(K_lead @ W + K_drag @ V.ravel())
 
     Y, V, U = _backward_sweep(model, F, T, feedback)
-    return DualTrajectory(Y=Y, V=V, U=U, horizon=T, diagnostics=tuple(diagnostics))
+    return DualTrajectory(Y=Y, V=V, U=U, diagnostics=tuple(diagnostics))

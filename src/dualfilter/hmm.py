@@ -20,30 +20,15 @@ import numpy as np
 ROW_SUM_TOL = 1e-9
 
 # Probability vectors must sum to 1 within this tolerance.
-PROB_SUM_TOL = 1e-12
+PROB_SUM_TOL = 1e-9
 
 # A computed probability entry in [-ROUNDING_TOL, 0) is rounding error and
 # reads as 0; an entry below -ROUNDING_TOL is a real negative.
 ROUNDING_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Spaces:
-    """Sizes of the finite problem: d states, m+1 tokens, horizon T."""
-
-    d: int
-    m: int
-    T: int
-
-    def __post_init__(self):
-        if self.d < 1 or self.m < 1 or self.T < 1:
-            raise ValueError(
-                f"spaces require d >= 1, m >= 1, T >= 1; got d={self.d}, m={self.m}, T={self.T}"
-            )
-
-
-def check_probability_vector(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.ndarray:
-    """Validate entries >= 0 summing to 1 within ``tol``; returns the array.
+def check_probability_vector(p: np.ndarray) -> np.ndarray:
+    """Validate entries >= 0 summing to 1 within PROB_SUM_TOL; returns the array.
 
     p is one vector or a stack of them along the last axis, and every one
     is checked; an error names the first bad vector's entries or sum.
@@ -59,19 +44,19 @@ def check_probability_vector(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.nda
             row = p.reshape(-1, p.shape[-1])[np.flatnonzero(negative)[0]]
             raise ValueError(f"probability vector has negative entries: {row}")
     s = p.sum(axis=-1)
-    bad = np.flatnonzero(np.abs(s - 1.0) > tol)
+    bad = np.flatnonzero(np.abs(s - 1.0) > PROB_SUM_TOL)
     if bad.size:
-        raise ValueError(f"probability vector sums to {np.ravel(s)[bad[0]]!r}, expected 1 within {tol}")
+        raise ValueError(f"probability vector sums to {np.ravel(s)[bad[0]]!r}, expected 1 within {PROB_SUM_TOL}")
     return p
 
 
-def is_probability_vector(p: np.ndarray, tol: float = ROUNDING_TOL) -> bool | np.ndarray:
-    """Non-raising membership test for P(S), used for domain flags.
+def is_probability_vector(p: np.ndarray) -> bool | np.ndarray:
+    """Non-raising membership test for P(S) within ROUNDING_TOL, used for domain flags.
 
     One vector gives a bool; a stack along the last axis gives a bool array of shape p.shape[:-1].
     """
     p = np.asarray(p, dtype=float)
-    ok = np.all(p >= -tol, axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= tol)
+    ok = np.all(p >= -ROUNDING_TOL, axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= ROUNDING_TOL)
     return bool(ok) if p.ndim == 1 else ok
 
 
@@ -79,6 +64,15 @@ def drop_rounding_negatives(p: np.ndarray) -> np.ndarray:
     """p with every entry in [-ROUNDING_TOL, 0) set to 0; other entries unchanged."""
     p = np.asarray(p, dtype=float)
     return np.where((p < 0.0) & (p >= -ROUNDING_TOL), 0.0, p)
+
+
+def _check_sizes(d, m, T) -> None:
+    """d states, m+1 tokens and horizon T must be integers (not bools) with d, m, T >= 1."""
+    for name, val in (("d", d), ("m", m), ("T", T)):
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ValueError(f"model size {name} must be an integer, got {val!r}")
+    if d < 1 or m < 1 or T < 1:
+        raise ValueError(f"spaces require d >= 1, m >= 1, T >= 1; got d={d}, m={m}, T={T}")
 
 
 def _stochastic_matrix(M, name: str, rows: int, cols: int) -> np.ndarray:
@@ -96,52 +90,51 @@ def _stochastic_matrix(M, name: str, rows: int, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HmmModel:
-    """HMM(mu, A, C): prior mu on X_0, transition A, emission C.
+    """HMM(mu, A, C) over horizon T: prior mu on X_0, transition A, emission C.
 
     The emission convention is C(x, z) = P(Z_{t+1} = z | X_t = x): token
     z_{t+1} is emitted by the state *before* the transition to X_{t+1}.
-    Rows of A and C are validated to sum to 1 within ROW_SUM_TOL and then
-    renormalized exactly; negative entries fail construction.
+    The sizes are read off the arrays: d = len(mu) states and m+1 tokens,
+    one per column of C. Rows of A and C are validated to sum to 1 within
+    ROW_SUM_TOL and then renormalized exactly; negative entries fail
+    construction.
     """
 
-    spaces: Spaces
     mu: np.ndarray
     A: np.ndarray
     C: np.ndarray
+    T: int
 
     def __post_init__(self):
-        d, m = self.spaces.d, self.spaces.m
-        mu = np.asarray(self.mu, dtype=float)
-        if mu.shape != (d,):
-            raise ValueError(f"mu must have shape ({d},), got {mu.shape}")
+        mu, C = np.asarray(self.mu, dtype=float), np.asarray(self.C, dtype=float)
+        if mu.ndim != 1 or C.ndim != 2:
+            raise ValueError(f"mu must be a vector and C a matrix, got shapes {mu.shape} and {C.shape}")
+        d, m = len(mu), C.shape[1] - 1
+        _check_sizes(d, m, self.T)
         if np.any(mu < 0):
             raise ValueError("mu has negative entries")
         if abs(mu.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"mu sums to {mu.sum()!r}, expected 1 within {ROW_SUM_TOL}")
         mu = mu / mu.sum()
         A = _stochastic_matrix(self.A, "A", d, d)
-        C = _stochastic_matrix(self.C, "C", d, m + 1)
+        C = _stochastic_matrix(C, "C", d, m + 1)
         for name, arr in (("mu", mu), ("A", A), ("C", C)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def d(self) -> int:
-        return self.spaces.d
+        return len(self.mu)
 
     @property
     def m(self) -> int:
-        return self.spaces.m
-
-    @property
-    def T(self) -> int:
-        return self.spaces.T
+        return self.C.shape[1] - 1
 
     def to_dict(self) -> dict:
         return {
-            "d": self.spaces.d,
-            "m": self.spaces.m,
-            "T": self.spaces.T,
+            "d": self.d,
+            "m": self.m,
+            "T": self.T,
             "mu": self.mu.tolist(),
             "A": [row.tolist() for row in self.A],
             "C": [row.tolist() for row in self.C],
@@ -152,11 +145,16 @@ class HmmModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "HmmModel":
+        """Load ``to_dict``'s output; its sizes d, m and T must be integers that match mu and C."""
         try:
-            spaces = Spaces(d=int(obj["d"]), m=int(obj["m"]), T=int(obj["T"]))
-            return cls(spaces=spaces, mu=obj["mu"], A=obj["A"], C=obj["C"])
+            d, m, T, mu, A, C = (obj[key] for key in ("d", "m", "T", "mu", "A", "C"))
         except KeyError as exc:
             raise ValueError(f"model file missing key {exc.args[0]!r}") from exc
+        _check_sizes(d, m, T)
+        for name, arr, shape in (("mu", mu, (d,)), ("C", C, (d, m + 1))):
+            if np.shape(arr) != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {np.shape(arr)}")
+        return cls(mu=mu, A=A, C=C, T=T)
 
     @classmethod
     def from_json(cls, text: str) -> "HmmModel":
@@ -211,14 +209,6 @@ def decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def obs_matrix(model: HmmModel) -> np.ndarray:
     """(d, m) matrix whose row x is c(x) = [C(x,1) - C(x,0), ..., C(x,m) - C(x,0)]."""
     return model.C[:, 1:] - model.C[:, :1]
-
-
-def scalar_obs(model: HmmModel, z: int) -> np.ndarray:
-    """The per-state scalar observation x -> 2 C(x, z) - 1."""
-    z = int(z)
-    if not 0 <= z <= model.m:
-        raise ValueError(f"token {z} outside alphabet 0..{model.m}")
-    return 2.0 * model.C[:, z] - 1.0
 
 
 def gamma_op(model: HmmModel, f: np.ndarray) -> np.ndarray:

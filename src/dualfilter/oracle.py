@@ -103,15 +103,14 @@ def filter_levels(model: HmmModel, T: int, zero_convention: bool = False) -> lis
     return levels
 
 
-def filter_process(model: HmmModel, T: int | None = None, zero_convention: bool = False) -> AdaptedProcess:
-    """The filter as an adapted process: pi_t at every prefix of length 1..T.
+def filter_process(model: HmmModel, zero_convention: bool = False) -> AdaptedProcess:
+    """The filter as an adapted process: pi_t at every prefix of length 1..model.T.
 
     Its levels 1..T are the arrays of ``filter_levels``; level 0 is absent.
     Zero-probability prefixes raise unless ``zero_convention``, in which
     case they carry the zero measure.
     """
-    T = model.T if T is None else int(T)
-    return AdaptedProcess(model.m, (None, *filter_levels(model, T, zero_convention)))
+    return AdaptedProcess(model.m, (None, *filter_levels(model, model.T, zero_convention)))
 
 
 def next_token_prob(model: HmmModel, pi: np.ndarray) -> np.ndarray:
@@ -121,7 +120,7 @@ def next_token_prob(model: HmmModel, pi: np.ndarray) -> np.ndarray:
     rounding-level negative entries read as 0. Each row is its own
     vector-matrix product, so its bits do not depend on the stack.
     """
-    pi = check_probability_vector(pi, tol=1e-9)
+    pi = check_probability_vector(pi)
     return (pi[..., None, :] @ model.C)[..., 0, :]
 
 
@@ -136,7 +135,7 @@ def path_probability(model: HmmModel, z) -> float:
     return float(w.sum())
 
 
-def check_enum_budget(model: HmmModel, T: int, budget: int = DEFAULT_ENUM_BUDGET) -> None:
+def check_enum_budget(model: HmmModel, T: int, budget: int) -> None:
     cost = model.d ** (T + 1) * (model.m + 1) ** (T + 1)
     if cost > budget:
         raise EnumerationBudgetError(

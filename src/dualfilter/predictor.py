@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -53,29 +52,17 @@ class PredictorRepresentation:
         return cls(constant=float(obj["constant"]), weights=AdaptedProcess(m, levels), m=m, T=T)
 
 
-def _check_target(target, m: int, T: int) -> np.ndarray:
-    n_paths = (m + 1) ** T
-    if not isinstance(target, Mapping):
-        values = np.asarray(target, dtype=float)
-        if values.shape != (n_paths,):
-            raise ValueError(f"target array must hold all (m+1)^T = {n_paths} path values, got shape {values.shape}")
-        return values
-    for path in prefixes(m, T):
-        if path not in target:
-            raise ValueError(f"target map missing path {path}; all (m+1)^T paths are required")
-    return np.array([float(target[path]) for path in prefixes(m, T)])
+def build_weights(target: np.ndarray, m: int, T: int) -> PredictorRepresentation:
+    """Backward induction from the values of all (m+1)^T paths, in ``prefixes(m, T)`` order.
 
-
-def build_weights(target, m: int, T: int) -> PredictorRepresentation:
-    """Backward induction from a complete map over all (m+1)^T paths.
-
-    ``target`` maps every path to its value, or is the array of the values
-    in ``prefixes(m, T)`` order. Level by level, the values are reshaped to
-    one row of m+1 children per prefix and each row is decomposed into
-    (mean, tilde); the weight at the prefix is -tilde and the means are the
-    level t-1 values. Reconstruction along every path is exact.
+    Level by level, the values are reshaped to one row of m+1 children per
+    prefix and each row is decomposed into (mean, tilde); the weight at the
+    prefix is -tilde and the means are the level t-1 values. Reconstruction
+    along every path is exact.
     """
-    level = _check_target(target, m, T)
+    level = np.asarray(target, dtype=float)
+    if level.shape != ((m + 1) ** T,):
+        raise ValueError(f"target array must hold all (m+1)^T = {(m + 1) ** T} path values, got shape {level.shape}")
     weights = [None] * T
     for t in range(T, 0, -1):
         level, tilde = decompose(level.reshape(-1, m + 1))
@@ -83,28 +70,22 @@ def build_weights(target, m: int, T: int) -> PredictorRepresentation:
     return PredictorRepresentation(constant=float(level[0]), weights=AdaptedProcess(m, tuple(weights)), m=m, T=T)
 
 
-def represent_conditional(
-    model: HmmModel,
-    z_query: int,
-    T: int | None = None,
-    zero_convention: bool = False,
-) -> PredictorRepresentation:
-    """Predictor weights for path -> P(Z_{T+1} = z_query | Z_1..Z_T = path).
+def represent_conditional(model: HmmModel, z_query: int, zero_convention: bool = False) -> PredictorRepresentation:
+    """Predictor weights for path -> P(Z_{T+1} = z_query | Z_1..Z_T = path), T = model.T.
 
     The target is the filtered next-token probability on every path, read
     off the last of ``filter_levels`` in one stacked ``next_token_prob``
     call; with ``zero_convention`` impossible paths contribute target value
     0 (the 0/0 := 0 extension), otherwise they raise.
     """
-    T = model.T if T is None else int(T)
     z_query = int(z_query)
     if not 0 <= z_query <= model.m:
         raise ValueError(f"token {z_query} outside alphabet 0..{model.m}")
-    pi_T = [model.mu[None, :], *filter_levels(model, T, zero_convention)][-1]
+    pi_T = filter_levels(model, model.T, zero_convention)[-1]
     possible = pi_T.sum(axis=-1) != 0.0  # zero rows only under the zero convention
     target = np.zeros(len(pi_T))
     target[possible] = next_token_prob(model, pi_T[possible])[:, z_query]
-    return build_weights(target, model.m, T)
+    return build_weights(target, model.m, model.T)
 
 
 def evaluate(rep: PredictorRepresentation, z):

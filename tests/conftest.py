@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from dualfilter.adapted import AdaptedProcess, prefixes
-from dualfilter.hmm import HmmModel, Spaces
+from dualfilter.hmm import HmmModel
 
 
 def make_model(mu, A, C, T):
     mu = np.asarray(mu, dtype=float)
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
-    return HmmModel(Spaces(d=len(mu), m=C.shape[1] - 1, T=T), mu, A, C)
+    return HmmModel(mu, A, C, T)
 
 
 def random_model(rng, d, m, T):

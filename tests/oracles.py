@@ -1,8 +1,9 @@
 """Independent references that the tests check the library against.
 
 None of the commands needs these: brute-force enumerations over hidden
-paths, a least-squares construction of the predictor weights, the feedback
-law transcribed from its formula, and the two costs of the dual problem
+paths, a least-squares construction of the predictor weights, the per-path
+scalar signal and the feedback law transcribed from their formulas, the
+worst backward-equation residual, and the two costs of the dual problem
 (the control cost of a given control and the minimum mean-squared error).
 """
 
@@ -76,6 +77,19 @@ def build_weights_lstsq(target, m: int, T: int) -> PredictorRepresentation:
         weights[t - 1] = np.array(rows)
         level = next_level
     return PredictorRepresentation(constant=level[()], weights=AdaptedProcess(m, tuple(weights)), m=m, T=T)
+
+
+def scalar_obs(model, z: int) -> np.ndarray:
+    """The per-state scalar observation x -> 2 C(x, z) - 1."""
+    z = int(z)
+    if not 0 <= z <= model.m:
+        raise ValueError(f"token {z} outside alphabet 0..{model.m}")
+    return 2.0 * model.C[:, z] - 1.0
+
+
+def bsde_residual(model, traj) -> float:
+    """Max over (node, state, successor token) of the backward-relation residual."""
+    return max((float(level.max()) for level in dual.bsde_residual_by_node(model, traj).levels), default=0.0)
 
 
 def optimal_feedback(model, y, v, rho) -> np.ndarray:

@@ -18,7 +18,7 @@ from dualfilter.attention import (
     simplified_form,
 )
 from dualfilter.cli import main
-from dualfilter.dual import duality_report, solve_optimal
+from dualfilter.dual import duality_report, solve_bsde, solve_optimal
 from dualfilter.fixedpoint import apply_N_adapted, apply_N_path, kl_divergence_bar
 from dualfilter.hmm import decompose, token_basis
 from dualfilter.oracle import (
@@ -100,7 +100,7 @@ def test_criterion_03_duality_principle():
             F = AdaptedProcess(m, (None,) * T + (rng.standard_normal(((m + 1) ** T, d)),))
         else:
             F = rng.standard_normal(d)
-        worst = max(worst, duality_report(model, U, F)["gap"])
+        worst = max(worst, duality_report(model, solve_bsde(model, U, F), F)["gap"])
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 60.0
     report(

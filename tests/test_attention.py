@@ -73,10 +73,16 @@ def per_position_bilinear(params, sigmas, t, f):
     return total
 
 
+def bare_layer(heads, W_O):
+    """Attention-only parameters; the feed-forward block is zero, as the misc ops are off."""
+    d = W_O.shape[0]
+    ffn = FeedForwardParams(W1=np.zeros((d, d)), b1=np.zeros(d), W2=np.zeros((d, d)), b2=np.zeros(d))
+    return LayerParams(heads=heads, W_O=W_O, gamma=np.ones(d), beta=np.zeros(d), ffn=ffn)
+
+
 def head_output(head, sigmas):
     """One head's output at the last position: the bare layer with W_O = I and that head alone."""
-    d = sigmas.shape[0]
-    params = LayerParams(heads=(head,), W_O=np.eye(d), gamma=np.ones(d), beta=np.zeros(d))
+    params = bare_layer((head,), np.eye(sigmas.shape[0]))
     return layer_forward(params, sigmas)[:, -1]
 
 
@@ -200,7 +206,7 @@ class TestLayerForward:
     def test_uniform_attention_is_causal_running_mean(self, rng):
         d = 3
         head = AttentionHeadParams(W_Q=np.zeros((d, d)), W_K=np.eye(d), W_V=np.eye(d))
-        params = LayerParams(heads=(head,), W_O=np.eye(d), gamma=np.ones(d), beta=np.zeros(d))
+        params = bare_layer((head,), np.eye(d))
         sig = rng.standard_normal((d, 5))
         out = layer_forward(params, sig)
         for t in range(1, 6):
@@ -244,15 +250,6 @@ class TestLayerForward:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_ffn_toggle_requires_parameters(self, rng):
-        head = AttentionHeadParams(W_Q=np.eye(2), W_K=np.eye(2), W_V=np.eye(2))
-        params = LayerParams(
-            heads=(head,), W_O=np.eye(2), gamma=np.ones(2), beta=np.zeros(2),
-            ffn=None, misc=True,
-        )
-        with pytest.raises(ValueError, match="feed-forward"):
-            layer_forward(params, rng.standard_normal((2, 3)))
-
     def test_head_count_must_divide_dimension(self, rng):
         with pytest.raises(ValueError, match="divide"):
             random_layer_params(rng, 8, 3)
@@ -279,7 +276,7 @@ class TestParameterValidation:
         heads = tuple(AttentionHeadParams(W_Q=np.zeros((2, 4)), W_K=np.zeros((2, 4)), W_V=np.zeros((d_V, 4)))
                       for d_V in d_Vs)
         with pytest.raises(ValueError, match=match):
-            LayerParams(heads=heads, W_O=np.zeros(W_O_shape), gamma=np.ones(4), beta=np.zeros(4))
+            bare_layer(heads, np.zeros(W_O_shape))
 
     def test_dimensions_read_from_parameters(self, rng):
         params = random_layer_params(rng, 8, 4)

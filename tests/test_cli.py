@@ -59,6 +59,14 @@ class TestOracleCommand:
         res = runner.invoke(main, ["oracle", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
+    def test_non_integer_model_size_exits_2(self, runner, model_file, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(model_file.read_text()), "T": 2.5}))
+        res = runner.invoke(main, ["oracle", "--model", str(bad), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == ["error: model size T must be an integer, got 2.5"]
+        assert not (tmp_path / "o").exists()
+
     def test_unreadable_model_file_exits_2(self, runner, tmp_path):
         res = runner.invoke(main, ["oracle", "--model", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
@@ -291,11 +299,17 @@ class TestConfigResolution:
             ("duality", {"enum_budget": 1}, []),
             ("oracle", {"zero_convention": "yes"}, []),
             ("duality", {}, ["--seed", "-1"]),
+            ("attention-demo", {}, ["--path", "."]),
+            ("fixedpoint", {}, ["--path", ""]),
+            ("oracle", {}, ["--path", ""]),
+            ("oracle", {}, ["--path", "1..0"]),
+            ("oracle", {}, ["--path", "0,,1"]),
         ],
         ids=[
             "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "str-enum-budget",
             "float-draws", "zero-heads", "zero-layers", "unknown-activation", "int-activation", "over-budget",
-            "str-zero-convention", "negative-seed-flag",
+            "str-zero-convention", "negative-seed-flag", "dot-path", "empty-path-fixedpoint", "empty-path-oracle",
+            "empty-token-dots", "empty-token-commas",
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, command, config, flags):

@@ -7,7 +7,6 @@ from dualfilter.dual import (
     _backward_sweep,
     _running_cost_tables,
     _successor_split,
-    bsde_residual,
     duality_report,
     estimator_path,
     estimator_values,
@@ -18,7 +17,7 @@ from dualfilter.dual import (
 from dualfilter.hmm import obs_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
 from conftest import from_tree, make_model, random_measure_process, random_model, sparse_model, uninformative_model
-from oracles import mmse, optimal_feedback, running_cost, total_cost
+from oracles import bsde_residual, mmse, optimal_feedback, running_cost, total_cost
 
 
 def node_measure(model, rho, w):
@@ -74,6 +73,7 @@ class TestSolveBsde:
         c_mat = model.C[:, 1:] - model.C[:, :1]
         np.testing.assert_allclose(np.asarray(traj.V.at(())), np.zeros((3, 2)), atol=1e-15)
         np.testing.assert_allclose(traj.y0(), model.A @ F + c_mat @ u0, atol=1e-14)
+        assert traj.horizon == 1
 
     @pytest.mark.parametrize("path_dependent", [False, True])
     def test_backward_relation_residual(self, rng, reference_model, path_dependent):
@@ -126,7 +126,7 @@ class TestDuality:
         U = zero_controls(model)
         F = np.full(model.d, 4.0)
         assert abs(total_cost(model, U, F)) <= 1e-13
-        assert duality_report(model, U, F)["gap"] <= 1e-13
+        assert duality_report(model, solve_bsde(model, U, F), F)["gap"] <= 1e-13
 
     @pytest.mark.parametrize("path_dependent", [False, True])
     def test_gap_vanishes_for_random_draws(self, rng, path_dependent):
@@ -135,19 +135,13 @@ class TestDuality:
             model = random_model(rng, d, m, T)
             U = random_weight_process(rng, m, T)
             F = random_terminal(rng, model, path_dependent)
-            assert duality_report(model, U, F)["gap"] <= 1e-9
+            assert duality_report(model, solve_bsde(model, U, F), F)["gap"] <= 1e-9
 
     def test_report_carries_both_sides(self, rng, reference_model):
         U = random_weight_process(rng, 1, 3)
         F = rng.standard_normal(2)
-        rep = duality_report(reference_model, U, F)
+        rep = duality_report(reference_model, solve_bsde(reference_model, U, F), F)
         assert rep["gap"] == abs(rep["J_T"] - rep["mse"])
-
-    def test_solved_trajectory_gives_the_same_report(self, rng, reference_model):
-        U = random_weight_process(rng, 1, 3)
-        F = rng.standard_normal(2)
-        traj = solve_bsde(reference_model, U, F)
-        assert duality_report(reference_model, traj, F) == duality_report(reference_model, U, F)
 
 
 class TestOptimalFeedback:
@@ -436,4 +430,4 @@ class TestIntegrandsBitIdentical:
             assert total_cost(model, U, F) == J
             assert squared_error(model, traj, F) == mse
             assert mmse(model, F) == exact_expectation(model, filter_error)
-            assert duality_report(model, U, F) == {"J_T": J, "mse": mse, "gap": abs(J - mse)}
+            assert duality_report(model, traj, F) == {"J_T": J, "mse": mse, "gap": abs(J - mse)}

@@ -18,7 +18,7 @@ from dualfilter.fixedpoint import (
     scalar_feedback,
     step_law,
 )
-from dualfilter.hmm import is_probability_vector, obs_matrix, risk_tensor, scalar_obs
+from dualfilter.hmm import is_probability_vector, obs_matrix, risk_tensor
 from dualfilter.oracle import filter_process, forward_filter, sample_path
 
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     sparse_model,
     uninformative_model,
 )
+from oracles import scalar_obs
 
 
 def token_columns(model, z):
@@ -70,7 +71,7 @@ class TestBdeSolve:
     def test_constant_terminal_rides_through(self, rng, reference_model):
         model = reference_model
         rho = np.stack([rng.dirichlet(np.ones(model.d)) for _ in range(model.T)])
-        y0, controls = bde_solve(model, rho, (1, 0, 1), model.T, np.full(model.d, 3.0))
+        y0, controls = bde_solve(path_laws(model, rho, (1, 0, 1)), model.T, np.full(model.d, 3.0))
         np.testing.assert_allclose(controls, 0.0, atol=1e-13)
         np.testing.assert_allclose(y0, 3.0, atol=1e-12)
 
@@ -79,7 +80,7 @@ class TestBdeSolve:
         rho = np.stack([rng.dirichlet(np.ones(model.d)) for _ in range(model.T)])
         f = rng.standard_normal(model.d)
         z = (1, 0, 1)
-        y0, controls = bde_solve(model, rho, z, 1, f)
+        y0, controls = bde_solve(path_laws(model, rho, z), 1, f)
         c1 = scalar_obs(model, z[0])
         u0 = scalar_feedback(token_law(model, model.mu, z[0])[0], f)
         assert controls.shape == (1,)
@@ -92,7 +93,7 @@ class TestBdeSolve:
         rho = np.stack([rng.dirichlet(np.ones(model.d)) for _ in range(model.T)])
         z = (1, 1, 0)
         f = np.array([1.0, 0.0])
-        y0, controls = bde_solve(model, rho, z, model.T, f)
+        y0, controls = bde_solve(path_laws(model, rho, z), model.T, f)
         y = f.copy()
         expect = np.zeros(model.T)
         for s in range(model.T - 1, -1, -1):
@@ -104,12 +105,6 @@ class TestBdeSolve:
             expect[s] = u
         np.testing.assert_allclose(controls, expect, atol=1e-14)
         np.testing.assert_allclose(y0, y, atol=1e-14)
-
-    def test_time_bounds(self, rng, reference_model):
-        model = reference_model
-        rho = np.full((model.T, model.d), 0.5)
-        with pytest.raises(ValueError, match="time"):
-            bde_solve(model, rho, (1, 0, 1), 0, np.zeros(model.d))
 
 
 class TestApplyNPath:
@@ -204,14 +199,12 @@ class TestApplyNPathSharedLaws:
         ref_out, ref_flags = apply_N_path_per_call(model, rho, z)
         assert out.tobytes() == ref_out.tobytes()
         assert flags.tobytes() == ref_flags.tobytes()
-        laws = path_laws(model, rho, z, len(z))
+        laws = path_laws(model, rho, z)
         f = np.random.default_rng(len(z)).standard_normal(model.d)
         for t in range(1, len(z) + 1):
-            y0, controls = bde_solve(model, rho, z, t, f)
-            shared = bde_solve(model, rho, z, t, f, laws=laws)
-            ref = bde_solve_per_call(model, rho, z, t, f)
-            for got in (shared, ref):
-                assert y0.tobytes() == got[0].tobytes() and controls.tobytes() == got[1].tobytes()
+            y0, controls = bde_solve(laws, t, f)
+            ref_y0, ref_controls = bde_solve_per_call(model, rho, z, t, f)
+            assert y0.tobytes() == ref_y0.tobytes() and controls.tobytes() == ref_controls.tobytes()
 
     def test_random_models_filter_and_random_rho(self, rng):
         for _ in range(8):
@@ -236,7 +229,7 @@ class TestApplyNPathSharedLaws:
         # token 1 is emitted surely by every state: q = 0 at every step
         model = make_model([0.3, 0.7], [[0.6, 0.4], [0.2, 0.8]], [[0.0, 1.0], [0.0, 1.0]], 5)
         z = (1, 1, 1, 1, 1)
-        assert all(np.all(k == 0.0) and M is model.A for k, M in path_laws(model, forward_filter(model, z), z, 5))
+        assert all(np.all(k == 0.0) and M is model.A for k, M in path_laws(model, forward_filter(model, z), z))
         self.assert_same_map(model, forward_filter(model, z), z)
         self.assert_same_map(model, rng.dirichlet(np.ones(2), size=5), z)
 
@@ -250,14 +243,12 @@ class TestApplyNPathSharedLaws:
         assert feedback.call_count == model.d * 6 * 7 // 2
         assert law.call_count == 6
 
-    def test_standalone_pass_keeps_its_validation(self, reference_model):
+    def test_laws_validate_the_path_and_rho(self, reference_model):
         model = reference_model
-        rho = np.full((model.T, model.d), 0.5)
-        f = np.ones(model.d)
-        for z, t, text in [((1, 0, 1), 0, "time 0 outside 1..3"), ((1, 0, 1), 4, "time 4 outside 1..3"),
-                           ((1, 2, 1), 1, "token z_2 = 2 outside alphabet 0..1")]:
+        for rho, z, text in [(np.full((3, 2), 0.5), (1, 2, 1), "token z_2 = 2 outside alphabet 0..1"),
+                             (np.full((2, 2), 0.5), (1, 0, 1), "rho must have shape (3, 2), got (2, 2)")]:
             with pytest.raises(ValueError) as err:
-                bde_solve(model, rho, z, t, f)
+                path_laws(model, rho, z)
             assert str(err.value) == text
 
 
@@ -266,7 +257,7 @@ class TestClosedLoopStep:
 
     def assert_paper_steps(self, rng, model, rho, z):
         eps = np.finfo(float).eps
-        for s, (k, M) in enumerate(path_laws(model, rho, z, len(z))):
+        for s, (k, M) in enumerate(path_laws(model, rho, z)):
             nu = model.mu if s == 0 else rho[s - 1]
             c = scalar_obs(model, z[s])
             y = rng.standard_normal(model.d)
@@ -304,7 +295,7 @@ class TestClosedLoopStep:
     def test_all_degenerate(self, rng):
         model = make_model([0.3, 0.7], [[0.6, 0.4], [0.2, 0.8]], [[0.0, 1.0], [0.0, 1.0]], 5)
         z = (1, 1, 1, 1, 1)
-        laws = path_laws(model, forward_filter(model, z), z, 5)
+        laws = path_laws(model, forward_filter(model, z), z)
         assert all(np.all(k == 0.0) and M is model.A for k, M in laws)
         self.assert_paper_steps(rng, model, rng.dirichlet(np.ones(2), size=5), z)
 
@@ -542,7 +533,12 @@ class TestApplyNAdaptedSharedLaws:
 
 
 class TestStrictCausality:
-    """Component t of N(rho) reads rho only before t, so T applications from any start give the filter."""
+    """Component t of N(rho) reads rho only before t, so T applications from any start give the filter.
+
+    The 1e-10 bounds hold for these seeded draws, not for every model: layer
+    k amplifies rounding by the product of 1/p_s along the path, which
+    reached 4.1e-7 on a sparse model with three steps at p = 2.4e-4.
+    """
 
     def test_last_row_of_rho_leaves_the_path_map_unchanged(self, rng):
         for _ in range(20):

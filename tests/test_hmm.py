@@ -5,7 +5,6 @@ import pytest
 
 from dualfilter.hmm import (
     HmmModel,
-    Spaces,
     ROUNDING_TOL,
     check_probability_vector,
     decompose,
@@ -14,25 +13,30 @@ from dualfilter.hmm import (
     is_probability_vector,
     obs_matrix,
     risk_tensor,
-    scalar_obs,
     token_basis,
     validate_tokens,
 )
 
 from conftest import make_model, random_model, sparse_model
-
-
-class TestSpaces:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Spaces(0, 1, 1)
-        with pytest.raises(ValueError):
-            Spaces(1, 0, 1)
-        with pytest.raises(ValueError):
-            Spaces(1, 1, 0)
+from oracles import scalar_obs
 
 
 class TestModelConstruction:
+    @pytest.mark.parametrize("mu, C, T", [([], np.zeros((0, 2)), 1), ([1.0], [[1.0]], 1), ([1.0], [[0.5, 0.5]], 0)],
+                             ids=["d", "m", "T"])
+    def test_rejects_nonpositive_sizes(self, mu, C, T):
+        with pytest.raises(ValueError, match="spaces require d >= 1, m >= 1, T >= 1"):
+            HmmModel(mu, np.eye(len(mu)), C, T)
+
+    @pytest.mark.parametrize("mu, C", [([[1.0]], [[0.5, 0.5]]), ([1.0], [0.5, 0.5])], ids=["mu", "C"])
+    def test_prior_must_be_a_vector_and_emissions_a_matrix(self, mu, C):
+        with pytest.raises(ValueError, match="mu must be a vector and C a matrix"):
+            HmmModel(mu, [[1.0]], C, 1)
+
+    def test_sizes_are_read_off_the_arrays(self):
+        model = make_model([0.5, 0.5], np.eye(2), [[0.2, 0.3, 0.5], [0.7, 0.2, 0.1]], 4)
+        assert (model.d, model.m, model.T) == (2, 2, 4)
+
     def test_negative_entries_fail(self):
         with pytest.raises(ValueError, match="negative"):
             make_model([1.1, -0.1], [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], 1)
@@ -48,9 +52,9 @@ class TestModelConstruction:
         ids=["mu", "A", "C"],
     )
     def test_wrong_shapes_fail(self, shapes, match):
-        mu, A, C = (np.full(shape, 1.0 / shape[-1]) for shape in shapes)
+        mu, A, C = (np.full(shape, 1.0 / shape[-1]).tolist() for shape in shapes)
         with pytest.raises(ValueError, match=match):
-            HmmModel(Spaces(d=2, m=1, T=1), mu, A, C)
+            HmmModel.from_dict({"d": 2, "m": 1, "T": 1, "mu": mu, "A": A, "C": C})
 
     def test_negative_emission_fails(self):
         with pytest.raises(ValueError, match="C has negative"):
@@ -76,7 +80,7 @@ class TestModelConstruction:
     def test_json_round_trip(self, rng):
         model = random_model(rng, 3, 2, 4)
         clone = HmmModel.from_json(model.to_json())
-        assert clone.spaces == model.spaces
+        assert (clone.d, clone.m, clone.T) == (model.d, model.m, model.T) == (3, 2, 4)
         np.testing.assert_array_equal(clone.mu, model.mu)
         np.testing.assert_array_equal(clone.A, model.A)
         np.testing.assert_array_equal(clone.C, model.C)
@@ -84,6 +88,18 @@ class TestModelConstruction:
     def test_missing_key_is_loud(self):
         with pytest.raises(ValueError, match="missing key"):
             HmmModel.from_dict({"d": 2, "m": 1, "T": 1, "mu": [1, 0], "A": [[1, 0], [0, 1]]})
+
+    @pytest.mark.parametrize("key, val", [("T", 2.5), ("d", 3.9), ("m", 2.2), ("T", 3.0), ("T", "3"), ("T", True),
+                                          ("d", None)])
+    def test_file_sizes_must_be_integers(self, key, val):
+        obj = {"d": 2, "m": 1, "T": 3, "mu": [0.5, 0.5], "A": [[1, 0], [0, 1]], "C": [[0.5, 0.5], [0.5, 0.5]]}
+        with pytest.raises(ValueError) as err:
+            HmmModel.from_dict({**obj, key: val})
+        assert str(err.value) == f"model size {key} must be an integer, got {val!r}"
+
+    def test_library_horizon_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="model size T must be an integer, got 2.0"):
+            make_model([0.5, 0.5], np.eye(2), [[0.5, 0.5], [0.5, 0.5]], 2.0)
 
 
 class TestRoundingNegatives:

@@ -19,15 +19,14 @@ from oracles import build_weights_lstsq
 
 class TestBuildWeights:
     def test_binary_single_step(self):
-        rep = build_weights({(1,): 3.0, (0,): 1.0}, m=1, T=1)
+        rep = build_weights(np.array([1.0, 3.0]), m=1, T=1)
         assert rep.constant == 2.0
         np.testing.assert_array_equal(rep.weights.at(()), [-1.0])
         assert evaluate(rep, (1,)) == 3.0
         assert evaluate(rep, (0,)) == 1.0
 
     def test_constant_target_has_zero_weights(self):
-        target = {z: 4.25 for z in prefixes(2, 3)}
-        rep = build_weights(target, m=2, T=3)
+        rep = build_weights(np.full(27, 4.25), m=2, T=3)
         assert rep.constant == 4.25
         for t in range(3):
             for w in prefixes(2, t):
@@ -38,39 +37,32 @@ class TestBuildWeights:
         # level 2 at prefix (1,): values (0, 1) -> mean 1/2, weight [-1/2]
         # level 2 at prefix (0,): values (0, 0) -> mean 0, weight [0]
         # level 1 at root: values (0, 1/2) -> mean 1/4, weight [-1/4]
-        target = {z: float(z == (1, 1)) for z in prefixes(1, 2)}
+        target = np.array([float(z == (1, 1)) for z in prefixes(1, 2)])
         rep = build_weights(target, m=1, T=2)
         assert rep.constant == 0.25
         np.testing.assert_array_equal(rep.weights.at(()), [-0.25])
         np.testing.assert_array_equal(rep.weights.at((1,)), [-0.5])
         np.testing.assert_array_equal(rep.weights.at((0,)), [0.0])
-        for z in prefixes(1, 2):
-            assert evaluate(rep, z) == target[z]
+        for z, want in zip(prefixes(1, 2), target):
+            assert evaluate(rep, z) == want
 
     def test_incomplete_target_rejected(self):
-        with pytest.raises(ValueError, match="missing path"):
-            build_weights({(0,): 1.0}, m=1, T=1)
         with pytest.raises(ValueError, match="path values"):
             build_weights(np.zeros(3), m=1, T=1)
-
-    def test_array_target_in_prefix_order(self, rng):
-        target = {z: float(rng.standard_normal()) for z in prefixes(2, 3)}
-        from_array = build_weights(np.array(list(target.values())), m=2, T=3)
-        assert from_array.to_json() == build_weights(target, m=2, T=3).to_json()
 
     def test_round_trip_random_targets(self, rng):
         for _ in range(10):
             m, T = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            target = {z: float(rng.standard_normal()) for z in prefixes(m, T)}
+            target = np.array([float(rng.standard_normal()) for _ in prefixes(m, T)])
             rep = build_weights(target, m=m, T=T)
-            for z in prefixes(m, T):
-                assert abs(evaluate(rep, z) - target[z]) <= 1e-12
+            for z, want in zip(prefixes(m, T), target):
+                assert abs(evaluate(rep, z) - want) <= 1e-12
 
     def test_agrees_with_least_squares_construction(self, rng):
         for _ in range(10):
             m, T = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             target = {z: float(rng.standard_normal()) for z in prefixes(m, T)}
-            a = build_weights(target, m=m, T=T)
+            a = build_weights(np.array(list(target.values())), m=m, T=T)
             b = build_weights_lstsq(target, m=m, T=T)
             assert abs(a.constant - b.constant) <= 1e-10
             for t in range(T):
@@ -80,14 +72,13 @@ class TestBuildWeights:
 
 class TestEvaluate:
     def test_zero_weights_return_constant(self):
-        target = {z: 1.5 for z in prefixes(1, 2)}
-        rep = build_weights(target, m=1, T=2)
+        rep = build_weights(np.full(4, 1.5), m=1, T=2)
         assert evaluate(rep, (0, 1)) == 1.5
 
     def test_matches_dot_with_embedded_tokens_bit_for_bit(self, rng):
         for m in range(1, 10):
             T = 3 if m < 4 else 2
-            target = {z: float(rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)) for z in prefixes(m, T)}
+            target = np.array([float(rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)) for _ in prefixes(m, T)])
             rep = build_weights(target, m=m, T=T)
             E = token_basis(m)
             want = []
@@ -109,12 +100,12 @@ class TestEvaluate:
         ids=["out-of-alphabet", "not-integer", "three-axes", "wrong-length"],
     )
     def test_rejects_bad_stacks(self, z, match):
-        rep = build_weights({w: 0.0 for w in prefixes(1, 2)}, m=1, T=2)
+        rep = build_weights(np.zeros(4), m=1, T=2)
         with pytest.raises(ValueError, match=match):
             evaluate(rep, z)
 
     def test_wrong_length_rejected(self):
-        rep = build_weights({(0,): 0.0, (1,): 1.0}, m=1, T=1)
+        rep = build_weights(np.array([0.0, 1.0]), m=1, T=1)
         with pytest.raises(ValueError, match="length"):
             evaluate(rep, (0, 1))
 
@@ -178,11 +169,6 @@ class TestRepresentConditional:
         # the only possible path is (1, 1); its conditional is C(0, 0) = 0 after staying in state 0
         assert abs(evaluate(rep, (1, 1)) - 0.0) <= 1e-12
 
-    def test_zero_horizon_is_the_first_token_law(self, reference_model):
-        rep = represent_conditional(reference_model, 1, T=0)
-        assert rep.constant == (reference_model.mu @ reference_model.C)[1]
-        assert rep.weights.tree == {} and evaluate(rep, ()) == rep.constant
-
     def test_bad_query_token(self, reference_model):
         with pytest.raises(ValueError, match="alphabet"):
             represent_conditional(reference_model, 2)
@@ -190,14 +176,14 @@ class TestRepresentConditional:
 
 def represent_by_paths(model, z_query, zero_convention):
     """represent_conditional written as one forward_filter per path, for comparison."""
-    target = {}
+    target = []
     for path in prefixes(model.m, model.T):
         pi_T = forward_filter(model, path, zero_convention=zero_convention)[-1]
         if zero_convention and pi_T.sum() == 0.0:
-            target[path] = 0.0
+            target.append(0.0)
         else:
-            target[path] = float(next_token_prob(model, pi_T)[z_query])
-    return build_weights(target, model.m, model.T)
+            target.append(float(next_token_prob(model, pi_T)[z_query]))
+    return build_weights(np.array(target), model.m, model.T)
 
 
 class TestRepresentAgainstPerPathLoop:
@@ -234,7 +220,7 @@ class TestSerialization:
         for d, m, T in [(2, 1, 1), (3, 2, 3), (2, 3, 2)]:
             rep = represent_conditional(random_model(rng, d, m, T), 1)
             assert PredictorRepresentation.from_dict(json.loads(rep.to_json())).to_json() == rep.to_json()
-        empty = represent_conditional(random_model(rng, 2, 1, 1), 0, T=0)
+        empty = build_weights(np.array([0.3]), m=1, T=0)
         assert PredictorRepresentation.from_dict(empty.to_dict()).to_json() == empty.to_json()
 
     @pytest.mark.parametrize("edit, name, how", [
