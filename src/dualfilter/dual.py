@@ -5,8 +5,9 @@ control process U together with a terminal function F determine a backward
 stochastic difference equation whose solution (Y, V) must stay adapted, a
 quadratic cost whose value equals the mean-squared error of the induced
 estimator, and a feedback law that recovers the exact filter when driven by
-it. Expectations are exact enumerations, never Monte Carlo: the tolerances
-downstream assume exactness.
+it. Expectations are exact, never Monte Carlo: the cost contracts per-node
+tables with the forward joint measure, and the squared error enumerates the
+joint paths, so each duality gap checks one against the other.
 
 Backward passes are level-sequential but nodes within a level are
 independent; all functions are pure and deterministic.
@@ -142,13 +143,9 @@ def _running_cost_tables(model: HmmModel, traj: DualTrajectory) -> list[np.ndarr
     tables = []
     for t in range(traj.horizon):
         V, U, Y_next = traj.V.levels[t], traj.U.levels[t], traj.Y.levels[t + 1]
-        table = np.empty_like(Y_next)
-        for r in range(len(U)):
-            S = U[r][None, :] + V[r]
-            quad = np.einsum("xi,xij,xj->x", S, R, S)
-            for k in range(r * (model.m + 1), (r + 1) * (model.m + 1)):
-                table[k] = gamma_op(model, Y_next[k]) + quad
-        tables.append(table)
+        S = U[:, None] + V  # the risk term depends on the parent prefix only: repeated down its children
+        quad = np.einsum("rxi,xij,rxj->rx", S, R, S)
+        tables.append(gamma_op(model, Y_next) + np.repeat(quad, model.m + 1, axis=0))
     return tables
 
 
@@ -170,23 +167,20 @@ def _per_observation_path(lookup: Callable[[Prefix], object]) -> Callable[[Prefi
     return at
 
 
-def _cost_of_trajectory(model: HmmModel, traj: DualTrajectory, budget: int) -> float:
+def _cost_of_trajectory(model: HmmModel, traj: DualTrajectory) -> float:
+    """J_T = var(Y_0(X_0)) + sum_t <sigma_{t+1}, l_t>, sigma_{t+1} = P(Z_1..Z_{t+1} = prefix, X_t = x).
+
+    sigma_{t+1} is the unnormalized forward measure alpha_t = P(Z_1..Z_t = prefix, X_t = x)
+    (alpha_0 = mu) weighted by C(x, z), and alpha_{t+1} = sigma_{t+1} A.
+    """
     y0 = traj.y0()
-    var0 = float(model.mu @ (y0 * y0) - (model.mu @ y0) ** 2)
-    tables = [table.tolist() for table in _running_cost_tables(model, traj)]
-    T = traj.horizon
-    rows = _per_observation_path(
-        lambda z_path: [tables[t][prefix_rank(z_path[: t + 1], model.m)] for t in range(T)]
-    )
-
-    def h(x_path, z_path):
-        # an explicit left-to-right sum: sum() may compensate float sums (Python >= 3.12)
-        acc = 0.0
-        for row, x in zip(rows(z_path), x_path):
-            acc += row[x]
-        return acc
-
-    return var0 + exact_expectation(model, h, T=T, budget=budget)
+    J = float(model.mu @ (y0 * y0) - (model.mu @ y0) ** 2)
+    alpha = model.mu[None, :]
+    for table in _running_cost_tables(model, traj):
+        sigma = (alpha[:, None, :] * model.C.T).reshape(-1, model.d)
+        J += float(np.sum(sigma * table))
+        alpha = sigma @ model.A
+    return J
 
 
 def estimator_values(model: HmmModel, traj: DualTrajectory) -> AdaptedProcess:
@@ -241,8 +235,9 @@ def duality_report(model: HmmModel, traj: DualTrajectory, F, budget: int = DEFAU
     """Both sides of the duality identity: {'J_T': ..., 'mse': ..., 'gap': ...}.
 
     traj is the trajectory ``solve_bsde(model, U, F)`` returns for the control U.
+    J_T is a forward contraction; ``budget`` gates only mse's joint-path enumeration.
     """
-    J = _cost_of_trajectory(model, traj, budget)
+    J = _cost_of_trajectory(model, traj)
     mse = squared_error(model, traj, F, budget=budget)
     return {"J_T": J, "mse": mse, "gap": abs(J - mse)}
 

@@ -79,6 +79,8 @@ def _stochastic_matrix(M, name: str, rows: int, cols: int) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape != (rows, cols):
         raise ValueError(f"{name} must have shape {(rows, cols)}, got {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} has non-finite entries")
     if np.any(M < 0):
         raise ValueError(f"{name} has negative entries")
     sums = M.sum(axis=1)
@@ -96,8 +98,8 @@ class HmmModel:
     z_{t+1} is emitted by the state *before* the transition to X_{t+1}.
     The sizes are read off the arrays: d = len(mu) states and m+1 tokens,
     one per column of C. Rows of A and C are validated to sum to 1 within
-    ROW_SUM_TOL and then renormalized exactly; negative entries fail
-    construction.
+    ROW_SUM_TOL and then renormalized exactly; negative or non-finite
+    entries fail construction.
     """
 
     mu: np.ndarray
@@ -111,6 +113,8 @@ class HmmModel:
             raise ValueError(f"mu must be a vector and C a matrix, got shapes {mu.shape} and {C.shape}")
         d, m = len(mu), C.shape[1] - 1
         _check_sizes(d, m, self.T)
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("mu has non-finite entries")
         if np.any(mu < 0):
             raise ValueError("mu has negative entries")
         if abs(mu.sum() - 1.0) > ROW_SUM_TOL:
@@ -212,15 +216,15 @@ def obs_matrix(model: HmmModel) -> np.ndarray:
 
 
 def gamma_op(model: HmmModel, f: np.ndarray) -> np.ndarray:
-    """Per-state conditional variance of f under one transition of A.
+    """Per-state conditional variance under one transition of A, for one function f (d,) or each row of a stack (..., d).
 
     (Gamma f)(x) = sum_y A(x,y) f(y)^2 - (A f)(x)^2; entrywise >= 0 for any
     row-stochastic A (variance of f(X_{t+1}) given X_t = x).
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (model.d,):
-        raise ValueError(f"f must have shape ({model.d},), got {f.shape}")
-    return model.A @ (f * f) - (model.A @ f) ** 2
+    if f.shape[-1:] != (model.d,):
+        raise ValueError(f"f must have shape (..., {model.d}), got {f.shape}")
+    return (f * f) @ model.A.T - (f @ model.A.T) ** 2
 
 
 def risk_tensor(model: HmmModel) -> np.ndarray:

@@ -152,9 +152,9 @@ def exact_expectation(model: HmmModel, h, T: int | None = None, budget: int = DE
     in lexicographic (z_path, x_path) order: every x_path of one z_path, in
     ``product`` order, before the next z_path. All calls for one z_path get
     the same tuple object. Paths of probability zero are skipped and h is
-    not called on them. This is the oracle for every expectation in the
-    dual-control machinery; tolerances there assume exactness, so there is
-    deliberately no sampling fallback.
+    not called on them. It is the squared-error side of the duality identity,
+    which checks the cost's forward contraction, and the tests' reference;
+    tolerances assume exactness, so there is deliberately no sampling fallback.
 
     The weights of all d^(T+1) hidden paths of one z_path are built at once
     with numpy: d^(T+1) floats, which is the working memory beyond the

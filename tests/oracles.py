@@ -14,7 +14,7 @@ import numpy as np
 from dualfilter import dual
 from dualfilter.adapted import AdaptedProcess, prefixes
 from dualfilter.hmm import gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
-from dualfilter.oracle import DEFAULT_ENUM_BUDGET, ImpossibleObservationError, exact_expectation, forward_filter
+from dualfilter.oracle import ImpossibleObservationError, exact_expectation, forward_filter
 from dualfilter.predictor import PredictorRepresentation
 
 
@@ -107,15 +107,41 @@ def optimal_feedback(model, y, v, rho) -> np.ndarray:
     return -np.linalg.pinv(np.einsum("x,xij->ij", rho, R), rcond=dual.PINV_RCOND) @ (lead + drag)
 
 
-def running_cost(model, y, v, u, x: int) -> float:
-    """l(y, v, u; x): transition variance of y plus the (u + v(x)) quadratic risk."""
-    s = np.asarray(u, dtype=float) + np.asarray(v, dtype=float)[x]
-    return float(gamma_op(model, y)[x] + s @ risk_tensor(model)[x] @ s)
+def running_cost(model, y, v, u) -> np.ndarray:
+    """x -> l(y, v, u; x) as a (d,) array: transition variance of y plus the (u + v(x)) quadratic risk."""
+    R = risk_tensor(model)
+    s = np.asarray(u, dtype=float) + np.asarray(v, dtype=float)
+    return gamma_op(model, y) + np.array([s[x] @ R[x] @ s[x] for x in range(model.d)])
 
 
 def total_cost(model, U, F) -> float:
-    """J(U; F) = var(Y_0(X_0)) + E[sum_t l(Y_{t+1}, V_t, U_t; X_t)]: the J_T side of duality_report."""
-    return dual._cost_of_trajectory(model, dual.solve_bsde(model, U, F), DEFAULT_ENUM_BUDGET)
+    """J(U; F) = var(Y_0(X_0)) + E[sum_t l(Y_{t+1}, V_t, U_t; X_t)] by enumerating every joint path.
+
+    The J_T side of duality_report, computed independently of its forward
+    contraction: each node's running cost comes from ``running_cost`` and the
+    expectation from ``exact_expectation``.
+    """
+    traj = dual.solve_bsde(model, U, F)
+    T = traj.horizon
+    costs, rows = {}, {}
+
+    def node_cost(t, prefix):
+        # l_t at the node z_1..z_{t+1}, for every state x_t
+        if prefix not in costs:
+            y, v, u = traj.Y.at(prefix), traj.V.at(prefix[:t]), traj.U.at(prefix[:t])
+            costs[prefix] = running_cost(model, y, v, u).tolist()
+        return costs[prefix]
+
+    def h(x_path, z_path):
+        if z_path not in rows:
+            rows[z_path] = [node_cost(t, z_path[: t + 1]) for t in range(T)]
+        acc = 0.0
+        for row, x in zip(rows[z_path], x_path):
+            acc += row[x]
+        return acc
+
+    y0 = traj.y0()
+    return float(model.mu @ (y0 * y0) - (model.mu @ y0) ** 2) + exact_expectation(model, h, T=T)
 
 
 def mmse(model, F) -> float:

@@ -67,6 +67,23 @@ class TestOracleCommand:
         assert res.stderr.splitlines() == ["error: model size T must be an integer, got 2.5"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, row, flags",
+        [("oracle", "mu", None, ["--path", "0.1"]), ("fixedpoint", "C", 0, ["--path", "0.1"])],
+        ids=["nan-prior-oracle", "nan-emission-fixedpoint"],
+    )
+    def test_nan_in_model_exits_2(self, runner, model_file, tmp_path, command, key, row, flags):
+        obj = json.loads(model_file.read_text())
+        target = obj[key] if row is None else obj[key][row]
+        target[1] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(obj))
+        assert "NaN" in bad.read_text()
+        res = runner.invoke(main, [command, "--model", str(bad), *flags, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.splitlines() == [f"error: {key} has non-finite entries"]
+        assert not (tmp_path / "o").exists()
+
     def test_unreadable_model_file_exits_2(self, runner, tmp_path):
         res = runner.invoke(main, ["oracle", "--model", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2

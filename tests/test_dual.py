@@ -99,13 +99,13 @@ class TestRunningCost:
         v = rng.standard_normal((model.d, model.m))
         x = 1
         y = np.full(model.d, 3.0)
-        assert running_cost(model, y, v, -v[x], x) <= 1e-14
+        assert running_cost(model, y, v, -v[x])[x] <= 1e-14
 
     def test_identity_chain_no_variance(self, rng):
         model = make_model([0.5, 0.5], np.eye(2), [[0.2, 0.8], [0.7, 0.3]], 1)
         y = rng.standard_normal(2)
         zeros = np.zeros((2, 1))
-        assert running_cost(model, y, zeros, np.zeros(1), 0) <= 1e-14
+        assert running_cost(model, y, zeros, np.zeros(1))[0] <= 1e-14
 
     def test_against_independent_transcription(self, rng):
         model = random_model(rng, 3, 2, 1)
@@ -117,7 +117,7 @@ class TestRunningCost:
             gamma = sum(model.A[x, j] * y[j] ** 2 for j in range(3)) - (model.A[x] @ y) ** 2
             s = u + v[x]
             expect = gamma + s @ risk_tensor(model)[x] @ s
-            assert abs(running_cost(model, y, v, u, x) - expect) <= 1e-12
+            assert abs(running_cost(model, y, v, u)[x] - expect) <= 1e-12
 
 
 class TestDuality:
@@ -391,7 +391,11 @@ class TestSquaredError:
 
 
 class TestIntegrandsBitIdentical:
-    """Cost, squared error and MMSE equal exact_expectation of the plain per-term integrands, bit for bit."""
+    """Squared error and MMSE equal exact_expectation of the plain per-term integrands, bit for bit.
+
+    The cost is a forward contraction, not an enumeration: it agrees with the
+    enumerated oracle ``total_cost`` to relative 1e-12.
+    """
 
     @pytest.mark.parametrize(
         "make, d, m, T", [(random_model, 2, 1, 3), (sparse_model, 3, 2, 2), (random_model, 3, 1, 4)]
@@ -406,13 +410,8 @@ class TestIntegrandsBitIdentical:
             else:
                 term = lambda z: F  # noqa: E731
             traj = solve_bsde(model, U, F)
-            tables = [AdaptedProcess(m, (None,) * (t + 1) + (table,))
-                      for t, table in enumerate(_running_cost_tables(model, traj))]
             est = estimator_values(model, traj)
             cache = {}
-
-            def cost(x_path, z_path):
-                return sum(tables[t].at(z_path[: t + 1])[x_path[t]] for t in range(T))
 
             def error(x_path, z_path):
                 diff = term(z_path)[x_path[-1]] - est.at(z_path)
@@ -424,10 +423,45 @@ class TestIntegrandsBitIdentical:
                 diff = term(z_path)[x_path[-1]] - cache[z_path]
                 return diff * diff
 
-            y0 = traj.y0()
-            J = float(model.mu @ (y0 * y0) - (model.mu @ y0) ** 2) + exact_expectation(model, cost)
             mse = exact_expectation(model, error)
-            assert total_cost(model, U, F) == J
+            report = duality_report(model, traj, F)
+            J = total_cost(model, U, F)
+            assert abs(report["J_T"] - J) <= 1e-12 * abs(J)
             assert squared_error(model, traj, F) == mse
             assert mmse(model, F) == exact_expectation(model, filter_error)
-            assert duality_report(model, traj, F) == {"J_T": J, "mse": mse, "gap": abs(J - mse)}
+            assert report["mse"] == mse and report["gap"] == abs(report["J_T"] - mse)
+
+
+class TestCostContraction:
+    """The forward-contraction J_T against the enumerated J_T, and its tables against the per-node formula.
+
+    J_T is compared at relative 1e-12, floored at max|F|^2: where the optimal
+    control makes the cost zero (an observed state), both sides are sums of
+    rounding residues of F's scale, and their ratio is noise.
+    """
+
+    SIZES = [(2, 1, 1), (2, 1, 5), (3, 1, 5), (2, 3, 4), (3, 2, 3), (3, 2, 4), (4, 2, 3), (4, 3, 2), (4, 1, 4)]
+
+    @pytest.mark.parametrize("d, m, T", SIZES, ids=[f"d{d}-m{m}-T{T}" for d, m, T in SIZES])
+    def test_matches_enumeration(self, rng, d, m, T):
+        for make in (random_model, sparse_model):
+            model = make(rng, d, m, T)
+            for path_dependent in (False, True):
+                F = random_terminal(rng, model, path_dependent)
+                scale = float(np.max(np.abs(dual._terminal_level(F, d, m, T)))) ** 2
+                # a random control, and the optimal feedback control under the zero convention
+                for U in (random_weight_process(rng, m, T),
+                          solve_optimal(model, filter_process(model, zero_convention=True), F).U):
+                    J = total_cost(model, U, F)
+                    got = dual._cost_of_trajectory(model, solve_bsde(model, U, F))
+                    assert abs(got - J) <= 1e-12 * max(abs(J), scale), (got, J)
+
+    @pytest.mark.parametrize("make", [random_model, sparse_model])
+    def test_tables_match_running_cost_at_every_node(self, rng, make):
+        model = make(rng, 3, 2, 3)
+        traj = solve_bsde(model, random_weight_process(rng, model.m, model.T), rng.standard_normal(model.d))
+        for t, table in enumerate(_running_cost_tables(model, traj)):
+            for w, row in zip(prefixes(model.m, t + 1), table):
+                y, v, u = traj.Y.at(w), traj.V.at(w[:t]), traj.U.at(w[:t])
+                expect = running_cost(model, y, v, u)
+                assert np.all(np.abs(row - expect) <= 1e-13 * np.maximum(1.0, np.abs(expect)))

@@ -56,6 +56,15 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match=match):
             HmmModel.from_dict({"d": 2, "m": 1, "T": 1, "mu": mu, "A": A, "C": C})
 
+    @pytest.mark.parametrize("name", ["mu", "A", "C"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_entries_fail_naming_the_array(self, name, bad):
+        arrays = {"mu": [0.5, 0.5], "A": [[0.5, 0.5], [0.5, 0.5]], "C": [[0.5, 0.5], [0.5, 0.5]]}
+        arrays[name] = np.array(arrays[name])
+        arrays[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+            make_model(arrays["mu"], arrays["A"], arrays["C"], 1)
+
     def test_negative_emission_fails(self):
         with pytest.raises(ValueError, match="C has negative"):
             make_model([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[1.1, -0.1], [0.5, 0.5]], 1)
@@ -317,8 +326,15 @@ class TestGammaOp:
         np.testing.assert_allclose(gamma_op(model, np.array([0.0, 2.0])), [1.0, 1.0])
 
     def test_wrong_shape(self, reference_model):
-        with pytest.raises(ValueError, match="f must have shape"):
-            gamma_op(reference_model, np.zeros(3))
+        for f in (np.zeros(3), np.zeros((4, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="f must have shape"):
+                gamma_op(reference_model, f)
+
+    def test_rows_of_a_stack_match_single_functions(self, rng):
+        model = random_model(rng, 3, 1, 1)
+        F = rng.standard_normal((2, 4, 3))
+        expect = np.array([[gamma_op(model, f) for f in row] for row in F])
+        np.testing.assert_allclose(gamma_op(model, F), expect, rtol=1e-14, atol=1e-14)
 
     def test_nonnegative(self, rng):
         for _ in range(200):

@@ -5,9 +5,10 @@ these hashes do not. Each case runs inside an isolated working directory
 with relative model paths, so the config hash in every report header is the
 same wherever the suite runs. A change that is meant to alter report bytes
 (a new report field, a different order of summation) re-records the hashes
-with ``PYTHONPATH=src python tests/test_report_golden.py`` and says why in CHANGES.md; the
-hashes assume numpy's float64 arithmetic and may need re-recording after a
-numpy upgrade that changes rounding.
+with ``PYTHONPATH=src python tests/test_report_golden.py``, which also lists
+under ``changed`` each report whose digest differs from CASES, and says why
+in CHANGES.md; the hashes assume numpy's float64 arithmetic and may need
+re-recording after a numpy upgrade that changes rounding.
 """
 
 import hashlib
@@ -60,7 +61,7 @@ CASES = [
     }),
     ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
         "diagnostics.csv": "6b31ca57dd49e9d281c11dcb473f0713bd40ff45169eb074c694eb4183aab28a",
-        "duality_report.json": "1143a73957902b6f88ea2ef0a682fcf14ce91ee98f648260b62e5ee3fe5ad573",
+        "duality_report.json": "6e9d4c7d19dc3e7ec62b1c5ac8faeb9f05ab472abe8f6f7e57b0816e10a41de8",
     }),
     ("represent", ["represent", "--model", "dense.json", "--z-query", "1"], 0, {
         "representation.json": "54a148ae23c3573443257fd5d121e0ed2fa02dd77cbd32248cd93f9a980f165d",
@@ -108,10 +109,11 @@ def test_report_bytes_match_golden(case, argv, code, want):
 
 
 if __name__ == "__main__":
-    # Re-record: print each case's exit code and digests.
+    # Re-record: print each case's exit code, digests, and the reports whose digest differs from CASES.
     runner = CliRunner()
-    for case, argv, _, _ in CASES:
+    for case, argv, _, want in CASES:
         with runner.isolated_filesystem():
             res, got = run_case(runner, argv)
-        json.dump({"case": case, "exit": res.exit_code, "reports": got}, sys.stdout)
+        changed = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+        json.dump({"case": case, "exit": res.exit_code, "reports": got, "changed": changed}, sys.stdout)
         sys.stdout.write("\n")
