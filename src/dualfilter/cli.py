@@ -36,9 +36,10 @@ from .attention import (
     simplified_form,
 )
 from .dual import bsde_residual_by_node, duality_report, estimator_path, solve_bsde, solve_optimal
-from .fixedpoint import fixed_point_residual, iterate, kl_divergence_bar
+from .fixedpoint import apply_N_adapted, apply_N_path, fixed_point_residual, iterate, kl_divergence_bar
 from .hmm import HmmModel, validate_tokens
 from .oracle import (
+    DEFAULT_ENUM_BUDGET,
     ImpossibleObservationError,
     filter_levels,
     filter_process,
@@ -83,7 +84,7 @@ class ExperimentConfig:
     T: int | None = None
     K: int = 10
     draws: int = 20
-    enum_budget: int = 10**7
+    enum_budget: int = DEFAULT_ENUM_BUDGET
     zero_convention: bool = False
     output_dir: str = "out"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
@@ -111,6 +112,8 @@ class ExperimentConfig:
         if not isinstance(self.tolerances, dict):
             raise ValueError(f"tolerances must be a JSON object, got {self.tolerances!r}")
         for key, val in self.tolerances.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise ValueError(f"unknown tolerance {key!r}; known: {', '.join(DEFAULT_TOLERANCES)}")
             if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < math.inf:
                 raise ValueError(f"tolerance {key!r} must be a positive number, got {val!r}")
         return self
@@ -298,11 +301,13 @@ def cmd_fixedpoint(cfg, model, rng, z, mode):
     tol = float(cfg.tolerances["fixed_point"])
     out = _out_dir(cfg)
     if mode == "path":
-        pis = forward_filter(model, z, zero_convention=cfg.zero_convention)
-        residual = fixed_point_residual(model, pis, z, mode="path")
+        rho = forward_filter(model, z, zero_convention=cfg.zero_convention)
+        image, _ = apply_N_path(model, rho, z)
     else:
         pi_proc = filter_process(model, zero_convention=cfg.zero_convention)
-        residual = fixed_point_residual(model, pi_proc, mode="adapted")
+        image_proc, _ = apply_N_adapted(model, pi_proc)
+        image, rho = (np.concatenate(proc.levels[1:]) for proc in (image_proc, pi_proc))
+    residual = fixed_point_residual(image, rho)
     trace = iterate(model, z, K=cfg.K, zero_convention=cfg.zero_convention)
 
     rows = []
@@ -396,8 +401,6 @@ def cmd_duality(cfg, model, rng):
 )
 def cmd_represent(cfg, model, rng, z_query):
     """Build the predictor weights for a next-token conditional probability."""
-    if not 0 <= z_query <= model.m:
-        raise ValueError(f"z-query {z_query} outside alphabet 0..{model.m}")
     rep = represent_conditional(model, z_query, zero_convention=cfg.zero_convention)
 
     # reconstruction check against the oracle on every possible path

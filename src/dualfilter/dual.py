@@ -21,8 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefix_rank, prefixes
-from .hmm import HmmModel, gamma_op, obs_matrix, risk_tensor, token_basis
+from .hmm import HmmModel, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
 from .oracle import DEFAULT_ENUM_BUDGET, exact_expectation
+from .predictor import PredictorRepresentation, path_values
 
 # Relative singular-value cutoff for every pseudo-inverse in this module.
 PINV_RCOND = 1e-10
@@ -183,32 +184,22 @@ def _cost_of_trajectory(model: HmmModel, traj: DualTrajectory) -> float:
     return J
 
 
-def estimator_values(model: HmmModel, traj: DualTrajectory) -> AdaptedProcess:
-    """mu(Y_0) - sum_s U_s^T e(z_{s+1}) at every prefix: levels 0..horizon of shape ((m+1)^t,).
+def _estimator(model: HmmModel, traj: DualTrajectory, t: int) -> PredictorRepresentation:
+    """The running estimator up to time t as a predictor: constant mu(Y_0), weights U_0..U_{t-1}."""
+    return PredictorRepresentation(float(model.mu @ traj.y0()), AdaptedProcess(model.m, traj.U.levels[:t]))
 
-    Each child is its parent's value minus the term u^T e(z), taken as
-    u @ e(0) for z = 0 (one dot per row) and u_z for z >= 1: the same bits
-    as u @ e(z) for every z (the z = 0 row of E @ u is not, from m = 4 on).
-    """
-    e0 = token_basis(model.m)[0]
-    levels = [np.array([float(model.mu @ traj.y0())])]
-    for t in range(traj.horizon):
-        U = traj.U.levels[t]
-        terms = np.concatenate([U[:, None, :] @ e0, U], axis=1)
-        levels.append((levels[-1][:, None] - terms).ravel())
-    return AdaptedProcess(model.m, tuple(levels))
+
+def estimator_values(model: HmmModel, traj: DualTrajectory) -> np.ndarray:
+    """mu(Y_0) - sum_s U_s^T e(z_{s+1}) on every path of the horizon: a ((m+1)^T,) array in prefix-rank order."""
+    return path_values(_estimator(model, traj, traj.horizon))
 
 
 def estimator_path(model: HmmModel, traj: DualTrajectory, z, t: int) -> float:
     """mu(Y_0) - sum_{s<t} U_s(z_1..z_s)^T e(z_{s+1}) along one path."""
     if not 0 <= t <= traj.horizon:
         raise ValueError(f"time {t} outside 0..{traj.horizon}")
-    E = token_basis(model.m)
-    acc = float(model.mu @ traj.y0())
-    for s in range(t):
-        u = np.asarray(traj.U.at(tuple(z[:s])))
-        acc -= float(u @ E[z[s]])
-    return acc
+    values = path_values(_estimator(model, traj, t))
+    return float(values[prefix_rank(validate_tokens(z[:t], model.m), model.m)])
 
 
 def squared_error(
@@ -220,7 +211,7 @@ def squared_error(
     """E|F(X_T) - S_T|^2 for the estimator S_T induced by the trajectory."""
     T = traj.horizon
     rows = _terminal_level(F, model.d, model.m, T).tolist()
-    est = estimator_values(model, traj).levels[T].tolist()
+    est = estimator_values(model, traj).tolist()
     at = _per_observation_path(lambda z_path: (lambda r: (rows[r], est[r]))(prefix_rank(z_path, model.m)))
 
     def h(x_path, z_path):

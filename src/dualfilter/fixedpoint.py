@@ -155,31 +155,23 @@ def apply_N_adapted(model: HmmModel, rho: AdaptedProcess) -> tuple[AdaptedProces
         level = np.zeros(((model.m + 1) ** t, model.d))
         for j in range(model.d):
             traj = solve_optimal(model, rho, indicators[j], horizon=t, laws=laws)
-            level[:, j] = estimator_values(model, traj).levels[t]
+            level[:, j] = estimator_values(model, traj)
         levels.append(level)
     flags = [None, *(is_probability_vector(level) for level in levels[1:])]
     return AdaptedProcess(model.m, tuple(levels)), AdaptedProcess(model.m, tuple(flags))
 
 
-def fixed_point_residual(model: HmmModel, rho, z=None, mode: str = "path") -> float:
-    """Max-norm distance between rho and its image under the map.
+def fixed_point_residual(image: np.ndarray, rho: np.ndarray) -> float:
+    """Max-norm distance between rho and its image under the map, given as matching (N, d) row stacks.
 
-    In path mode rho is a (T, d) array for the path z; in adapted mode rho
-    is the full prefix-tree process, levels 1..T, and z is ignored. Entries
-    carrying a zero measure (the zero-probability convention) are skipped
-    in the comparison.
+    The rows are the per-path map's times, or the adapted map's levels
+    1..T stacked in order. Rows where rho is the zero measure (the
+    zero-probability convention) are skipped in the comparison.
     """
-    if mode == "path":
-        rho = np.asarray(rho, dtype=float)
-        out, _ = apply_N_path(model, rho, z)
-        pairs = [(out, rho)]
-    elif mode == "adapted":
-        out, _ = apply_N_adapted(model, rho.check_complete(model.m, range(1, model.T + 1)))
-        pairs = [(out.levels[t], np.asarray(rho.levels[t], dtype=float)) for t in range(1, model.T + 1)]
-    else:
-        raise ValueError(f"mode must be 'path' or 'adapted', got {mode!r}")
-    gaps = [np.abs(got - ref)[ref.sum(axis=1) != 0.0].ravel() for got, ref in pairs]
-    return float(np.max(np.concatenate(gaps), initial=0.0))
+    image, rho = np.asarray(image, dtype=float), np.asarray(rho, dtype=float)
+    if image.shape != rho.shape or rho.ndim != 2:
+        raise ValueError(f"image and rho must be matching (N, d) stacks, got shapes {image.shape} and {rho.shape}")
+    return float(np.max(np.abs(image - rho)[rho.sum(axis=1) != 0.0], initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -66,13 +66,14 @@ def drop_rounding_negatives(p: np.ndarray) -> np.ndarray:
     return np.where((p < 0.0) & (p >= -ROUNDING_TOL), 0.0, p)
 
 
-def _check_sizes(d, m, T) -> None:
-    """d states, m+1 tokens and horizon T must be integers (not bools) with d, m, T >= 1."""
-    for name, val in (("d", d), ("m", m), ("T", T)):
+def _check_sizes(**sizes: tuple[object, int]) -> None:
+    """Each size, given as name=(value, least), must be an integer (not a bool) of at least ``least``."""
+    for name, (val, _) in sizes.items():
         if isinstance(val, bool) or not isinstance(val, int):
             raise ValueError(f"model size {name} must be an integer, got {val!r}")
-    if d < 1 or m < 1 or T < 1:
-        raise ValueError(f"spaces require d >= 1, m >= 1, T >= 1; got d={d}, m={m}, T={T}")
+    if any(val < least for val, least in sizes.values()):
+        raise ValueError("spaces require " + ", ".join(f"{k} >= {least}" for k, (_, least) in sizes.items())
+                         + "; got " + ", ".join(f"{k}={val}" for k, (val, _) in sizes.items()))
 
 
 def _stochastic_matrix(M, name: str, rows: int, cols: int) -> np.ndarray:
@@ -112,7 +113,7 @@ class HmmModel:
         if mu.ndim != 1 or C.ndim != 2:
             raise ValueError(f"mu must be a vector and C a matrix, got shapes {mu.shape} and {C.shape}")
         d, m = len(mu), C.shape[1] - 1
-        _check_sizes(d, m, self.T)
+        _check_sizes(d=(d, 1), m=(m, 1), T=(self.T, 1))
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu has non-finite entries")
         if np.any(mu < 0):
@@ -154,7 +155,7 @@ class HmmModel:
             d, m, T, mu, A, C = (obj[key] for key in ("d", "m", "T", "mu", "A", "C"))
         except KeyError as exc:
             raise ValueError(f"model file missing key {exc.args[0]!r}") from exc
-        _check_sizes(d, m, T)
+        _check_sizes(d=(d, 1), m=(m, 1), T=(T, 1))
         for name, arr, shape in (("mu", mu, (d,)), ("C", C, (d, m + 1))):
             if np.shape(arr) != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {np.shape(arr)}")

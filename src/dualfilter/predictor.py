@@ -15,18 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapted import AdaptedProcess, prefix_string, prefixes
-from .hmm import HmmModel, decompose
+from .hmm import HmmModel, _check_sizes, decompose, token_basis
 from .oracle import filter_levels, next_token_prob
 
 
 @dataclass(frozen=True)
 class PredictorRepresentation:
-    """constant - sum_t U_t(prefix)^T e(z_{t+1}) over a horizon of T tokens."""
+    """constant - sum_t U_t(prefix)^T e(z_{t+1}); the alphabet 0..m and the horizon T are read off the weights."""
 
     constant: float
     weights: AdaptedProcess
-    m: int
-    T: int
+
+    @property
+    def m(self) -> int:
+        return self.weights.m
+
+    @property
+    def T(self) -> int:
+        return len(self.weights.levels)
 
     def to_dict(self) -> dict:
         pairs = []
@@ -40,8 +46,9 @@ class PredictorRepresentation:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PredictorRepresentation":
-        """Load ``to_dict``'s output; a prefix of length 0..T-1 missing, or any other prefix, raises ValueError."""
-        m, T = int(obj["m"]), int(obj["T"])
+        """Load ``to_dict``'s output: integer sizes m >= 1, T >= 0, and weights at each prefix shorter than T only."""
+        m, T = obj["m"], obj["T"]
+        _check_sizes(m=(m, 1), T=(T, 0))
         given = dict(obj["weights"])
         names = [[prefix_string(w) for w in prefixes(m, t)] for t in range(T)]
         odd = sorted(set(given).symmetric_difference(key for level in names for key in level))
@@ -49,7 +56,7 @@ class PredictorRepresentation:
             raise ValueError(f"weights must name each prefix of length 0..{T - 1} over the alphabet 0..{m} "
                              f"and no other; {odd[0]!r} is {'extra' if odd[0] in given else 'missing'}")
         levels = tuple(np.array([given[k] for k in level], dtype=float).reshape(len(level), m) for level in names)
-        return cls(constant=float(obj["constant"]), weights=AdaptedProcess(m, levels), m=m, T=T)
+        return cls(constant=float(obj["constant"]), weights=AdaptedProcess(m, levels))
 
 
 def build_weights(target: np.ndarray, m: int, T: int) -> PredictorRepresentation:
@@ -67,7 +74,23 @@ def build_weights(target: np.ndarray, m: int, T: int) -> PredictorRepresentation
     for t in range(T, 0, -1):
         level, tilde = decompose(level.reshape(-1, m + 1))
         weights[t - 1] = -tilde
-    return PredictorRepresentation(constant=float(level[0]), weights=AdaptedProcess(m, tuple(weights)), m=m, T=T)
+    return PredictorRepresentation(constant=float(level[0]), weights=AdaptedProcess(m, tuple(weights)))
+
+
+def path_values(rep: PredictorRepresentation) -> np.ndarray:
+    """The represented value on every path of T tokens, in ``prefixes(m, T)`` order: the inverse of ``build_weights``.
+
+    Level by level from the constant, each child is its parent minus
+    u^T e(z), taken as u @ e(0) for z = 0 (one dot per row) and u_z for
+    z >= 1: the same bits as a per-path loop of dots u @ e(z) (the z = 0
+    row of E @ u is not, from m = 4 on).
+    """
+    e0 = token_basis(rep.m)[0]
+    level = np.array([float(rep.constant)])
+    for U in rep.weights.levels:
+        terms = np.concatenate([U[:, None, :] @ e0, U], axis=1)
+        level = (level[:, None] - terms).ravel()
+    return level
 
 
 def represent_conditional(model: HmmModel, z_query: int, zero_convention: bool = False) -> PredictorRepresentation:
@@ -92,10 +115,7 @@ def evaluate(rep: PredictorRepresentation, z):
     """constant - sum_t U_t(z_1..z_t)^T e(z_{t+1}) along one path or each row of a stack.
 
     z is one path (T,), which gives a float, or paths (N, T), which give an
-    (N,) array. Each level's weights are gathered by the rank of every
-    path's prefix. u^T e(z) is u_z for z >= 1 and u^T e(0) = -(u^T 1),
-    taken as one (1, m) @ 1 product per row, so every path gets the same
-    bits as a per-path loop of dots with e(z).
+    (N,) array: each path's entry of ``path_values``, gathered by its rank.
     """
     z = np.asarray(z)
     if z.ndim not in (1, 2):
@@ -108,14 +128,5 @@ def evaluate(rep: PredictorRepresentation, z):
     if bad.any():
         row, i = np.argwhere(bad)[0]
         raise ValueError(f"token z_{i + 1} = {paths[row, i]} outside alphabet 0..{rep.m}")
-    n = len(toks)
-    ones = np.ones(rep.m)
-    acc = np.full(n, rep.constant)
-    rank = np.zeros(n, dtype=np.intp)
-    for t in range(rep.T):
-        U = rep.weights.levels[t][rank]
-        tok = toks[:, t]
-        # acc - (-(u . 1)) is acc + u . 1 to the bit
-        acc -= np.where(tok > 0, U[np.arange(n), tok - 1], -(U[:, None, :] @ ones)[:, 0])
-        rank = rank * (rep.m + 1) + tok
+    acc = path_values(rep)[toks @ (rep.m + 1) ** np.arange(rep.T - 1, -1, -1)]
     return float(acc[0]) if z.ndim == 1 else acc

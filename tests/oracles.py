@@ -76,7 +76,7 @@ def build_weights_lstsq(target, m: int, T: int) -> PredictorRepresentation:
             next_level[w] = float(coef[0])
         weights[t - 1] = np.array(rows)
         level = next_level
-    return PredictorRepresentation(constant=level[()], weights=AdaptedProcess(m, tuple(weights)), m=m, T=T)
+    return PredictorRepresentation(constant=level[()], weights=AdaptedProcess(m, tuple(weights)))
 
 
 def scalar_obs(model, z: int) -> np.ndarray:

@@ -26,8 +26,6 @@ OPTIONS = [
     "dual.duality_report.budget",
     "dual.solve_optimal.horizon",
     "dual.solve_optimal.laws",
-    "fixedpoint.fixed_point_residual.z",
-    "fixedpoint.fixed_point_residual.mode",
     "fixedpoint.iterate.rho0",
     "fixedpoint.iterate.K",
     "fixedpoint.iterate.zero_convention",
@@ -67,7 +65,7 @@ def options(module_name):
 def test_the_option_list_is_closed():
     found = [name for module in MODULES for name in options(module)]
     assert sorted(found) == sorted(OPTIONS)
-    assert len(found) == len(set(found)) == 22
+    assert len(found) == len(set(found)) == 20
 
 
 def test_every_exported_name_resolves():

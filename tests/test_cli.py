@@ -307,6 +307,7 @@ class TestConfigResolution:
             ("fixedpoint", {"K": "5"}, []),
             ("duality", {"tolerances": {"duality": "1e-9"}}, []),
             ("duality", {"tolerances": 5}, []),
+            ("duality", {"tolerances": {"dualty": 0.5}}, []),
             ("duality", {"enum_budget": "x"}, []),
             ("duality", {"draws": 2.5}, []),
             ("attention-demo", {"attn_heads": 0}, []),
@@ -323,7 +324,8 @@ class TestConfigResolution:
             ("oracle", {}, ["--path", "0,,1"]),
         ],
         ids=[
-            "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "str-enum-budget",
+            "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "unknown-tolerance",
+            "str-enum-budget",
             "float-draws", "zero-heads", "zero-layers", "unknown-activation", "int-activation", "over-budget",
             "str-zero-convention", "negative-seed-flag", "dot-path", "empty-path-fixedpoint", "empty-path-oracle",
             "empty-token-dots", "empty-token-commas",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dualfilter import dual
-from dualfilter.adapted import AdaptedProcess, prefixes, random_weight_process
+from dualfilter.adapted import AdaptedProcess, prefix_rank, prefixes, random_weight_process
 from dualfilter.dual import (
     _backward_sweep,
     _running_cost_tables,
@@ -16,6 +16,7 @@ from dualfilter.dual import (
 )
 from dualfilter.hmm import obs_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
+from dualfilter.predictor import build_weights
 from conftest import from_tree, make_model, random_measure_process, random_model, sparse_model, uninformative_model
 from oracles import bsde_residual, mmse, optimal_feedback, running_cost, total_cost
 
@@ -317,11 +318,32 @@ class TestEstimatorValues:
             traj = solve_bsde(model, random_weight_process(rng, m, 2), rng.standard_normal(2))
             E = token_basis(m)
             vals = estimator_values(model, traj)
-            for w in prefixes(m, 2):
+            assert vals.shape == ((m + 1) ** 2,)
+            for r, w in enumerate(prefixes(m, 2)):
                 acc = float(model.mu @ traj.y0())
                 for s in range(2):
                     acc -= float(np.asarray(traj.U.at(w[:s])) @ E[w[s]])
-                assert vals.at(w) == acc
+                assert vals[r] == acc
+
+
+class TestEstimatorIsARepresentation:
+    """build_weights of the estimator's leaf values gives back (mu(Y_0), U): the estimator is a predictor."""
+
+    def test_build_weights_recovers_the_control(self, rng):
+        for draw in range(120):
+            d, m, T = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            model = random_model(rng, d, m, T)
+            F = rng.standard_normal(d)
+            if draw % 2:
+                traj = solve_optimal(model, filter_process(model), F)
+            else:
+                traj = solve_bsde(model, random_weight_process(rng, m, T), F)
+            rep = build_weights(estimator_values(model, traj), m, T)
+            pairs = [(rep.constant, float(model.mu @ traj.y0()))]
+            pairs += list(zip(rep.weights.levels, traj.U.levels))
+            for got, want in pairs:
+                scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * scale
 
 
 class TestEstimatorPath:
@@ -414,7 +436,7 @@ class TestIntegrandsBitIdentical:
             cache = {}
 
             def error(x_path, z_path):
-                diff = term(z_path)[x_path[-1]] - est.at(z_path)
+                diff = term(z_path)[x_path[-1]] - est[prefix_rank(z_path, m)]
                 return diff * diff
 
             def filter_error(x_path, z_path):

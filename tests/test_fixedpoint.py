@@ -416,8 +416,8 @@ class TestApplyNAdapted:
         for t in range(1, model.T + 1):
             est = [estimator_values(model, solve_optimal(model, pi, basis[:, j], horizon=t))
                    for j in range(model.d)]
-            for w in prefixes(model.m, t):
-                v = np.array([e.at(w) for e in est])
+            for r, w in enumerate(prefixes(model.m, t)):
+                v = np.array([e[r] for e in est])
                 np.testing.assert_allclose(np.linalg.solve(basis.T, v), np.asarray(out.at(w)), atol=1e-10)
 
 
@@ -431,10 +431,15 @@ def apply_N_adapted_by_solves(model, rho, diagnostics=None):
             if diagnostics is not None:
                 diagnostics.append(traj.diagnostics)
             est = estimator_values(model, traj)
-            for w in prefixes(model.m, t):
-                vals[w][j] = est.at(w)
+            for r, w in enumerate(prefixes(model.m, t)):
+                vals[w][j] = est[r]
         tree.update(vals)
     return tree, {w: is_probability_vector(v) for w, v in tree.items()}
+
+
+def stacked(proc):
+    """An adapted measure process's levels 1.. stacked into one (N, d) array, as the residual takes them."""
+    return np.concatenate(proc.levels[1:])
 
 
 def assert_same_output(out, flags, ref_tree, ref_flags):
@@ -575,7 +580,7 @@ class TestStrictCausality:
             for k in range(1, T + 1):
                 rho, _ = apply_N_path(model, rho, z)
                 assert np.max(np.abs(rho[:k] - pis[:k])) <= 1e-10  # exact up to time k after k steps
-            assert fixed_point_residual(model, rho, z) <= 1e-10
+            assert fixed_point_residual(apply_N_path(model, rho, z)[0], rho) <= 1e-10
 
     def test_sparse_paths_under_the_zero_convention(self, rng):
         # start uniform and project back to the simplex as iterate does; after k applications
@@ -604,7 +609,7 @@ class TestStrictCausality:
                 rho, _ = apply_N_adapted(model, rho)
                 for t in range(1, k + 1):
                     assert np.max(np.abs(rho.levels[t] - pi.levels[t])) <= 1e-10
-            assert fixed_point_residual(model, rho, mode="adapted") <= 1e-10
+            assert fixed_point_residual(stacked(apply_N_adapted(model, rho)[0]), stacked(rho)) <= 1e-10
 
 
 class TestFixedPointResidual:
@@ -612,8 +617,9 @@ class TestFixedPointResidual:
         model = reference_model
         z = (1, 1, 0)
         pis = forward_filter(model, z)
-        assert fixed_point_residual(model, pis, z, mode="path") <= 1e-10
-        assert fixed_point_residual(model, filter_process(model), mode="adapted") <= 1e-10
+        assert fixed_point_residual(apply_N_path(model, pis, z)[0], pis) <= 1e-10
+        pi = filter_process(model)
+        assert fixed_point_residual(stacked(apply_N_adapted(model, pi)[0]), stacked(pi)) <= 1e-10
 
     def test_perturbed_filter_has_positive_residual(self, reference_model):
         model = reference_model
@@ -622,7 +628,7 @@ class TestFixedPointResidual:
         bumped = pis.copy()
         bumped[1, 0] += 0.1
         bumped[1, 1] -= 0.1
-        assert fixed_point_residual(model, bumped, z, mode="path") > 1e-3
+        assert fixed_point_residual(apply_N_path(model, bumped, z)[0], bumped) > 1e-3
 
     def test_constant_map_image_is_fixed(self, rng):
         # with a single step the map ignores rho entirely, so its image is fixed
@@ -630,21 +636,24 @@ class TestFixedPointResidual:
         z = (1,)
         rho = np.array([[0.9, 0.1]])
         out, _ = apply_N_path(model, rho, z)
-        assert fixed_point_residual(model, out, z, mode="path") <= 1e-14
+        assert fixed_point_residual(apply_N_path(model, out, z)[0], out) <= 1e-14
 
-    def test_path_mode_needs_a_path(self, reference_model):
-        rho = forward_filter(reference_model, (1, 1, 0))
-        with pytest.raises(ValueError, match="observation path must be a sequence of tokens, got None"):
-            fixed_point_residual(reference_model, rho)
+    def test_zero_measure_rows_are_skipped(self):
+        rho = np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 0.0]])
+        image = np.array([[0.25, 0.75], [7.0, -7.0], [1.0, 0.0]])
+        assert fixed_point_residual(image, rho) == 0.25
+        assert fixed_point_residual(image[1:2], rho[1:2]) == 0.0
 
-    def test_adapted_mode_needs_the_last_level(self, reference_model):
+    def test_adapted_stack_missing_the_last_level_rejected(self, reference_model):
         rho = random_measure_process(np.random.default_rng(0), reference_model)  # levels 1..T-1
-        with pytest.raises(ValueError, match="level 3 is absent"):
-            fixed_point_residual(reference_model, rho, mode="adapted")
+        out, _ = apply_N_adapted(reference_model, rho)
+        with pytest.raises(ValueError, match=r"matching \(N, d\) stacks, got shapes \(14, 2\) and \(6, 2\)"):
+            fixed_point_residual(stacked(out), stacked(rho))
 
-    def test_unknown_mode(self, reference_model):
-        with pytest.raises(ValueError, match="mode"):
-            fixed_point_residual(reference_model, None, None, mode="bogus")
+    def test_single_path_row_rejected(self, reference_model):
+        pis = forward_filter(reference_model, (1, 1, 0))
+        with pytest.raises(ValueError, match="matching"):
+            fixed_point_residual(pis[0], pis[0])
 
 
 class TestIterate:

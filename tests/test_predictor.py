@@ -10,6 +10,7 @@ from dualfilter.predictor import (
     PredictorRepresentation,
     build_weights,
     evaluate,
+    path_values,
     represent_conditional,
 )
 
@@ -55,6 +56,7 @@ class TestBuildWeights:
             m, T = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             target = np.array([float(rng.standard_normal()) for _ in prefixes(m, T)])
             rep = build_weights(target, m=m, T=T)
+            assert np.max(np.abs(path_values(rep) - target)) <= 1e-12
             for z, want in zip(prefixes(m, T), target):
                 assert abs(evaluate(rep, z) - want) <= 1e-12
 
@@ -92,6 +94,15 @@ class TestEvaluate:
             order = rng.permutation(len(want))
             paths = np.array(list(prefixes(m, T)))[order]
             assert evaluate(rep, paths).tobytes() == np.array(want)[order].tobytes()
+            assert path_values(rep).tobytes() == np.array(want).tobytes()
+
+    def test_horizon_zero_is_the_constant(self):
+        rep = build_weights(np.array([0.3]), m=2, T=0)
+        assert rep.T == 0 and rep.m == 2
+        assert evaluate(rep, ()) == 0.3
+        assert evaluate(rep, np.zeros((3, 0), dtype=int)).tolist() == [0.3, 0.3, 0.3]
+        with pytest.raises(ValueError, match="length"):
+            evaluate(rep, (0,))
 
     @pytest.mark.parametrize(
         "z, match",
@@ -222,6 +233,20 @@ class TestSerialization:
             assert PredictorRepresentation.from_dict(json.loads(rep.to_json())).to_json() == rep.to_json()
         empty = build_weights(np.array([0.3]), m=1, T=0)
         assert PredictorRepresentation.from_dict(empty.to_dict()).to_json() == empty.to_json()
+
+    @pytest.mark.parametrize(
+        "key, val, match",
+        [("m", 1.7, "model size m must be an integer, got 1.7"), ("m", "1", "model size m must be an integer"),
+         ("m", True, "model size m must be an integer, got True"), ("T", 2.9, "model size T must be an integer"),
+         ("T", 1.0, "model size T must be an integer, got 1.0"), ("m", 0, r"m >= 1, T >= 0; got m=0, T=1"),
+         ("T", -1, r"m >= 1, T >= 0; got m=1, T=-1")],
+        ids=["float-m", "str-m", "bool-m", "float-T", "integral-float-T", "zero-m", "negative-T"],
+    )
+    def test_loading_rejects_sizes_that_are_not_integers_in_range(self, key, val, match):
+        obj = build_weights(np.array([0.0, 1.0]), m=1, T=1).to_dict()
+        obj[key] = val
+        with pytest.raises(ValueError, match=match):
+            PredictorRepresentation.from_dict(obj)
 
     @pytest.mark.parametrize("edit, name, how", [
         (lambda pairs: pairs[:-1], "1", "missing"),
