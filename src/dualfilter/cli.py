@@ -405,7 +405,7 @@ def cmd_represent(cfg, model, rng, z_query):
 
     # reconstruction check against the oracle on every possible path
     tol = float(cfg.tolerances["representation"])
-    pi_T = filter_levels(model, model.T, cfg.zero_convention)[-1]
+    pi_T = filter_levels(model, cfg.zero_convention)[-1]
     possible = pi_T.sum(axis=1) != 0.0
     paths = np.indices((model.m + 1,) * model.T).reshape(model.T, -1).T[possible]
     target = next_token_prob(model, pi_T[possible])[:, z_query]

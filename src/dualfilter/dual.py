@@ -22,7 +22,7 @@ import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefix_rank, prefixes
 from .hmm import HmmModel, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
-from .oracle import DEFAULT_ENUM_BUDGET, exact_expectation
+from .oracle import DEFAULT_ENUM_BUDGET, exact_expectation, forward_step
 from .predictor import PredictorRepresentation, path_values
 
 # Relative singular-value cutoff for every pseudo-inverse in this module.
@@ -171,16 +171,18 @@ def _per_observation_path(lookup: Callable[[Prefix], object]) -> Callable[[Prefi
 def _cost_of_trajectory(model: HmmModel, traj: DualTrajectory) -> float:
     """J_T = var(Y_0(X_0)) + sum_t <sigma_{t+1}, l_t>, sigma_{t+1} = P(Z_1..Z_{t+1} = prefix, X_t = x).
 
-    sigma_{t+1} is the unnormalized forward measure alpha_t = P(Z_1..Z_t = prefix, X_t = x)
-    (alpha_0 = mu) weighted by C(x, z), and alpha_{t+1} = sigma_{t+1} A.
+    sigma_{t+1} = P(Z_1..Z_t = prefix) pi_t C(., z), pi_0 = mu: one ``forward_step`` of pi_t C(., z)
+    gives pi_{t+1} and the mass, P(child) = P(parent) mass.
     """
     y0 = traj.y0()
     J = float(model.mu @ (y0 * y0) - (model.mu @ y0) ** 2)
-    alpha = model.mu[None, :]
+    emit = np.ascontiguousarray(model.C.T)  # filter_levels' layout, so pi_t has its bits
+    pi, prob = model.mu, np.ones(1)
     for table in _running_cost_tables(model, traj):
-        sigma = (alpha[:, None, :] * model.C.T).reshape(-1, model.d)
-        J += float(np.sum(sigma * table))
-        alpha = sigma @ model.A
+        w = pi.reshape(-1, 1, model.d) * emit
+        J += float(np.sum((prob.reshape(-1, 1, 1) * w).reshape(-1, model.d) * table))
+        pi, mass = forward_step(model, w)
+        prob = prob.reshape(-1, 1) * mass
     return J
 
 

@@ -34,44 +34,48 @@ class EnumerationBudgetError(ValueError):
     """Raised when an exhaustive enumeration would exceed the configured budget."""
 
 
+def forward_step(model: HmmModel, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one forward step: (pi_t, mass) from w = pi_{t-1} C(., z_t), per row of w (d,) or (..., d).
+
+    mass = sum_x w(x) = P(z_t | z_1..z_{t-1}) and pi_t = A^T (w / mass); a zero-mass row is all zeros
+    and is divided by 1, so it gives the zero measure. Each row is its own matrix-vector product: its
+    bits do not depend on the stack.
+    """
+    mass = w.sum(axis=-1)
+    pi = (model.A.T @ (w / (mass + (mass == 0.0))[..., None])[..., None])[..., 0]
+    return pi, mass
+
+
 def forward_filter(model: HmmModel, z, zero_convention: bool = False) -> np.ndarray:
     """Exact conditional distributions pi_1..pi_T for one observation path.
 
     Returns a (T, d) array whose row t-1 is pi_t(x) = P(X_t = x | z_1..z_t).
     The prior on X_0 is mu. Because tokens are emitted by the state before
-    the transition (C(x, z) = P(Z_{t+1} = z | X_t = x)), each step first
-    reweights the time t-1 posterior by C(., z_t), normalizes, and then
-    pushes through A.
+    the transition (C(x, z) = P(Z_{t+1} = z | X_t = x)), step t is one
+    ``forward_step`` of the time t-1 posterior reweighted by C(., z_t).
 
     A zero-probability prefix raises ImpossibleObservationError naming the
     offending time; with ``zero_convention`` the 0/0 := 0 rule is used
     instead and all remaining rows are zero measures.
     """
     z = validate_tokens(z, model.m)
-    pis = np.zeros((len(z), model.d))
-    prev = model.mu
+    pis, prev = np.empty((len(z), model.d)), model.mu
     for i, tok in enumerate(z):
-        w = prev * model.C[:, tok]
-        mass = w.sum()
-        if mass <= 0.0:
-            if zero_convention:
-                # 0/0 := 0 extension: this and all later measures are zero.
-                return pis
+        prev, mass = forward_step(model, prev * model.C[:, tok])
+        if mass <= 0.0 and not zero_convention:
             raise ImpossibleObservationError(i + 1, z[: i + 1])
-        prev = model.A.T @ (w / mass)
         pis[i] = prev
     return pis
 
 
-def filter_levels(model: HmmModel, T: int, zero_convention: bool = False) -> list[np.ndarray]:
-    """The filter at every prefix of length 1..T, one array per level.
+def filter_levels(model: HmmModel, zero_convention: bool = False) -> list[np.ndarray]:
+    """The filter at every prefix of length 1..model.T, one array per level.
 
     Level t is a ((m+1)^t, d) array whose row r is pi_t at the prefix of
-    rank r (the level layout of ``adapted``). Each level is computed from the
-    one above with forward_filter's arithmetic on the whole stack; the
-    stacked ``A.T @ v`` runs the same product per vector, so every row
-    equals forward_filter(model, prefix)[-1] to the bit. All levels together
-    hold about (m+1)/m (m+1)^T d floats.
+    rank r (the level layout of ``adapted``). Each level is one
+    ``forward_step`` on the whole stack of the level above, so every row
+    equals forward_filter(model, prefix)[-1] to the bit. All levels
+    together hold about (m+1)/m (m+1)^T d floats.
 
     A zero-probability prefix raises ImpossibleObservationError unless
     ``zero_convention``, in which case it and every prefix below it carry
@@ -82,20 +86,16 @@ def filter_levels(model: HmmModel, T: int, zero_convention: bool = False) -> lis
     """
     # row z is C(., z); in C order every row of w is contiguous, so its sum has forward_filter's bits
     emit = np.ascontiguousarray(model.C.T)
-    levels = []
-    first = None  # smallest impossible prefix with a possible parent, over all levels
+    levels, first = [], None  # first: the smallest impossible prefix with a possible parent, over all levels
     prev, alive = model.mu[None, :], np.ones(1, dtype=bool)
-    for t in range(1, T + 1):
-        w = prev[:, None, :] * emit
-        mass = w.sum(axis=-1)
+    for t in range(1, model.T + 1):
+        pi, mass = forward_step(model, prev[:, None, :] * emit)
         possible = mass > 0.0
         if not zero_convention:
             fresh = np.flatnonzero(alive[:, None] & ~possible)
             if fresh.size:
                 prefix = tuple(int(i) for i in np.unravel_index(fresh[0], (model.m + 1,) * t))
                 first = prefix if first is None else min(first, prefix)
-        # a zero-mass row of w is all zeros, so dividing it by 1 keeps its measure zero
-        pi = (model.A.T @ (w / np.where(possible, mass, 1.0)[..., None])[..., None])[..., 0]
         prev, alive = pi.reshape(-1, model.d), possible.reshape(-1)
         levels.append(prev)
     if first is not None:
@@ -104,13 +104,8 @@ def filter_levels(model: HmmModel, T: int, zero_convention: bool = False) -> lis
 
 
 def filter_process(model: HmmModel, zero_convention: bool = False) -> AdaptedProcess:
-    """The filter as an adapted process: pi_t at every prefix of length 1..model.T.
-
-    Its levels 1..T are the arrays of ``filter_levels``; level 0 is absent.
-    Zero-probability prefixes raise unless ``zero_convention``, in which
-    case they carry the zero measure.
-    """
-    return AdaptedProcess(model.m, (None, *filter_levels(model, model.T, zero_convention)))
+    """The filter as an adapted process: ``filter_levels``' arrays (and errors) as levels 1..T, level 0 absent."""
+    return AdaptedProcess(model.m, (None, *filter_levels(model, zero_convention)))
 
 
 def next_token_prob(model: HmmModel, pi: np.ndarray) -> np.ndarray:
@@ -125,14 +120,13 @@ def next_token_prob(model: HmmModel, pi: np.ndarray) -> np.ndarray:
 
 
 def path_probability(model: HmmModel, z) -> float:
-    """P(Z_1..Z_T = z) by sum-product over hidden paths."""
+    """P(Z_1..Z_T = z), the product of forward_step's masses; 0.0 if impossible, and underflows to 0.0 on long paths."""
     z = validate_tokens(z, model.m)
-    w = model.mu.copy()
-    for i, tok in enumerate(z):
-        w = w * model.C[:, tok]
-        if i + 1 < len(z):
-            w = model.A.T @ w
-    return float(w.sum())
+    pi, p = model.mu, 1.0
+    for tok in z:
+        pi, mass = forward_step(model, pi * model.C[:, tok])
+        p *= mass
+    return float(p)
 
 
 def check_enum_budget(model: HmmModel, T: int, budget: int) -> None:

@@ -47,16 +47,19 @@ class PredictorRepresentation:
     @classmethod
     def from_dict(cls, obj: dict) -> "PredictorRepresentation":
         """Load ``to_dict``'s output: integer sizes m >= 1, T >= 0, and weights at each prefix shorter than T only."""
-        m, T = obj["m"], obj["T"]
+        try:
+            constant, weights, m, T = (obj[key] for key in ("constant", "weights", "m", "T"))
+        except KeyError as exc:
+            raise ValueError(f"representation file missing key {exc.args[0]!r}") from exc
         _check_sizes(m=(m, 1), T=(T, 0))
-        given = dict(obj["weights"])
+        given = dict(weights)
         names = [[prefix_string(w) for w in prefixes(m, t)] for t in range(T)]
         odd = sorted(set(given).symmetric_difference(key for level in names for key in level))
         if odd:
             raise ValueError(f"weights must name each prefix of length 0..{T - 1} over the alphabet 0..{m} "
                              f"and no other; {odd[0]!r} is {'extra' if odd[0] in given else 'missing'}")
         levels = tuple(np.array([given[k] for k in level], dtype=float).reshape(len(level), m) for level in names)
-        return cls(constant=float(obj["constant"]), weights=AdaptedProcess(m, levels))
+        return cls(constant=float(constant), weights=AdaptedProcess(m, levels))
 
 
 def build_weights(target: np.ndarray, m: int, T: int) -> PredictorRepresentation:
@@ -96,15 +99,16 @@ def path_values(rep: PredictorRepresentation) -> np.ndarray:
 def represent_conditional(model: HmmModel, z_query: int, zero_convention: bool = False) -> PredictorRepresentation:
     """Predictor weights for path -> P(Z_{T+1} = z_query | Z_1..Z_T = path), T = model.T.
 
-    The target is the filtered next-token probability on every path, read
-    off the last of ``filter_levels`` in one stacked ``next_token_prob``
-    call; with ``zero_convention`` impossible paths contribute target value
-    0 (the 0/0 := 0 extension), otherwise they raise.
+    The target is the filtered next-token probability on every path, read off the last of
+    ``filter_levels`` in one stacked ``next_token_prob`` call. Impossible paths raise, or with
+    ``zero_convention`` take the value 0 (the 0/0 := 0 extension). The weights are unique only once
+    impossible paths have values: the optimal dual control for F = C(., z_query) along the filter gives
+    them another, so it is this predictor on the possible paths only (on every path of a positive model).
     """
     z_query = int(z_query)
     if not 0 <= z_query <= model.m:
         raise ValueError(f"token {z_query} outside alphabet 0..{model.m}")
-    pi_T = filter_levels(model, model.T, zero_convention)[-1]
+    pi_T = filter_levels(model, zero_convention)[-1]
     possible = pi_T.sum(axis=-1) != 0.0  # zero rows only under the zero convention
     target = np.zeros(len(pi_T))
     target[possible] = next_token_prob(model, pi_T[possible])[:, z_query]

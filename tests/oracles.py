@@ -3,10 +3,12 @@
 None of the commands needs these: brute-force enumerations over hidden
 paths, a least-squares construction of the predictor weights, the per-path
 scalar signal and the feedback law transcribed from their formulas, the
-worst backward-equation residual, and the two costs of the dual problem
-(the control cost of a given control and the minimum mean-squared error).
+worst backward-equation residual, the two costs of the dual problem
+(the control cost of a given control and the minimum mean-squared error),
+and the forward recursion in exact rational arithmetic.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -31,6 +33,26 @@ def path_probability_enumerated(model, z) -> float:
                 p *= model.A[x_path[t], x_path[t + 1]]
         total += p
     return float(total)
+
+
+def forward_exact(model, z):
+    """(pi_1..pi_T, P(Z = z)) in ``Fraction`` arithmetic on the exact rationals of the model's floats.
+
+    Each step weights pi_{t-1} by C(., z_t), divides by the mass and pushes
+    through A; a zero mass gives the zero measure (0/0 := 0). The
+    probability is the product of the masses, so it is 0 exactly on an
+    impossible path. Rows are lists of d Fractions.
+    """
+    z = validate_tokens(z, model.m)
+    A, C = ([[Fraction(v) for v in row] for row in arr.tolist()] for arr in (model.A, model.C))
+    pi, prob, rows = [Fraction(v) for v in model.mu.tolist()], Fraction(1), []
+    for tok in z:
+        w = [p * c[tok] for p, c in zip(pi, C)]
+        mass = sum(w)
+        prob *= mass
+        pi = [sum(wx * a[y] for wx, a in zip(w, A)) / mass if mass else Fraction(0) for y in range(model.d)]
+        rows.append(pi)
+    return rows, prob
 
 
 def filter_by_enumeration(model, z) -> np.ndarray:

@@ -16,7 +16,7 @@ from dualfilter.dual import (
 )
 from dualfilter.hmm import obs_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
-from dualfilter.predictor import build_weights
+from dualfilter.predictor import build_weights, path_values, represent_conditional
 from conftest import from_tree, make_model, random_measure_process, random_model, sparse_model, uninformative_model
 from oracles import bsde_residual, mmse, optimal_feedback, running_cost, total_cost
 
@@ -344,6 +344,39 @@ class TestEstimatorIsARepresentation:
             for got, want in pairs:
                 scale = max(1.0, float(np.max(np.abs(got))), float(np.max(np.abs(want))))
                 assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * scale
+
+
+class TestPredictorWeightsAreTheOptimalControl:
+    """The paper's identity: the optimal dual control for F = C(., q) is the predictor of P(Z_{T+1} = q | Z_1..Z_T)."""
+
+    def test_positive_models_give_the_weights(self, rng):
+        for _ in range(40):
+            d, m, T = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            model = random_model(rng, d, m, T)
+            pi = filter_process(model)
+            for q in range(m + 1):
+                traj = solve_optimal(model, pi, model.C[:, q])
+                rep = represent_conditional(model, q)
+                assert abs(rep.constant - float(model.mu @ traj.y0())) <= 1e-12
+                for got, want in zip(rep.weights.levels, traj.U.levels, strict=True):
+                    assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_sparse_models_agree_on_possible_paths(self, rng):
+        # represent gives impossible paths the value 0 and the dual's minimum-norm controls
+        # another one, so only the values on possible paths are the same function
+        constants_differ = 0
+        for _ in range(60):
+            d, m, T = int(rng.integers(2, 5)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
+            model = sparse_model(rng, d, m, T)
+            pi = filter_process(model, zero_convention=True)
+            possible = pi.levels[T].sum(axis=-1) != 0.0
+            for q in range(m + 1):
+                traj = solve_optimal(model, pi, model.C[:, q])
+                rep = represent_conditional(model, q, zero_convention=True)
+                diff = np.abs(estimator_values(model, traj) - path_values(rep))
+                assert np.max(diff[possible]) <= 1e-10
+                constants_differ += abs(rep.constant - float(model.mu @ traj.y0())) > 1e-6
+        assert constants_differ > 0  # the sweep did meet paths where the two extensions part
 
 
 class TestEstimatorPath:

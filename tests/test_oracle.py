@@ -1,4 +1,6 @@
 import re
+from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -18,7 +20,7 @@ from dualfilter.oracle import (
 )
 
 from conftest import make_model, random_model, sparse_model, uninformative_model
-from oracles import filter_by_enumeration, path_probability_enumerated
+from oracles import filter_by_enumeration, forward_exact, path_probability_enumerated
 
 
 class TestForwardFilter:
@@ -122,12 +124,12 @@ class TestFilterWalk:
             first = None if zero_convention else first_impossible_by_paths(model, T)
             if first is not None:
                 raised += 1
-                for build in (lambda: filter_levels(model, T), lambda: filter_process(model)):
+                for build in (lambda: filter_levels(model), lambda: filter_process(model)):
                     with pytest.raises(ImpossibleObservationError) as err:
                         build()
                     assert (err.value.t, err.value.prefix) == first
                 continue
-            levels = filter_levels(model, T, zero_convention)
+            levels = filter_levels(model, zero_convention)
             assert [level.shape for level in levels] == [((m + 1) ** t, d) for t in range(1, T + 1)]
             proc = filter_process(model, zero_convention=zero_convention)
             assert list(proc.tree) == [w for t in range(1, T + 1) for w in prefixes(m, t)]
@@ -140,7 +142,7 @@ class TestFilterWalk:
             assert raised > 0  # the sweep did meet impossible prefixes
 
     def test_rows_in_prefix_rank_order(self, reference_model):
-        levels = filter_levels(reference_model, 2)
+        levels = filter_levels(reference_model)
         for t, level in enumerate(levels, start=1):
             want = [forward_filter(reference_model, w)[-1] for w in prefixes(1, t)]
             assert level.tobytes() == np.array(want).tobytes()
@@ -154,16 +156,42 @@ class TestFilterWalk:
         model = make_model([1.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
                            [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], 3)
         assert first_impossible_by_paths(model, 3) == (3, (0, 0, 0))
-        for build in (lambda: filter_levels(model, 3), lambda: filter_process(model)):
+        for build in (lambda: filter_levels(model), lambda: filter_process(model)):
             with pytest.raises(ImpossibleObservationError) as err:
                 build()
             assert (err.value.t, err.value.prefix) == (3, (0, 0, 0))
         with pytest.raises(ImpossibleObservationError) as err:
-            filter_levels(model, 2)
+            filter_levels(replace(model, T=2))
         assert (err.value.t, err.value.prefix) == (1, (1,))
 
-    def test_zero_horizon_is_empty(self, reference_model):
-        assert filter_levels(reference_model, 0) == []
+
+class TestForwardStepAgainstExactArithmetic:
+    """forward_filter and path_probability against the same recursion in Fractions of the model's floats."""
+
+    @pytest.mark.parametrize("make", [random_model, sparse_model])
+    def test_within_a_few_eps_per_step(self, rng, make):
+        eps = Fraction(np.finfo(float).eps)
+        impossible = 0
+        for _ in range(40):
+            d, m, T = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            model = make(rng, d, m, T)
+            for z in (w for t in range(1, T + 1) for w in prefixes(m, t)):
+                rows, prob = forward_exact(model, z)
+                bound = 4 * len(z) * eps
+                pis = forward_filter(model, z, zero_convention=True)
+                assert max(abs(Fraction(v) - e) for row, exact in zip(pis.tolist(), rows)
+                           for v, e in zip(row, exact)) <= bound
+                got = path_probability(model, z)
+                if prob == 0:
+                    impossible += 1
+                    assert got == 0.0
+                    with pytest.raises(ImpossibleObservationError):
+                        forward_filter(model, z)
+                else:
+                    assert abs(Fraction(got) - prob) <= bound * prob
+                    assert forward_filter(model, z).tobytes() == pis.tobytes()
+        if make is sparse_model:
+            assert impossible > 0  # the sweep did meet impossible paths
 
 
 class TestNextTokenProb:

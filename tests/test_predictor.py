@@ -248,6 +248,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match):
             PredictorRepresentation.from_dict(obj)
 
+    @pytest.mark.parametrize("key", ["constant", "weights", "m", "T"])
+    def test_loading_names_a_missing_key(self, key):
+        obj = build_weights(np.array([0.0, 1.0]), m=1, T=1).to_dict()
+        del obj[key]
+        with pytest.raises(ValueError) as err:
+            PredictorRepresentation.from_dict(obj)
+        assert str(err.value) == f"representation file missing key {key!r}"
+
+    def test_loading_an_empty_object_names_the_first_key(self):
+        with pytest.raises(ValueError, match="^representation file missing key 'constant'$"):
+            PredictorRepresentation.from_dict({})
+
     @pytest.mark.parametrize("edit, name, how", [
         (lambda pairs: pairs[:-1], "1", "missing"),
         (lambda pairs: pairs[1:], "", "missing"),
