@@ -156,12 +156,15 @@ def attention_weights(head: AttentionHeadParams, sigmas: np.ndarray) -> np.ndarr
     return _softmax_weights(head.W_K @ sigmas, head.W_Q @ sigmas[:, -1], head.d_K)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, max-subtracted for stability: one distribution per row."""
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def _softmax_weights(keys: np.ndarray, q: np.ndarray, d_K: int) -> np.ndarray:
-    """Max-subtracted softmax over the columns k_s of keys of q . k_s / sqrt(d_K)."""
-    logits = keys.T @ q / np.sqrt(d_K)
-    logits -= logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
+    """``_softmax`` over the columns k_s of keys of q . k_s / sqrt(d_K)."""
+    return _softmax(keys.T @ q / np.sqrt(d_K))
 
 
 def layer_norm(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -235,10 +238,7 @@ def unembed(emb: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     sigma is one (d,) signal or a stack (..., d) of them; the softmax runs
     along the last axis, one distribution per signal.
     """
-    logits = np.asarray(sigma, dtype=float) @ np.asarray(emb, dtype=float)
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=-1, keepdims=True)
+    return _softmax(np.asarray(sigma, dtype=float) @ np.asarray(emb, dtype=float))
 
 
 def predictions(emb: np.ndarray, sigmas: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from .hmm import HmmModel, validate_tokens
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
     ImpossibleObservationError,
+    check_enum_budget,
     filter_levels,
     filter_process,
     forward_filter,
@@ -351,6 +352,7 @@ def cmd_fixedpoint(cfg, model, rng, z, mode):
 def cmd_duality(cfg, model, rng):
     """Cross-check the control cost against the estimator mean-squared error."""
     tol = float(cfg.tolerances["duality"])
+    check_enum_budget(model, model.T, cfg.enum_budget)  # before any draw is solved
     reports = []
     node_residuals = [np.zeros((model.m + 1) ** t) for t in range(model.T)]  # max over draws, per level
     for _ in range(cfg.draws):

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefix_rank, prefixes
-from .hmm import HmmModel, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
+from .hmm import HmmModel, decompose, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
 from .oracle import DEFAULT_ENUM_BUDGET, exact_expectation, forward_step
 from .predictor import PredictorRepresentation, path_values
 
@@ -69,20 +69,13 @@ def _terminal_level(F, d: int, m: int, T: int) -> np.ndarray:
 
 
 def _successor_split(model: HmmModel, Y_next: np.ndarray, row: int):
-    """Mean/tilde split of z -> (A Y_{t+1})(prefix + z) at one row of level t; returns (mean (d,), V (d, m)).
+    """``decompose`` of z -> (A Y_{t+1})(prefix + z) at one row of level t; returns (mean (d,), V (d, m)).
 
     ``Y_next`` is level t+1 of Y, whose rows row (m+1) + z are the
-    successors. They are added left to right and divided by m+1, which is
-    what ``np.mean`` over the stacked successors does, to the bit.
+    successors. V is the tilde part transposed, one R^m row per state.
     """
     n = model.m + 1
-    succ = [model.A @ y for y in Y_next[row * n : (row + 1) * n]]
-    total = succ[0]
-    for s in succ[1:]:
-        total = total + s
-    mean = total / n
-    V = (np.array(succ[1:]) - mean).T
-    return mean, V
+    return decompose(np.array([model.A @ y for y in Y_next[row * n : (row + 1) * n]]).T)
 
 
 def _backward_sweep(model: HmmModel, F, T: int, control: Callable[..., np.ndarray]):
@@ -122,19 +115,21 @@ def solve_bsde(model: HmmModel, U: AdaptedProcess, F) -> DualTrajectory:
 
 
 def bsde_residual_by_node(model: HmmModel, traj: DualTrajectory) -> AdaptedProcess:
-    """Backward-relation residual at every node of levels 0..horizon-1, maxed over states and successor tokens."""
+    """Backward-relation residual at every node of levels 0..horizon-1, maxed over states and successor tokens.
+
+    Each level is one batch over (node, token) of A Y_{t+1} + c U + (c V) 1 - V e(z), the terms added
+    in that order; every matrix-vector product is its own, so each node has the bits it has alone.
+    """
     E = token_basis(model.m)
     c_mat = obs_matrix(model)
     levels = []
     for t in range(traj.horizon):
         Y, V, U = traj.Y.levels[t], traj.V.levels[t], traj.U.levels[t]
         Y_next = traj.Y.levels[t + 1].reshape(len(Y), model.m + 1, model.d)
-        worst = np.zeros(len(Y))
-        for r in range(len(Y)):
-            for z in range(model.m + 1):
-                rhs = model.A @ Y_next[r, z] + c_mat @ U[r] + (c_mat * V[r]).sum(axis=1) - V[r] @ E[z]
-                worst[r] = max(worst[r], float(np.max(np.abs(Y[r] - rhs))))
-        levels.append(worst)
+        cU, cV = (c_mat @ U[..., None])[..., 0], (c_mat * V).sum(axis=-1)  # (node, state)
+        AY, VE = (model.A @ Y_next[..., None])[..., 0], (V[:, None] @ E[:, :, None])[..., 0]  # (node, token, state)
+        rhs = AY + cU[:, None] + cV[:, None] - VE
+        levels.append(np.abs(Y[:, None] - rhs).max(axis=(1, 2)))
     return AdaptedProcess(model.m, tuple(levels))
 
 

@@ -98,9 +98,9 @@ class HmmModel:
     The emission convention is C(x, z) = P(Z_{t+1} = z | X_t = x): token
     z_{t+1} is emitted by the state *before* the transition to X_{t+1}.
     The sizes are read off the arrays: d = len(mu) states and m+1 tokens,
-    one per column of C. Rows of A and C are validated to sum to 1 within
-    ROW_SUM_TOL and then renormalized exactly; negative or non-finite
-    entries fail construction.
+    one per column of C. mu, as a one-row matrix, and the rows of A and C
+    are validated to sum to 1 within ROW_SUM_TOL and then renormalized
+    exactly; negative or non-finite entries fail construction.
     """
 
     mu: np.ndarray
@@ -114,13 +114,7 @@ class HmmModel:
             raise ValueError(f"mu must be a vector and C a matrix, got shapes {mu.shape} and {C.shape}")
         d, m = len(mu), C.shape[1] - 1
         _check_sizes(d=(d, 1), m=(m, 1), T=(self.T, 1))
-        if not np.all(np.isfinite(mu)):
-            raise ValueError("mu has non-finite entries")
-        if np.any(mu < 0):
-            raise ValueError("mu has negative entries")
-        if abs(mu.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"mu sums to {mu.sum()!r}, expected 1 within {ROW_SUM_TOL}")
-        mu = mu / mu.sum()
+        mu = _stochastic_matrix(mu[None, :], "mu", 1, d)[0]
         A = _stochastic_matrix(self.A, "A", d, d)
         C = _stochastic_matrix(C, "C", d, m + 1)
         for name, arr in (("mu", mu), ("A", A), ("C", C)):
@@ -202,12 +196,15 @@ def decompose(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s is one length-(m+1) vector indexed by z = 0..m, or a stack of them
     along the last axis. The decomposition is unique: mean is the plain
     average over the alphabet, of shape s.shape[:-1] (a numpy float for one
-    vector), and tilde(i) = s(i) - mean for i = 1..m.
+    vector), and tilde(i) = s(i) - mean for i = 1..m. The mean is the sum
+    divided by m+1, which is ``np.mean``'s own arithmetic, so it has
+    ``s.mean(axis=-1)``'s bits in any memory order without its per-call
+    overhead.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim == 0 or s.shape[-1] < 2:
         raise ValueError(f"expected length-(m+1) vectors with m >= 1 along the last axis, got shape {s.shape}")
-    mean = s.mean(axis=-1)
+    mean = s.sum(axis=-1) / s.shape[-1]
     return mean, s[..., 1:] - mean[..., None]
 
 

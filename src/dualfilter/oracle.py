@@ -79,27 +79,20 @@ def filter_levels(model: HmmModel, zero_convention: bool = False) -> list[np.nda
 
     A zero-probability prefix raises ImpossibleObservationError unless
     ``zero_convention``, in which case it and every prefix below it carry
-    the zero measure. The error names the lexicographically smallest
-    impossible prefix whose own prefixes are all possible: the first one a
-    forward_filter loop over the length-T paths in lexicographic order
-    meets, whatever its length.
+    the zero measure. The error is forward_filter's on the first length-T
+    path, in lexicographic order, whose last row is zero: it names that
+    path's first impossible prefix, which is the lexicographically smallest
+    impossible prefix whose own prefixes are all possible.
     """
     # row z is C(., z); in C order every row of w is contiguous, so its sum has forward_filter's bits
     emit = np.ascontiguousarray(model.C.T)
-    levels, first = [], None  # first: the smallest impossible prefix with a possible parent, over all levels
-    prev, alive = model.mu[None, :], np.ones(1, dtype=bool)
-    for t in range(1, model.T + 1):
-        pi, mass = forward_step(model, prev[:, None, :] * emit)
-        possible = mass > 0.0
-        if not zero_convention:
-            fresh = np.flatnonzero(alive[:, None] & ~possible)
-            if fresh.size:
-                prefix = tuple(int(i) for i in np.unravel_index(fresh[0], (model.m + 1,) * t))
-                first = prefix if first is None else min(first, prefix)
-        prev, alive = pi.reshape(-1, model.d), possible.reshape(-1)
+    levels, prev = [], model.mu[None, :]
+    for _ in range(model.T):
+        prev = forward_step(model, prev[:, None, :] * emit)[0].reshape(-1, model.d)
         levels.append(prev)
-    if first is not None:
-        raise ImpossibleObservationError(len(first), first)
+    dead = np.flatnonzero(~prev.any(axis=1))
+    if dead.size and not zero_convention:
+        forward_filter(model, np.unravel_index(dead[0], (model.m + 1,) * model.T))
     return levels
 
 

@@ -3,7 +3,7 @@
 None of the commands needs these: brute-force enumerations over hidden
 paths, a least-squares construction of the predictor weights, the per-path
 scalar signal and the feedback law transcribed from their formulas, the
-worst backward-equation residual, the two costs of the dual problem
+backward-equation residual node by node, the two costs of the dual problem
 (the control cost of a given control and the minimum mean-squared error),
 and the forward recursion in exact rational arithmetic.
 """
@@ -109,9 +109,30 @@ def scalar_obs(model, z: int) -> np.ndarray:
     return 2.0 * model.C[:, z] - 1.0
 
 
+def bsde_residual_levels(model, traj) -> list[np.ndarray]:
+    """Per level 0..horizon-1, each node's backward-relation residual maxed over states and successor tokens.
+
+    Node by node and token by token: |Y_t - (A Y_{t+1} + c U_t + (c V_t) 1 - V_t e(z))|, with
+    Y_{t+1} the successor of the node along z.
+    """
+    E = token_basis(model.m)
+    c_mat = obs_matrix(model)
+    levels = []
+    for t in range(traj.horizon):
+        Y, V, U = traj.Y.levels[t], traj.V.levels[t], traj.U.levels[t]
+        Y_next = traj.Y.levels[t + 1].reshape(len(Y), model.m + 1, model.d)
+        worst = np.zeros(len(Y))
+        for r in range(len(Y)):
+            for z in range(model.m + 1):
+                rhs = model.A @ Y_next[r, z] + c_mat @ U[r] + (c_mat * V[r]).sum(axis=1) - V[r] @ E[z]
+                worst[r] = max(worst[r], float(np.max(np.abs(Y[r] - rhs))))
+        levels.append(worst)
+    return levels
+
+
 def bsde_residual(model, traj) -> float:
     """Max over (node, state, successor token) of the backward-relation residual."""
-    return max((float(level.max()) for level in dual.bsde_residual_by_node(model, traj).levels), default=0.0)
+    return max((float(level.max()) for level in bsde_residual_levels(model, traj)), default=0.0)
 
 
 def optimal_feedback(model, y, v, rho) -> np.ndarray:

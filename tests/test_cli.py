@@ -210,6 +210,18 @@ class TestDualityCommand:
         assert len(calls) == 3
 
 
+    def test_over_budget_model_exits_2_before_any_draw_is_solved(self, runner, tmp_path, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_bsde called on an over-budget model")
+
+        monkeypatch.setattr(cli, "solve_bsde", refuse)
+        path = tmp_path / "long.json"
+        path.write_text(random_model(rng, 2, 1, 17).to_json())
+        res = runner.invoke(main, ["duality", "--model", str(path), "--out", str(tmp_path / "d")])
+        assert res.exit_code == 2, res.output
+        assert "exceeds the enumeration budget" in res.stderr
+
+
 class TestRepresentCommand:
     def test_uninformative_model_has_zero_weights(self, runner, tmp_path, rng):
         model = uninformative_model(rng, 2, 1, 2)

@@ -18,7 +18,7 @@ from dualfilter.hmm import obs_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
 from dualfilter.predictor import build_weights, path_values, represent_conditional
 from conftest import from_tree, make_model, random_measure_process, random_model, sparse_model, uninformative_model
-from oracles import bsde_residual, mmse, optimal_feedback, running_cost, total_cost
+from oracles import bsde_residual, bsde_residual_levels, mmse, optimal_feedback, running_cost, total_cost
 
 
 def node_measure(model, rho, w):
@@ -83,6 +83,18 @@ class TestSolveBsde:
         F = random_terminal(rng, model, path_dependent)
         traj = solve_bsde(model, U, F)
         assert bsde_residual(model, traj) <= 1e-12
+
+    @pytest.mark.parametrize("make", [random_model, sparse_model])
+    def test_residual_by_node_equals_node_by_node_loop(self, rng, make):
+        # one batch per level against the loop over nodes and tokens, bit for bit
+        for _ in range(40):
+            d, m, T = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            model = make(rng, d, m, T)
+            for traj in (solve_bsde(model, random_weight_process(rng, m, T), rng.standard_normal(d)),
+                         solve_optimal(model, filter_process(model, zero_convention=True), rng.standard_normal(d))):
+                got = dual.bsde_residual_by_node(model, traj).levels
+                want = bsde_residual_levels(model, traj)
+                assert [level.tobytes() for level in got] == [level.tobytes() for level in want]
 
     def test_incomplete_control_rejected(self, reference_model):
         with pytest.raises(ValueError, match="incomplete"):
@@ -309,6 +321,22 @@ class TestSuccessorSplit:
             mean, V = _successor_split(model, Y_next, row)
             assert mean.tobytes() == succ.mean(axis=0).tobytes()
             assert V.tobytes() == (succ[1:] - succ.mean(axis=0)).T.tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_equals_left_to_right_sum(self, rng, m):
+        # the split before it called decompose: successors added left to right, then divided by m+1.
+        # At d = 1 and m+1 >= 8 the (1, m+1) stack is contiguous and numpy sums it pairwise instead.
+        for d in range(1 if m + 1 < 8 else 2, 6):
+            model = random_model(rng, d, m, 1)
+            Y_next = rng.standard_normal((2 * (m + 1), d)) * 10.0 ** rng.uniform(-3, 3)
+            succ = [model.A @ y for y in Y_next[m + 1 :]]
+            total = succ[0]
+            for s in succ[1:]:
+                total = total + s
+            mean = total / (m + 1)
+            got_mean, got_V = _successor_split(model, Y_next, 1)
+            assert got_mean.tobytes() == mean.tobytes()
+            assert got_V.tobytes() == (np.array(succ[1:]) - mean).T.tobytes()
 
 
 class TestEstimatorValues:

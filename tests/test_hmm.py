@@ -70,7 +70,7 @@ class TestModelConstruction:
             make_model([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[1.1, -0.1], [0.5, 0.5]], 1)
 
     def test_bad_prior_sum_fails(self):
-        with pytest.raises(ValueError, match="mu sums to"):
+        with pytest.raises(ValueError, match=r"mu row 0 sums to"):
             make_model([0.6, 0.5], [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], 1)
 
     def test_rows_renormalized(self, rng):
@@ -243,6 +243,12 @@ class TestDecompose:
         for s, mu, ti in zip(S, mean, tilde):
             one_mean, one_tilde = decompose(s)
             assert mu == one_mean and ti.tobytes() == one_tilde.tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_mean_is_numpy_mean_in_either_memory_order(self, m, rng):
+        S = rng.standard_normal((4, m + 1)) * 10.0 ** rng.uniform(-3, 3, (4, 1))
+        for stack in (S, np.asfortranarray(S), S[0]):
+            assert decompose(stack)[0].tobytes() == stack.mean(axis=-1).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_round_trip(self, m, rng):
