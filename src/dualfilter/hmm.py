@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Row sums of A and C must be within this tolerance of 1 at construction;
-# rows are then renormalized exactly.
+# Row sums of mu, A and C must be within this tolerance of 1 at construction;
+# rows not already within rounding of 1 are then divided by their sum once.
 ROW_SUM_TOL = 1e-9
 
 # Probability vectors must sum to 1 within this tolerance.
@@ -88,7 +88,10 @@ def _stochastic_matrix(M, name: str, rows: int, cols: int) -> np.ndarray:
     bad = np.where(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
     if bad.size:
         raise ValueError(f"{name} row {bad[0]} sums to {sums[bad[0]]!r}, expected 1 within {ROW_SUM_TOL}")
-    return M / sums[:, None]
+    # a divided row sums to 1 within about cols*eps/2, so a row within 4*cols*eps is kept as given:
+    # loading a model's own arrays again changes no bit
+    kept = np.abs(sums - 1.0) <= 4 * cols * np.finfo(float).eps
+    return np.where(kept[:, None], M, M / sums[:, None])
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,10 @@ class HmmModel:
     z_{t+1} is emitted by the state *before* the transition to X_{t+1}.
     The sizes are read off the arrays: d = len(mu) states and m+1 tokens,
     one per column of C. mu, as a one-row matrix, and the rows of A and C
-    are validated to sum to 1 within ROW_SUM_TOL and then renormalized
-    exactly; negative or non-finite entries fail construction.
+    are validated to sum to 1 within ROW_SUM_TOL; negative or non-finite
+    entries fail construction. A row whose float sum is within 4 cols eps
+    of 1 is kept as given and every other row is divided by its sum once,
+    so building a model from another model's arrays changes no bit.
     """
 
     mu: np.ndarray

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ class TestModelConstruction:
         np.testing.assert_array_equal(clone.mu, model.mu)
         np.testing.assert_array_equal(clone.A, model.A)
         np.testing.assert_array_equal(clone.C, model.C)
+
+    @pytest.mark.parametrize("off", [0.0, 5e-10], ids=["normalized", "rows-off-by-5e-10"])
+    def test_rebuilding_from_own_arrays_changes_no_bit(self, rng, off):
+        for _ in range(100):
+            d, m = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            mu, A, C = (rng.dirichlet(np.ones(k), size=n) * (1 + rng.uniform(-off, off, (n, 1)))
+                        for n, k in ((1, d), (d, d), (d, m + 1)))
+            model = make_model(mu[0], A, C, 3)
+            for clone in (HmmModel.from_json(model.to_json()), replace(model, T=5), replace(replace(model, T=2), T=3)):
+                for name in ("mu", "A", "C"):
+                    assert getattr(clone, name).tobytes() == getattr(model, name).tobytes(), name
 
     def test_missing_key_is_loud(self):
         with pytest.raises(ValueError, match="missing key"):

@@ -47,24 +47,24 @@ MODELS = {"dense.json": DENSE, "sparse.json": SPARSE}
 # (case, argv without --out, exit code, {report: sha256})
 CASES = [
     ("oracle", ["oracle", "--model", "dense.json", "--path", "2.0.1"], 0, {
-        "filter_trajectory.csv": "14ab14daa8769d72dc3e60fbd537c1c4e2d42a182d01740d6e9f753f76613ad3",
-        "next_token_probs.csv": "eda4f2b419cbb99adaf46465e49b65920f5cbb3109208bc5e35b2d4b0dce51ed",
+        "filter_trajectory.csv": "b40b1c98f54a753b23b057a2f7f2858b8b08adbbcd3d1cc85f0dfadf07c78068",
+        "next_token_probs.csv": "1d7704df92ed70e3a7b3a2adbcf0c7c5a45c9b8afb62aaf26e805efa323a6aec",
     }),
     ("fixedpoint-path", ["fixedpoint", "--model", "dense.json", "--path", "1.2.0", "--iterations", "2"], 0, {
-        "iteration_trace.csv": "ea0ce11c45781a7f20ba4edf381bb7d32b9179244ce9603c83369a5a4c6ba88a",
-        "residual_report.json": "ef9ca470e97aae0e210db93217eebff5f0834fe7468aeec52ceecc3be91b9e50",
+        "iteration_trace.csv": "fc4a33ff3d1ee26e26cce3f6dc1ae5463e8da674e27e860c9315435e2180bb19",
+        "residual_report.json": "acdc06a702f589a4a74ec43b166148b93b70379d04da1b430e5be7a78fa16904",
     }),
     ("fixedpoint-adapted", ["fixedpoint", "--model", "dense.json", "--mode", "adapted", "--path", "0.1.2",
                             "--iterations", "2"], 0, {
-        "iteration_trace.csv": "68d27f082c6fbf0532d5d99b315be387ad0432a7b72d8993e704e10c67b6b4b7",
-        "residual_report.json": "4f1a3f0ae9a268c1ebf6a4015eb2bbfdf865ebbfa4548a022c443581bd33d047",
+        "iteration_trace.csv": "48f2f4edcd85412e2571d23cdb38c209418b0005064aa23cd669b22e872e7ca7",
+        "residual_report.json": "f6c2752e1d5d7f97af00b21c531071083b5d032b9691345bb38923a4b61a12c6",
     }),
     ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
-        "diagnostics.csv": "6b31ca57dd49e9d281c11dcb473f0713bd40ff45169eb074c694eb4183aab28a",
-        "duality_report.json": "6e9d4c7d19dc3e7ec62b1c5ac8faeb9f05ab472abe8f6f7e57b0816e10a41de8",
+        "diagnostics.csv": "76dd76b0743928ebc292ad835dbbbc43233abe5e4abbf9a7b881fff5e78f8a14",
+        "duality_report.json": "d48660ec6a638e88195695a97ed7b746d9b3cbbc93c27d51aab4b18879374216",
     }),
     ("represent", ["represent", "--model", "dense.json", "--z-query", "1"], 0, {
-        "representation.json": "54a148ae23c3573443257fd5d121e0ed2fa02dd77cbd32248cd93f9a980f165d",
+        "representation.json": "568656ee82e62817192f0b97a2db57248582fee330ccdb6f61a41c39aca7cfbe",
     }),
     ("attention-demo", ["attention-demo", "--model", "dense.json", "--path", "0.2.1.1.0", "--seed", "3"], 0, {
         "attention_report.json": "27e56cd133b44429b69707c4da68d2dabbd04e4f73f972abe269b7868e330f44",
