@@ -248,18 +248,14 @@ class TestDecompose:
         with pytest.raises(ValueError, match="length-"):
             decompose(s)
 
-    @pytest.mark.parametrize("m", [1, 2, 5, 9])
+    @pytest.mark.parametrize("m", range(1, 10))
     def test_rows_split_like_single_vectors(self, m, rng):
         S = rng.standard_normal((50, m + 1)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
         mean, tilde = decompose(S)
         for s, mu, ti in zip(S, mean, tilde):
             one_mean, one_tilde = decompose(s)
             assert mu == one_mean and ti.tobytes() == one_tilde.tobytes()
-
-    @pytest.mark.parametrize("m", range(1, 10))
-    def test_mean_is_numpy_mean_in_either_memory_order(self, m, rng):
-        S = rng.standard_normal((4, m + 1)) * 10.0 ** rng.uniform(-3, 3, (4, 1))
-        for stack in (S, np.asfortranarray(S), S[0]):
+        for stack in (S, np.asfortranarray(S)):  # np.mean's bits in either memory order
             assert decompose(stack)[0].tobytes() == stack.mean(axis=-1).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
