@@ -189,7 +189,9 @@ def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
     layernorm. Every output column depends only on input columns at or
     before it: each head projects all columns at once, and position t's
     softmax and weighted value sum read the first t columns of those
-    projections. Everything after the heads acts column by column.
+    projections. Everything after the heads acts column by column. The
+    products stay ``@``: ``ndarray.dot`` for the per-position key product
+    in ``_softmax_weights`` changes the bits of the attention-demo report.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     d, T = sigmas.shape

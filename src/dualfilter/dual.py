@@ -75,7 +75,7 @@ def _successor_split(model: HmmModel, Y_next: np.ndarray, row: int):
     successors. V is the tilde part transposed, one R^m row per state.
     """
     n = model.m + 1
-    return decompose(np.array([model.A @ y for y in Y_next[row * n : (row + 1) * n]]).T)
+    return decompose(np.array([model.A.dot(y) for y in Y_next[row * n : (row + 1) * n]]).T)
 
 
 def _backward_sweep(model: HmmModel, F, T: int, control: Callable[..., np.ndarray]):
@@ -99,7 +99,7 @@ def _backward_sweep(model: HmmModel, F, T: int, control: Callable[..., np.ndarra
             W = mean + (c_mat * v).sum(axis=1)
             u = control(t, r, w, W, v)
             V[t][r], U[t][r] = v, u
-            Y[t][r] = W + c_mat @ u
+            Y[t][r] = W + c_mat.dot(u)
     return AdaptedProcess(m, tuple(Y)), AdaptedProcess(m, tuple(V)), AdaptedProcess(m, tuple(U))
 
 
@@ -119,6 +119,7 @@ def bsde_residual_by_node(model: HmmModel, traj: DualTrajectory) -> AdaptedProce
 
     Each level is one batch over (node, token) of A Y_{t+1} + c U + (c V) 1 - V e(z), the terms added
     in that order; every matrix-vector product is its own, so each node has the bits it has alone.
+    The products stay stacked ``@``, not per-node ``ndarray.dot``, since the batch is what shares those bits.
     """
     E = token_basis(model.m)
     c_mat = obs_matrix(model)
@@ -315,7 +316,7 @@ def solve_optimal(
         K_lead, K_drag, singular = law
         if singular:
             diagnostics.append(f"singular predictive covariance at t={t}, prefix={w}: minimum-norm control")
-        return -(K_lead @ W + K_drag @ V.ravel())
+        return -(K_lead.dot(W) + K_drag.dot(V.ravel()))
 
     Y, V, U = _backward_sweep(model, F, T, feedback)
     return DualTrajectory(Y=Y, V=V, U=U, diagnostics=tuple(diagnostics))

@@ -56,7 +56,7 @@ def step_law(A: np.ndarray, nu: np.ndarray, col: np.ndarray, rest: np.ndarray) -
 
 def scalar_feedback(k: np.ndarray, y: np.ndarray) -> float:
     """Scalar control k . y under a ``step_law`` gain."""
-    return float(k @ y)
+    return float(k.dot(y))
 
 
 def path_laws(model: HmmModel, rho: np.ndarray, z) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -85,15 +85,17 @@ def bde_solve(laws: list, t: int, f: np.ndarray) -> tuple[np.ndarray, np.ndarray
     mu. Each step runs in closed-loop form, u_s = k_s . y_{s+1} and y_s =
     M_s y_{s+1} (see ``step_law``); this sums in another order than A y +
     c u, so values agree with the open-loop form to rounding, not bit for
-    bit. Returns (y_0, controls u_0..u_{t-1}).
+    bit. Both products are ``ndarray.dot``: on these short vectors it has
+    the bits of ``@`` at about half its per-call cost. Returns (y_0,
+    controls u_0..u_{t-1}).
     """
     y = np.asarray(f, dtype=float)
-    controls = np.zeros(t)
+    controls = [0.0] * t
     for s in range(t - 1, -1, -1):
         k, M = laws[s]
         controls[s] = scalar_feedback(k, y)
-        y = M @ y
-    return y, controls
+        y = M.dot(y)
+    return y, np.array(controls)
 
 
 def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
@@ -120,13 +122,12 @@ def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.nd
     """
     laws = path_laws(model, rho, z)
     T = len(laws)
+    indicators = np.eye(model.d)
     out = np.zeros((T, model.d))
     for t in range(1, T + 1):
         for j in range(model.d):
-            f = np.zeros(model.d)
-            f[j] = 1.0
-            y0, controls = bde_solve(laws, t, f)
-            out[t - 1, j] = float(model.mu @ y0) - float(controls.sum())
+            y0, controls = bde_solve(laws, t, indicators[j])
+            out[t - 1, j] = float(model.mu.dot(y0)) - float(controls.sum())
     return out, is_probability_vector(out)
 
 

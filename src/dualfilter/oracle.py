@@ -39,7 +39,8 @@ def forward_step(model: HmmModel, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     mass = sum_x w(x) = P(z_t | z_1..z_{t-1}) and pi_t = A^T (w / mass); a zero-mass row is all zeros
     and is divided by 1, so it gives the zero measure. Each row is its own matrix-vector product: its
-    bits do not depend on the stack.
+    bits do not depend on the stack. The product stays ``@``, not ``ndarray.dot``, because
+    ``filter_levels`` runs this same stacked call and shares its bits with ``forward_filter``.
     """
     mass = w.sum(axis=-1)
     pi = (model.A.T @ (w / (mass + (mass == 0.0))[..., None])[..., None])[..., 0]
@@ -74,8 +75,9 @@ def filter_levels(model: HmmModel, zero_convention: bool = False) -> list[np.nda
     Level t is a ((m+1)^t, d) array whose row r is pi_t at the prefix of
     rank r (the level layout of ``adapted``). Each level is one
     ``forward_step`` on the whole stack of the level above, so every row
-    equals forward_filter(model, prefix)[-1] to the bit. All levels
-    together hold about (m+1)/m (m+1)^T d floats.
+    equals forward_filter(model, prefix)[-1] to the bit; the product
+    therefore stays ``forward_step``'s stacked ``@``. All levels together
+    hold about (m+1)/m (m+1)^T d floats.
 
     A zero-probability prefix raises ImpossibleObservationError unless
     ``zero_convention``, in which case it and every prefix below it carry

@@ -86,7 +86,8 @@ def path_values(rep: PredictorRepresentation) -> np.ndarray:
     Level by level from the constant, each child is its parent minus
     u^T e(z), taken as u @ e(0) for z = 0 (one dot per row) and u_z for
     z >= 1: the same bits as a per-path loop of dots u @ e(z) (the z = 0
-    row of E @ u is not, from m = 4 on).
+    row of E @ u is not, from m = 4 on). The stacked ``@`` stays, not a
+    per-row ``ndarray.dot``, since the batch is what shares those bits.
     """
     e0 = token_basis(rep.m)[0]
     level = np.array([float(rep.constant)])

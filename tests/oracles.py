@@ -5,7 +5,8 @@ paths, a least-squares construction of the predictor weights, the per-path
 scalar signal and the feedback law transcribed from their formulas, the
 backward-equation residual node by node, the two costs of the dual problem
 (the control cost of a given control and the minimum mean-squared error),
-and the forward recursion in exact rational arithmetic.
+and the forward recursion and the per-path map in exact rational
+arithmetic.
 """
 
 from fractions import Fraction
@@ -53,6 +54,42 @@ def forward_exact(model, z):
         pi = [sum(wx * a[y] for wx, a in zip(w, A)) / mass if mass else Fraction(0) for y in range(model.d)]
         rows.append(pi)
     return rows, prob
+
+
+def apply_N_path_exact(model, rho, z):
+    """The per-path map rho -> rho_plus in ``Fraction`` arithmetic on the exact rationals of the floats.
+
+    Each backward pass runs the paper's open-loop step y -> A y + c u, with
+    c = 2 C(., z) - 1 and u = -nu((A y)(c - nu(c))) / (1 - nu(c)^2), from
+    y_t = 1_{x=j} down to y_0; nu is mu at step 0 and rho_s at step s. The
+    step is degenerate, u = 0, when min(|p|, |q|) <= PRED_PROB_TOL for the
+    predictive probabilities p = nu(C(., z)) and q = nu(sum of C's other
+    columns). rho_plus_t(j) = mu(y_0) - sum_s u_s. Rows are lists of d
+    Fractions, row t-1 for time t.
+    """
+    z = validate_tokens(z, model.m)
+    A, C, rho = ([[Fraction(v) for v in row] for row in np.asarray(arr, dtype=float).tolist()]
+                 for arr in (model.A, model.C, rho))
+    mu, tol, d = [Fraction(v) for v in model.mu.tolist()], Fraction(dual.PRED_PROB_TOL), model.d
+    steps = []
+    for s, tok in enumerate(z):
+        nu = mu if s == 0 else rho[s - 1]
+        p = sum(n * row[tok] for n, row in zip(nu, C))
+        q = sum(n * sum(v for k, v in enumerate(row) if k != tok) for n, row in zip(nu, C))
+        c = [2 * row[tok] - 1 for row in C]
+        steps.append((nu, c, sum(n * cx for n, cx in zip(nu, c)), min(abs(p), abs(q)) <= tol))
+    rows = []
+    for t in range(1, len(z) + 1):
+        row = []
+        for j in range(d):
+            y, spent = [Fraction(int(x == j)) for x in range(d)], Fraction(0)
+            for nu, c, nc, degenerate in reversed(steps[:t]):
+                Ay = [sum(a * v for a, v in zip(A[x], y)) for x in range(d)]
+                u = 0 if degenerate else -sum(n * ay * (cx - nc) for n, ay, cx in zip(nu, Ay, c)) / (1 - nc * nc)
+                y, spent = [ay + cx * u for ay, cx in zip(Ay, c)], spent + u
+            row.append(sum(m0 * v for m0, v in zip(mu, y)) - spent)
+        rows.append(row)
+    return rows
 
 
 def filter_by_enumeration(model, z) -> np.ndarray:

@@ -30,7 +30,7 @@ from conftest import (
     sparse_model,
     uninformative_model,
 )
-from oracles import scalar_obs
+from oracles import apply_N_path_exact, scalar_obs
 
 
 def token_columns(model, z):
@@ -41,6 +41,22 @@ def token_columns(model, z):
 
 def token_law(model, nu, z):
     return step_law(model.A, nu, *token_columns(model, z))
+
+
+def dyadic_simplex(rng, n, bits):
+    """A probability vector of n multiples of 2^-bits: its float entries sum to 1 exactly."""
+    cuts = np.sort(rng.integers(0, 2**bits + 1, n - 1))
+    return np.diff(np.concatenate([[0], cuts, [2**bits]])) / 2.0**bits
+
+
+def near_degenerate_dyadic_model(rng, d, m, z, T, powers=(10, 30)):
+    """Every state emits z with probability within 2^-30..2^-10 (or the given powers) of 0 or of 1, so
+    one predictive probability of each token is small; mu, A and C are dyadic and exactly normalized."""
+    near = 2.0 ** -rng.integers(powers[0], powers[1] + 1, d)
+    high = rng.random() < 0.5
+    others = np.array([dyadic_simplex(rng, m, 16) for _ in range(d)]) * (near if high else 1 - near)[:, None]
+    C = np.insert(others, z, 1 - near if high else near, axis=1)
+    return make_model(dyadic_simplex(rng, d, 20), [dyadic_simplex(rng, d, 20) for _ in range(d)], C, T)
 
 
 class TestScalarFeedback:
@@ -66,8 +82,35 @@ class TestScalarFeedback:
         expect = -sum(nu[x] * (model.A[x] @ f) * (c[x] - nc) for x in range(3)) / (1 - nc**2)
         assert abs(scalar_feedback(token_law(model, nu, 1)[0], f) - expect) <= 1e-14
 
+    def test_returns_a_python_float(self, rng, reference_model):
+        k, _ = token_law(reference_model, rng.dirichlet(np.ones(2)), 1)
+        assert type(scalar_feedback(k, rng.standard_normal(2))) is float
+
 
 class TestBdeSolve:
+    def test_zero_steps_return_the_terminal_and_no_controls(self, reference_model):
+        rho = np.full((3, 2), 0.5)
+        y0, controls = bde_solve(path_laws(reference_model, rho, (1, 0, 1)), 0, [1, 0])
+        assert y0.dtype == np.float64 and y0.tolist() == [1.0, 0.0]
+        assert controls.dtype == np.float64 and controls.shape == (0,)
+
+    def test_t_steps_return_float64_arrays(self, rng):
+        model = random_model(rng, 4, 2, 5)
+        z = sample_path(model, rng)
+        laws = path_laws(model, rng.dirichlet(np.ones(4), size=5), z)
+        for t in range(1, 6):
+            y0, controls = bde_solve(laws, t, np.eye(4)[t % 4])
+            assert y0.dtype == np.float64 and y0.shape == (4,)
+            assert controls.dtype == np.float64 and controls.shape == (t,)
+
+    def test_feedback_is_looked_up_at_call_time(self, rng, reference_model):
+        # a patched fixedpoint.scalar_feedback must see every step of a standalone solve
+        laws = path_laws(reference_model, rng.dirichlet(np.ones(2), size=3), (1, 0, 1))
+        for t in range(4):
+            with mock.patch.object(fixedpoint, "scalar_feedback", side_effect=scalar_feedback) as feedback:
+                bde_solve(laws, t, np.array([0.0, 1.0]))
+            assert feedback.call_count == t
+
     def test_constant_terminal_rides_through(self, rng, reference_model):
         model = reference_model
         rho = np.stack([rng.dirichlet(np.ones(model.d)) for _ in range(model.T)])
@@ -252,6 +295,66 @@ class TestApplyNPathSharedLaws:
             assert str(err.value) == text
 
 
+class TestApplyNPathExact:
+    """apply_N_path against the paper's open-loop map in exact rationals (oracles.apply_N_path_exact)."""
+
+    # |error| <= BOUND_EPS * eps * prod_{s<t} 1/min(p_s, q_s) on row t, a degenerate step counting 1:
+    # a model whose float rows sum to 1 + delta gives 1 - nu(c)^2 = 4 p q + O(delta), off by
+    # delta / min(p, q) relative; over every draw below the error stayed under 0.5 of the bound at 1
+    BOUND_EPS = 4
+
+    def assert_near_exact(self, model, rho, z):
+        out, _ = apply_N_path(model, rho, z)
+        exact = apply_N_path_exact(model, rho, z)
+        growth, smallest, degenerate = 1.0, 1.0, 0
+        for t, tok in enumerate(z, start=1):
+            nu = model.mu if t == 1 else rho[t - 2]
+            small = min(abs(float(nu @ model.C[:, tok])), abs(float(nu @ (model.C.sum(axis=1) - model.C[:, tok]))))
+            if small <= PRED_PROB_TOL:
+                degenerate += 1
+            else:
+                growth, smallest = growth / small, min(smallest, small)
+            err = max(abs(Fraction(out[t - 1, j]) - exact[t - 1][j]) for j in range(model.d))
+            assert err <= Fraction(self.BOUND_EPS * np.finfo(float).eps * growth)
+        return smallest, degenerate
+
+    def test_random_models_filter_and_random_rho(self, rng):
+        for _ in range(30):
+            d, m, T = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            model = random_model(rng, d, m, T)
+            z = sample_path(model, rng)
+            self.assert_near_exact(model, forward_filter(model, z), z)
+            self.assert_near_exact(model, rng.dirichlet(np.ones(d), size=T), z)
+
+    def test_sparse_models_take_the_degenerate_step(self, rng):
+        degenerate = 0
+        for _ in range(30):
+            d, m, T = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            model = sparse_model(rng, d, m, T)
+            z = random_path(rng, model)
+            degenerate += self.assert_near_exact(model, forward_filter(model, z, zero_convention=True), z)[1]
+        assert degenerate > 0
+
+    def test_near_degenerate_dyadic_draws(self, rng):
+        smallest = 1.0
+        for _ in range(60):
+            d, m, T = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            model = near_degenerate_dyadic_model(rng, d, m, int(rng.integers(m + 1)), T)
+            rho = np.array([dyadic_simplex(rng, d, 30) for _ in range(T)])
+            smallest = min(smallest, self.assert_near_exact(model, rho, random_path(rng, model))[0])
+        assert smallest < 1e-6  # the sweep reached steps close to the degenerate branch
+
+    def test_steps_below_the_tolerance_are_degenerate(self, rng):
+        # a token emitted with probability 2^-60..2^-41 < PRED_PROB_TOL: the step is A with control 0
+        degenerate = 0
+        for _ in range(20):
+            d, m, T = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            model = near_degenerate_dyadic_model(rng, d, m, int(rng.integers(m + 1)), T, powers=(41, 60))
+            rho = np.array([dyadic_simplex(rng, d, 30) for _ in range(T)])
+            degenerate += self.assert_near_exact(model, rho, random_path(rng, model))[1]
+        assert degenerate > 0
+
+
 class TestClosedLoopStep:
     """Each closed-loop step (u = k . y, then M y) is the paper's step y -> A y + c u."""
 
@@ -319,22 +422,13 @@ class TestClosedLoopStep:
         assert smallest < 1e-9  # the sweep reached steps close to the degenerate branch
 
     def test_gain_matches_exact_arithmetic_near_degenerate(self, rng):
-        # every state emits z with probability within 2^-30..2^-10 of 0 (or of 1), so one
-        # predictive probability is small; A, C and nu are dyadic and exactly normalized
-        def dyadic_simplex(n, bits):
-            cuts = np.sort(rng.integers(0, 2**bits + 1, n - 1))
-            return np.diff(np.concatenate([[0], cuts, [2**bits]])) / 2.0**bits
-
         smallest = 1.0
         for _ in range(200):
             d, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
             z = int(rng.integers(m + 1))
-            near = 2.0 ** -rng.integers(10, 31, d)
-            high = rng.random() < 0.5
-            others = np.array([dyadic_simplex(m, 16) for _ in range(d)]) * (near if high else 1 - near)[:, None]
-            C = np.insert(others, z, 1 - near if high else near, axis=1)
-            model = make_model(dyadic_simplex(d, 20), [dyadic_simplex(d, 20) for _ in range(d)], C, 1)
-            nu = dyadic_simplex(d, 30)
+            model = near_degenerate_dyadic_model(rng, d, m, z, 1)
+            C = model.C
+            nu = dyadic_simplex(rng, d, 30)
             assert all(sum(map(Fraction, row)) == 1 for row in [*C, nu])
             k, _ = token_law(model, nu, z)
             # the paper's gain -A^T (nu (c - nu(c))) / (1 - nu(c)^2), in rationals
