@@ -25,31 +25,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .adapted import prefix_string, prefixes, random_weight_process
-from .attention import (
-    embed_sequence,
-    layer_forward,
-    layer_stack,
-    positional_encoding,
-    predictions,
-    random_layer_params,
-    simplified_form,
-)
-from .dual import bsde_residual_by_node, duality_report, estimator_path, solve_bsde, solve_optimal
-from .fixedpoint import apply_N_adapted, apply_N_path, fixed_point_residual, iterate, kl_divergence_bar
+from .adapted import prefix_string
 from .hmm import HmmModel, validate_tokens
-from .oracle import (
-    DEFAULT_ENUM_BUDGET,
-    ImpossibleObservationError,
-    check_enum_budget,
-    filter_levels,
-    filter_process,
-    forward_filter,
-    next_token_prob,
-    path_probability,
-    sample_path,
-)
-from .predictor import evaluate, represent_conditional
+from .oracle import DEFAULT_ENUM_BUDGET, ImpossibleObservationError, sample_path
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -175,12 +153,16 @@ def _load_model(cfg: ExperimentConfig) -> HmmModel:
         raise ValueError(f"model file {cfg.model_path} is not valid JSON: {exc}") from exc
 
 
-def _parse_path(text: str | None, model: HmmModel, cfg: ExperimentConfig, rng) -> tuple[int, ...]:
+def _parse_path(text: str | None, model: HmmModel, cfg: ExperimentConfig, generator) -> tuple[int, ...]:
     if text is None:
-        return sample_path(model, rng, T=cfg.T)
+        return sample_path(model, generator(), T=cfg.T)
     tokens = text.replace(",", ".").split(".")
     if "" in tokens:
         raise ValueError(f"path must be one or more tokens joined by '.' or ',' with none empty, got {text!r}")
+    for tok in tokens:
+        # int() would also take '1_0', ' 1', '+1' and non-ASCII digits
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"path token {tok!r} is not a decimal integer (ASCII digits 0-9 only)")
     return validate_tokens([int(t) for t in tokens], model.m)
 
 
@@ -223,15 +205,19 @@ def main():
 
 
 def command(name: str, *options, path_help: str | None = None):
-    """Register ``fn(cfg, model, rng, [z,] **flags)`` as a subcommand on the shared skeleton.
+    """Register ``fn(cfg, model, generator, [z,] **flags)`` as a subcommand on the shared skeleton.
 
     The skeleton adds the common options, resolves the config (flags that
-    name an ExperimentConfig field override it), loads the model, seeds the
-    run's generator and, when ``path_help`` is given, takes a ``--path``
-    option and passes the tokens as ``z`` (sampled from the generator when
-    omitted). It owns the exit-code contract: an impossible observation
-    exits 3, any other ValueError 2, a normal return 0; the command itself
-    exits 4 on an invariant violation.
+    name an ExperimentConfig field override it) and loads the model. It
+    passes ``generator``, a no-argument function that returns the run's one
+    generator, seeded with ``cfg.seed`` and built on the first call, so a
+    run that draws nothing never builds it. When ``path_help`` is given it
+    takes a ``--path`` option and passes the tokens as ``z`` (sampled from
+    the generator when omitted, before the command's own draws). It owns
+    the exit-code contract: an impossible observation exits 3, any other
+    ValueError 2, a normal return 0; the command itself exits 4 on an
+    invariant violation. Each command imports the library functions it
+    runs in its body, so a launch loads only those modules.
     """
     if path_help is not None:
         options = (click.option("--path", "path_text", type=str, default=None, help=path_help), *options)
@@ -243,10 +229,10 @@ def command(name: str, *options, path_help: str | None = None):
             try:
                 cfg = load_config(config_path, **overrides)
                 model = _load_model(cfg)
-                rng = np.random.default_rng(cfg.seed)
+                generator = functools.cache(lambda: np.random.default_rng(cfg.seed))
                 if path_help is not None:
-                    flags["z"] = _parse_path(path_text, model, cfg, rng)
-                fn(cfg, model, rng, **flags)
+                    flags["z"] = _parse_path(path_text, model, cfg, generator)
+                fn(cfg, model, generator, **flags)
             # ImpossibleObservationError subclasses ValueError, so it goes first
             except ImpossibleObservationError as exc:
                 _fail(EXIT_IMPOSSIBLE, str(exc))
@@ -265,8 +251,10 @@ PATH_HELP = "Observation path, tokens joined by '.' or ','."
 
 
 @command("oracle", path_help=PATH_HELP)
-def cmd_oracle(cfg, model, rng, z):
+def cmd_oracle(cfg, model, generator, z):
     """Write the exact filter trajectory and next-token probabilities for one path."""
+    from .oracle import forward_filter, next_token_prob
+
     pis = forward_filter(model, z, zero_convention=cfg.zero_convention)
 
     out = _out_dir(cfg)
@@ -297,8 +285,11 @@ def cmd_oracle(cfg, model, rng, z):
     click.option("--iterations", "K", type=int, default=None, help="Number of map applications for the trace."),
     path_help=PATH_HELP,
 )
-def cmd_fixedpoint(cfg, model, rng, z, mode):
+def cmd_fixedpoint(cfg, model, generator, z, mode):
     """Check the filter is a fixed point of the inference map and run the iteration driver."""
+    from .fixedpoint import apply_N_adapted, apply_N_path, fixed_point_residual, iterate
+    from .oracle import filter_process, forward_filter
+
     tol = float(cfg.tolerances["fixed_point"])
     out = _out_dir(cfg)
     if mode == "path":
@@ -349,10 +340,22 @@ def cmd_fixedpoint(cfg, model, rng, z, mode):
 
 
 @command("duality", click.option("--draws", type=int, default=None, help="Number of random (U, F) draws."))
-def cmd_duality(cfg, model, rng):
+def cmd_duality(cfg, model, generator):
     """Cross-check the control cost against the estimator mean-squared error."""
+    from .adapted import prefixes, random_weight_process
+    from .dual import bsde_residual_by_node, duality_report, estimator_path, solve_bsde, solve_optimal
+    from .oracle import check_enum_budget, filter_process, forward_filter, path_probability
+
+    # fixedpoint is not run here, but it binds oracle's and dual's functions
+    # by name at import. bench/tracing.py wraps every such binding of the
+    # modules loaded when it starts and restores only those, so a module first
+    # imported under its spans would keep them; loading fixedpoint now keeps
+    # an in-process traced run's later commands measurable.
+    from . import fixedpoint  # noqa: F401
+
     tol = float(cfg.tolerances["duality"])
     check_enum_budget(model, model.T, cfg.enum_budget)  # before any draw is solved
+    rng = generator()
     reports = []
     node_residuals = [np.zeros((model.m + 1) ** t) for t in range(model.T)]  # max over draws, per level
     for _ in range(cfg.draws):
@@ -401,8 +404,11 @@ def cmd_duality(cfg, model, rng):
     click.option("--z-query", type=int, default=0, show_default=True,
                  help="Token whose conditional probability is represented."),
 )
-def cmd_represent(cfg, model, rng, z_query):
+def cmd_represent(cfg, model, generator, z_query):
     """Build the predictor weights for a next-token conditional probability."""
+    from .oracle import filter_levels, next_token_prob
+    from .predictor import evaluate, represent_conditional
+
     rep = represent_conditional(model, z_query, zero_convention=cfg.zero_convention)
 
     # reconstruction check against the oracle on every possible path
@@ -424,8 +430,20 @@ def cmd_represent(cfg, model, rng, z_query):
 
 
 @command("attention-demo", path_help="Prompt tokens joined by '.' or ','.")
-def cmd_attention_demo(cfg, model, rng, z):
+def cmd_attention_demo(cfg, model, generator, z):
     """Run a seeded toy attention stack and emit per-layer prediction tables."""
+    from .attention import (
+        embed_sequence,
+        layer_forward,
+        layer_stack,
+        positional_encoding,
+        predictions,
+        random_layer_params,
+        simplified_form,
+    )
+    from .fixedpoint import kl_divergence_bar
+
+    rng = generator()
     d = cfg.attn_d
     params = random_layer_params(rng, d, cfg.attn_heads, activation=cfg.attn_activation, misc=True)
     emb = rng.standard_normal((d, model.m + 1)) / np.sqrt(d)

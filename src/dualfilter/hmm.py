@@ -150,6 +150,9 @@ class HmmModel:
     @classmethod
     def from_dict(cls, obj: dict) -> "HmmModel":
         """Load ``to_dict``'s output; its sizes d, m and T must be integers that match mu and C."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"model file must hold a JSON object with keys d, m, T, mu, A and C, "
+                             f"got {type(obj).__name__}")
         try:
             d, m, T, mu, A, C = (obj[key] for key in ("d", "m", "T", "mu", "A", "C"))
         except KeyError as exc:

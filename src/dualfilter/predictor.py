@@ -47,6 +47,9 @@ class PredictorRepresentation:
     @classmethod
     def from_dict(cls, obj: dict) -> "PredictorRepresentation":
         """Load ``to_dict``'s output: integer sizes m >= 1, T >= 0, and weights at each prefix shorter than T only."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"representation file must hold a JSON object with keys constant, weights, m and T, "
+                             f"got {type(obj).__name__}")
         try:
             constant, weights, m, T = (obj[key] for key in ("constant", "weights", "m", "T"))
         except KeyError as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dualfilter import cli
+from dualfilter import attention, dual, fixedpoint, predictor
 from dualfilter.cli import main
 
 from conftest import make_model, point_mass_model, random_model, uninformative_model
@@ -88,6 +88,14 @@ class TestOracleCommand:
         res = runner.invoke(main, ["oracle", "--model", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert res.stderr.startswith("error: cannot read model file"), res.stderr
+
+    @pytest.mark.parametrize("token", ["1_0", " 1", "+1", "-0", "\u0661", "0x1"])
+    def test_path_token_error_names_the_token_as_typed(self, runner, model_file, tmp_path, token):
+        res = runner.invoke(main, ["oracle", "--model", str(model_file), "--path", f"0.{token}",
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [f"error: path token {token!r} is not a decimal integer (ASCII digits 0-9 only)"]
+        assert not (tmp_path / "o").exists()
 
     def test_impossible_path_exits_3(self, runner, deterministic_model_file, tmp_path):
         res = runner.invoke(
@@ -192,7 +200,7 @@ class TestDualityCommand:
         assert res.exit_code == 2
 
     def test_one_backward_solve_per_draw(self, runner, model_file, tmp_path, monkeypatch):
-        from dualfilter import cli, dual
+        from dualfilter import dual
 
         calls = []
         solve = dual.solve_bsde
@@ -201,8 +209,7 @@ class TestDualityCommand:
             calls.append(1)
             return solve(*args, **kwargs)
 
-        for module in (cli, dual):
-            monkeypatch.setattr(module, "solve_bsde", counted)
+        monkeypatch.setattr(dual, "solve_bsde", counted)
         res = runner.invoke(
             main, ["duality", "--model", str(model_file), "--draws", "3", "--out", str(tmp_path / "d")]
         )
@@ -214,7 +221,7 @@ class TestDualityCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("solve_bsde called on an over-budget model")
 
-        monkeypatch.setattr(cli, "solve_bsde", refuse)
+        monkeypatch.setattr(dual, "solve_bsde", refuse)
         path = tmp_path / "long.json"
         path.write_text(random_model(rng, 2, 1, 17).to_json())
         res = runner.invoke(main, ["duality", "--model", str(path), "--out", str(tmp_path / "d")])
@@ -334,16 +341,30 @@ class TestConfigResolution:
             ("oracle", {}, ["--path", ""]),
             ("oracle", {}, ["--path", "1..0"]),
             ("oracle", {}, ["--path", "0,,1"]),
+            ("oracle", {}, ["--path", "1_0"]),
+            ("oracle", {}, ["--path", " 1"]),
+            ("fixedpoint", {}, ["--path", "0.+1"]),
+            ("oracle", {}, ["--path", "-0"]),
+            ("attention-demo", {}, ["--path", "0.\u0661"]),
+            ("oracle", {}, ["--model", "list.json"]),
+            ("oracle", {}, ["--model", "int.json"]),
+            ("represent", {}, ["--model", "null.json"]),
         ],
         ids=[
             "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "unknown-tolerance",
             "str-enum-budget",
             "float-draws", "zero-heads", "zero-layers", "unknown-activation", "int-activation", "over-budget",
             "str-zero-convention", "negative-seed-flag", "dot-path", "empty-path-fixedpoint", "empty-path-oracle",
-            "empty-token-dots", "empty-token-commas",
+            "empty-token-dots", "empty-token-commas", "underscore-token", "space-token", "plus-token",
+            "minus-token", "non-ascii-digit-token", "list-model", "int-model", "null-model",
         ],
     )
-    def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, command, config, flags):
+    def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, monkeypatch,
+                                                   command, config, flags):
+        # model files whose JSON is not an object, named relative to tmp_path
+        for name, text in {"list.json": "[1, 2]", "int.json": "3", "null.json": "null"}.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model_path": str(model_file), **config}))
         res = runner.invoke(main, [command, "--config", str(cfg), *flags, "--out", str(tmp_path / "o")])
@@ -360,26 +381,28 @@ class TestInvariantViolation:
     @pytest.mark.parametrize(
         "command, flags, target, report, failed",
         [
-            ("fixedpoint", ["--mode", "path"], "fixed_point_residual", "residual_report.json",
+            ("fixedpoint", ["--mode", "path"], (fixedpoint, "fixed_point_residual"), "residual_report.json",
              lambda doc: doc["path"]["pass"] is False),
-            ("fixedpoint", ["--mode", "adapted"], "fixed_point_residual", "residual_report.json",
+            ("fixedpoint", ["--mode", "adapted"], (fixedpoint, "fixed_point_residual"), "residual_report.json",
              lambda doc: doc["adapted"]["pass"] is False),
-            ("duality", [], "duality_report", "duality_report.json", lambda doc: doc["pass"] is False),
-            ("represent", [], "evaluate", "representation.json", lambda doc: doc["reconstruction_error"] >= 1.0),
-            ("attention-demo", [], "simplified_form", "attention_report.json",
+            ("duality", [], (dual, "duality_report"), "duality_report.json", lambda doc: doc["pass"] is False),
+            ("represent", [], (predictor, "evaluate"), "representation.json",
+             lambda doc: doc["reconstruction_error"] >= 1.0),
+            ("attention-demo", [], (attention, "simplified_form"), "attention_report.json",
              lambda doc: doc["bilinear_equality_ok"] is False),
         ],
         ids=["fixedpoint-path", "fixedpoint-adapted", "duality", "represent", "attention-demo"],
     )
     def test_exits_4_after_writing_the_report(self, runner, model_file, tmp_path, monkeypatch,
                                               command, flags, target, report, failed):
-        real = getattr(cli, target)
+        module, name = target
+        real = getattr(module, name)
 
         def off_by_one(*args, **kwargs):
             val = real(*args, **kwargs)
             return {**val, "gap": val["gap"] + 1.0} if isinstance(val, dict) else val + 1.0
 
-        monkeypatch.setattr(cli, target, off_by_one)
+        monkeypatch.setattr(module, name, off_by_one)
         out = tmp_path / "o"
         res = runner.invoke(main, [command, "--model", str(model_file), *flags, "--out", str(out)])
         assert res.exit_code == 4, res.output

@@ -110,6 +110,12 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match="missing key"):
             HmmModel.from_dict({"d": 2, "m": 1, "T": 1, "mu": [1, 0], "A": [[1, 0], [0, 1]]})
 
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("3", "int"), ("null", "NoneType"), ('"x"', "str")])
+    def test_json_that_is_not_an_object_is_loud(self, text, kind):
+        with pytest.raises(ValueError) as err:
+            HmmModel.from_json(text)
+        assert str(err.value) == f"model file must hold a JSON object with keys d, m, T, mu, A and C, got {kind}"
+
     @pytest.mark.parametrize("key, val", [("T", 2.5), ("d", 3.9), ("m", 2.2), ("T", 3.0), ("T", "3"), ("T", True),
                                           ("d", None)])
     def test_file_sizes_must_be_integers(self, key, val):

@@ -256,6 +256,14 @@ class TestSerialization:
             PredictorRepresentation.from_dict(obj)
         assert str(err.value) == f"representation file missing key {key!r}"
 
+    @pytest.mark.parametrize("obj, kind", [([1, 2], "list"), (3, "int"), (None, "NoneType")])
+    def test_loading_rejects_json_that_is_not_an_object(self, obj, kind):
+        with pytest.raises(ValueError) as err:
+            PredictorRepresentation.from_dict(obj)
+        assert str(err.value) == (
+            f"representation file must hold a JSON object with keys constant, weights, m and T, got {kind}"
+        )
+
     def test_loading_an_empty_object_names_the_first_key(self):
         with pytest.raises(ValueError, match="^representation file missing key 'constant'$"):
             PredictorRepresentation.from_dict({})

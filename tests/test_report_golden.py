@@ -86,6 +86,16 @@ CASES = [
         "iteration_trace.csv": "633fc703675a4003e0ad99deda8b7ff3aa3e0f64e44b09f9c78271c954dc7da5",
         "residual_report.json": "078749e4a17c6013394aae8088631dff7f8de951cc0d6739bfc3da9cc46041a8",
     }),
+    # without --path the path is sampled first, then the command makes its own draws from the same generator
+    ("oracle-sampled", ["oracle", "--model", "dense.json", "--seed", "4"], 0, {
+        "filter_trajectory.csv": "72c784184fe7eeb9fc38be1fb1c2824f214e54da969c457b712fe160bc13e774",
+        "next_token_probs.csv": "11caee127ba1e50a209524a537d9a2cf412d3af30954b0edaa3973281ae0d2be",
+    }),
+    ("attention-demo-sampled", ["attention-demo", "--model", "dense.json", "--seed", "3"], 0, {
+        "attention_report.json": "2696fb93447bfd2f2d7c733215bd6c1fb307a68ba95e6740c8e60c5033e02a09",
+        "layer_divergence.csv": "ca2ca8cd3f6723799b6fc7b3475666242501d34ebfc0a105f1cec8461dbfdf2d",
+        "layer_predictions.csv": "fc38d3107b925fba9300ccccf0e2df2a33bd29a732200097c05eb5469f991fc5",
+    }),
 ]
 
 
