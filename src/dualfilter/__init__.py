@@ -21,6 +21,7 @@ _SOURCES = {
         "filter_levels",
         "filter_process",
         "forward_filter",
+        "kl_divergence_bar",
         "next_token_prob",
         "path_probability",
         "sample_path",
@@ -34,7 +35,6 @@ _SOURCES = {
         "bde_solve",
         "fixed_point_residual",
         "iterate",
-        "kl_divergence_bar",
         "path_laws",
         "scalar_feedback",
         "step_law",

@@ -8,12 +8,19 @@ byte for byte.
 
 Exit codes are a stable contract: 0 ok, 2 input error, 3 impossible
 observation, 4 invariant violation.
+
+``main`` is the click group; tests and in-process callers invoke it and
+keep a normal garbage collector. A launched process (``python -m
+dualfilter.cli`` or the ``dualfilter`` script) enters through ``run``,
+which freezes the collector once ``main`` has exited, so the interpreter's
+shutdown does not walk and free every cycle the imports built.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -168,7 +175,10 @@ def _parse_path(text: str | None, model: HmmModel, cfg: ExperimentConfig, genera
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -441,7 +451,7 @@ def cmd_attention_demo(cfg, model, generator, z):
         random_layer_params,
         simplified_form,
     )
-    from .fixedpoint import kl_divergence_bar
+    from .oracle import kl_divergence_bar
 
     rng = generator()
     d = cfg.attn_d
@@ -489,5 +499,22 @@ def cmd_attention_demo(cfg, model, generator, z):
     click.echo(f"attention demo wrote {cfg.attn_layers} layer tables; bilinear equality error {worst:.3e}")
 
 
+def run():
+    """Process entry point: run ``main``, then freeze the garbage collector as the process's last act.
+
+    ``main`` ends by raising SystemExit; the freeze moves every tracked
+    object to the permanent generation, so interpreter shutdown skips the
+    collection of the cycles that importing numpy, click and the library
+    built and exits sooner. ``atexit`` handlers and stdio flushing still
+    run. Frozen cyclic garbage is never finalized, so every report must be
+    closed before ``main`` returns; each command closes its files through
+    ``with`` or ``write_text``.
+    """
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

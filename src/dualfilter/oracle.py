@@ -114,6 +114,30 @@ def next_token_prob(model: HmmModel, pi: np.ndarray) -> np.ndarray:
     return (pi[..., None, :] @ model.C)[..., 0, :]
 
 
+def kl_divergence_bar(p_final: np.ndarray, p_layer: np.ndarray) -> float:
+    """Time-averaged KL divergence (1/T) sum_t KL(p_final_t || p_layer_t).
+
+    Both arrays are (m+1, T) with each column a probability vector. Where
+    the reference puts mass on a token the comparison assigns none, the
+    divergence is reported as +inf rather than raising.
+    """
+    p_final = np.asarray(p_final, dtype=float)
+    p_layer = np.asarray(p_layer, dtype=float)
+    if p_final.shape != p_layer.shape or p_final.ndim != 2:
+        raise ValueError(f"shapes must match and be 2-d, got {p_final.shape} and {p_layer.shape}")
+    support = p_final > 0.0
+    if np.any(support & (p_layer <= 0.0)):
+        return float("inf")
+    # only supported entries are divided and weighted, so log(0) and 0/0 never occur
+    ratio = np.divide(p_final, p_layer, out=np.ones_like(p_final), where=support)
+    terms = np.multiply(p_final, np.log(ratio), out=np.zeros_like(p_final), where=support)
+    total = 0.0
+    for col in terms.sum(axis=0).tolist():  # column by column, left to right
+        total += col
+    # KL is nonnegative; rounding on near-identical inputs can dip a few ulp below zero.
+    return max(total / p_final.shape[1], 0.0)
+
+
 def path_probability(model: HmmModel, z) -> float:
     """P(Z_1..Z_T = z), the product of forward_step's masses; 0.0 if impossible, and underflows to 0.0 on long paths."""
     z = validate_tokens(z, model.m)

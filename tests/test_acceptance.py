@@ -19,11 +19,12 @@ from dualfilter.attention import (
 )
 from dualfilter.cli import main
 from dualfilter.dual import duality_report, solve_bsde, solve_optimal
-from dualfilter.fixedpoint import apply_N_adapted, apply_N_path, kl_divergence_bar
+from dualfilter.fixedpoint import apply_N_adapted, apply_N_path
 from dualfilter.hmm import decompose, token_basis
 from dualfilter.oracle import (
     filter_process,
     forward_filter,
+    kl_divergence_bar,
     next_token_prob,
     path_probability,
     sample_path,

@@ -349,6 +349,8 @@ class TestConfigResolution:
             ("oracle", {}, ["--model", "list.json"]),
             ("oracle", {}, ["--model", "int.json"]),
             ("represent", {}, ["--model", "null.json"]),
+            ("oracle", {}, ["--out", "list.json"]),
+            ("oracle", {}, ["--out", "list.json/o"]),
         ],
         ids=[
             "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "unknown-tolerance",
@@ -357,6 +359,7 @@ class TestConfigResolution:
             "str-zero-convention", "negative-seed-flag", "dot-path", "empty-path-fixedpoint", "empty-path-oracle",
             "empty-token-dots", "empty-token-commas", "underscore-token", "space-token", "plus-token",
             "minus-token", "non-ascii-digit-token", "list-model", "int-model", "null-model",
+            "out-is-a-file", "out-under-a-file",
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, monkeypatch,
@@ -367,7 +370,8 @@ class TestConfigResolution:
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model_path": str(model_file), **config}))
-        res = runner.invoke(main, [command, "--config", str(cfg), *flags, "--out", str(tmp_path / "o")])
+        # flags go last, so a case's own --out wins
+        res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         lines = res.stderr.splitlines()

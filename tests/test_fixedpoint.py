@@ -13,13 +13,12 @@ from dualfilter.fixedpoint import (
     bde_solve,
     fixed_point_residual,
     iterate,
-    kl_divergence_bar,
     path_laws,
     scalar_feedback,
     step_law,
 )
 from dualfilter.hmm import is_probability_vector, obs_matrix, risk_tensor
-from dualfilter.oracle import filter_process, forward_filter, sample_path
+from dualfilter.oracle import filter_process, forward_filter, kl_divergence_bar, sample_path
 
 from conftest import (
     from_tree,

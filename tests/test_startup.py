@@ -1,27 +1,38 @@
-"""What one CLI launch imports: each command loads only the library modules it runs.
+"""One CLI launch: what it imports, and how the launched process exits.
 
-Each case starts a fresh interpreter with ``-X importtime``, which writes one
-line per imported module to stderr, and reads the module names off it.
+Each case starts a fresh interpreter. The import cases run it with ``-X
+importtime``, which writes one line per imported module to stderr, and read
+the module names off it. The exit cases run ``python -m dualfilter.cli``,
+whose entry point freezes the garbage collector after ``main``, and check
+the exit-code contract, the reports and ``atexit`` on that path.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import dualfilter
-from conftest import random_model
+from dualfilter.cli import main
+from conftest import make_model, random_model
 
 SRC = Path(dualfilter.__file__).resolve().parent.parent
 
 
+def launch(args, cwd):
+    """A fresh ``python <args>`` run in ``cwd`` with the checkout's source on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
 def imported_modules(args, cwd):
     """Module names a fresh ``python -X importtime <args>`` imports; the run must exit 0."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
-                          capture_output=True, text=True)
+    proc = launch(["-X", "importtime", *args], cwd)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
 
@@ -39,8 +50,9 @@ def model_file(tmp_path, rng):
         (["oracle", "--path", "0.1"], ["numpy.random", "dualfilter.dual", "dualfilter.fixedpoint",
                                         "dualfilter.predictor", "dualfilter.attention"]),
         (["represent"], ["numpy.random", "dualfilter.dual", "dualfilter.fixedpoint", "dualfilter.attention"]),
+        (["attention-demo", "--path", "0.1"], ["dualfilter.dual", "dualfilter.fixedpoint", "dualfilter.predictor"]),
     ],
-    ids=["oracle-path", "represent"],
+    ids=["oracle-path", "represent", "attention-demo-path"],
 )
 def test_command_imports_only_what_it_runs(model_file, tmp_path, argv, absent):
     loaded = imported_modules(["-m", "dualfilter.cli", *argv, "--model", str(model_file), "--out", "out"], tmp_path)
@@ -69,3 +81,62 @@ def test_exported_names_resolve_to_the_current_binding(monkeypatch):
 
 def test_every_exported_name_is_listed_by_dir():
     assert set(dualfilter.__all__) <= set(dir(dualfilter))
+
+
+def reports(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_launched_run_exits_0_with_the_reports_of_an_in_process_run(model_file, tmp_path, monkeypatch):
+    args = ["oracle", "--model", str(model_file), "--path", "0.1", "--out", "out"]
+    for sub in ("launched", "in-process"):
+        (tmp_path / sub).mkdir()
+    proc = launch(["-m", "dualfilter.cli", *args], tmp_path / "launched")
+    monkeypatch.chdir(tmp_path / "in-process")
+    res = CliRunner().invoke(main, args)
+    assert (proc.returncode, res.exit_code) == (0, 0), proc.stderr
+    assert proc.stdout == res.stdout == "wrote filter trajectory for path 0.1 to out\n"
+    assert proc.stderr == ""
+    assert reports(tmp_path / "launched" / "out") == reports(tmp_path / "in-process" / "out")
+
+
+@pytest.mark.parametrize(
+    "model, args, code",
+    [
+        (None, ["--path", "1_0"], 2),
+        # state 0 surely emits token 1 and never leaves, so z_1 = 0 has probability 0
+        (make_model([1.0, 0.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]], 2), ["--path", "0"], 3),
+    ],
+    ids=["bad-path-token", "impossible-observation"],
+)
+def test_launched_run_exits_with_one_error_line(model_file, tmp_path, model, args, code):
+    if model is not None:
+        model_file.write_text(model.to_json())
+    proc = launch(["-m", "dualfilter.cli", "oracle", "--model", str(model_file), *args, "--out", "out"], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_launched_run_exits_4_on_an_invariant_violation(tmp_path):
+    model = make_model([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], [[0.2, 0.8], [0.7, 0.3]], 3)
+    (tmp_path / "model.json").write_text(model.to_json())
+    (tmp_path / "cfg.json").write_text(json.dumps({"tolerances": {"representation": 1e-300}}))
+    proc = launch(["-m", "dualfilter.cli", "represent", "--model", "model.json", "--config", "cfg.json",
+                   "--out", "out"], tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: reconstruction error") and proc.stderr.count("\n") == 1, proc.stderr
+    # the error is rounding, 2.2e-16 on this model; a zero error could exceed no tolerance
+    assert json.loads((tmp_path / "out" / "representation.json").read_text())["reconstruction_error"] > 0.0
+
+
+def test_launched_run_still_runs_atexit_handlers(model_file, tmp_path):
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit ran')\n"
+        f"sys.argv = ['dualfilter', 'oracle', '--model', {str(model_file)!r}, '--path', '0', '--out', 'out']\n"
+        "runpy.run_module('dualfilter.cli', run_name='__main__')\n"
+    )
+    proc = launch(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["wrote filter trajectory for path 0 to out", "atexit ran"]
