@@ -9,8 +9,8 @@ it. Expectations are exact, never Monte Carlo: the cost contracts per-node
 tables with the forward joint measure, and the squared error enumerates the
 joint paths, so each duality gap checks one against the other.
 
-Backward passes are level-sequential but nodes within a level are
-independent; all functions are pure and deterministic.
+Backward passes run one level at a time, from the leaves up: nodes within
+a level are independent. All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -72,35 +72,33 @@ def _successor_split(model: HmmModel, Y_next: np.ndarray, row: int):
     """``decompose`` of z -> (A Y_{t+1})(prefix + z) at one row of level t; returns (mean (d,), V (d, m)).
 
     ``Y_next`` is level t+1 of Y, whose rows row (m+1) + z are the
-    successors. V is the tilde part transposed, one R^m row per state.
+    successors: one product of A with them gives the successor values as
+    the columns of a (d, m+1) array, so V is one R^m row per state.
     """
     n = model.m + 1
-    return decompose(np.array([model.A.dot(y) for y in Y_next[row * n : (row + 1) * n]]).T)
+    return decompose(model.A.dot(Y_next[row * n : (row + 1) * n].T))
 
 
 def _backward_sweep(model: HmmModel, F, T: int, control: Callable[..., np.ndarray]):
-    """The backward equation Y_t = W + c U_t, W = mean + (c V) 1, from terminal F.
+    """The backward equation Y_t = W + c U_t, W = mean + (c V) 1, from terminal F, one level at a time.
 
-    At each node V_t is pinned by the mean/tilde split of the successor
-    values, which is the only choice keeping Y_t measurable with respect to
-    the prefix for every successor token; ``control(t, row, prefix, W,
-    V_t)`` then supplies U_t. Returns the Y, V and U processes.
+    V_t is pinned by the mean/tilde split of each node's successor values,
+    the only choice keeping Y_t measurable with respect to the prefix for
+    every successor token. The split is one ``_successor_split`` call per
+    node, which the benchmark's node counts are pinned to; W, the level's
+    (n, m) controls ``control(t, W, V_t)`` and Y_t are stacked numpy
+    operations on the whole level. Returns the Y, V and U processes.
     """
-    d, m = model.d, model.m
     c_mat = obs_matrix(model)
-    Y = [None] * T + [_terminal_level(F, d, m, T)]
+    Y = [None] * T + [_terminal_level(F, model.d, model.m, T)]
     V, U = [None] * T, [None] * T
     for t in range(T - 1, -1, -1):
-        n = (m + 1) ** t
-        # V rows keep the transposed layout _successor_split returns, so every reader sums in its order
-        Y[t], V[t], U[t] = np.empty((n, d)), np.empty((n, m, d)).transpose(0, 2, 1), np.empty((n, m))
-        for r, w in enumerate(prefixes(m, t)):
-            mean, v = _successor_split(model, Y[t + 1], r)
-            W = mean + (c_mat * v).sum(axis=1)
-            u = control(t, r, w, W, v)
-            V[t][r], U[t][r] = v, u
-            Y[t][r] = W + c_mat.dot(u)
-    return AdaptedProcess(m, tuple(Y)), AdaptedProcess(m, tuple(V)), AdaptedProcess(m, tuple(U))
+        means, tildes = zip(*[_successor_split(model, Y[t + 1], r) for r in range((model.m + 1) ** t)])
+        V[t] = np.array(tildes)
+        W = np.array(means) + (c_mat * V[t]).sum(axis=-1)
+        U[t] = control(t, W, V[t])
+        Y[t] = W + U[t] @ c_mat.T
+    return AdaptedProcess(model.m, tuple(Y)), AdaptedProcess(model.m, tuple(V)), AdaptedProcess(model.m, tuple(U))
 
 
 def solve_bsde(model: HmmModel, U: AdaptedProcess, F) -> DualTrajectory:
@@ -110,7 +108,7 @@ def solve_bsde(model: HmmModel, U: AdaptedProcess, F) -> DualTrajectory:
     expectation.
     """
     U.check_complete(model.m, range(model.T))
-    Y, V, _ = _backward_sweep(model, F, model.T, lambda t, r, w, W, V: U.levels[t][r])
+    Y, V, _ = _backward_sweep(model, F, model.T, lambda t, W, V: U.levels[t])
     return DualTrajectory(Y=Y, V=V, U=U)
 
 
@@ -276,7 +274,7 @@ def solve_optimal(
     F,
     horizon: int | None = None,
     *,
-    laws: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, bool]] | None = None,
+    laws: dict[int, tuple[np.ndarray, np.ndarray, tuple[Prefix, ...]]] | None = None,
 ) -> DualTrajectory:
     """Backward solve with the control eliminated by the feedback law.
 
@@ -291,10 +289,12 @@ def solve_optimal(
     and are named in the trajectory diagnostics.
 
     The solved law, a control operator (K_lead, K_drag), depends only on
-    the measure at the node, so each node does U_t = -(K_lead W + K_drag
-    vec(V_t)). ``laws`` is a memo of that operator per node, keyed by
-    (t, row), filled on first use: pass one dict to several solves with the
-    same model and rho (any F and horizon) and each prefix's law is solved
+    the measure at the node, so each level does U_t = -(K_lead W + K_drag
+    vec(V_t)) as stacked products. ``laws`` is a memo keyed by level t,
+    filled on first use with one ``_control_operator`` per prefix: the
+    level's K_lead (n, m, d) and K_drag (n, m, d m) and its singular
+    prefixes in rank order. Pass one dict to several solves with the same
+    model and rho (any F and horizon) and each prefix's law is solved
     once. It changes no result, and every solve records its own
     diagnostics. A caller passing ``laws`` has checked rho complete on the
     levels the solve reads (apply_N_adapted checks once for all its
@@ -308,15 +308,15 @@ def solve_optimal(
     R = risk_tensor(model)
     diagnostics: list[str] = []
 
-    def feedback(t, r, w, W, V):
-        law = laws.get((t, r))
-        if law is None:
-            nu = model.mu if t == 0 else np.asarray(rho.at(w), dtype=float)
-            law = laws[t, r] = _control_operator(model, c_mat, R, nu)
-        K_lead, K_drag, singular = law
-        if singular:
-            diagnostics.append(f"singular predictive covariance at t={t}, prefix={w}: minimum-norm control")
-        return -(K_lead.dot(W) + K_drag.dot(V.ravel()))
+    def feedback(t, W, V):
+        if t not in laws:
+            ws = list(prefixes(model.m, t))
+            K_lead, K_drag, singular = zip(*(
+                _control_operator(model, c_mat, R, np.asarray(rho.at(w), dtype=float) if t else model.mu) for w in ws))
+            laws[t] = np.array(K_lead), np.array(K_drag), tuple(w for w, s in zip(ws, singular) if s)
+        K_lead, K_drag, singular = laws[t]
+        diagnostics.extend(f"singular predictive covariance at t={t}, prefix={w}: minimum-norm control" for w in singular)
+        return -((K_lead @ W[..., None]) + (K_drag @ V.reshape(len(V), -1, 1)))[..., 0]
 
     Y, V, U = _backward_sweep(model, F, T, feedback)
     return DualTrajectory(Y=Y, V=V, U=U, diagnostics=tuple(diagnostics))

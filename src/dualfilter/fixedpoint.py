@@ -138,11 +138,11 @@ def apply_N_adapted(model: HmmModel, rho: AdaptedProcess) -> tuple[AdaptedProces
     subproblem once per terminal indicator 1_{x=j}, with the feedback law
     evaluated at rho (prior mu at the root); level t of the output, a
     ((m+1)^t, d) array, collects column j from the estimator values. rho is
-    checked complete once, and the T*d solves share one memo of the
-    feedback law per prefix (see solve_optimal's ``laws``), so each
-    prefix's predictive-covariance system is solved once. Returns the
-    output process and its domain flags, a process of bools, both with
-    levels 1..T.
+    checked complete once, and the T*d solves, each a sweep one level at a
+    time, share one memo of the feedback laws per level (see solve_optimal's
+    ``laws``), so each prefix's predictive-covariance system is solved once.
+    Returns the output process and its domain flags, a process of bools,
+    both with levels 1..T.
 
     Like the per-path map it is strictly causal: level t of the output
     reads rho only at levels 1..t-1, so rho's level T never matters and T
@@ -151,7 +151,7 @@ def apply_N_adapted(model: HmmModel, rho: AdaptedProcess) -> tuple[AdaptedProces
     rho.check_complete(model.m, range(1, model.T))
     indicators = np.eye(model.d)
     levels = [None]
-    laws: dict = {}  # one feedback law per prefix, shared by all T*d solves
+    laws: dict = {}  # each level's feedback laws, solved once per prefix and shared by all T*d solves
     for t in range(1, model.T + 1):
         level = np.zeros(((model.m + 1) ** t, model.d))
         for j in range(model.d):

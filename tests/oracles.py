@@ -3,10 +3,10 @@
 None of the commands needs these: brute-force enumerations over hidden
 paths, a least-squares construction of the predictor weights, the per-path
 scalar signal and the feedback law transcribed from their formulas, the
-backward-equation residual node by node, the two costs of the dual problem
-(the control cost of a given control and the minimum mean-squared error),
-and the forward recursion and the per-path map in exact rational
-arithmetic.
+backward equation swept and its residual taken node by node, the two
+costs of the dual problem (the control cost of a given control and the
+minimum mean-squared error), and the forward recursion and the per-path
+map in exact rational arithmetic.
 """
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ import numpy as np
 
 from dualfilter import dual
 from dualfilter.adapted import AdaptedProcess, prefixes
-from dualfilter.hmm import gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
+from dualfilter.hmm import decompose, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
 from dualfilter.oracle import ImpossibleObservationError, exact_expectation, forward_filter
 from dualfilter.predictor import PredictorRepresentation
 
@@ -144,6 +144,31 @@ def scalar_obs(model, z: int) -> np.ndarray:
     if not 0 <= z <= model.m:
         raise ValueError(f"token {z} outside alphabet 0..{model.m}")
     return 2.0 * model.C[:, z] - 1.0
+
+
+def backward_sweep_by_node(model, F, T: int, control):
+    """The backward equation Y_t = W + c U_t, W = mean + (c V) 1, swept one node at a time.
+
+    At each node the successor values A Y_{t+1}(prefix + z) are one
+    matrix-vector product per token, stacked and split by ``decompose``;
+    ``control(t, row, prefix, W, V_t)`` supplies the node's U_t. Returns
+    the Y, V and U processes, V as (d, m) rows.
+    """
+    d, m = model.d, model.m
+    c_mat = obs_matrix(model)
+    Y = [None] * T + [dual._terminal_level(F, d, m, T)]
+    V, U = [None] * T, [None] * T
+    for t in range(T - 1, -1, -1):
+        n = (m + 1) ** t
+        Y[t], V[t], U[t] = np.empty((n, d)), np.empty((n, d, m)), np.empty((n, m))
+        for r, w in enumerate(prefixes(m, t)):
+            successors = Y[t + 1][r * (m + 1) : (r + 1) * (m + 1)]
+            mean, v = decompose(np.array([model.A.dot(y) for y in successors]).T)
+            W = mean + (c_mat * v).sum(axis=1)
+            u = control(t, r, w, W, v)
+            V[t][r], U[t][r] = v, u
+            Y[t][r] = W + c_mat.dot(u)
+    return AdaptedProcess(m, tuple(Y)), AdaptedProcess(m, tuple(V)), AdaptedProcess(m, tuple(U))
 
 
 def bsde_residual_levels(model, traj) -> list[np.ndarray]:

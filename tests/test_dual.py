@@ -18,7 +18,15 @@ from dualfilter.hmm import obs_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
 from dualfilter.predictor import build_weights, path_values, represent_conditional
 from conftest import from_tree, make_model, random_measure_process, random_model, sparse_model, uninformative_model
-from oracles import bsde_residual, bsde_residual_levels, mmse, optimal_feedback, running_cost, total_cost
+from oracles import (
+    backward_sweep_by_node,
+    bsde_residual,
+    bsde_residual_levels,
+    mmse,
+    optimal_feedback,
+    running_cost,
+    total_cost,
+)
 
 
 def node_measure(model, rho, w):
@@ -26,11 +34,11 @@ def node_measure(model, rho, w):
 
 
 def old_feedback_system(model, rho):
-    """The law solved as (I + G lead(c)) u = -G (lead(W) + drag(V)), G = pinv(rho(R)), node by node."""
+    """The law solved as (I + G lead(c)) u = -G (lead(W) + drag(V)), G = pinv(rho(R)), one level of nodes at a time."""
     c = obs_matrix(model)
     R = risk_tensor(model)
 
-    def control(t, r, w, W, V):
+    def node_control(w, W, V):
         nu = node_measure(model, rho, w)
         dev = c - nu @ c
         G = np.linalg.pinv(np.einsum("x,xij->ij", nu, R), rcond=1e-10)
@@ -41,7 +49,35 @@ def old_feedback_system(model, rho):
         drag = np.einsum("x,xij,xj->i", nu, R, V)
         return np.linalg.solve(np.eye(model.m) + G @ lead(c), -G @ (lead(W) + drag))
 
+    def control(t, W, V):
+        return np.array([node_control(w, *args) for w, *args in zip(prefixes(model.m, t), W, V)])
+
     return control
+
+
+def feedback_by_node(model, rho, diagnostics):
+    """solve_optimal's law as a per-node control for ``backward_sweep_by_node``: one control operator per node.
+
+    Each node at which the operator is singular appends solve_optimal's diagnostic to ``diagnostics``.
+    """
+    c, R = obs_matrix(model), risk_tensor(model)
+
+    def control(t, r, w, W, V):
+        K_lead, K_drag, singular = dual._control_operator(model, c, R, node_measure(model, rho, w))
+        if singular:
+            diagnostics.append(f"singular predictive covariance at t={t}, prefix={w}: minimum-norm control")
+        return -(K_lead.dot(W) + K_drag.dot(V.ravel()))
+
+    return control
+
+
+def zero_token_model(rng):
+    """d=3, m=2, T=3 where token 2 is emitted only by state 2, and a rho with no mass there at prefix (1,)."""
+    C = [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]]
+    model = make_model(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3), size=3), C, 3)
+    tree = random_measure_process(rng, model).tree
+    tree[(1,)] = np.array([0.4, 0.6, 0.0])
+    return model, from_tree(model.m, tree)
 
 
 def zero_controls(model):
@@ -286,17 +322,11 @@ class TestPredictiveCovarianceLaw:
                 assert abs(sigma[0, 0] - (1.0 - float(nu @ (2.0 * model.C[:, 1] - 1.0)) ** 2)) <= 1e-14
 
     def test_zero_probability_token_takes_the_minimum_norm_control(self, rng):
-        # token 2 is emitted only by state 2, and rho puts no mass there at prefix (1,)
-        C = [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]]
-        model = make_model(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3), size=3), C, 3)
-        rho = random_measure_process(rng, model)
-        tree = rho.tree
-        tree[(1,)] = np.array([0.4, 0.6, 0.0])
-        rho = from_tree(model.m, tree)
+        model, rho = zero_token_model(rng)
         traj = solve_optimal(model, rho, rng.standard_normal(3))
         assert len(traj.diagnostics) == 1 and "t=1, prefix=(1,)" in traj.diagnostics[0]
 
-        c, R, nu = obs_matrix(model), risk_tensor(model), tree[(1,)]
+        c, R, nu = obs_matrix(model), risk_tensor(model), rho.at((1,))
         u, V = np.asarray(traj.U.at((1,))), np.asarray(traj.V.at((1,)))
         W = np.asarray(traj.Y.at((1,))) - c @ u
         lead, drag = dual._lead_drag(c, R, nu)
@@ -317,17 +347,61 @@ class TestSuccessorSplit:
                                rng.dirichlet(np.ones(m + 1), size=d), 1)
             row = int(rng.integers(3))
             Y_next = rng.standard_normal((3 * (m + 1), d)) * 10.0 ** rng.uniform(-3, 3)
-            succ = np.stack([model.A @ Y_next[row * (m + 1) + z] for z in range(m + 1)])
+            succ = model.A.dot(Y_next[row * (m + 1) : (row + 1) * (m + 1)].T)  # column z: the successor along z
             mean, V = _successor_split(model, Y_next, row)
-            assert mean.tobytes() == succ.mean(axis=0).tobytes()
-            assert V.tobytes() == (succ[1:] - succ.mean(axis=0)).T.tobytes()
-            # the split's old form added the successors left to right; at d = 1 the stack is
-            # contiguous, and numpy sums 8 or more contiguous terms pairwise instead
-            if d > 1 or m + 1 < 8:
-                total = succ[0]
-                for s in succ[1:]:
-                    total = total + s
+            assert mean.tobytes() == succ.mean(axis=-1).tobytes()
+            assert V.tobytes() == (succ[:, 1:] - succ.mean(axis=-1)[:, None]).tobytes()
+            # the successors added left to right; each row of the product is contiguous,
+            # and numpy sums 8 or more contiguous terms pairwise instead
+            if m + 1 < 8:
+                total = succ[:, 0]
+                for z in range(1, m + 1):
+                    total = total + succ[:, z]
                 assert mean.tobytes() == (total / (m + 1)).tobytes()
+
+
+class TestSweepMatchesNodeByNode:
+    """The level-at-a-time sweep against the node-by-node reference, with the same diagnostics in the same order."""
+
+    @staticmethod
+    def assert_matches(traj, Y, V, U):
+        for got, want in ((traj.Y, Y), (traj.V, V), (traj.U, U)):
+            assert [level.shape for level in got.levels] == [level.shape for level in want.levels]
+            for a, b in zip(got.levels, want.levels):
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_solve_bsde_and_solve_optimal(self, rng, d, m):
+        for T in range(1, 5):
+            model = random_model(rng, d, m, T)
+            U, F = random_weight_process(rng, m, T), random_terminal(rng, model, path_dependent=T % 2 == 0)
+            Y, V, _ = backward_sweep_by_node(model, F, T, lambda t, r, w, W, V: U.levels[t][r])
+            self.assert_matches(solve_bsde(model, U, F), Y, V, U)
+            for rho in (filter_process(model), random_measure_process(rng, model)):
+                F = rng.standard_normal(d)
+                diagnostics = []
+                want = backward_sweep_by_node(model, F, T, feedback_by_node(model, rho, diagnostics))
+                traj = solve_optimal(model, rho, F)
+                self.assert_matches(traj, *want)
+                assert traj.diagnostics == tuple(diagnostics) == ()
+
+    def test_zero_probability_tokens(self, rng):
+        model, rho = zero_token_model(rng)
+        tree = rho.tree
+        for w in ((0,), (0, 2), (1, 0), (2, 1)):
+            tree[w] = np.array([0.4, 0.6, 0.0])  # no mass on the only state that emits token 2
+        rho = from_tree(model.m, tree)
+        for T in range(1, 4):
+            F = rng.standard_normal(3)
+            diagnostics = []
+            want = backward_sweep_by_node(model, F, T, feedback_by_node(model, rho, diagnostics))
+            traj = solve_optimal(model, rho, F, horizon=T)
+            self.assert_matches(traj, *want)
+            assert traj.diagnostics == tuple(diagnostics)
+        assert [d.split(": ")[0] for d in traj.diagnostics] == [
+            f"singular predictive covariance at t={len(w)}, prefix={w}" for w in ((0, 2), (1, 0), (2, 1), (0,), (1,))
+        ]
 
 
 class TestEstimatorValues:

@@ -57,10 +57,10 @@ CASES = [
     ("fixedpoint-adapted", ["fixedpoint", "--model", "dense.json", "--mode", "adapted", "--path", "0.1.2",
                             "--iterations", "2"], 0, {
         "iteration_trace.csv": "48f2f4edcd85412e2571d23cdb38c209418b0005064aa23cd669b22e872e7ca7",
-        "residual_report.json": "f6c2752e1d5d7f97af00b21c531071083b5d032b9691345bb38923a4b61a12c6",
+        "residual_report.json": "1f88fe591b7c4b71d8808da6e203b3accbcbd24b07c09c6a33df8b133be5064c",
     }),
     ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
-        "diagnostics.csv": "76dd76b0743928ebc292ad835dbbbc43233abe5e4abbf9a7b881fff5e78f8a14",
+        "diagnostics.csv": "904eb10fa97cc293ab7c3b251249f642c218a79cafad08a04be5d746048efec1",
         "duality_report.json": "d48660ec6a638e88195695a97ed7b746d9b3cbbc93c27d51aab4b18879374216",
     }),
     ("represent", ["represent", "--model", "dense.json", "--z-query", "1"], 0, {
