@@ -144,24 +144,6 @@ def _running_cost_tables(model: HmmModel, traj: DualTrajectory) -> list[np.ndarr
     return tables
 
 
-def _per_observation_path(lookup: Callable[[Prefix], object]) -> Callable[[Prefix], object]:
-    """``lookup`` memoized on the latest z_path, for integrands of exact_expectation.
-
-    exact_expectation passes one z_path tuple to all of that path's joint
-    terms in a row, so ``lookup`` runs once per observation path and each
-    joint term only reads what it returned.
-    """
-    last_z, last = None, None
-
-    def at(z_path):
-        nonlocal last_z, last
-        if z_path is not last_z:
-            last_z, last = z_path, lookup(z_path)
-        return last
-
-    return at
-
-
 def _cost_of_trajectory(model: HmmModel, traj: DualTrajectory) -> float:
     """J_T = var(Y_0(X_0)) + sum_t <sigma_{t+1}, l_t>, sigma_{t+1} = P(Z_1..Z_{t+1} = prefix, X_t = x).
 
@@ -180,40 +162,52 @@ def _cost_of_trajectory(model: HmmModel, traj: DualTrajectory) -> float:
     return J
 
 
-def _estimator(model: HmmModel, traj: DualTrajectory, t: int) -> PredictorRepresentation:
-    """The running estimator up to time t as a predictor: constant mu(Y_0), weights U_0..U_{t-1}."""
-    return PredictorRepresentation(float(model.mu @ traj.y0()), AdaptedProcess(model.m, traj.U.levels[:t]))
-
-
 def estimator_values(model: HmmModel, traj: DualTrajectory) -> np.ndarray:
-    """mu(Y_0) - sum_s U_s^T e(z_{s+1}) on every path of the horizon: a ((m+1)^T,) array in prefix-rank order."""
-    return path_values(_estimator(model, traj, traj.horizon))
+    """mu(Y_0) - sum_s U_s^T e(z_{s+1}) on every path of the horizon, in prefix-rank order: its ``path_values``."""
+    U = AdaptedProcess(model.m, traj.U.levels[: traj.horizon])
+    return path_values(PredictorRepresentation(float(model.mu @ traj.y0()), U))
 
 
 def estimator_path(model: HmmModel, traj: DualTrajectory, z, t: int) -> float:
-    """mu(Y_0) - sum_{s<t} U_s(z_1..z_s)^T e(z_{s+1}) along one path."""
+    """mu(Y_0) - sum_{s<t} U_s(z_1..z_s)^T e(z_{s+1}) along one path of at least t tokens.
+
+    A walk down the one path in O(t): each step subtracts u @ e(0) for z = 0
+    and u_z otherwise, with u the U row at that prefix, which are
+    ``path_values``' operations in its order, so the value has the bits of
+    ``estimator_values`` cut at t. Only the first t tokens are read.
+    """
     if not 0 <= t <= traj.horizon:
         raise ValueError(f"time {t} outside 0..{traj.horizon}")
-    values = path_values(_estimator(model, traj, t))
-    return float(values[prefix_rank(validate_tokens(z[:t], model.m), model.m)])
+    w = validate_tokens(z[:t], model.m)
+    if len(w) < t:
+        raise ValueError(f"path of {len(w)} tokens is shorter than time {t}")
+    e0 = token_basis(model.m)[0]
+    value, rank = float(model.mu @ traj.y0()), 0
+    for U, tok in zip(traj.U.levels, w):
+        u = U[rank]
+        value -= u.dot(e0) if tok == 0 else u[tok - 1]
+        rank = rank * (model.m + 1) + tok
+    return float(value)
 
 
-def squared_error(
-    model: HmmModel,
-    traj: DualTrajectory,
-    F,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> float:
-    """E|F(X_T) - S_T|^2 for the estimator S_T induced by the trajectory."""
+def squared_error(model: HmmModel, traj: DualTrajectory, F, budget: int = DEFAULT_ENUM_BUDGET) -> float:
+    """E|F(X_T) - S_T|^2 for the estimator S_T induced by the trajectory, by ``exact_expectation``.
+
+    The squares (F(x) - S_T)^2 are one table, a row of d values per
+    observation path in prefix-rank order, with the bits of the per-term
+    difference squared. The integrand reads its entry: it finds the row only
+    when z_path is a new tuple, which relies on ``exact_expectation`` passing
+    one tuple object to all joint terms of an observation path.
+    """
     T = traj.horizon
-    rows = _terminal_level(F, model.d, model.m, T).tolist()
-    est = estimator_values(model, traj).tolist()
-    at = _per_observation_path(lambda z_path: (lambda r: (rows[r], est[r]))(prefix_rank(z_path, model.m)))
+    table = ((_terminal_level(F, model.d, model.m, T) - estimator_values(model, traj)[:, None]) ** 2).tolist()
+    last_z, row = None, None
 
     def h(x_path, z_path):
-        row, s = at(z_path)
-        diff = row[x_path[-1]] - s
-        return diff * diff
+        nonlocal last_z, row
+        if z_path is not last_z:
+            last_z, row = z_path, table[prefix_rank(z_path, model.m)]
+        return row[x_path[-1]]
 
     return exact_expectation(model, h, T=T, budget=budget)
 

@@ -5,8 +5,9 @@ paths, a least-squares construction of the predictor weights, the per-path
 scalar signal and the feedback law transcribed from their formulas, the
 backward equation swept and its residual taken node by node, the two
 costs of the dual problem (the control cost of a given control and the
-minimum mean-squared error), and the forward recursion and the per-path
-map in exact rational arithmetic.
+minimum mean-squared error), an estimator's squared error term by term,
+and the forward recursion and the per-path map in exact rational
+arithmetic.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from dualfilter import dual
-from dualfilter.adapted import AdaptedProcess, prefixes
+from dualfilter.adapted import AdaptedProcess, prefix_rank, prefixes
 from dualfilter.hmm import decompose, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
 from dualfilter.oracle import ImpossibleObservationError, exact_expectation, forward_filter
 from dualfilter.predictor import PredictorRepresentation
@@ -247,6 +248,20 @@ def total_cost(model, U, F) -> float:
 
     y0 = traj.y0()
     return float(model.mu @ (y0 * y0) - (model.mu @ y0) ** 2) + exact_expectation(model, h, T=T)
+
+
+def squared_error_by_term(model, traj, F) -> float:
+    """E|F(X_T) - S_T|^2 as ``exact_expectation`` of the plain integrand: each joint term takes and squares its difference."""
+    T = traj.horizon
+    rows = dual._terminal_level(F, model.d, model.m, T).tolist()
+    est = dual.estimator_values(model, traj).tolist()
+
+    def h(x_path, z_path):
+        r = prefix_rank(z_path, model.m)
+        diff = rows[r][x_path[-1]] - est[r]
+        return diff * diff
+
+    return exact_expectation(model, h, T=T)
 
 
 def mmse(model, F) -> float:

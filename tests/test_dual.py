@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from dualfilter.dual import (
 )
 from dualfilter.hmm import obs_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
-from dualfilter.predictor import build_weights, path_values, represent_conditional
+from dualfilter.predictor import PredictorRepresentation, build_weights, path_values, represent_conditional
 from conftest import from_tree, make_model, random_measure_process, random_model, sparse_model, uninformative_model
 from oracles import (
     backward_sweep_by_node,
@@ -25,6 +27,7 @@ from oracles import (
     mmse,
     optimal_feedback,
     running_cost,
+    squared_error_by_term,
     total_cost,
 )
 
@@ -508,6 +511,34 @@ class TestEstimatorPath:
         with pytest.raises(ValueError, match="outside"):
             estimator_path(model, traj, (1, 1, 0), model.T + 1)
 
+    def test_path_shorter_than_time_names_both_lengths(self, rng, reference_model):
+        model = reference_model
+        traj = solve_optimal(model, filter_process(model), rng.standard_normal(model.d))
+        with pytest.raises(ValueError, match="path of 1 tokens is shorter than time 3"):
+            estimator_path(model, traj, (1,), 3)
+        with pytest.raises(ValueError, match="path of 0 tokens is shorter than time 1"):
+            estimator_path(model, traj, (), 1)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_bit_equal_to_cut_path_values(self, rng, m):
+        # the walk against path_values of the estimator cut at t, at every prefix and every t;
+        # from m = 4 on the order of the e(0) sum shows in the bits
+        T = 4 if m <= 2 else 3
+        for d in range(1, 5):
+            for make in (random_model, sparse_model):
+                model = make(rng, d, m, T)
+                F = rng.standard_normal(d)
+                rho = filter_process(model, zero_convention=True)
+                for traj in (solve_bsde(model, random_weight_process(rng, m, T), F), solve_optimal(model, rho, F)):
+                    constant = float(model.mu @ traj.y0())
+                    cut = [path_values(PredictorRepresentation(constant, AdaptedProcess(m, traj.U.levels[:t])))
+                           for t in range(T + 1)]
+                    with mock.patch.object(dual, "path_values", wraps=dual.path_values) as spy:
+                        for t in range(T + 1):
+                            walked = [estimator_path(model, traj, w, t) for w in prefixes(m, t)]
+                            assert walked == cut[t].tolist(), (d, m, t)
+                    assert spy.call_count == 0
+
 
 class TestAdaptedness:
     def test_subtree_values_ignore_far_terminal_changes(self, rng, reference_model):
@@ -536,6 +567,32 @@ class TestSquaredError:
         pi = filter_process(model, zero_convention=True)
         traj = solve_optimal(model, pi, F)
         assert squared_error(model, traj, F) <= 1e-12
+
+    def test_bit_equal_to_per_term_integrand_on_sparse_models(self, rng):
+        impossible = 0
+        for _ in range(6):
+            model = sparse_model(rng, 3, 2, 3)
+            F = rng.standard_normal(model.d)
+            traj = solve_bsde(model, random_weight_process(rng, model.m, model.T), F)
+            assert squared_error(model, traj, F) == squared_error_by_term(model, traj, F)
+            impossible += sum(path_probability(model, z) == 0.0 for z in prefixes(model.m, model.T))
+        assert impossible > 0  # the sweep did skip the joint paths of impossible observation paths
+
+    def test_bit_equal_to_per_term_integrand_for_path_dependent_terminal(self, rng):
+        for make in (random_model, sparse_model):
+            model = make(rng, 3, 2, 3)
+            F = random_terminal(rng, model, path_dependent=True)
+            traj = solve_bsde(model, random_weight_process(rng, model.m, model.T), F)
+            assert squared_error(model, traj, F) == squared_error_by_term(model, traj, F)
+
+    def test_bit_equal_to_per_term_integrand_below_the_model_horizon(self, rng):
+        model = random_model(rng, 3, 2, 4)
+        rho = filter_process(model)
+        for t in range(1, model.T):
+            F = rng.standard_normal(model.d)
+            traj = solve_optimal(model, rho, F, horizon=t)
+            assert traj.horizon == t
+            assert squared_error(model, traj, F) == squared_error_by_term(model, traj, F)
 
 
 class TestIntegrandsBitIdentical:
