@@ -78,9 +78,9 @@ class AdaptedProcess:
         return self
 
 
-def random_weight_process(rng: np.random.Generator, m: int, T: int, scale: float = 1.0) -> AdaptedProcess:
-    """Seeded random control process: an R^m value at every prefix of length 0..T-1, drawn in rank order."""
-    return AdaptedProcess(m, tuple(scale * rng.standard_normal(((m + 1) ** t, m)) for t in range(T)))
+def random_weight_process(rng: np.random.Generator, m: int, T: int) -> AdaptedProcess:
+    """Seeded random control process: a standard normal R^m value at each prefix of length 0..T-1, in rank order."""
+    return AdaptedProcess(m, tuple(rng.standard_normal(((m + 1) ** t, m)) for t in range(T)))
 
 
 def prefix_string(prefix: Prefix) -> str:

@@ -356,15 +356,16 @@ def cmd_duality(cfg, model, generator):
     from .dual import bsde_residual_by_node, duality_report, estimator_path, solve_bsde, solve_optimal
     from .oracle import check_enum_budget, filter_process, forward_filter, path_probability
 
-    # fixedpoint is not run here, but it binds oracle's and dual's functions
-    # by name at import. bench/tracing.py wraps every such binding of the
-    # modules loaded when it starts and restores only those, so a module first
-    # imported under its spans would keep them; loading fixedpoint now keeps
-    # an in-process traced run's later commands measurable.
+    # fixedpoint is not run here. It is loaded so that it is already in
+    # sys.modules when bench/tracing.py's Tracer.install starts: otherwise
+    # install imports it itself on reaching the fixedpoint.* targets, after
+    # oracle.forward_filter, dual.solve_optimal and dual.estimator_values are
+    # wrapped, so fixedpoint binds the wrappers, undo never restores them, and
+    # the next traced workload records no calls on those layers.
     from . import fixedpoint  # noqa: F401
 
     tol = float(cfg.tolerances["duality"])
-    check_enum_budget(model, model.T, cfg.enum_budget)  # before any draw is solved
+    check_enum_budget(model, model.T, cfg.enum_budget)  # the one size gate, before any draw is solved
     rng = generator()
     reports = []
     node_residuals = [np.zeros((model.m + 1) ** t) for t in range(model.T)]  # max over draws, per level
@@ -372,7 +373,7 @@ def cmd_duality(cfg, model, generator):
         U = random_weight_process(rng, model.m, model.T)
         F = rng.standard_normal(model.d)
         traj = solve_bsde(model, U, F)
-        reports.append(duality_report(model, traj, F, budget=cfg.enum_budget))
+        reports.append(duality_report(model, traj, F))
         for worst, level in zip(node_residuals, bsde_residual_by_node(model, traj).levels):
             np.maximum(worst, level, out=worst)
 

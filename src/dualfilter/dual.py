@@ -22,7 +22,7 @@ import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefix_rank, prefixes
 from .hmm import HmmModel, decompose, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
-from .oracle import DEFAULT_ENUM_BUDGET, exact_expectation, forward_step
+from .oracle import exact_expectation, forward_step
 from .predictor import PredictorRepresentation, path_values
 
 # Relative singular-value cutoff for every pseudo-inverse in this module.
@@ -42,13 +42,13 @@ class DualTrajectory:
     Y's level t has shape ((m+1)^t, d), a (d,) vector per prefix; V's has
     shape ((m+1)^t, d, m), an R^m row per state; U's has shape ((m+1)^t,
     m). ``diagnostics`` names each node whose feedback control took the
-    minimum-norm value of a singular system.
+    minimum-norm value of a singular system; it is empty for a given control.
     """
 
     Y: AdaptedProcess
     V: AdaptedProcess
     U: AdaptedProcess
-    diagnostics: tuple[str, ...] = ()
+    diagnostics: tuple[str, ...]
 
     @property
     def horizon(self) -> int:
@@ -79,8 +79,8 @@ def _successor_split(model: HmmModel, Y_next: np.ndarray, row: int):
     return decompose(model.A.dot(Y_next[row * n : (row + 1) * n].T))
 
 
-def _backward_sweep(model: HmmModel, F, T: int, control: Callable[..., np.ndarray]):
-    """The backward equation Y_t = W + c U_t, W = mean + (c V) 1, from terminal F, one level at a time.
+def _backward_sweep(model: HmmModel, F, control: Callable[..., np.ndarray]):
+    """The backward equation Y_t = W + c U_t, W = mean + (c V) 1, from F at T = model.T, one level at a time.
 
     V_t is pinned by the mean/tilde split of each node's successor values,
     the only choice keeping Y_t measurable with respect to the prefix for
@@ -89,7 +89,7 @@ def _backward_sweep(model: HmmModel, F, T: int, control: Callable[..., np.ndarra
     (n, m) controls ``control(t, W, V_t)`` and Y_t are stacked numpy
     operations on the whole level. Returns the Y, V and U processes.
     """
-    c_mat = obs_matrix(model)
+    c_mat, T = obs_matrix(model), model.T
     Y = [None] * T + [_terminal_level(F, model.d, model.m, T)]
     V, U = [None] * T, [None] * T
     for t in range(T - 1, -1, -1):
@@ -108,8 +108,8 @@ def solve_bsde(model: HmmModel, U: AdaptedProcess, F) -> DualTrajectory:
     expectation.
     """
     U.check_complete(model.m, range(model.T))
-    Y, V, _ = _backward_sweep(model, F, model.T, lambda t, W, V: U.levels[t])
-    return DualTrajectory(Y=Y, V=V, U=U)
+    Y, V, _ = _backward_sweep(model, F, lambda t, W, V: U.levels[t])
+    return DualTrajectory(Y=Y, V=V, U=U, diagnostics=())
 
 
 def bsde_residual_by_node(model: HmmModel, traj: DualTrajectory) -> AdaptedProcess:
@@ -190,7 +190,7 @@ def estimator_path(model: HmmModel, traj: DualTrajectory, z, t: int) -> float:
     return float(value)
 
 
-def squared_error(model: HmmModel, traj: DualTrajectory, F, budget: int = DEFAULT_ENUM_BUDGET) -> float:
+def squared_error(model: HmmModel, traj: DualTrajectory, F) -> float:
     """E|F(X_T) - S_T|^2 for the estimator S_T induced by the trajectory, by ``exact_expectation``.
 
     The squares (F(x) - S_T)^2 are one table, a row of d values per
@@ -209,17 +209,18 @@ def squared_error(model: HmmModel, traj: DualTrajectory, F, budget: int = DEFAUL
             last_z, row = z_path, table[prefix_rank(z_path, model.m)]
         return row[x_path[-1]]
 
-    return exact_expectation(model, h, T=T, budget=budget)
+    return exact_expectation(model, h, T=T)
 
 
-def duality_report(model: HmmModel, traj: DualTrajectory, F, budget: int = DEFAULT_ENUM_BUDGET) -> dict:
+def duality_report(model: HmmModel, traj: DualTrajectory, F) -> dict:
     """Both sides of the duality identity: {'J_T': ..., 'mse': ..., 'gap': ...}.
 
     traj is the trajectory ``solve_bsde(model, U, F)`` returns for the control U.
-    J_T is a forward contraction; ``budget`` gates only mse's joint-path enumeration.
+    J_T is a forward contraction; mse enumerates every joint path, so a
+    caller sizes the model first (``check_enum_budget``, as the CLI does).
     """
     J = _cost_of_trajectory(model, traj)
-    mse = squared_error(model, traj, F, budget=budget)
+    mse = squared_error(model, traj, F)
     return {"J_T": J, "mse": mse, "gap": abs(J - mse)}
 
 
@@ -266,15 +267,16 @@ def solve_optimal(
     model: HmmModel,
     rho: AdaptedProcess,
     F,
-    horizon: int | None = None,
     *,
     laws: dict[int, tuple[np.ndarray, np.ndarray, tuple[Prefix, ...]]] | None = None,
 ) -> DualTrajectory:
-    """Backward solve with the control eliminated by the feedback law.
+    """Backward solve over the model's horizon T with the control eliminated by the feedback law.
 
-    rho supplies the measure at prefixes of length 1..horizon-1; at the
-    root the prior mu is used (the time-0 history is trivial). The sweep is
-    solve_bsde's, with U_t = phi(Y_t, V_t; rho_t) and Y_t = W + c U_t.
+    rho supplies the measure at prefixes of length 1..T-1, and deeper
+    levels are not read; at the root the prior mu is used (the time-0
+    history is trivial). A shorter horizon t is a solve on
+    ``replace(model, T=t)``. The sweep is solve_bsde's, with U_t =
+    phi(Y_t, V_t; rho_t) and Y_t = W + c U_t.
     Substituting is affine in U_t. Multiplied through by rho(R) it is the
     m x m system Sigma_p U_t = -(lead(W) + drag(V_t)) in the predictive
     covariance Sigma_p = rho(R) + lead(c) (see ``_control_operator``), which
@@ -288,15 +290,15 @@ def solve_optimal(
     filled on first use with one ``_control_operator`` per prefix: the
     level's K_lead (n, m, d) and K_drag (n, m, d m) and its singular
     prefixes in rank order. Pass one dict to several solves with the same
-    model and rho (any F and horizon) and each prefix's law is solved
-    once. It changes no result, and every solve records its own
-    diagnostics. A caller passing ``laws`` has checked rho complete on the
-    levels the solve reads (apply_N_adapted checks once for all its
-    solves); without it the solve checks, with a fresh memo.
+    rho and any F, on models that differ only in T (``replace(model,
+    T=t)`` keeps the bits of mu, A and C, see ``HmmModel``), and each
+    prefix's law is solved once. It changes no result, and every solve
+    records its own diagnostics. A caller passing ``laws`` has checked rho
+    complete on the levels the solve reads (apply_N_adapted checks once
+    for all its solves); without it the solve checks, with a fresh memo.
     """
-    T = model.T if horizon is None else int(horizon)
     if laws is None:
-        rho.check_complete(model.m, range(1, T))
+        rho.check_complete(model.m, range(1, model.T))
         laws = {}
     c_mat = obs_matrix(model)
     R = risk_tensor(model)
@@ -312,5 +314,5 @@ def solve_optimal(
         diagnostics.extend(f"singular predictive covariance at t={t}, prefix={w}: minimum-norm control" for w in singular)
         return -((K_lead @ W[..., None]) + (K_drag @ V.reshape(len(V), -1, 1)))[..., 0]
 
-    Y, V, U = _backward_sweep(model, F, T, feedback)
+    Y, V, U = _backward_sweep(model, F, feedback)
     return DualTrajectory(Y=Y, V=V, U=U, diagnostics=tuple(diagnostics))

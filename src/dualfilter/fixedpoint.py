@@ -17,7 +17,7 @@ a special case of the other; both have the filter as a fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,12 +135,13 @@ def apply_N_adapted(model: HmmModel, rho: AdaptedProcess) -> tuple[AdaptedProces
     """One application of the adapted-process map over the whole prefix tree.
 
     For each time t, the dual backward equation is solved on the horizon-t
-    subproblem once per terminal indicator 1_{x=j}, with the feedback law
-    evaluated at rho (prior mu at the root); level t of the output, a
-    ((m+1)^t, d) array, collects column j from the estimator values. rho is
-    checked complete once, and the T*d solves, each a sweep one level at a
-    time, share one memo of the feedback laws per level (see solve_optimal's
-    ``laws``), so each prefix's predictive-covariance system is solved once.
+    model ``replace(model, T=t)`` once per terminal indicator 1_{x=j}, with
+    the feedback law evaluated at rho (prior mu at the root); level t of the
+    output, a ((m+1)^t, d) array, collects column j from the estimator
+    values. rho is checked complete once, and the T*d solves, each a sweep
+    one level at a time, share one memo of the feedback laws per level (see
+    solve_optimal's ``laws``; the horizon-t models keep the bits of mu, A
+    and C), so each prefix's predictive-covariance system is solved once.
     Returns the output process and its domain flags, a process of bools,
     both with levels 1..T.
 
@@ -153,10 +154,10 @@ def apply_N_adapted(model: HmmModel, rho: AdaptedProcess) -> tuple[AdaptedProces
     levels = [None]
     laws: dict = {}  # each level's feedback laws, solved once per prefix and shared by all T*d solves
     for t in range(1, model.T + 1):
+        sub = replace(model, T=t)
         level = np.zeros(((model.m + 1) ** t, model.d))
         for j in range(model.d):
-            traj = solve_optimal(model, rho, indicators[j], horizon=t, laws=laws)
-            level[:, j] = estimator_values(model, traj)
+            level[:, j] = estimator_values(sub, solve_optimal(sub, rho, indicators[j], laws=laws))
         levels.append(level)
     flags = [None, *(is_probability_vector(level) for level in levels[1:])]
     return AdaptedProcess(model.m, tuple(levels)), AdaptedProcess(model.m, tuple(flags))

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Row sums of mu, A and C must be within this tolerance of 1 at construction;
-# rows not already within rounding of 1 are then divided by their sum once.
-ROW_SUM_TOL = 1e-9
-
-# Probability vectors must sum to 1 within this tolerance.
+# A distribution must sum to 1 within this tolerance: a probability vector,
+# and at construction mu and each row of A and C (a row not already within
+# rounding of 1 is then divided by its sum once).
 PROB_SUM_TOL = 1e-9
 
 # A computed probability entry in [-ROUNDING_TOL, 0) is rounding error and
@@ -85,9 +83,9 @@ def _stochastic_matrix(M, name: str, rows: int, cols: int) -> np.ndarray:
     if np.any(M < 0):
         raise ValueError(f"{name} has negative entries")
     sums = M.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
+    bad = np.where(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]
     if bad.size:
-        raise ValueError(f"{name} row {bad[0]} sums to {sums[bad[0]]!r}, expected 1 within {ROW_SUM_TOL}")
+        raise ValueError(f"{name} row {bad[0]} sums to {sums[bad[0]]!r}, expected 1 within {PROB_SUM_TOL}")
     # a divided row sums to 1 within about cols*eps/2, so a row within 4*cols*eps is kept as given:
     # loading a model's own arrays again changes no bit
     kept = np.abs(sums - 1.0) <= 4 * cols * np.finfo(float).eps
@@ -102,7 +100,7 @@ class HmmModel:
     z_{t+1} is emitted by the state *before* the transition to X_{t+1}.
     The sizes are read off the arrays: d = len(mu) states and m+1 tokens,
     one per column of C. mu, as a one-row matrix, and the rows of A and C
-    are validated to sum to 1 within ROW_SUM_TOL; negative or non-finite
+    are validated to sum to 1 within PROB_SUM_TOL; negative or non-finite
     entries fail construction. A row whose float sum is within 4 cols eps
     of 1 is kept as given and every other row is divided by its sum once,
     so building a model from another model's arrays changes no bit.

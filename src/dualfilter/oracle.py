@@ -2,7 +2,7 @@
 
 Everything here is exact arithmetic over the finite joint path space; the
 rest of the package is validated against these routines. No sampling, no
-log-space: sizes are desk-scale by contract (see ``enum_budget``).
+log-space: sizes are desk-scale by contract (the CLI's ``enum_budget``).
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def check_enum_budget(model: HmmModel, T: int, budget: int) -> None:
         )
 
 
-def exact_expectation(model: HmmModel, h, T: int | None = None, budget: int = DEFAULT_ENUM_BUDGET) -> float:
+def exact_expectation(model: HmmModel, h, T: int | None = None) -> float:
     """E[h(X, Z)] by exhaustive enumeration of joint paths.
 
     h is called as h(x_path, z_path) with x_path = (x_0, ..., x_T) and
@@ -168,6 +168,8 @@ def exact_expectation(model: HmmModel, h, T: int | None = None, budget: int = DE
     not called on them. It is the squared-error side of the duality identity,
     which checks the cost's forward contraction, and the tests' reference;
     tolerances assume exactness, so there is deliberately no sampling fallback.
+    The walk itself checks no size: ``check_enum_budget`` is the gate, and
+    the CLI runs it once, before any draw.
 
     The weights of all d^(T+1) hidden paths of one z_path are built at once
     with numpy: d^(T+1) floats, which is the working memory beyond the
@@ -177,7 +179,6 @@ def exact_expectation(model: HmmModel, h, T: int | None = None, budget: int = DE
     as a term-by-term loop in that order.
     """
     T = model.T if T is None else int(T)
-    check_enum_budget(model, T, budget)
     d, n_tok = model.d, model.m + 1
     # steps[z][a, b] = C(a, z) A(a, b): the factor of one step a -> b emitting z.
     steps = [model.C[:, [tok]] * model.A for tok in range(n_tok)]

@@ -9,13 +9,12 @@ this yields the predictor weights realized here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adapted import AdaptedProcess, prefix_string, prefixes
-from .hmm import HmmModel, _check_sizes, decompose, token_basis
+from .hmm import HmmModel, decompose, token_basis
 from .oracle import filter_levels, next_token_prob
 
 
@@ -40,29 +39,6 @@ class PredictorRepresentation:
             rows = self.weights.levels[t].tolist()
             pairs.extend([prefix_string(w), row] for w, row in zip(prefixes(self.m, t), rows))
         return {"constant": self.constant, "weights": pairs, "m": self.m, "T": self.T}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PredictorRepresentation":
-        """Load ``to_dict``'s output: integer sizes m >= 1, T >= 0, and weights at each prefix shorter than T only."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"representation file must hold a JSON object with keys constant, weights, m and T, "
-                             f"got {type(obj).__name__}")
-        try:
-            constant, weights, m, T = (obj[key] for key in ("constant", "weights", "m", "T"))
-        except KeyError as exc:
-            raise ValueError(f"representation file missing key {exc.args[0]!r}") from exc
-        _check_sizes(m=(m, 1), T=(T, 0))
-        given = dict(weights)
-        names = [[prefix_string(w) for w in prefixes(m, t)] for t in range(T)]
-        odd = sorted(set(given).symmetric_difference(key for level in names for key in level))
-        if odd:
-            raise ValueError(f"weights must name each prefix of length 0..{T - 1} over the alphabet 0..{m} "
-                             f"and no other; {odd[0]!r} is {'extra' if odd[0] in given else 'missing'}")
-        levels = tuple(np.array([given[k] for k in level], dtype=float).reshape(len(level), m) for level in names)
-        return cls(constant=float(constant), weights=AdaptedProcess(m, levels))
 
 
 def build_weights(target: np.ndarray, m: int, T: int) -> PredictorRepresentation:

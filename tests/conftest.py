@@ -54,6 +54,11 @@ def from_tree(m, tree):
     ))
 
 
+def scaled(proc, s):
+    """The adapted process with every level multiplied by s."""
+    return AdaptedProcess(proc.m, tuple(s * level for level in proc.levels))
+
+
 def random_measure_process(rng, model):
     """Probability vectors at every prefix of length 1..T-1: a rho that is not the filter."""
     levels = [rng.dirichlet(np.ones(model.d), size=(model.m + 1) ** t) for t in range(1, model.T)]

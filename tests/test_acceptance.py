@@ -31,7 +31,7 @@ from dualfilter.oracle import (
 )
 from dualfilter.predictor import evaluate, represent_conditional
 
-from conftest import random_model
+from conftest import random_model, scaled
 from oracles import build_weights_lstsq, mmse, total_cost
 
 
@@ -124,7 +124,8 @@ def test_criterion_04_optimality():
         J_opt = total_cost(model, traj.U, F)
         worst_mmse = max(worst_mmse, abs(J_opt - mmse(model, F)))
         for _ in range(50):
-            bump = random_weight_process(rng, m, T, scale=float(rng.uniform(0.01, 1.0)))
+            s = float(rng.uniform(0.01, 1.0))
+            bump = scaled(random_weight_process(rng, m, T), s)
             U_pert = AdaptedProcess(m, tuple(u + b for u, b in zip(traj.U.levels, bump.levels)))
             worst_gain = max(worst_gain, J_opt - total_cost(model, U_pert, F))
     ok = worst_mmse <= 1e-9 and worst_gain <= 1e-9

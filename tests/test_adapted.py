@@ -9,6 +9,8 @@ from dualfilter.adapted import (
     random_weight_process,
 )
 
+from conftest import scaled
+
 
 def test_prefix_enumeration_is_dense_and_ordered():
     got = list(prefixes(1, 2))
@@ -82,7 +84,7 @@ def test_tree_view_lists_the_levels_present_in_rank_order():
 
 
 def test_random_weights_draw_level_by_level_in_rank_order():
-    proc = random_weight_process(np.random.default_rng(5), 2, 3, scale=0.5)
+    proc = scaled(random_weight_process(np.random.default_rng(5), 2, 3), 0.5)
     rng = np.random.default_rng(5)
     for t in range(3):
         for w in prefixes(2, t):

@@ -13,18 +13,12 @@ import dualfilter
 MODULES = ("adapted", "hmm", "oracle", "predictor", "dual", "fixedpoint", "attention")
 
 OPTIONS = [
-    "adapted.random_weight_process.scale",
     "oracle.forward_filter.zero_convention",
     "oracle.filter_levels.zero_convention",
     "oracle.filter_process.zero_convention",
     "oracle.exact_expectation.T",
-    "oracle.exact_expectation.budget",
     "oracle.sample_path.T",
     "predictor.represent_conditional.zero_convention",
-    "dual.DualTrajectory.diagnostics",
-    "dual.squared_error.budget",
-    "dual.duality_report.budget",
-    "dual.solve_optimal.horizon",
     "dual.solve_optimal.laws",
     "fixedpoint.iterate.rho0",
     "fixedpoint.iterate.K",
@@ -65,7 +59,7 @@ def options(module_name):
 def test_the_option_list_is_closed():
     found = [name for module in MODULES for name in options(module)]
     assert sorted(found) == sorted(OPTIONS)
-    assert len(found) == len(set(found)) == 20
+    assert len(found) == len(set(found)) == 14
 
 
 def test_every_exported_name_resolves():

@@ -229,6 +229,29 @@ class TestDualityCommand:
         assert "exceeds the enumeration budget" in res.stderr
 
 
+    @pytest.mark.parametrize("budget, code, solves", [(64, 0, 2), (63, 2, 0)], ids=["at-budget", "one-under"])
+    def test_enum_budget_is_checked_once_before_any_draw(self, runner, tmp_path, rng, monkeypatch,
+                                                          budget, code, solves):
+        # d=2, m=1, T=2: d^(T+1) (m+1)^(T+1) = 8 * 8 = 64
+        calls = []
+        solve = dual.solve_bsde
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dual, "solve_bsde", counted)
+        path, cfg = tmp_path / "model.json", tmp_path / "cfg.json"
+        path.write_text(random_model(rng, 2, 1, 2).to_json())
+        cfg.write_text(json.dumps({"model_path": str(path), "enum_budget": budget, "draws": 2}))
+        res = runner.invoke(main, ["duality", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert res.exit_code == code, res.output
+        assert len(calls) == solves
+        if code == 2:
+            assert res.stderr == ("error: d^(T+1)*(m+1)^(T+1) = 64 exceeds the enumeration budget 63 ((m+1) times "
+                                  "the d^(T+1)*(m+1)^T joint paths walked); reduce T, d, or m\n")
+
+
 class TestRepresentCommand:
     def test_uninformative_model_has_zero_weights(self, runner, tmp_path, rng):
         model = uninformative_model(rng, 2, 1, 2)

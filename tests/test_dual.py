@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,15 @@ from dualfilter.dual import (
 from dualfilter.hmm import obs_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
 from dualfilter.predictor import PredictorRepresentation, build_weights, path_values, represent_conditional
-from conftest import from_tree, make_model, random_measure_process, random_model, sparse_model, uninformative_model
+from conftest import (
+    from_tree,
+    make_model,
+    random_measure_process,
+    random_model,
+    scaled,
+    sparse_model,
+    uninformative_model,
+)
 from oracles import (
     backward_sweep_by_node,
     bsde_residual,
@@ -270,7 +279,8 @@ class TestSolveOptimal:
         traj = solve_optimal(model, filter_process(model), F)
         J_opt = total_cost(model, traj.U, F)
         for _ in range(20):
-            bump = random_weight_process(rng, model.m, model.T, scale=rng.uniform(0.01, 0.5))
+            s = rng.uniform(0.01, 0.5)
+            bump = scaled(random_weight_process(rng, model.m, model.T), s)
             U_pert = AdaptedProcess(model.m, tuple(u + b for u, b in zip(traj.U.levels, bump.levels)))
             assert total_cost(model, U_pert, F) + 1e-9 >= J_opt
 
@@ -304,7 +314,7 @@ class TestPredictiveCovarianceLaw:
             rho = random_measure_process(rng, model)
             F = rng.standard_normal(d)
             traj = solve_optimal(model, rho, F)
-            Y_old, V_old, U_old = _backward_sweep(model, F, T, old_feedback_system(model, rho))
+            Y_old, V_old, U_old = _backward_sweep(model, F, old_feedback_system(model, rho))
             for t in range(T):
                 assert np.max(np.abs(traj.U.levels[t] - U_old.levels[t])) <= 1e-14
                 assert np.max(np.abs(traj.Y.levels[t] - Y_old.levels[t])) <= 1e-14
@@ -399,7 +409,7 @@ class TestSweepMatchesNodeByNode:
             F = rng.standard_normal(3)
             diagnostics = []
             want = backward_sweep_by_node(model, F, T, feedback_by_node(model, rho, diagnostics))
-            traj = solve_optimal(model, rho, F, horizon=T)
+            traj = solve_optimal(replace(model, T=T), rho, F)
             self.assert_matches(traj, *want)
             assert traj.diagnostics == tuple(diagnostics)
         assert [d.split(": ")[0] for d in traj.diagnostics] == [
@@ -590,7 +600,7 @@ class TestSquaredError:
         rho = filter_process(model)
         for t in range(1, model.T):
             F = rng.standard_normal(model.d)
-            traj = solve_optimal(model, rho, F, horizon=t)
+            traj = solve_optimal(replace(model, T=t), rho, F)
             assert traj.horizon == t
             assert squared_error(model, traj, F) == squared_error_by_term(model, traj, F)
 

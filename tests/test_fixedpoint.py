@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -507,7 +508,7 @@ class TestApplyNAdapted:
         basis = np.array([[1.0, 1.0], [0.0, 1.0]])
         out, _ = apply_N_adapted(model, pi)
         for t in range(1, model.T + 1):
-            est = [estimator_values(model, solve_optimal(model, pi, basis[:, j], horizon=t))
+            est = [estimator_values(model, solve_optimal(replace(model, T=t), pi, basis[:, j]))
                    for j in range(model.d)]
             for r, w in enumerate(prefixes(model.m, t)):
                 v = np.array([e[r] for e in est])
@@ -520,7 +521,7 @@ def apply_N_adapted_by_solves(model, rho, diagnostics=None):
     for t in range(1, model.T + 1):
         vals = {w: np.zeros(model.d) for w in prefixes(model.m, t)}
         for j in range(model.d):
-            traj = solve_optimal(model, rho, np.eye(model.d)[:, j], horizon=t)
+            traj = solve_optimal(replace(model, T=t), rho, np.eye(model.d)[:, j])
             if diagnostics is not None:
                 diagnostics.append(traj.diagnostics)
             est = estimator_values(model, traj)
@@ -573,9 +574,9 @@ class TestApplyNAdaptedSharedLaws:
         rho = from_tree(model.m, tree)
         ref_diag, got_diag = [], []
 
-        def recording_solve(*args, **kwargs):
-            traj = solve_optimal(*args, **kwargs)
-            got_diag.append((kwargs["horizon"], traj.diagnostics))
+        def recording_solve(model, *args, **kwargs):
+            traj = solve_optimal(model, *args, **kwargs)
+            got_diag.append((model.T, traj.diagnostics))
             return traj
 
         ref = apply_N_adapted_by_solves(model, rho, diagnostics=ref_diag)

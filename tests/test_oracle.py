@@ -10,6 +10,7 @@ from dualfilter.adapted import prefixes
 from dualfilter.oracle import (
     EnumerationBudgetError,
     ImpossibleObservationError,
+    check_enum_budget,
     exact_expectation,
     filter_levels,
     filter_process,
@@ -294,7 +295,7 @@ class TestExactExpectation:
     def test_budget_error(self, rng):
         model = random_model(rng, 4, 2, 6)
         with pytest.raises(EnumerationBudgetError, match="reduce"):
-            exact_expectation(model, lambda x, z: 1.0, budget=1000)
+            check_enum_budget(model, 6, 1000)
 
 
 def scalar_enumeration(model, h, T):

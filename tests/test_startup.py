@@ -60,6 +60,23 @@ def test_command_imports_only_what_it_runs(model_file, tmp_path, argv, absent):
     assert [name for name in absent if name in loaded] == []
 
 
+def test_duality_loads_fixedpoint_which_it_does_not_run(model_file, tmp_path):
+    """``duality`` imports ``fixedpoint`` so that it is loaded before a traced run patches the library.
+
+    ``bench/tracing.py``'s ``Tracer.install`` wraps the bindings of the
+    package modules already loaded. Without this import it loads
+    ``fixedpoint`` itself on reaching the ``fixedpoint.*`` targets, after
+    ``oracle.forward_filter``, ``dual.solve_optimal`` and
+    ``dual.estimator_values`` are wrapped; ``fixedpoint`` then binds the
+    wrappers, which ``undo`` never restores, and a later traced workload
+    (``bench/run.py --trace 1``, tree-dense) records no calls on those
+    layers and exits 3. The import can go once ``install`` loads every
+    package module before it patches.
+    """
+    argv = ["duality", "--draws", "1", "--model", str(model_file), "--out", "out"]
+    assert "dualfilter.fixedpoint" in imported_modules(["-m", "dualfilter.cli", *argv], tmp_path)
+
+
 def test_bare_package_import_loads_no_submodule(tmp_path):
     loaded = imported_modules(["-c", "import dualfilter"], tmp_path)
     assert "dualfilter" in loaded
