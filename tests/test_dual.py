@@ -285,6 +285,26 @@ class TestSolveOptimal:
             assert total_cost(model, U_pert, F) + 1e-9 >= J_opt
 
 
+class TestLawsMemoAcrossHorizons:
+    """One ``laws`` memo shared by solves on ``replace(model, T=t)``, as apply_N_adapted does."""
+
+    @pytest.mark.parametrize("d, m, T", [(2, 1, 3), (3, 2, 3), (2, 3, 2)])
+    def test_shared_memo_changes_no_bit_and_solves_each_prefix_once(self, rng, d, m, T):
+        model = random_model(rng, d, m, T)
+        rho = random_measure_process(rng, model)
+        laws: dict = {}
+        with mock.patch.object(dual, "_control_operator", wraps=dual._control_operator) as spy:
+            for t in range(1, T + 1):
+                sub, F = replace(model, T=t), rng.standard_normal(d)
+                shared, fresh = solve_optimal(sub, rho, F, laws=laws), solve_optimal(sub, rho, F)
+                for name in ("Y", "V", "U"):
+                    for got, want in zip(getattr(shared, name).levels, getattr(fresh, name).levels, strict=True):
+                        np.testing.assert_array_equal(got, want)
+                assert shared.diagnostics == fresh.diagnostics
+        fresh_calls = sum((m + 1) ** s for t in range(1, T + 1) for s in range(t))
+        assert spy.call_count == sum((m + 1) ** s for s in range(T)) + fresh_calls
+
+
 class TestPredictiveCovarianceLaw:
     """solve_optimal's law in the predictive covariance Sigma_p = rho(R) + lead(c)."""
 

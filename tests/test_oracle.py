@@ -297,6 +297,14 @@ class TestExactExpectation:
         with pytest.raises(EnumerationBudgetError, match="reduce"):
             check_enum_budget(model, 6, 1000)
 
+    @pytest.mark.parametrize("d, m, T, cost", [(2, 1, 2, 64), (3, 1, 1, 36), (2, 2, 3, 1296), (4, 2, 6, 35831808)])
+    def test_budget_admits_its_cost_and_rejects_one_less(self, rng, d, m, T, cost):
+        model = random_model(rng, d, m, T)
+        check_enum_budget(model, T, cost)
+        with pytest.raises(EnumerationBudgetError) as err:
+            check_enum_budget(model, T, cost - 1)
+        assert str(err.value).startswith(f"d^(T+1)*(m+1)^(T+1) = {cost} exceeds the enumeration budget {cost - 1} ")
+
 
 def scalar_enumeration(model, h, T):
     """Reference for exact_expectation: each joint weight a product of numpy scalars, term by term."""

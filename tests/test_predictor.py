@@ -3,10 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from dualfilter.adapted import prefixes
+from dualfilter.adapted import AdaptedProcess, prefix_string, prefixes
 from dualfilter.hmm import token_basis
 from dualfilter.oracle import ImpossibleObservationError, forward_filter, next_token_prob
-from dualfilter.predictor import build_weights, evaluate, path_values, represent_conditional
+from dualfilter.predictor import (
+    PredictorRepresentation,
+    build_weights,
+    evaluate,
+    path_values,
+    represent_conditional,
+)
 
 from conftest import make_model, random_model, sparse_model, uninformative_model
 from oracles import build_weights_lstsq
@@ -208,3 +214,49 @@ class TestRepresentAgainstPerPathLoop:
                 continue
             rep = represent_conditional(model, z_query, zero_convention=zero_convention)
             assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
+
+
+def read_weights(obj):
+    """Test-side reader of a written representation: its (prefix, row) pairs as levels in rank order."""
+    m, T, rows = obj["m"], obj["T"], dict(obj["weights"])
+    return AdaptedProcess(m, tuple(
+        np.array([rows[prefix_string(w)] for w in prefixes(m, t)], dtype=float).reshape((m + 1) ** t, m)
+        for t in range(T)))
+
+
+class TestRepresentationFile:
+    """``to_dict`` is what ``represent`` writes to representation.json."""
+
+    SHAPES = pytest.mark.parametrize("d, m, T", [(2, 1, 1), (2, 2, 2), (3, 2, 3), (2, 3, 2)])
+
+    @SHAPES
+    def test_file_holds_the_constant_weights_and_integer_sizes(self, rng, d, m, T):
+        obj = represent_conditional(random_model(rng, d, m, T), 1).to_dict()
+        assert list(obj) == ["constant", "weights", "m", "T"]
+        assert type(obj["constant"]) is float
+        assert (type(obj["m"]), type(obj["T"])) == (int, int) and (obj["m"], obj["T"]) == (m, T)
+
+    @SHAPES
+    def test_weights_name_each_prefix_once_in_rank_order(self, rng, d, m, T):
+        obj = represent_conditional(random_model(rng, d, m, T), 0).to_dict()
+        assert [name for name, _ in obj["weights"]] == [prefix_string(w) for t in range(T) for w in prefixes(m, t)]
+        assert all(len(row) == m and all(type(x) is float for x in row) for _, row in obj["weights"])
+
+    @SHAPES
+    def test_written_weights_rebuild_the_representation_bit_for_bit(self, rng, d, m, T):
+        rep = represent_conditional(random_model(rng, d, m, T), 1)
+        obj = json.loads(json.dumps(rep.to_dict()))
+        weights = read_weights(obj)
+        for t in range(T):
+            np.testing.assert_array_equal(weights.levels[t], rep.weights.levels[t])
+        clone = PredictorRepresentation(constant=obj["constant"], weights=weights)
+        np.testing.assert_array_equal(path_values(clone), path_values(rep))
+
+    @SHAPES
+    def test_file_text_is_stable_through_json(self, rng, d, m, T):
+        text = json.dumps(represent_conditional(random_model(rng, d, m, T), 1).to_dict())
+        assert json.dumps(json.loads(text)) == text
+
+    def test_empty_horizon_writes_no_weights(self):
+        obj = build_weights(np.array([0.3]), m=1, T=0).to_dict()
+        assert obj == {"constant": 0.3, "weights": [], "m": 1, "T": 0}
