@@ -4,9 +4,11 @@ Sequences live as (d, T) matrices whose column t-1 is the signal at
 position t. Causality is structural. The query, key and value projections,
 the output projection and the misc ops act on each column alone, so they
 run once on the whole (d, T) matrix; the only step that mixes positions is
-the softmax at position t, and it reads columns 1..t only. Memory is
-O(d T): no (T, T) score matrix is formed. No training, no dropout, no
-caching; this module exercises the layer map itself.
+the causal softmax. It runs on tiles of TILE query positions: one score
+product per tile and head, with the keys after each query masked to
+weight exactly zero, so position t still reads columns 1..t only. Memory
+is O(d T + TILE T): no (T, T) score matrix is formed. No training, no
+dropout, no caching; this module exercises the layer map itself.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from .hmm import validate_tokens
 # Variance at or below this triggers the epsilon-regularized layernorm branch.
 LAYERNORM_DEGENERATE_VAR = 1e-12
 LAYERNORM_EPS = 1e-5
+
+# Query positions per tile of the causal softmax, and the keys each tile row
+# must not see: entry (i, j) of the tile's diagonal block is True for j > i.
+TILE = 32
+_FUTURE = np.triu(np.ones((TILE, TILE), dtype=bool), k=1)
 
 
 def positional_encoding(d: int, T: int) -> np.ndarray:
@@ -153,18 +160,27 @@ def attention_weights(head: AttentionHeadParams, sigmas: np.ndarray) -> np.ndarr
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] < 1:
         raise ValueError(f"need a (d, t) block with t >= 1, got shape {sigmas.shape}")
-    return _softmax_weights(head.W_K @ sigmas, head.W_Q @ sigmas[:, -1], head.d_K)
+    return _softmax((head.W_K @ sigmas).T @ (head.W_Q @ sigmas[:, -1]) / np.sqrt(head.d_K))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, max-subtracted for stability: one distribution per row."""
-    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, max-subtracted for stability: one distribution per row.
+
+    Works in place: logits is overwritten with the result and returned, so
+    a tile of scores needs no second array. Every caller passes an array it
+    has just computed.
+    """
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
-def _softmax_weights(keys: np.ndarray, q: np.ndarray, d_K: int) -> np.ndarray:
-    """``_softmax`` over the columns k_s of keys of q . k_s / sqrt(d_K)."""
-    return _softmax(keys.T @ q / np.sqrt(d_K))
+def _check_finite(a: np.ndarray, what: str) -> None:
+    """Raise a ValueError naming the first position (1-based column) at which a holds a NaN or inf."""
+    bad = ~np.isfinite(a).all(axis=0)
+    if bad.any():
+        raise ValueError(f"{what} is not finite at position {int(np.argmax(bad)) + 1}")
 
 
 def layer_norm(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -187,23 +203,34 @@ def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
 
     Misc order: residual add, layernorm, feed-forward with residual,
     layernorm. Every output column depends only on input columns at or
-    before it: each head projects all columns at once, and position t's
-    softmax and weighted value sum read the first t columns of those
-    projections. Everything after the heads acts column by column. The
-    products stay ``@``: ``ndarray.dot`` for the per-position key product
-    in ``_softmax_weights`` changes the bits of the attention-demo report.
+    before it, to the bit. Each head projects all columns at once; then
+    each tile of TILE query positions a..b-1 takes one score product with
+    the keys of positions up to b, sets the scores of the keys after each
+    query to -inf so they get weight exactly 0, and takes one row-wise
+    softmax and one weighted sum of the value columns up to b. Everything
+    after the heads acts column by column. A NaN or inf in a later column
+    of the tile would still reach an earlier output as 0 * inf, so a
+    non-finite input column, or a value projection that overflows, is a
+    ValueError naming its position.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     d, T = sigmas.shape
     if d != params.d:
         raise ValueError(f"input dimension {d} does not match parameters ({params.d})")
+    _check_finite(sigmas, "input signal")
     d_V = params.heads[0].d_V
     concat = np.empty((d, T))
     for h, head in enumerate(params.heads):
         Q, K, V = head.W_Q @ sigmas, head.W_K @ sigmas, head.W_V @ sigmas
+        _check_finite(V, f"head {h + 1}'s value projection")
         rows = concat[h * d_V : (h + 1) * d_V]
-        for t in range(1, T + 1):
-            rows[:, t - 1] = V[:, :t] @ _softmax_weights(K[:, :t], Q[:, t - 1], head.d_K)
+        scale = np.sqrt(head.d_K)
+        for a in range(0, T, TILE):
+            b = min(a + TILE, T)
+            scores = Q[:, a:b].T @ K[:, :b]
+            scores /= scale
+            np.copyto(scores[:, a:], -np.inf, where=_FUTURE[: b - a, : b - a])
+            rows[:, a:b] = V[:, :b] @ _softmax(scores).T
     y = params.W_O @ concat
     if params.misc:
         y = layer_norm(y + sigmas, params.gamma, params.beta)

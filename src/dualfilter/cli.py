@@ -272,11 +272,7 @@ def cmd_oracle(cfg, model, generator, z):
         out / "filter_trajectory.csv",
         cfg,
         ["t", "x", "pi"],
-        [
-            [t + 1, x + 1, repr(float(pis[t, x]))]
-            for t in range(len(z))
-            for x in range(model.d)
-        ],
+        [[t, x, repr(pi)] for t, row in enumerate(pis.tolist(), start=1) for x, pi in enumerate(row, start=1)],
     )
     possible = np.flatnonzero(pis.sum(axis=1) != 0.0)
     probs = next_token_prob(model, pis[possible])
@@ -312,18 +308,13 @@ def cmd_fixedpoint(cfg, model, generator, z, mode):
     residual = fixed_point_residual(image, rho)
     trace = iterate(model, z, K=cfg.K, zero_convention=cfg.zero_convention)
 
-    rows = []
-    for k in range(cfg.K):
-        for t in range(len(z)):
-            rows.append(
-                [
-                    k + 1,
-                    t + 1,
-                    repr(float(trace.residuals[k])),
-                    repr(float(trace.kl_per_iter[k])),
-                    int(trace.in_domain[k, t]),
-                ]
-            )
+    rows = [
+        [k, t, repr(residual), repr(kl), int(flag)]
+        for k, (residual, kl, flags) in enumerate(
+            zip(trace.residuals.tolist(), trace.kl_per_iter.tolist(), trace.in_domain.tolist()), start=1
+        )
+        for t, flag in enumerate(flags, start=1)
+    ]
     _write_csv(out / "iteration_trace.csv", cfg, ["iter", "t", "residual_tv", "kl_bar", "in_domain"], rows)
 
     ok = residual <= tol
@@ -464,10 +455,12 @@ def cmd_attention_demo(cfg, model, generator, z):
     tables = [predictions(emb, sig) for sig in layers]
 
     out = _out_dir(cfg)
-    rows = []
-    for ell, table in enumerate(tables):
-        for t in range(len(z)):
-            rows.extend([ell, t + 1, tok, repr(float(table[tok, t]))] for tok in range(model.m + 1))
+    rows = [
+        [ell, t, tok, repr(prob)]
+        for ell, table in enumerate(tables)
+        for t, col in enumerate(table.T.tolist(), start=1)
+        for tok, prob in enumerate(col)
+    ]
     _write_csv(out / "layer_predictions.csv", cfg, ["layer", "t", "z", "prob"], rows)
 
     final = tables[-1]

@@ -27,13 +27,16 @@ from .hmm import HmmModel, drop_rounding_negatives, is_probability_vector, valid
 from .oracle import forward_filter, kl_divergence_bar, next_token_prob
 
 
-def step_law(A: np.ndarray, nu: np.ndarray, col: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The step's feedback gain k and closed-loop transition M = A + c k^T.
+def step_law(A: np.ndarray, nu: np.ndarray, col: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The step's law G = [[0, k^T], [0, M]], a (d+1, d+1) array: gain k stacked on M = A + c k^T.
 
     col = C(., z) is the observed token's emission column, rest the sum of
     C's other columns, and c = 2 col - 1 the scalar signal. The control
     -nu((A y)(c - nu(c))) / (1 - nu(c)^2) is linear in y, so it is u = k . y
-    and the backward step y -> A y + c u is the one matrix M. In the
+    and the backward step y -> A y + c u is the one matrix M. G acts on a
+    backward state (v, y) of length d+1 whose first entry carries the last
+    step's control; the zero first column drops it, so G (v, y) =
+    (k . y, M y) = (u, next y) is the next state, in one product. In the
     predictive probabilities p = nu(col) and q = nu(rest), 1 - nu(c)^2 =
     4 p q (Sigma_p at m = 1) and nu (c - nu(c)) = 2 nu (col - p) =
     -2 nu (rest - q), so k = -A^T (nu (col - p)) / (2 p q), or, when q < p,
@@ -42,25 +45,34 @@ def step_law(A: np.ndarray, nu: np.ndarray, col: np.ndarray, rest: np.ndarray) -
     rides through with zero control. The step is degenerate when
     min(|p|, |q|) <= PRED_PROB_TOL, the adapted map's rule on the simplex
     (see dual._control_operator; the absolute values keep signed measures
-    of mass 1 off that branch); then k = 0 and M is A itself.
+    of mass 1 off that branch); then k = 0 and M is A.
     """
     p, q = float(nu @ col), float(nu @ rest)
+    G = np.zeros((len(nu) + 1, len(nu) + 1))
+    G[1:, 1:] = A
     if min(abs(p), abs(q)) <= PRED_PROB_TOL:
-        return np.zeros(len(nu)), A
+        return G
     if p <= q:
         k = -(A.T @ (nu * (col - p))) / (2.0 * p * q)
     else:
         k = (A.T @ (nu * (rest - q))) / (2.0 * p * q)
-    return k, A + np.outer(2.0 * col - 1.0, k)
+    G[0, 1:] = k
+    G[1:, 1:] += np.outer(2.0 * col - 1.0, k)
+    return G
 
 
-def scalar_feedback(k: np.ndarray, y: np.ndarray) -> float:
-    """Scalar control k . y under a ``step_law`` gain."""
-    return float(k.dot(y))
+def scalar_feedback(G: np.ndarray, state: np.ndarray) -> tuple[float, np.ndarray]:
+    """One closed-loop backward step under a ``step_law`` law G: (u, next state) from one product.
+
+    state is (v, y) with any finite v, the carried control that G ignores;
+    the next state G state = (u, M y) with u = k . y.
+    """
+    nxt = G.dot(state)
+    return nxt.item(0), nxt
 
 
-def path_laws(model: HmmModel, rho: np.ndarray, z) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``step_law``'s (k_s, M_s) for every backward step s = 0..T-1 on a path z of T tokens.
+def path_laws(model: HmmModel, rho: np.ndarray, z) -> list[np.ndarray]:
+    """``step_law``'s G_s (gain k_s and transition M_s) for every backward step s = 0..T-1 on a path z of T tokens.
 
     rho is the per-path measure sequence as a (T, d) array (row s-1 holds
     rho_s). The law at step s >= 1 is taken at rho_s and at step 0 at the
@@ -82,20 +94,19 @@ def bde_solve(laws: list, t: int, f: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     ``laws`` is ``path_laws``'s output for (rho, z): the control at step
     s >= 1 is the scalar feedback at rho_s and at step 0 it uses the prior
-    mu. Each step runs in closed-loop form, u_s = k_s . y_{s+1} and y_s =
-    M_s y_{s+1} (see ``step_law``); this sums in another order than A y +
-    c u, so values agree with the open-loop form to rounding, not bit for
-    bit. Both products are ``ndarray.dot``: on these short vectors it has
-    the bits of ``@`` at about half its per-call cost. Returns (y_0,
-    controls u_0..u_{t-1}).
+    mu. Each step is one ``scalar_feedback`` call, which runs it in
+    closed-loop form: one ``ndarray.dot`` of the law G_s with the state
+    (u_{s+1}, y_{s+1}) gives the state (u_s, y_s), u_s = k_s . y_{s+1} and
+    y_s = M_s y_{s+1} (see ``step_law``); the pass starts from (0, f). This
+    sums in another order than A y + c u, so values agree with the
+    open-loop form to rounding, not bit for bit. Returns (y_0, controls
+    u_0..u_{t-1}).
     """
-    y = np.asarray(f, dtype=float)
+    state = np.concatenate(([0.0], np.asarray(f, dtype=float)))
     controls = [0.0] * t
     for s in range(t - 1, -1, -1):
-        k, M = laws[s]
-        controls[s] = scalar_feedback(k, y)
-        y = M.dot(y)
-    return y, np.array(controls)
+        controls[s], state = scalar_feedback(laws[s], state)
+    return state[1:], np.array(controls)
 
 
 def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:

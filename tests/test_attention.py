@@ -6,6 +6,7 @@ import pytest
 from dualfilter.attention import (
     LAYERNORM_DEGENERATE_VAR,
     LAYERNORM_EPS,
+    TILE,
     AttentionHeadParams,
     FeedForwardParams,
     LayerParams,
@@ -226,17 +227,48 @@ class TestLayerForward:
     def test_matches_per_position_evaluation(self, rng, misc, activation):
         for n_head in (1, 2, 4):
             params = random_layer_params(rng, 8, n_head, activation=activation, misc=misc)
-            for T in (1, 7, 64):
+            for T in (1, 7, TILE - 1, TILE, TILE + 1, 64, 2 * TILE + 1):
                 sig = rng.standard_normal((8, T))
                 diff = layer_forward(params, sig) - per_position_layer(params, sig)
                 assert np.max(np.abs(diff)) <= 1e-13
 
-    def test_causality_bit_exact_long_sequence(self, rng):
+    @pytest.mark.parametrize("start", [6 * TILE + 8, 6 * TILE], ids=["mid-tile", "tile-edge"])
+    def test_causality_bit_exact_long_sequence(self, rng, start):
         params = random_layer_params(rng, 8, 2, misc=True)
         sig = rng.standard_normal((8, 300))
         bumped = sig.copy()
-        bumped[:, 200:] = rng.standard_normal((8, 100))
-        assert np.array_equal(layer_forward(params, sig)[:, :200], layer_forward(params, bumped)[:, :200])
+        bumped[:, start:] = rng.standard_normal((8, 300 - start))
+        assert np.array_equal(layer_forward(params, sig)[:, :start], layer_forward(params, bumped)[:, :start])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_input_names_its_position(self, rng, bad):
+        # one tile holds positions 1..TILE: a NaN or inf at position 5 would reach positions 1..4
+        params = random_layer_params(rng, 8, 2, misc=True)
+        sig = rng.standard_normal((8, TILE))
+        sig[3, 4] = bad
+        sig[0, 9] = bad
+        with pytest.raises(ValueError, match="input signal is not finite at position 5$"):
+            layer_forward(params, sig)
+
+    def test_overflowing_value_projection_names_its_position(self):
+        params = bare_layer((AttentionHeadParams(W_Q=np.eye(2), W_K=np.eye(2), W_V=10.0 * np.eye(2)),), np.eye(2))
+        sig = np.ones((2, 6))
+        sig[1, 3] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="value projection is not finite at position 4$"):
+            layer_forward(params, sig)
+
+    def test_overflowing_future_score_gets_zero_weight(self, rng):
+        # position 4's key overflows every score it enters to inf; its value stays finite, and
+        # positions 4..6, which see that key, come out NaN
+        head = AttentionHeadParams(W_Q=np.eye(2), W_K=np.eye(2), W_V=1e-10 * np.eye(2))
+        params = bare_layer((head,), np.eye(2))
+        sig = 1e10 * rng.random((2, 6))
+        bumped = sig.copy()
+        bumped[:, 3] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = layer_forward(params, bumped)
+        assert np.array_equal(out[:, :3], layer_forward(params, sig)[:, :3])
+        assert np.isnan(out[:, 3:]).all()
 
     def test_memory_is_linear_in_length(self, rng):
         # one (T, T) float64 array at T = 1000 would take 7.6 MiB

@@ -43,6 +43,22 @@ def token_law(model, nu, z):
     return step_law(model.A, nu, *token_columns(model, z))
 
 
+def gain(G):
+    """The feedback gain k of a ``step_law`` law G = [[0, k^T], [0, M]]."""
+    return G[0, 1:]
+
+
+def is_degenerate_law(G, A):
+    """The law of a degenerate step: gain exactly 0 and M equal to A to the bit, first column 0."""
+    return bool(np.all(G[0] == 0.0) and np.all(G[:, 0] == 0.0)) and G[1:, 1:].tobytes() == A.tobytes()
+
+
+def feedback_step(G, y, carried=0.0):
+    """``scalar_feedback`` from the state (carried, y): the control u and the next y."""
+    u, state = scalar_feedback(G, np.concatenate(([carried], y)))
+    return u, state[1:]
+
+
 def dyadic_simplex(rng, n, bits):
     """A probability vector of n multiples of 2^-bits: its float entries sum to 1 exactly."""
     cuts = np.sort(rng.integers(0, 2**bits + 1, n - 1))
@@ -63,15 +79,15 @@ class TestScalarFeedback:
     def test_constant_function_gives_zero(self, rng, reference_model):
         model = reference_model
         nu = rng.dirichlet(np.ones(model.d))
-        k, _ = token_law(model, nu, 1)
-        assert abs(scalar_feedback(k, np.full(model.d, 2.0))) <= 1e-14
+        u, _ = feedback_step(token_law(model, nu, 1), np.full(model.d, 2.0))
+        assert abs(u) <= 1e-14
 
     def test_degenerate_branch(self):
         # a token emitted surely by every state: p = 1 and q = 0
         model = make_model([0.5, 0.5], np.eye(2), [[0.0, 1.0], [0.0, 1.0]], 1)
-        k, M = token_law(model, np.array([0.3, 0.7]), 1)
-        assert np.all(k == 0.0) and M is model.A
-        assert scalar_feedback(k, np.array([1.0, -2.0])) == 0.0
+        G = token_law(model, np.array([0.3, 0.7]), 1)
+        assert is_degenerate_law(G, model.A)
+        assert feedback_step(G, np.array([1.0, -2.0]))[0] == 0.0
 
     def test_against_independent_transcription(self, rng):
         model = random_model(rng, 3, 1, 1)
@@ -80,11 +96,24 @@ class TestScalarFeedback:
         c = scalar_obs(model, 1)
         nc = sum(nu[x] * c[x] for x in range(3))
         expect = -sum(nu[x] * (model.A[x] @ f) * (c[x] - nc) for x in range(3)) / (1 - nc**2)
-        assert abs(scalar_feedback(token_law(model, nu, 1)[0], f) - expect) <= 1e-14
+        assert abs(feedback_step(token_law(model, nu, 1), f)[0] - expect) <= 1e-14
 
     def test_returns_a_python_float(self, rng, reference_model):
-        k, _ = token_law(reference_model, rng.dirichlet(np.ones(2)), 1)
-        assert type(scalar_feedback(k, rng.standard_normal(2))) is float
+        G = token_law(reference_model, rng.dirichlet(np.ones(2)), 1)
+        u, state = scalar_feedback(G, rng.standard_normal(3))
+        assert type(u) is float
+        assert state.dtype == np.float64 and state.shape == (3,) and state[0] == u
+
+    def test_carried_control_is_ignored_to_the_bit(self, rng):
+        for _ in range(20):
+            d = int(rng.integers(2, 9))
+            model = random_model(rng, d, 1, 1)
+            G = token_law(model, rng.dirichlet(np.ones(d)), int(rng.integers(2)))
+            y = rng.standard_normal(d)
+            _, base = scalar_feedback(G, np.concatenate(([0.0], y)))
+            for carried in (rng.standard_normal(), -1e300, 1e300):
+                _, state = scalar_feedback(G, np.concatenate(([carried], y)))
+                assert state.tobytes() == base.tobytes()
 
 
 class TestBdeSolve:
@@ -125,7 +154,7 @@ class TestBdeSolve:
         z = (1, 0, 1)
         y0, controls = bde_solve(path_laws(model, rho, z), 1, f)
         c1 = scalar_obs(model, z[0])
-        u0 = scalar_feedback(token_law(model, model.mu, z[0])[0], f)
+        u0, _ = feedback_step(token_law(model, model.mu, z[0]), f)
         assert controls.shape == (1,)
         assert controls[0] == u0
         np.testing.assert_allclose(y0, model.A @ f + c1 * u0, atol=1e-14)
@@ -199,25 +228,27 @@ def bde_solve_per_call(model, rho, z, t, f):
     The predictive probabilities p = nu(C(., z)) and q = nu(rest), the gain
     k in whichever difference is taken away from 1, and the transition
     M = A + c k^T are rebuilt at each step; a step with min(|p|, |q|) at or
-    below PRED_PROB_TOL steps with A and control 0.
+    below PRED_PROB_TOL has gain 0 and transition A. Each step takes the
+    control and the next y from one product of [[0, k^T], [0, M]] with the
+    state (last control, y).
     """
-    y = np.asarray(f, dtype=float)
+    state = np.concatenate(([0.0], f))
     controls = np.zeros(t)
     for s in range(t - 1, -1, -1):
         col, rest = token_columns(model, z[s])
         nu = model.mu if s == 0 else rho[s - 1]
         p, q = float(nu @ col), float(nu @ rest)
         if min(abs(p), abs(q)) <= PRED_PROB_TOL:
-            controls[s] = 0.0
-            y = model.A @ y
-            continue
-        if p <= q:
-            k = -(model.A.T @ (nu * (col - p))) / (2.0 * p * q)
+            k, M = np.zeros(model.d), model.A
         else:
-            k = (model.A.T @ (nu * (rest - q))) / (2.0 * p * q)
-        controls[s] = float(k @ y)
-        y = (model.A + np.outer(scalar_obs(model, z[s]), k)) @ y
-    return y, controls
+            if p <= q:
+                k = -(model.A.T @ (nu * (col - p))) / (2.0 * p * q)
+            else:
+                k = (model.A.T @ (nu * (rest - q))) / (2.0 * p * q)
+            M = model.A + np.outer(scalar_obs(model, z[s]), k)
+        state = np.block([[0.0, k], [np.zeros((model.d, 1)), M]]) @ state
+        controls[s] = float(state[0])
+    return state[1:], controls
 
 
 def apply_N_path_per_call(model, rho, z):
@@ -272,7 +303,7 @@ class TestApplyNPathSharedLaws:
         # token 1 is emitted surely by every state: q = 0 at every step
         model = make_model([0.3, 0.7], [[0.6, 0.4], [0.2, 0.8]], [[0.0, 1.0], [0.0, 1.0]], 5)
         z = (1, 1, 1, 1, 1)
-        assert all(np.all(k == 0.0) and M is model.A for k, M in path_laws(model, forward_filter(model, z), z))
+        assert all(is_degenerate_law(G, model.A) for G in path_laws(model, forward_filter(model, z), z))
         self.assert_same_map(model, forward_filter(model, z), z)
         self.assert_same_map(model, rng.dirichlet(np.ones(2), size=5), z)
 
@@ -356,25 +387,25 @@ class TestApplyNPathExact:
 
 
 class TestClosedLoopStep:
-    """Each closed-loop step (u = k . y, then M y) is the paper's step y -> A y + c u."""
+    """Each closed-loop step (u = k . y and M y, from one product) is the paper's step y -> A y + c u."""
 
     def assert_paper_steps(self, rng, model, rho, z):
         eps = np.finfo(float).eps
-        for s, (k, M) in enumerate(path_laws(model, rho, z)):
+        for s, G in enumerate(path_laws(model, rho, z)):
             nu = model.mu if s == 0 else rho[s - 1]
             c = scalar_obs(model, z[s])
             y = rng.standard_normal(model.d)
-            u = scalar_feedback(k, y)
+            u, My = feedback_step(G, y, carried=rng.standard_normal())
             Ay = model.A @ y
             p = sum(nu[x] * model.C[x, z[s]] for x in range(model.d))
             if min(abs(p), abs(nu.sum() - p)) <= PRED_PROB_TOL:
-                assert np.all(k == 0.0) and M is model.A and u == 0.0
+                assert is_degenerate_law(G, model.A) and u == 0.0
             else:
                 nc = sum(nu[x] * c[x] for x in range(model.d))
                 expect = -sum(nu[x] * Ay[x] * (c[x] - nc) for x in range(model.d)) / (1 - nc**2)
                 assert abs(u - expect) <= 1e-14
-                assert abs(k @ np.ones(model.d)) <= 4 * model.d * eps
-            assert np.max(np.abs(M @ y - (Ay + c * u))) <= 1e-14
+                assert abs(gain(G) @ np.ones(model.d)) <= 4 * model.d * eps
+            assert np.max(np.abs(My - (Ay + c * u))) <= 1e-14
 
     def test_random_models(self, rng):
         for _ in range(10):
@@ -399,7 +430,7 @@ class TestClosedLoopStep:
         model = make_model([0.3, 0.7], [[0.6, 0.4], [0.2, 0.8]], [[0.0, 1.0], [0.0, 1.0]], 5)
         z = (1, 1, 1, 1, 1)
         laws = path_laws(model, forward_filter(model, z), z)
-        assert all(np.all(k == 0.0) and M is model.A for k, M in laws)
+        assert all(is_degenerate_law(G, model.A) for G in laws)
         self.assert_paper_steps(rng, model, rng.dirichlet(np.ones(2), size=5), z)
 
     def test_gain_sums_to_zero_to_a_few_eps(self, rng):
@@ -414,7 +445,7 @@ class TestClosedLoopStep:
             x = int(np.argmax(np.abs(scalar_obs(model, z))))
             for e in 10.0 ** -rng.uniform(1, 11, 3):
                 nu = (1 - e) * np.eye(d)[x] + e * rng.dirichlet(np.ones(d))
-                k, _ = token_law(model, nu, z)
+                k = gain(token_law(model, nu, z))
                 assert abs(k @ np.ones(d)) <= 4 * d * eps
                 if np.any(k != 0.0):
                     p = float(nu @ model.C[:, z])
@@ -430,7 +461,7 @@ class TestClosedLoopStep:
             C = model.C
             nu = dyadic_simplex(rng, d, 30)
             assert all(sum(map(Fraction, row)) == 1 for row in [*C, nu])
-            k, _ = token_law(model, nu, z)
+            k = gain(token_law(model, nu, z))
             # the paper's gain -A^T (nu (c - nu(c))) / (1 - nu(c)^2), in rationals
             c = [2 * Fraction(v) - 1 for v in C[:, z]]
             nc = sum(Fraction(nu[x]) * c[x] for x in range(d))
@@ -456,8 +487,7 @@ class TestClosedLoopStep:
                 nu = (1 - e) * np.eye(d)[0] + e * np.eye(d)[1]
                 singular = _control_operator(model, c_mat, R, nu)[2]
                 for z in (0, 1):
-                    k, M = token_law(model, nu, z)
-                    assert (np.all(k == 0.0) and M is model.A) == singular
+                    assert is_degenerate_law(token_law(model, nu, z), model.A) == singular
                 cases[singular] += 1
         assert min(cases.values()) > 0
 
@@ -797,9 +827,9 @@ class TestIterate:
             iterate(reference_model, (1, 0, 1), K=0)
 
     def test_rounding_level_negatives_read_as_zero(self):
-        # point-mass emissions: the map's first image on path 0.0.1 carries a -5.6e-17 entry
+        # point-mass emissions: the map's first image on path 0.1.1 carries a -1.1e-16 entry
         model = point_mass_model()
-        z = (0, 0, 1)
+        z = (0, 1, 1)
         raw, flags = apply_N_path(model, np.full((3, 3), 1.0 / 3), z)
         assert flags.all() and -1e-15 < raw.min() < 0.0
         trace = iterate(model, z, K=2)

@@ -51,12 +51,12 @@ CASES = [
         "next_token_probs.csv": "1d7704df92ed70e3a7b3a2adbcf0c7c5a45c9b8afb62aaf26e805efa323a6aec",
     }),
     ("fixedpoint-path", ["fixedpoint", "--model", "dense.json", "--path", "1.2.0", "--iterations", "2"], 0, {
-        "iteration_trace.csv": "fc4a33ff3d1ee26e26cce3f6dc1ae5463e8da674e27e860c9315435e2180bb19",
-        "residual_report.json": "acdc06a702f589a4a74ec43b166148b93b70379d04da1b430e5be7a78fa16904",
+        "iteration_trace.csv": "34672994abae2d6e49e786286e8484cac83409ed662c95fc1b12cf47573fd9d7",
+        "residual_report.json": "ef9ca470e97aae0e210db93217eebff5f0834fe7468aeec52ceecc3be91b9e50",
     }),
     ("fixedpoint-adapted", ["fixedpoint", "--model", "dense.json", "--mode", "adapted", "--path", "0.1.2",
                             "--iterations", "2"], 0, {
-        "iteration_trace.csv": "48f2f4edcd85412e2571d23cdb38c209418b0005064aa23cd669b22e872e7ca7",
+        "iteration_trace.csv": "88ce8ceeaf90eb64ef9e31afb7b089fde7e6bee8432da52041b1b19bcb399a1b",
         "residual_report.json": "1f88fe591b7c4b71d8808da6e203b3accbcbd24b07c09c6a33df8b133be5064c",
     }),
     ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
@@ -67,9 +67,9 @@ CASES = [
         "representation.json": "568656ee82e62817192f0b97a2db57248582fee330ccdb6f61a41c39aca7cfbe",
     }),
     ("attention-demo", ["attention-demo", "--model", "dense.json", "--path", "0.2.1.1.0", "--seed", "3"], 0, {
-        "attention_report.json": "27e56cd133b44429b69707c4da68d2dabbd04e4f73f972abe269b7868e330f44",
-        "layer_divergence.csv": "d0d9071f33d11134d6d1202d2d3bb662c5c3f3b4d8cf6abcbc9f6b75e07c756b",
-        "layer_predictions.csv": "8a054791e00cf589a7960acce587980d8e12c55b134021202e0c27182dffc2d2",
+        "attention_report.json": "72692aedfd1746e199d96d857819d18eefb434227ccea8dda8db22264227e373",
+        "layer_divergence.csv": "0b97b49100d97b6bc8183719744661c776125b9cfedd74c25366ba11c965d7f6",
+        "layer_predictions.csv": "4ff695f5a976829dcae322af89d3ce4314fc45fe70c65024db8d9cd425bd3bca",
     }),
     ("represent-zero", ["represent", "--model", "sparse.json", "--z-query", "0", "--zero-convention"], 0, {
         "representation.json": "5803b5a8752b1b4626cf908952496f8172ac8209edc5477d249f566409c45e9c",
@@ -92,9 +92,9 @@ CASES = [
         "next_token_probs.csv": "11caee127ba1e50a209524a537d9a2cf412d3af30954b0edaa3973281ae0d2be",
     }),
     ("attention-demo-sampled", ["attention-demo", "--model", "dense.json", "--seed", "3"], 0, {
-        "attention_report.json": "2696fb93447bfd2f2d7c733215bd6c1fb307a68ba95e6740c8e60c5033e02a09",
-        "layer_divergence.csv": "ca2ca8cd3f6723799b6fc7b3475666242501d34ebfc0a105f1cec8461dbfdf2d",
-        "layer_predictions.csv": "fc38d3107b925fba9300ccccf0e2df2a33bd29a732200097c05eb5469f991fc5",
+        "attention_report.json": "0331b0d4b824ea70122c6692a65ab29ba90319fb0b8b51523d50d5e899572b87",
+        "layer_divergence.csv": "66c641bc193d7629f6c9fd7b9ecd3e239fb1c33c5b008485cd285e5bdcd2d490",
+        "layer_predictions.csv": "9c67f5dde2bb94742d78b3ad9e712eb15d88694e73577d02855523fe5acc444e",
     }),
 ]
 
