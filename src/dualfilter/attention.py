@@ -1,13 +1,14 @@
 """Desk-scale decoder-only attention layer over signed-measure signals.
 
 Sequences live as (d, T) matrices whose column t-1 is the signal at
-position t. Causality is structural. The query, key and value projections,
-the output projection and the misc ops act on each column alone, so they
-run once on the whole (d, T) matrix; the only step that mixes positions is
-the causal softmax. It runs on tiles of TILE query positions: one score
-product per tile and head, with the keys after each query masked to
-weight exactly zero, so position t still reads columns 1..t only. Memory
-is O(d T + TILE T): no (T, T) score matrix is formed. No training, no
+position t, and a layer's heads are stacked on the leading axis of its
+projections. Causality is structural. The projections and the misc ops act
+on each column alone, so each is one product on the whole (d, T) matrix,
+for all heads at once; the only step that mixes positions is the causal
+softmax. It runs on tiles of TILE query positions: one score product per
+tile for all heads, with the keys after each query masked to weight
+exactly zero, so position t still reads columns 1..t only. Memory is
+O(n_head TILE T + d T): no (T, T) score matrix is formed. No training, no
 dropout, no caching; this module exercises the layer map itself.
 """
 
@@ -57,32 +58,6 @@ def embed_sequence(emb: np.ndarray, pe: np.ndarray, z) -> np.ndarray:
     return emb[:, list(z)] + pe[:, : len(z)]
 
 
-@dataclass(frozen=True)
-class AttentionHeadParams:
-    W_Q: np.ndarray
-    W_K: np.ndarray
-    W_V: np.ndarray
-
-    def __post_init__(self):
-        W_Q = np.asarray(self.W_Q, dtype=float)
-        W_K = np.asarray(self.W_K, dtype=float)
-        W_V = np.asarray(self.W_V, dtype=float)
-        if W_Q.shape != W_K.shape:
-            raise ValueError(f"W_Q {W_Q.shape} and W_K {W_K.shape} must agree")
-        if W_V.shape[1] != W_Q.shape[1]:
-            raise ValueError("W_V and W_Q must share the input dimension")
-        for name, arr in (("W_Q", W_Q), ("W_K", W_K), ("W_V", W_V)):
-            object.__setattr__(self, name, arr)
-
-    @property
-    def d_K(self) -> int:
-        return self.W_Q.shape[0]
-
-    @property
-    def d_V(self) -> int:
-        return self.W_V.shape[0]
-
-
 def _down_columns(v, y) -> np.ndarray:
     """A (d,) vector shaped to broadcast down the columns of y, (d,) or (d, T)."""
     return np.reshape(np.asarray(v, dtype=float), (-1,) + (1,) * (np.ndim(y) - 1))
@@ -115,9 +90,15 @@ class FeedForwardParams:
 
 @dataclass(frozen=True)
 class LayerParams:
-    """One layer's parameters; ``misc`` switches on the stabilization tail after attention."""
+    """One layer's parameters; ``misc`` switches on the stabilization tail after attention.
 
-    heads: tuple[AttentionHeadParams, ...]
+    The heads are stacked: W_Q and W_K are (n_head, d_K, d), W_V is
+    (n_head, d_V, d) and head h feeds W_O's columns h*d_V .. (h+1)*d_V - 1.
+    """
+
+    W_Q: np.ndarray
+    W_K: np.ndarray
+    W_V: np.ndarray
     W_O: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
@@ -125,22 +106,22 @@ class LayerParams:
     misc: bool = False
 
     def __post_init__(self):
-        heads = tuple(self.heads)
-        if not heads:
-            raise ValueError("at least one attention head is required")
         W_O = np.asarray(self.W_O, dtype=float)
         d = W_O.shape[0]
         if W_O.shape != (d, d):
             raise ValueError(f"W_O must be square, got {W_O.shape}")
-        d_V = heads[0].d_V
-        if any(h.d_V != d_V for h in heads):
-            raise ValueError("all heads must share d_V")
-        if d_V * len(heads) != d:
-            raise ValueError(f"n_head * d_V = {len(heads) * d_V} must equal d = {d}")
-        object.__setattr__(self, "heads", heads)
-        object.__setattr__(self, "W_O", W_O)
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+        W_Q, W_K, W_V = (np.asarray(w, dtype=float) for w in (self.W_Q, self.W_K, self.W_V))
+        if not (W_Q.ndim == W_V.ndim == 3 and W_Q.shape == W_K.shape and W_Q.shape[::2] == W_V.shape[::2]):
+            shapes = f"W_Q {W_Q.shape}, W_K {W_K.shape}, W_V {W_V.shape}"
+            raise ValueError(f"{shapes}: the projections must stack n_head (rows, d) blocks alike")
+        n_head, d_V, d_in = W_V.shape
+        if n_head < 1 or d_in != d:
+            raise ValueError(f"need at least one head on inputs of dimension d = {d}, got W_V {W_V.shape}")
+        if n_head * d_V != d:
+            raise ValueError(f"n_head * d_V = {n_head * d_V} must equal d = {d}")
+        arrays = dict(W_Q=W_Q, W_K=W_K, W_V=W_V, W_O=W_O, gamma=self.gamma, beta=self.beta)
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, np.asarray(arr, dtype=float))
 
     @property
     def d(self) -> int:
@@ -148,19 +129,21 @@ class LayerParams:
 
     @property
     def n_head(self) -> int:
-        return len(self.heads)
+        return self.W_Q.shape[0]
 
 
-def attention_weights(head: AttentionHeadParams, sigmas: np.ndarray) -> np.ndarray:
-    """Softmax over s = 1..t of q_t . k_s / sqrt(d_K); query is the last column.
+def attention_weights(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
+    """(n_head, t) softmax weights over s = 1..t of q_t . k_s / sqrt(d_K); the query is the last column.
 
-    Max-subtracted for stability; the output is a probability vector over
-    the visible positions.
+    Row h is head h's probability vector; a NaN or inf in the block is a ValueError naming its position.
     """
     sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 2 or sigmas.shape[1] < 1:
-        raise ValueError(f"need a (d, t) block with t >= 1, got shape {sigmas.shape}")
-    return _softmax((head.W_K @ sigmas).T @ (head.W_Q @ sigmas[:, -1]) / np.sqrt(head.d_K))
+    if sigmas.ndim != 2 or sigmas.shape[0] != params.d or sigmas.shape[1] < 1:
+        raise ValueError(f"need a ({params.d}, t) block with t >= 1, got shape {sigmas.shape}")
+    _check_finite(sigmas, "input signal")
+    q = params.W_Q @ sigmas[:, -1]
+    logits = ((params.W_K @ sigmas).transpose(0, 2, 1) @ q[:, :, None])[:, :, 0]
+    return _softmax(logits / np.sqrt(params.W_Q.shape[1]))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -203,35 +186,31 @@ def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
 
     Misc order: residual add, layernorm, feed-forward with residual,
     layernorm. Every output column depends only on input columns at or
-    before it, to the bit. Each head projects all columns at once; then
-    each tile of TILE query positions a..b-1 takes one score product with
-    the keys of positions up to b, sets the scores of the keys after each
-    query to -inf so they get weight exactly 0, and takes one row-wise
-    softmax and one weighted sum of the value columns up to b. Everything
-    after the heads acts column by column. A NaN or inf in a later column
-    of the tile would still reach an earlier output as 0 * inf, so a
-    non-finite input column, or a value projection that overflows, is a
-    ValueError naming its position.
+    before it, to the bit. Each projection is one product for all heads and
+    columns; then each tile of TILE query positions a..b-1 takes one
+    (n_head, b-a, b) score product with the keys of positions up to b, sets
+    the scores of the keys after each query to -inf so they get weight
+    exactly 0, and takes one softmax and one weighted sum of the value
+    columns up to b. A NaN or inf in a later column of the tile would still
+    reach an earlier output as 0 * inf, so a non-finite input column, or a
+    value projection that overflows, is a ValueError naming its position.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     d, T = sigmas.shape
     if d != params.d:
         raise ValueError(f"input dimension {d} does not match parameters ({params.d})")
     _check_finite(sigmas, "input signal")
-    d_V = params.heads[0].d_V
-    concat = np.empty((d, T))
-    for h, head in enumerate(params.heads):
-        Q, K, V = head.W_Q @ sigmas, head.W_K @ sigmas, head.W_V @ sigmas
-        _check_finite(V, f"head {h + 1}'s value projection")
-        rows = concat[h * d_V : (h + 1) * d_V]
-        scale = np.sqrt(head.d_K)
-        for a in range(0, T, TILE):
-            b = min(a + TILE, T)
-            scores = Q[:, a:b].T @ K[:, :b]
-            scores /= scale
-            np.copyto(scores[:, a:], -np.inf, where=_FUTURE[: b - a, : b - a])
-            rows[:, a:b] = V[:, :b] @ _softmax(scores).T
-    y = params.W_O @ concat
+    Q, K, V = params.W_Q @ sigmas, params.W_K @ sigmas, params.W_V @ sigmas
+    _check_finite(V.reshape(d, T), "a head's value projection")
+    scale = np.sqrt(Q.shape[1])
+    heads = np.empty_like(V)
+    for a in range(0, T, TILE):
+        b = min(a + TILE, T)
+        scores = Q[:, :, a:b].transpose(0, 2, 1) @ K[:, :, :b]
+        scores /= scale
+        np.copyto(scores[:, :, a:], -np.inf, where=_FUTURE[: b - a, : b - a])
+        heads[:, :, a:b] = V[:, :, :b] @ _softmax(scores).transpose(0, 2, 1)
+    y = params.W_O @ heads.reshape(d, T)
     if params.misc:
         y = layer_norm(y + sigmas, params.gamma, params.beta)
         y = layer_norm(y + params.ffn(y), params.gamma, params.beta)
@@ -242,21 +221,21 @@ def simplified_form(params: LayerParams, sigmas: np.ndarray, t: int, f: np.ndarr
     """Bilinear form sum_{s<=t} sigma_s . y_s(t) of the attention-only layer.
 
     y_s(t) = sum_h alpha(s; t, h) (L_h)^T f with L_h the W_O block column
-    times W_V of head h. Equals f . (layer output at position t) when the
-    misc ops are disabled, which is required here.
+    times W_V of head h, and f a (d,) vector. Equals f . (layer output at
+    position t) when the misc ops are disabled, which is required here.
     """
     if params.misc:
         raise ValueError("the bilinear form describes the attention map alone; disable misc ops")
     sigmas = np.asarray(sigmas, dtype=float)
     f = np.asarray(f, dtype=float)
+    if f.shape != (params.d,):
+        raise ValueError(f"functional f must have shape ({params.d},), got {f.shape}")
     if not 1 <= t <= sigmas.shape[1]:
         raise ValueError(f"position {t} outside 1..{sigmas.shape[1]}")
     block = sigmas[:, :t]
-    d_V = params.heads[0].d_V
+    L = params.W_O.reshape(params.d, *params.W_V.shape[:2]).transpose(1, 0, 2) @ params.W_V
     total = 0.0
-    for h, head in enumerate(params.heads):
-        L_h = params.W_O[:, h * d_V : (h + 1) * d_V] @ head.W_V
-        alpha = attention_weights(head, block)
+    for L_h, alpha in zip(L, attention_weights(params, block)):
         total += float(alpha @ (block.T @ (L_h.T @ f)))
     return total
 
@@ -297,14 +276,8 @@ def random_layer_params(
         raise ValueError(f"n_head = {n_head} must divide d = {d}")
     d_V = d // n_head
     scale = 1.0 / np.sqrt(d)
-    heads = tuple(
-        AttentionHeadParams(
-            W_Q=scale * rng.standard_normal((d_V, d)),
-            W_K=scale * rng.standard_normal((d_V, d)),
-            W_V=scale * rng.standard_normal((d_V, d)),
-        )
-        for _ in range(n_head)
-    )
+    # drawn head by head, query then key then value: seeded demos depend on this order
+    W_Q, W_K, W_V = (scale * rng.standard_normal((n_head, 3, d_V, d))).transpose(1, 0, 2, 3)
     hidden = 4 * d
     ffn = FeedForwardParams(
         W1=scale * rng.standard_normal((hidden, d)),
@@ -313,11 +286,5 @@ def random_layer_params(
         b2=np.zeros(d),
         activation=activation,
     )
-    return LayerParams(
-        heads=heads,
-        W_O=scale * rng.standard_normal((d, d)),
-        gamma=np.ones(d),
-        beta=np.zeros(d),
-        ffn=ffn,
-        misc=misc,
-    )
+    W_O = scale * rng.standard_normal((d, d))
+    return LayerParams(W_Q, W_K, W_V, W_O, gamma=np.ones(d), beta=np.zeros(d), ffn=ffn, misc=misc)

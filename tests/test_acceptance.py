@@ -232,6 +232,11 @@ def test_criterion_07_decomposition():
     )
 
 
+def head_outputs(params, block):
+    """Every head's output at the last position of block, heads stacked in order: sum_s alpha(s; t, h) W_V^h sigma_s."""
+    return np.concatenate([W_V @ (block @ w) for W_V, w in zip(params.W_V, attention_weights(params, block))])
+
+
 def test_criterion_08_attention_invariants():
     rng = np.random.default_rng(808)
     d, T = 8, 6
@@ -244,23 +249,18 @@ def test_criterion_08_attention_invariants():
         n_head = (1, 2, 4)[draws % 3]
         params = random_layer_params(rng, d, n_head)
         sig = rng.standard_normal((d, T))
-        for head in params.heads:
-            for t in range(1, T + 1):
-                w = attention_weights(head, sig[:, :t])
-                worst_weight = max(worst_weight, float(-w.min()), abs(float(w.sum()) - 1.0))
+        for t in range(1, T + 1):
+            w = attention_weights(params, sig[:, :t])
+            worst_weight = max(worst_weight, float(-w.min()), float(np.max(np.abs(w.sum(axis=1) - 1.0))))
         out = layer_forward(params, sig)
         bumped = sig.copy()
         bumped[:, 3:] = rng.standard_normal((d, T - 3))
         causal_ok &= np.array_equal(layer_forward(params, bumped)[:, :3], out[:, :3])
-        base = np.concatenate(
-            [head.W_V @ (sig[:, :5] @ attention_weights(head, sig[:, :5])) for head in params.heads]
-        )
+        base = head_outputs(params, sig[:, :5])
         perm = rng.permutation(4)
         shuffled = sig[:, :5].copy()
         shuffled[:, :4] = shuffled[:, perm]
-        permed = np.concatenate(
-            [head.W_V @ (shuffled @ attention_weights(head, shuffled)) for head in params.heads]
-        )
+        permed = head_outputs(params, shuffled)
         worst_perm = max(worst_perm, float(np.max(np.abs(base - permed))))
         f = rng.standard_normal(d)
         for t in (1, 4, T):

@@ -7,7 +7,6 @@ from dualfilter.attention import (
     LAYERNORM_DEGENERATE_VAR,
     LAYERNORM_EPS,
     TILE,
-    AttentionHeadParams,
     FeedForwardParams,
     LayerParams,
     attention_weights,
@@ -47,11 +46,11 @@ def per_position_layer(params, sigmas):
     for t in range(1, sigmas.shape[1] + 1):
         block = sigmas[:, :t]
         heads = []
-        for head in params.heads:
-            q = head.W_Q @ block[:, -1]
-            logits = (head.W_K @ block).T @ q / np.sqrt(head.d_K)
+        for W_Q, W_K, W_V in zip(params.W_Q, params.W_K, params.W_V):
+            q = W_Q @ block[:, -1]
+            logits = (W_K @ block).T @ q / np.sqrt(W_Q.shape[0])
             w = np.exp(logits - logits.max())
-            heads.append(head.W_V @ (block @ (w / w.sum())))
+            heads.append(W_V @ (block @ (w / w.sum())))
         y = params.W_O @ np.concatenate(heads)
         if params.misc:
             y = norm(y + sigmas[:, t - 1])
@@ -60,30 +59,49 @@ def per_position_layer(params, sigmas):
     return out
 
 
+def per_head_layer(params, sigmas):
+    """The bare layer one head at a time, each through the same tiles and arithmetic as layer_forward."""
+    d, T = sigmas.shape
+    d_V = params.W_V.shape[1]
+    concat = np.empty((d, T))
+    for h, (W_Q, W_K, W_V) in enumerate(zip(params.W_Q, params.W_K, params.W_V)):
+        Q, K, V = W_Q @ sigmas, W_K @ sigmas, W_V @ sigmas
+        for a in range(0, T, TILE):
+            b = min(a + TILE, T)
+            scores = Q[:, a:b].T @ K[:, :b] / np.sqrt(W_Q.shape[0])
+            scores[:, a:][np.triu(np.ones((b - a, b - a), dtype=bool), k=1)] = -np.inf
+            w = np.exp(scores - scores.max(axis=1, keepdims=True))
+            concat[h * d_V : (h + 1) * d_V, a:b] = V[:, :b] @ (w / w.sum(axis=1, keepdims=True)).T
+    return params.W_O @ concat
+
+
 def per_position_bilinear(params, sigmas, t, f):
     """simplified_form as a sum over the visible positions s, one term at a time."""
     block = sigmas[:, :t]
-    d_V = params.heads[0].d_V
+    d_V = params.W_V.shape[1]
     total = 0.0
-    for h, head in enumerate(params.heads):
-        L_h = params.W_O[:, h * d_V : (h + 1) * d_V] @ head.W_V
-        alpha = attention_weights(head, block)
+    for h, alpha in enumerate(attention_weights(params, block)):
+        L_h = params.W_O[:, h * d_V : (h + 1) * d_V] @ params.W_V[h]
         proj = L_h.T @ f
         for s in range(t):
             total += alpha[s] * float(block[:, s] @ proj)
     return total
 
 
-def bare_layer(heads, W_O):
-    """Attention-only parameters; the feed-forward block is zero, as the misc ops are off."""
+def bare_layer(W_Q, W_K, W_V, W_O):
+    """Attention-only parameters from stacked projections; the feed-forward block is zero, as the misc ops are off."""
     d = W_O.shape[0]
     ffn = FeedForwardParams(W1=np.zeros((d, d)), b1=np.zeros(d), W2=np.zeros((d, d)), b2=np.zeros(d))
-    return LayerParams(heads=heads, W_O=W_O, gamma=np.ones(d), beta=np.zeros(d), ffn=ffn)
+    return LayerParams(W_Q=W_Q, W_K=W_K, W_V=W_V, W_O=W_O, gamma=np.ones(d), beta=np.zeros(d), ffn=ffn)
 
 
-def head_output(head, sigmas):
-    """One head's output at the last position: the bare layer with W_O = I and that head alone."""
-    params = bare_layer((head,), np.eye(sigmas.shape[0]))
+def one_head(W_Q, W_K, W_V):
+    """The bare layer with a single head given by its (rows, d) projections, and W_O = I."""
+    return bare_layer(W_Q[None], W_K[None], W_V[None], np.eye(W_V.shape[1]))
+
+
+def head_output(params, sigmas):
+    """A one-head layer's output at the last position, which is that head's output as W_O = I."""
     return layer_forward(params, sigmas)[:, -1]
 
 
@@ -135,61 +153,80 @@ class TestEmbedSequence:
 
 class TestAttentionWeights:
     def test_zero_query_projection_is_uniform(self, rng):
-        head = AttentionHeadParams(
+        head = one_head(
             W_Q=np.zeros((2, 4)), W_K=rng.standard_normal((2, 4)), W_V=rng.standard_normal((4, 4))
         )
-        w = attention_weights(head, rng.standard_normal((4, 5)))
+        (w,) = attention_weights(head, rng.standard_normal((4, 5)))
         np.testing.assert_allclose(w, np.full(5, 0.2))
 
     def test_single_position(self, rng):
-        head = AttentionHeadParams(
+        head = one_head(
             W_Q=rng.standard_normal((2, 4)),
             W_K=rng.standard_normal((2, 4)),
             W_V=rng.standard_normal((4, 4)),
         )
-        np.testing.assert_array_equal(attention_weights(head, rng.standard_normal((4, 1))), [1.0])
+        np.testing.assert_array_equal(attention_weights(head, rng.standard_normal((4, 1))), [[1.0]])
 
     def test_saturates_on_dominant_logit(self):
-        head = AttentionHeadParams(W_Q=np.eye(2), W_K=np.eye(2), W_V=np.eye(2))
+        head = one_head(W_Q=np.eye(2), W_K=np.eye(2), W_V=np.eye(2))
         sig = np.array([[10.0, 0.0, 10.0], [0.0, 0.0, 0.0]])
-        w = attention_weights(head, sig)
+        (w,) = attention_weights(head, sig)
         assert 1.0 - (w[0] + w[2]) <= 1e-20
         assert w[1] <= 1e-20
 
     def test_probability_vector(self, rng):
         for _ in range(50):
-            head = AttentionHeadParams(
+            head = one_head(
                 W_Q=rng.standard_normal((3, 6)),
                 W_K=rng.standard_normal((3, 6)),
                 W_V=rng.standard_normal((6, 6)),
             )
-            w = attention_weights(head, rng.standard_normal((6, 4)))
+            (w,) = attention_weights(head, rng.standard_normal((6, 4)))
             assert w.min() >= 0.0
             assert abs(w.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_block_names_its_position(self, rng, bad):
+        params = random_layer_params(rng, 4, 2)
+        sig = rng.standard_normal((4, 3))
+        sig[2, 1] = bad
+        with pytest.raises(ValueError, match="input signal is not finite at position 2$"):
+            attention_weights(params, sig)
+
+    @pytest.mark.parametrize("n_head", [1, 2, 4])
+    def test_one_row_per_head(self, rng, n_head):
+        params = random_layer_params(rng, 8, n_head)
+        sig = rng.standard_normal((8, 5))
+        w = attention_weights(params, sig)
+        assert w.shape == (n_head, 5)
+        for h in range(n_head):
+            logits = (params.W_K[h] @ sig).T @ (params.W_Q[h] @ sig[:, -1]) / np.sqrt(8 // n_head)
+            expect = np.exp(logits - logits.max())
+            np.testing.assert_allclose(w[h], expect / expect.sum(), rtol=0, atol=1e-15)
 
 
 class TestHeadOutput:
     def test_constant_inputs_pass_through_value_matrix(self, rng):
-        head = AttentionHeadParams(
+        head = one_head(
             W_Q=rng.standard_normal((2, 4)),
             W_K=rng.standard_normal((2, 4)),
             W_V=rng.standard_normal((4, 4)),
         )
         col = rng.standard_normal(4)
         sig = np.tile(col[:, None], (1, 6))
-        np.testing.assert_allclose(head_output(head, sig), head.W_V @ col, atol=1e-12)
+        np.testing.assert_allclose(head_output(head, sig), head.W_V[0] @ col, atol=1e-12)
 
     def test_single_position_is_value_projection(self, rng):
-        head = AttentionHeadParams(
+        head = one_head(
             W_Q=rng.standard_normal((2, 4)),
             W_K=rng.standard_normal((2, 4)),
             W_V=rng.standard_normal((4, 4)),
         )
         col = rng.standard_normal((4, 1))
-        np.testing.assert_allclose(head_output(head, col), head.W_V @ col[:, 0])
+        np.testing.assert_allclose(head_output(head, col), head.W_V[0] @ col[:, 0])
 
     def test_prefix_permutation_invariance(self, rng):
-        head = AttentionHeadParams(
+        head = one_head(
             W_Q=rng.standard_normal((3, 6)),
             W_K=rng.standard_normal((3, 6)),
             W_V=rng.standard_normal((6, 6)),
@@ -206,8 +243,7 @@ class TestHeadOutput:
 class TestLayerForward:
     def test_uniform_attention_is_causal_running_mean(self, rng):
         d = 3
-        head = AttentionHeadParams(W_Q=np.zeros((d, d)), W_K=np.eye(d), W_V=np.eye(d))
-        params = bare_layer((head,), np.eye(d))
+        params = one_head(W_Q=np.zeros((d, d)), W_K=np.eye(d), W_V=np.eye(d))
         sig = rng.standard_normal((d, 5))
         out = layer_forward(params, sig)
         for t in range(1, 6):
@@ -232,6 +268,13 @@ class TestLayerForward:
                 diff = layer_forward(params, sig) - per_position_layer(params, sig)
                 assert np.max(np.abs(diff)) <= 1e-13
 
+    @pytest.mark.parametrize("n_head", [1, 2, 4, 8])
+    def test_stacked_heads_match_one_head_at_a_time_to_the_bit(self, rng, n_head):
+        params = random_layer_params(rng, 8, n_head)
+        for T in (1, 7, TILE + 1, 3 * TILE - 5):
+            sig = rng.standard_normal((8, T))
+            assert np.array_equal(layer_forward(params, sig), per_head_layer(params, sig))
+
     @pytest.mark.parametrize("start", [6 * TILE + 8, 6 * TILE], ids=["mid-tile", "tile-edge"])
     def test_causality_bit_exact_long_sequence(self, rng, start):
         params = random_layer_params(rng, 8, 2, misc=True)
@@ -251,7 +294,7 @@ class TestLayerForward:
             layer_forward(params, sig)
 
     def test_overflowing_value_projection_names_its_position(self):
-        params = bare_layer((AttentionHeadParams(W_Q=np.eye(2), W_K=np.eye(2), W_V=10.0 * np.eye(2)),), np.eye(2))
+        params = one_head(W_Q=np.eye(2), W_K=np.eye(2), W_V=10.0 * np.eye(2))
         sig = np.ones((2, 6))
         sig[1, 3] = 1e308
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="value projection is not finite at position 4$"):
@@ -260,8 +303,7 @@ class TestLayerForward:
     def test_overflowing_future_score_gets_zero_weight(self, rng):
         # position 4's key overflows every score it enters to inf; its value stays finite, and
         # positions 4..6, which see that key, come out NaN
-        head = AttentionHeadParams(W_Q=np.eye(2), W_K=np.eye(2), W_V=1e-10 * np.eye(2))
-        params = bare_layer((head,), np.eye(2))
+        params = one_head(W_Q=np.eye(2), W_K=np.eye(2), W_V=1e-10 * np.eye(2))
         sig = 1e10 * rng.random((2, 6))
         bumped = sig.copy()
         bumped[:, 3] = 1e300
@@ -290,36 +332,36 @@ class TestLayerForward:
 class TestParameterValidation:
     @pytest.mark.parametrize(
         "shapes, match",
-        [(((2, 4), (3, 4), (2, 4)), "must agree"), (((2, 4), (2, 4), (2, 3)), "input dimension")],
-        ids=["query-key", "value-input"],
+        [(((1, 2, 4), (1, 3, 4), (1, 4, 4)), "stack"), (((1, 4, 4), (1, 4, 4), (1, 4, 3)), "stack"),
+         (((2, 2, 4), (2, 2, 4), (1, 4, 4)), "stack"), (((2, 4), (2, 4), (4, 4)), "stack")],
+        ids=["query-key", "value-input", "head-count", "unstacked"],
     )
     def test_head_shapes_must_agree(self, shapes, match):
         W_Q, W_K, W_V = (np.zeros(shape) for shape in shapes)
         with pytest.raises(ValueError, match=match):
-            AttentionHeadParams(W_Q=W_Q, W_K=W_K, W_V=W_V)
+            bare_layer(W_Q, W_K, W_V, np.zeros((4, 4)))
 
     @pytest.mark.parametrize(
-        "d_Vs, W_O_shape, match",
-        [((), (4, 4), "at least one"), ((2, 2), (4, 2), "square"), ((2, 1), (4, 4), "share d_V"),
-         ((2,), (4, 4), "must equal d")],
-        ids=["no-heads", "nonsquare-W_O", "mixed-d_V", "short-concat"],
+        "n_head, d_V, d_in, W_O_shape, match",
+        [(0, 2, 4, (4, 4), "at least one"), (2, 2, 4, (4, 2), "square"), (1, 2, 4, (4, 4), "must equal d"),
+         (2, 2, 3, (4, 4), "inputs of dimension d = 4")],
+        ids=["no-heads", "nonsquare-W_O", "short-concat", "input-dimension"],
     )
-    def test_layer_shapes_must_agree(self, d_Vs, W_O_shape, match):
-        heads = tuple(AttentionHeadParams(W_Q=np.zeros((2, 4)), W_K=np.zeros((2, 4)), W_V=np.zeros((d_V, 4)))
-                      for d_V in d_Vs)
+    def test_layer_shapes_must_agree(self, n_head, d_V, d_in, W_O_shape, match):
         with pytest.raises(ValueError, match=match):
-            bare_layer(heads, np.zeros(W_O_shape))
+            bare_layer(np.zeros((n_head, 2, d_in)), np.zeros((n_head, 2, d_in)), np.zeros((n_head, d_V, d_in)),
+                       np.zeros(W_O_shape))
 
     def test_dimensions_read_from_parameters(self, rng):
         params = random_layer_params(rng, 8, 4)
         assert (params.d, params.n_head) == (8, 4)
-        assert all((head.d_K, head.d_V) == (2, 2) for head in params.heads)
+        assert params.W_Q.shape == params.W_K.shape == params.W_V.shape == (4, 2, 8)
 
-    @pytest.mark.parametrize("shape", [(4,), (4, 0)], ids=["vector", "no-columns"])
+    @pytest.mark.parametrize("shape", [(4,), (4, 0), (5, 3)], ids=["vector", "no-columns", "wrong-dimension"])
     def test_attention_weights_need_a_block(self, rng, shape):
-        head = random_layer_params(rng, 4, 1).heads[0]
+        params = random_layer_params(rng, 4, 1)
         with pytest.raises(ValueError, match="block"):
-            attention_weights(head, np.zeros(shape))
+            attention_weights(params, np.zeros(shape))
 
     def test_layer_input_dimension_must_match(self, rng):
         params = random_layer_params(rng, 4, 2)
@@ -394,6 +436,33 @@ class TestSimplifiedForm:
                 f = rng.standard_normal(8)
                 expect = per_position_bilinear(params, sig, t, f)
                 assert abs(simplified_form(params, sig, t, f) - expect) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_visible_block_names_its_position(self, rng, bad):
+        params = random_layer_params(rng, 4, 2)
+        sig = rng.standard_normal((4, 5))
+        sig[1, 2] = bad
+        with pytest.raises(ValueError, match="input signal is not finite at position 3$"):
+            simplified_form(params, sig, 4, rng.standard_normal(4))
+
+    def test_block_dimension_must_match(self, rng):
+        params = random_layer_params(rng, 4, 2)
+        with pytest.raises(ValueError, match=r"need a \(4, t\) block"):
+            simplified_form(params, rng.standard_normal((6, 3)), 2, np.ones(4))
+
+    def test_positions_after_t_are_not_read(self, rng):
+        params = random_layer_params(rng, 4, 2)
+        sig = rng.standard_normal((4, 5))
+        f = rng.standard_normal(4)
+        expect = simplified_form(params, sig, 3, f)
+        sig[:, 3:] = np.nan
+        assert simplified_form(params, sig, 3, f) == expect
+
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 4), (5,), ()], ids=["column", "row", "long", "scalar"])
+    def test_functional_must_be_a_d_vector(self, rng, shape):
+        params = random_layer_params(rng, 4, 2)
+        with pytest.raises(ValueError, match=r"functional f must have shape \(4,\)"):
+            simplified_form(params, rng.standard_normal((4, 3)), 2, np.ones(shape))
 
     def test_requires_misc_disabled(self, rng):
         params = random_layer_params(rng, 4, 2, misc=True)

@@ -166,9 +166,12 @@ class TestFixedpointCommand:
     @pytest.mark.parametrize("zero_convention", [[], ["--zero-convention"]])
     def test_rounding_level_negative_iterate_exits_0(self, runner, tmp_path, point_mass_model_file,
                                                      zero_convention):
-        # on path 0.0.1 the first iterate carries a -5.6e-17 entry, which is rounding, not negative mass
+        # on path 0.1.1 the map's first image, from iterate's uniform start, carries a -1.1e-16
+        # entry, which is rounding, not negative mass
+        raw, _ = fixedpoint.apply_N_path(point_mass_model(), np.full((3, 3), 1.0 / 3), (0, 1, 1))
+        assert -1e-15 < raw.min() < 0.0
         out = tmp_path / "fp"
-        res = runner.invoke(main, ["fixedpoint", "--model", str(point_mass_model_file), "--path", "0.0.1",
+        res = runner.invoke(main, ["fixedpoint", "--model", str(point_mass_model_file), "--path", "0.1.1",
                                    "--mode", "path", *zero_convention, "--out", str(out)])
         assert res.exit_code == 0, res.output
         trace = read_lines(out / "iteration_trace.csv")
@@ -216,6 +219,22 @@ class TestDualityCommand:
         assert res.exit_code == 0, res.output
         assert len(calls) == 3
 
+    def test_estimator_identity_rows_keep_a_nan(self, runner, model_file, tmp_path, monkeypatch):
+        # at each level t >= 1 the all-zeros prefix keeps its true error and every other prefix reads NaN
+        estimator_path = dual.estimator_path
+
+        def nan_after_first_prefix(model, traj, w, t):
+            val = estimator_path(model, traj, w, t)
+            return np.nan if any(w) else val
+
+        monkeypatch.setattr(dual, "estimator_path", nan_after_first_prefix)
+        out = tmp_path / "d"
+        res = runner.invoke(main, ["duality", "--model", str(model_file), "--draws", "1", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in read_lines(out / "diagnostics.csv")[2:]]
+        worst = {int(row[1]): float(row[3]) for row in rows if row[0] == "estimator_identity"}
+        assert worst[0] <= 1e-12
+        assert all(np.isnan(worst[t]) for t in (1, 2, 3))
 
     def test_over_budget_model_exits_2_before_any_draw_is_solved(self, runner, tmp_path, rng, monkeypatch):
         def refuse(*args, **kwargs):
@@ -403,7 +422,10 @@ class TestConfigResolution:
 
 
 class TestInvariantViolation:
-    """A check outside its tolerance writes its report, then exits 4; a shift by 1 stands in for a broken layer."""
+    """A check outside its tolerance writes its report, then exits 4.
+
+    A shift by 1, or by NaN, of the checked layer's output stands in for a broken layer.
+    """
 
     @pytest.mark.parametrize(
         "command, flags, target, report, failed",
@@ -414,28 +436,57 @@ class TestInvariantViolation:
              lambda doc: doc["adapted"]["pass"] is False),
             ("duality", [], (dual, "duality_report"), "duality_report.json", lambda doc: doc["pass"] is False),
             ("represent", [], (predictor, "evaluate"), "representation.json",
-             lambda doc: doc["reconstruction_error"] >= 1.0),
+             lambda doc: not doc["reconstruction_error"] < 1.0),
             ("attention-demo", [], (attention, "simplified_form"), "attention_report.json",
              lambda doc: doc["bilinear_equality_ok"] is False),
         ],
         ids=["fixedpoint-path", "fixedpoint-adapted", "duality", "represent", "attention-demo"],
     )
+    @pytest.mark.parametrize("shift", [1.0, np.nan], ids=["off-by-one", "nan"])
     def test_exits_4_after_writing_the_report(self, runner, model_file, tmp_path, monkeypatch,
-                                              command, flags, target, report, failed):
+                                              command, flags, target, report, failed, shift):
         module, name = target
         real = getattr(module, name)
 
-        def off_by_one(*args, **kwargs):
+        def shifted(*args, **kwargs):
             val = real(*args, **kwargs)
-            return {**val, "gap": val["gap"] + 1.0} if isinstance(val, dict) else val + 1.0
+            return {**val, "gap": val["gap"] + shift} if isinstance(val, dict) else val + shift
 
-        monkeypatch.setattr(module, name, off_by_one)
+        monkeypatch.setattr(module, name, shifted)
         out = tmp_path / "o"
         res = runner.invoke(main, [command, "--model", str(model_file), *flags, "--out", str(out)])
         assert res.exit_code == 4, res.output
         assert res.stderr.startswith("error: ") and "exceeds tolerance" in res.stderr, res.stderr
         assert failed(json.loads((out / report).read_text()))
         assert (out / "findings.json").exists() == (command == "fixedpoint")
+
+    @pytest.mark.parametrize(
+        "command, target, report, key",
+        [("duality", (dual, "duality_report"), "duality_report.json", "max_gap"),
+         ("attention-demo", (attention, "simplified_form"), "attention_report.json", "bilinear_equality_error")],
+        ids=["duality", "attention-demo"],
+    )
+    def test_nan_after_a_finite_value_is_kept(self, runner, model_file, tmp_path, monkeypatch,
+                                              command, target, report, key):
+        # Python's max keeps whichever of a number and NaN comes first, so a NaN after the first
+        # draw or position would vanish from the reported maximum
+        module, name = target
+        real = getattr(module, name)
+        calls = []
+
+        def nan_after_first(*args, **kwargs):
+            val = real(*args, **kwargs)
+            calls.append(name)
+            if len(calls) == 1:
+                return val
+            return {**val, "gap": np.nan} if isinstance(val, dict) else np.nan
+
+        monkeypatch.setattr(module, name, nan_after_first)
+        out = tmp_path / "o"
+        res = runner.invoke(main, [command, "--model", str(model_file), "--out", str(out)])
+        assert res.exit_code == 4, res.output
+        assert len(calls) >= 2
+        assert np.isnan(json.loads((out / report).read_text())[key])
 
 
 class TestDeterminism:

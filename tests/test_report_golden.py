@@ -44,6 +44,9 @@ SPARSE = {
 
 MODELS = {"dense.json": DENSE, "sparse.json": SPARSE}
 
+# Config files written beside the models; a case names one with --config.
+CONFIGS = {"heads4.json": {"attn_heads": 4}}
+
 # (case, argv without --out, exit code, {report: sha256})
 CASES = [
     ("oracle", ["oracle", "--model", "dense.json", "--path", "2.0.1"], 0, {
@@ -70,6 +73,13 @@ CASES = [
         "attention_report.json": "72692aedfd1746e199d96d857819d18eefb434227ccea8dda8db22264227e373",
         "layer_divergence.csv": "0b97b49100d97b6bc8183719744661c776125b9cfedd74c25366ba11c965d7f6",
         "layer_predictions.csv": "4ff695f5a976829dcae322af89d3ce4314fc45fe70c65024db8d9cd425bd3bca",
+    }),
+    # d_V = 2 per head: the layer's stacked head projections at a head count other than the default 2
+    ("attention-demo-heads4", ["attention-demo", "--model", "dense.json", "--config", "heads4.json",
+                               "--path", "0.2.1.1.0", "--seed", "3"], 0, {
+        "attention_report.json": "12fca2d18fd1c8cda798b87f7fc91c1bcad8d1e090a3f895e7397dda4f88cb30",
+        "layer_divergence.csv": "c86f495802ede467ee3968da5235b4f9f6d2c3dfef38be2e5d360c754a6900c9",
+        "layer_predictions.csv": "225350c74cff32edee141cba985a595440d945c0fb48bf4db9c224df37bc389c",
     }),
     ("represent-zero", ["represent", "--model", "sparse.json", "--z-query", "0", "--zero-convention"], 0, {
         "representation.json": "5803b5a8752b1b4626cf908952496f8172ac8209edc5477d249f566409c45e9c",
@@ -101,8 +111,8 @@ CASES = [
 
 def run_case(runner, argv):
     """Run one case in the current directory; returns (click result, {report: sha256})."""
-    for name, model in MODELS.items():
-        Path(name).write_text(json.dumps(model))
+    for name, doc in {**MODELS, **CONFIGS}.items():
+        Path(name).write_text(json.dumps(doc))
     out = Path("out")
     res = runner.invoke(main, [*argv, "--out", str(out)])
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
