@@ -15,7 +15,6 @@ _SOURCES = {
     "adapted": ("AdaptedProcess", "prefix_string", "prefixes"),
     "hmm": ("HmmModel", "decompose", "gamma_op", "token_basis"),
     "oracle": (
-        "EnumerationBudgetError",
         "ImpossibleObservationError",
         "exact_expectation",
         "filter_levels",

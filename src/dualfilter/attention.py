@@ -137,13 +137,19 @@ def attention_weights(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
 
     Row h is head h's probability vector; a NaN or inf in the block is a ValueError naming its position.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 2 or sigmas.shape[0] != params.d or sigmas.shape[1] < 1:
-        raise ValueError(f"need a ({params.d}, t) block with t >= 1, got shape {sigmas.shape}")
+    sigmas = _block(params, sigmas)
     _check_finite(sigmas, "input signal")
     q = params.W_Q @ sigmas[:, -1]
     logits = ((params.W_K @ sigmas).transpose(0, 2, 1) @ q[:, :, None])[:, :, 0]
     return _softmax(logits / np.sqrt(params.W_Q.shape[1]))
+
+
+def _block(params: LayerParams, sigmas) -> np.ndarray:
+    """sigmas as a float (d, t) block with t >= 1, the one input shape of the layer; else a ValueError."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 2 or sigmas.shape[0] != params.d or sigmas.shape[1] < 1:
+        raise ValueError(f"need a ({params.d}, t) block with t >= 1, got shape {sigmas.shape}")
+    return sigmas
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -195,10 +201,8 @@ def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
     reach an earlier output as 0 * inf, so a non-finite input column, or a
     value projection that overflows, is a ValueError naming its position.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
+    sigmas = _block(params, sigmas)
     d, T = sigmas.shape
-    if d != params.d:
-        raise ValueError(f"input dimension {d} does not match parameters ({params.d})")
     _check_finite(sigmas, "input signal")
     Q, K, V = params.W_Q @ sigmas, params.W_K @ sigmas, params.W_V @ sigmas
     _check_finite(V.reshape(d, T), "a head's value projection")
@@ -226,7 +230,7 @@ def simplified_form(params: LayerParams, sigmas: np.ndarray, t: int, f: np.ndarr
     """
     if params.misc:
         raise ValueError("the bilinear form describes the attention map alone; disable misc ops")
-    sigmas = np.asarray(sigmas, dtype=float)
+    sigmas = _block(params, sigmas)
     f = np.asarray(f, dtype=float)
     if f.shape != (params.d,):
         raise ValueError(f"functional f must have shape ({params.d},), got {f.shape}")

@@ -36,17 +36,20 @@ def step_law(A: np.ndarray, nu: np.ndarray, col: np.ndarray, rest: np.ndarray) -
     and the backward step y -> A y + c u is the one matrix M. G acts on a
     backward state (v, y) of length d+1 whose first entry carries the last
     step's control; the zero first column drops it, so G (v, y) =
-    (k . y, M y) = (u, next y) is the next state, in one product. In the
+    (k . y, M y) = (u, next y) is the next state, in one product. nu is read
+    as a conditional measure, divided by its mass unless that is 0. In the
     predictive probabilities p = nu(col) and q = nu(rest), 1 - nu(c)^2 =
     4 p q (Sigma_p at m = 1) and nu (c - nu(c)) = 2 nu (col - p) =
     -2 nu (rest - q), so k = -A^T (nu (col - p)) / (2 p q), or, when q < p,
     the equal A^T (nu (rest - q)) / (2 p q), so it never subtracts a p or q
-    near 1. Since A 1 = 1, k . 1 = 0 to a few eps: the constant function
-    rides through with zero control. The step is degenerate when
-    min(|p|, |q|) <= PRED_PROB_TOL, the adapted map's rule on the simplex
-    (see dual._control_operator; the absolute values keep signed measures
-    of mass 1 off that branch); then k = 0 and M is A.
+    near 1. Since A 1 = 1 and p + q = 1, k . 1 = 0 to a few eps whatever the
+    mass of nu: the constant function rides through with zero control. The
+    step is degenerate when min(|p|, |q|) <= PRED_PROB_TOL, the adapted map's
+    rule on the simplex (see dual._control_operator; the absolute values keep
+    signed measures off that branch, and the zero measure takes it); then
+    k = 0 and M is A.
     """
+    nu = nu / (float(nu.sum()) or 1.0)
     p, q = float(nu @ col), float(nu @ rest)
     G = np.zeros((len(nu) + 1, len(nu) + 1))
     G[1:, 1:] = A
@@ -116,10 +119,11 @@ def apply_N_path(model: HmmModel, rho: np.ndarray, z) -> tuple[np.ndarray, np.nd
     rho_plus_t(j) = mu(y_0) - sum_{s<t} u_s. Returns (rho_plus, in_domain)
     where in_domain[t-1] says whether rho_plus_t is a probability vector;
     leaving the domain is a flag, not an error. Mass is preserved to a few
-    eps per step: k . 1 = 0 up to rounding, so the constant function rides
-    through each M_s with zero control (see ``step_law``). The step laws
-    depend only on (rho, z), so they are built once and shared by all T*d
-    passes.
+    eps per step: each law reads rho_s divided by its mass, so k . 1 = 0 up
+    to rounding, the constant function rides through each M_s with zero
+    control (see ``step_law``), and a mass error in rho does not reach the
+    image. The step laws depend only on (rho, z), so they are built once
+    and shared by all T*d passes.
 
     The map is strictly causal: component t reads z_1..z_t and rho only at
     times before t (step s uses rho_s, and step 0 uses mu). So rho_T never
@@ -221,9 +225,11 @@ def iterate(
     measure at every time. Rounding-level negative entries read as 0
     (``drop_rounding_negatives``); iterates that leave the simplex beyond
     that are clipped at zero and renormalized (and flagged) so the
-    iteration is total. Under the zero convention, times
-    with an impossible observation prefix contribute a zero reference
-    column and drop out of the KL diagnostic.
+    iteration is total. The map adds no mass, so this projection is for
+    sparse models, whose near-degenerate steps amplify rounding, and starts
+    far from the filter. Under the zero convention, times with an
+    impossible observation prefix contribute a zero reference column and
+    drop out of the KL diagnostic.
     """
     z = validate_tokens(z, model.m)
     T = len(z)

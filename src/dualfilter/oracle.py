@@ -2,7 +2,7 @@
 
 Everything here is exact arithmetic over the finite joint path space; the
 rest of the package is validated against these routines. No sampling, no
-log-space: sizes are desk-scale by contract (the CLI's ``enum_budget``).
+log-space and no size check: the CLI's ``enum_budget`` keeps sizes desk-scale.
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ import numpy as np
 from .adapted import AdaptedProcess
 from .hmm import HmmModel, check_probability_vector, validate_tokens
 
-# Default cap on d^(T+1) * (m+1)^(T+1) for exhaustive expectations: (m+1) times
-# the d^(T+1) * (m+1)^T joint paths that exact_expectation walks.
-DEFAULT_ENUM_BUDGET = 10**7
-
-
 class ImpossibleObservationError(ValueError):
     """Raised when an observation prefix has probability zero."""
 
@@ -28,10 +23,6 @@ class ImpossibleObservationError(ValueError):
         super().__init__(
             f"impossible observation: prefix z_1..z_{t} = {self.prefix} has probability 0"
         )
-
-
-class EnumerationBudgetError(ValueError):
-    """Raised when an exhaustive enumeration would exceed the configured budget."""
 
 
 def forward_step(model: HmmModel, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,15 +139,6 @@ def path_probability(model: HmmModel, z) -> float:
     return float(p)
 
 
-def check_enum_budget(model: HmmModel, T: int, budget: int) -> None:
-    cost = model.d ** (T + 1) * (model.m + 1) ** (T + 1)
-    if cost > budget:
-        raise EnumerationBudgetError(
-            f"d^(T+1)*(m+1)^(T+1) = {cost} exceeds the enumeration budget {budget} "
-            f"((m+1) times the d^(T+1)*(m+1)^T joint paths walked); reduce T, d, or m"
-        )
-
-
 def exact_expectation(model: HmmModel, h, T: int | None = None) -> float:
     """E[h(X, Z)] by exhaustive enumeration of joint paths.
 
@@ -168,8 +150,9 @@ def exact_expectation(model: HmmModel, h, T: int | None = None) -> float:
     not called on them. It is the squared-error side of the duality identity,
     which checks the cost's forward contraction, and the tests' reference;
     tolerances assume exactness, so there is deliberately no sampling fallback.
-    The walk itself checks no size: ``check_enum_budget`` is the gate, and
-    the CLI runs it once, before any draw.
+    The walk itself checks no size: the CLI's ``duality`` checks its
+    ``enum_budget`` once, before any draw. ``T`` defaults to ``model.T``;
+    it stays an option because the benchmark's per-layer harness passes it.
 
     The weights of all d^(T+1) hidden paths of one z_path are built at once
     with numpy: d^(T+1) floats, which is the working memory beyond the
@@ -193,12 +176,11 @@ def exact_expectation(model: HmmModel, h, T: int | None = None) -> float:
     return float(total)
 
 
-def sample_path(model: HmmModel, rng: np.random.Generator, T: int | None = None) -> tuple[int, ...]:
-    """Draw one observation path z_1..z_T from the model (positive probability by construction)."""
-    T = model.T if T is None else int(T)
+def sample_path(model: HmmModel, rng: np.random.Generator) -> tuple[int, ...]:
+    """Draw one observation path z_1..z_T, T = model.T (positive probability by construction)."""
     x = rng.choice(model.d, p=model.mu)
     toks = []
-    for _ in range(T):
+    for _ in range(model.T):
         toks.append(int(rng.choice(model.m + 1, p=model.C[x])))
         x = rng.choice(model.d, p=model.A[x])
     return tuple(toks)

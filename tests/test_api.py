@@ -17,7 +17,6 @@ OPTIONS = [
     "oracle.filter_levels.zero_convention",
     "oracle.filter_process.zero_convention",
     "oracle.exact_expectation.T",
-    "oracle.sample_path.T",
     "predictor.represent_conditional.zero_convention",
     "dual.solve_optimal.laws",
     "fixedpoint.iterate.rho0",
@@ -59,7 +58,7 @@ def options(module_name):
 def test_the_option_list_is_closed():
     found = [name for module in MODULES for name in options(module)]
     assert sorted(found) == sorted(OPTIONS)
-    assert len(found) == len(set(found)) == 14
+    assert len(found) == len(set(found)) == 13
 
 
 def test_every_exported_name_resolves():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -365,8 +366,17 @@ class TestParameterValidation:
 
     def test_layer_input_dimension_must_match(self, rng):
         params = random_layer_params(rng, 4, 2)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match=r"need a \(4, t\) block with t >= 1, got shape \(6, 3\)$"):
             layer_forward(params, rng.standard_normal((6, 3)))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 0), (4, 3, 1)], ids=["vector", "no-columns", "three-axes"])
+    def test_layer_and_bilinear_form_need_the_same_block(self, rng, shape):
+        params = random_layer_params(rng, 4, 2)
+        text = rf"need a \(4, t\) block with t >= 1, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=text):
+            layer_forward(params, np.zeros(shape))
+        with pytest.raises(ValueError, match=text):
+            simplified_form(params, np.zeros(shape), 1, np.zeros(4))
 
     @pytest.mark.parametrize("t", [0, 4])
     def test_simplified_form_position_in_range(self, rng, t):

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from dualfilter import attention, dual, fixedpoint, predictor
 from dualfilter.cli import main
+from dualfilter.hmm import is_probability_vector
 
 from conftest import make_model, point_mass_model, random_model, uninformative_model
 
@@ -164,10 +165,18 @@ class TestFixedpointCommand:
         assert not (out / "findings.json").exists()
 
     @pytest.mark.parametrize("zero_convention", [[], ["--zero-convention"]])
-    def test_rounding_level_negative_iterate_exits_0(self, runner, tmp_path, point_mass_model_file,
+    def test_rounding_level_negative_iterate_exits_0(self, runner, tmp_path, point_mass_model_file, monkeypatch,
                                                      zero_convention):
-        # on path 0.1.1 the map's first image, from iterate's uniform start, carries a -1.1e-16
-        # entry, which is rounding, not negative mass
+        # every image of the map, from iterate's uniform start or from the filter, gets a -1.1e-16
+        # entry at time 1, state 3 (where the filter is 0), by construction: rounding, not negative mass
+        apply_N_path = fixedpoint.apply_N_path
+
+        def with_rounding_negative(model, rho, z):
+            image, _ = apply_N_path(model, rho, z)
+            image[0, 2] = -(2.0**-53)
+            return image, is_probability_vector(image)
+
+        monkeypatch.setattr(fixedpoint, "apply_N_path", with_rounding_negative)
         raw, _ = fixedpoint.apply_N_path(point_mass_model(), np.full((3, 3), 1.0 / 3), (0, 1, 1))
         assert -1e-15 < raw.min() < 0.0
         out = tmp_path / "fp"
@@ -230,11 +239,25 @@ class TestDualityCommand:
         monkeypatch.setattr(dual, "estimator_path", nan_after_first_prefix)
         out = tmp_path / "d"
         res = runner.invoke(main, ["duality", "--model", str(model_file), "--draws", "1", "--out", str(out)])
-        assert res.exit_code == 0, res.output
+        assert res.exit_code == 4, res.output
+        assert res.stderr == "error: diagnostics residual nan exceeds tolerance 1.0e-09\n"
+        assert json.loads((out / "duality_report.json").read_text())["pass"] is False
         rows = [line.split(",") for line in read_lines(out / "diagnostics.csv")[2:]]
         worst = {int(row[1]): float(row[3]) for row in rows if row[0] == "estimator_identity"}
         assert worst[0] <= 1e-12
         assert all(np.isnan(worst[t]) for t in (1, 2, 3))
+
+    def test_a_finite_estimator_identity_miss_exits_4(self, runner, model_file, tmp_path, monkeypatch):
+        # the duality gap stays within tolerance; only the estimator-identity rows miss
+        estimator_path = dual.estimator_path
+        monkeypatch.setattr(dual, "estimator_path", lambda *args: estimator_path(*args) + 1e-6)
+        out = tmp_path / "d"
+        res = runner.invoke(main, ["duality", "--model", str(model_file), "--draws", "1", "--out", str(out)])
+        assert res.exit_code == 4, res.output
+        assert res.stderr.startswith("error: diagnostics residual 1.000e-06 exceeds tolerance 1.0e-09")
+        assert len(res.stderr.splitlines()) == 1
+        report = json.loads((out / "duality_report.json").read_text())
+        assert report["max_gap"] <= 1e-9 and report["pass"] is False
 
     def test_over_budget_model_exits_2_before_any_draw_is_solved(self, runner, tmp_path, rng, monkeypatch):
         def refuse(*args, **kwargs):
@@ -269,6 +292,25 @@ class TestDualityCommand:
         if code == 2:
             assert res.stderr == ("error: d^(T+1)*(m+1)^(T+1) = 64 exceeds the enumeration budget 63 ((m+1) times "
                                   "the d^(T+1)*(m+1)^T joint paths walked); reduce T, d, or m\n")
+
+    @pytest.mark.parametrize("d, m, T, cost", [(2, 1, 2, 64), (3, 1, 1, 36), (2, 2, 3, 1296), (4, 2, 6, 35831808)])
+    def test_budget_admits_its_cost_and_rejects_one_less(self, runner, tmp_path, rng, monkeypatch, d, m, T, cost):
+        # the first solve marks the gate as passed and stops the run there
+        def reached(*args, **kwargs):
+            raise ValueError("past the gate")
+
+        monkeypatch.setattr(dual, "solve_bsde", reached)
+        path = tmp_path / "model.json"
+        path.write_text(random_model(rng, d, m, T).to_json())
+        for budget, stderr in ((cost, "error: past the gate\n"),
+                               (cost - 1, f"error: d^(T+1)*(m+1)^(T+1) = {cost} exceeds the enumeration budget "
+                                          f"{cost - 1} ((m+1) times the d^(T+1)*(m+1)^T joint paths walked); "
+                                          f"reduce T, d, or m\n")):
+            cfg = tmp_path / f"cfg{budget}.json"
+            cfg.write_text(json.dumps({"model_path": str(path), "enum_budget": budget}))
+            res = runner.invoke(main, ["duality", "--config", str(cfg), "--out", str(tmp_path / "d")])
+            assert res.exit_code == 2
+            assert res.stderr == stderr
 
 
 class TestRepresentCommand:

@@ -225,7 +225,8 @@ class TestApplyNPath:
 def bde_solve_per_call(model, rho, z, t, f):
     """The backward pass with the closed-loop law recomputed at every step, for comparison.
 
-    The predictive probabilities p = nu(C(., z)) and q = nu(rest), the gain
+    nu is divided by its mass unless that is 0. The predictive
+    probabilities p = nu(C(., z)) and q = nu(rest), the gain
     k in whichever difference is taken away from 1, and the transition
     M = A + c k^T are rebuilt at each step; a step with min(|p|, |q|) at or
     below PRED_PROB_TOL has gain 0 and transition A. Each step takes the
@@ -237,6 +238,7 @@ def bde_solve_per_call(model, rho, z, t, f):
     for s in range(t - 1, -1, -1):
         col, rest = token_columns(model, z[s])
         nu = model.mu if s == 0 else rho[s - 1]
+        nu = nu / (float(nu.sum()) or 1.0)
         p, q = float(nu @ col), float(nu @ rest)
         if min(abs(p), abs(q)) <= PRED_PROB_TOL:
             k, M = np.zeros(model.d), model.A
@@ -859,6 +861,18 @@ class TestIterate:
         trace = iterate(model, (0, 0), K=3, zero_convention=True)
         assert np.all(np.isfinite(trace.residuals))
         assert np.all(np.isfinite(trace.kl_per_iter))
+
+    def test_positive_model_stays_in_the_domain_without_projection(self):
+        # the map reads each rho_s as a conditional measure, so rounding-level mass errors are not
+        # amplified from layer to layer; a map that read p and q off the raw row left the simplex
+        # and needed projection at layer 10 on this model and path
+        rng = np.random.default_rng(0)
+        model = make_model(rng.dirichlet(5 * np.ones(4)), rng.dirichlet(5 * np.ones(4), size=4),
+                           rng.dirichlet(5 * np.ones(2), size=4), 80)
+        z = rng.integers(0, 2, 80)
+        trace = iterate(model, z, K=12)
+        assert trace.in_domain.all() and not trace.projected.any()
+        np.testing.assert_allclose(trace.iterates.sum(axis=2), 1.0, rtol=0.0, atol=1e-13)
 
 
 class TestKlDivergenceBar:

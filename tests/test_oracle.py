@@ -8,9 +8,7 @@ import pytest
 
 from dualfilter.adapted import prefixes
 from dualfilter.oracle import (
-    EnumerationBudgetError,
     ImpossibleObservationError,
-    check_enum_budget,
     exact_expectation,
     filter_levels,
     filter_process,
@@ -292,18 +290,6 @@ class TestExactExpectation:
         expect = (model.mu @ np.linalg.matrix_power(model.A, 2))[0]
         assert abs(val - expect) <= 1e-13
 
-    def test_budget_error(self, rng):
-        model = random_model(rng, 4, 2, 6)
-        with pytest.raises(EnumerationBudgetError, match="reduce"):
-            check_enum_budget(model, 6, 1000)
-
-    @pytest.mark.parametrize("d, m, T, cost", [(2, 1, 2, 64), (3, 1, 1, 36), (2, 2, 3, 1296), (4, 2, 6, 35831808)])
-    def test_budget_admits_its_cost_and_rejects_one_less(self, rng, d, m, T, cost):
-        model = random_model(rng, d, m, T)
-        check_enum_budget(model, T, cost)
-        with pytest.raises(EnumerationBudgetError) as err:
-            check_enum_budget(model, T, cost - 1)
-        assert str(err.value).startswith(f"d^(T+1)*(m+1)^(T+1) = {cost} exceeds the enumeration budget {cost - 1} ")
 
 
 def scalar_enumeration(model, h, T):

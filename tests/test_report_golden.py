@@ -6,9 +6,10 @@ with relative model paths, so the config hash in every report header is the
 same wherever the suite runs. A change that is meant to alter report bytes
 (a new report field, a different order of summation) re-records the hashes
 with ``PYTHONPATH=src python tests/test_report_golden.py``, which also lists
-under ``changed`` each report whose digest differs from CASES, and says why
-in CHANGES.md; the hashes assume numpy's float64 arithmetic and may need
-re-recording after a numpy upgrade that changes rounding.
+under ``changed`` each report whose digest differs from CASES, old beside
+new, and says why in CHANGES.md; the hashes assume numpy's float64
+arithmetic and may need re-recording after a numpy upgrade that changes
+rounding.
 """
 
 import hashlib
@@ -45,7 +46,7 @@ SPARSE = {
 MODELS = {"dense.json": DENSE, "sparse.json": SPARSE}
 
 # Config files written beside the models; a case names one with --config.
-CONFIGS = {"heads4.json": {"attn_heads": 4}}
+CONFIGS = {"heads4.json": {"attn_heads": 4}, "T9.json": {"T": 9}}
 
 # (case, argv without --out, exit code, {report: sha256})
 CASES = [
@@ -59,7 +60,7 @@ CASES = [
     }),
     ("fixedpoint-adapted", ["fixedpoint", "--model", "dense.json", "--mode", "adapted", "--path", "0.1.2",
                             "--iterations", "2"], 0, {
-        "iteration_trace.csv": "88ce8ceeaf90eb64ef9e31afb7b089fde7e6bee8432da52041b1b19bcb399a1b",
+        "iteration_trace.csv": "2ccef796393ac4b1cb4565ab9911d63b4f498918dba248a87bcdf72267446b9e",
         "residual_report.json": "1f88fe591b7c4b71d8808da6e203b3accbcbd24b07c09c6a33df8b133be5064c",
     }),
     ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
@@ -101,6 +102,11 @@ CASES = [
         "filter_trajectory.csv": "72c784184fe7eeb9fc38be1fb1c2824f214e54da969c457b712fe160bc13e774",
         "next_token_probs.csv": "11caee127ba1e50a209524a537d9a2cf412d3af30954b0edaa3973281ae0d2be",
     }),
+    # config T samples from the model at that horizon: the same draws as a model file with T = 9
+    ("oracle-sampled-T9", ["oracle", "--model", "dense.json", "--config", "T9.json", "--seed", "4"], 0, {
+        "filter_trajectory.csv": "52eedc34ab04d40de59ac1f4e3e4dbfa697b595756c7b8050536491e20b396b1",
+        "next_token_probs.csv": "1466a92b325449e9dcca1f5d006ed72459281853239fa1db16ec2344a46c36a6",
+    }),
     ("attention-demo-sampled", ["attention-demo", "--model", "dense.json", "--seed", "3"], 0, {
         "attention_report.json": "0331b0d4b824ea70122c6692a65ab29ba90319fb0b8b51523d50d5e899572b87",
         "layer_divergence.csv": "66c641bc193d7629f6c9fd7b9ecd3e239fb1c33c5b008485cd285e5bdcd2d490",
@@ -129,11 +135,12 @@ def test_report_bytes_match_golden(case, argv, code, want):
 
 
 if __name__ == "__main__":
-    # Re-record: print each case's exit code, digests, and the reports whose digest differs from CASES.
+    # Re-record: print each case's exit code, digests, and the old and new digest of each report that moved.
     runner = CliRunner()
     for case, argv, _, want in CASES:
         with runner.isolated_filesystem():
             res, got = run_case(runner, argv)
-        changed = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+        changed = {name: {"old": want.get(name), "new": got.get(name)}
+                   for name in sorted(got.keys() | want.keys()) if got.get(name) != want.get(name)}
         json.dump({"case": case, "exit": res.exit_code, "reports": got, "changed": changed}, sys.stdout)
         sys.stdout.write("\n")
