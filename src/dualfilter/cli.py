@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import functools
 import gc
-import hashlib
 import json
 import math
 import sys
@@ -30,6 +29,12 @@ from pathlib import Path
 
 import click
 import numpy as np
+
+# CPython's own SHA-256 (named _sha2 from 3.12); hashlib would load OpenSSL into every launch
+try:
+    from _sha2 import sha256
+except ImportError:
+    from _sha256 import sha256
 
 from . import __version__
 from .adapted import prefix_string
@@ -109,7 +114,7 @@ class ExperimentConfig:
         # output_dir is where the report lands, not part of what it says
         payload = {k: v for k, v in self.__dict__.items() if k != "output_dir"}
         blob = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return sha256(blob.encode()).hexdigest()[:12]
 
     def header(self) -> dict:
         return {"version": __version__, "seed": self.seed, "config_hash": self.hash()}
@@ -184,6 +189,7 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows):
+    """Write the header line, the column names and ``rows``, which may be any iterable of rows."""
     with path.open("w", newline="") as fh:
         fh.write(cfg.header_line() + "\n")
         writer = csv.writer(fh)
@@ -193,7 +199,9 @@ def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows):
 
 def _write_json(path: Path, cfg: ExperimentConfig, payload: dict):
     doc = {"header": cfg.header(), **payload}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with path.open("w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 pass_config_options = [
@@ -273,15 +281,15 @@ def cmd_oracle(cfg, model, generator, z):
         out / "filter_trajectory.csv",
         cfg,
         ["t", "x", "pi"],
-        [[t, x, repr(pi)] for t, row in enumerate(pis.tolist(), start=1) for x, pi in enumerate(row, start=1)],
+        ((t, x, repr(pi)) for t, row in enumerate(pis.tolist(), start=1) for x, pi in enumerate(row, start=1)),
     )
     possible = np.flatnonzero(pis.sum(axis=1) != 0.0)
     probs = next_token_prob(model, pis[possible])
-    prob_rows = [
-        [t + 1, tok, repr(p)]
+    prob_rows = (
+        (t + 1, tok, repr(p))
         for t, row in zip(possible.tolist(), probs.tolist())
         for tok, p in enumerate(row)
-    ]
+    )
     _write_csv(out / "next_token_probs.csv", cfg, ["t", "z", "prob"], prob_rows)
     click.echo(f"wrote filter trajectory for path {prefix_string(z)} to {out}")
 
@@ -309,13 +317,13 @@ def cmd_fixedpoint(cfg, model, generator, z, mode):
     residual = fixed_point_residual(image, rho)
     trace = iterate(model, z, K=cfg.K, zero_convention=cfg.zero_convention)
 
-    rows = [
-        [k, t, repr(residual), repr(kl), int(flag)]
+    rows = (
+        (k, t, repr(residual), repr(kl), int(flag))
         for k, (residual, kl, flags) in enumerate(
             zip(trace.residuals.tolist(), trace.kl_per_iter.tolist(), trace.in_domain.tolist()), start=1
         )
         for t, flag in enumerate(flags, start=1)
-    ]
+    )
     _write_csv(out / "iteration_trace.csv", cfg, ["iter", "t", "residual_tv", "kl_bar", "in_domain"], rows)
 
     ok = residual <= tol
@@ -462,12 +470,12 @@ def cmd_attention_demo(cfg, model, generator, z):
     tables = [predictions(emb, sig) for sig in layers]
 
     out = _out_dir(cfg)
-    rows = [
-        [ell, t, tok, repr(prob)]
+    rows = (
+        (ell, t, tok, repr(prob))
         for ell, table in enumerate(tables)
         for t, col in enumerate(table.T.tolist(), start=1)
         for tok, prob in enumerate(col)
-    ]
+    )
     _write_csv(out / "layer_predictions.csv", cfg, ["layer", "t", "z", "prob"], rows)
 
     final = tables[-1]
@@ -509,8 +517,8 @@ def run():
     collection of the cycles that importing numpy, click and the library
     built and exits sooner. ``atexit`` handlers and stdio flushing still
     run. Frozen cyclic garbage is never finalized, so every report must be
-    closed before ``main`` returns; each command closes its files through
-    ``with`` or ``write_text``.
+    closed before ``main`` returns; ``_write_csv`` and ``_write_json`` open
+    each report in a ``with`` block, so it is closed when they return.
     """
     try:
         main()

@@ -1,11 +1,13 @@
+import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dualfilter import attention, dual, fixedpoint, predictor
-from dualfilter.cli import main
+from dualfilter import attention, cli, dual, fixedpoint, predictor
+from dualfilter.cli import CONFIG_FIELDS, ExperimentConfig, main
 from dualfilter.hmm import is_probability_vector
 
 from conftest import make_model, point_mass_model, random_model, uninformative_model
@@ -461,6 +463,51 @@ class TestConfigResolution:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
         assert "Traceback" not in res.output
+
+
+class TestConfigHash:
+    """The header fingerprint is SHA-256 of the config without ``output_dir``, from CPython's own module."""
+
+    EVERY_FIELD = {
+        "model_path": "models/dense.json",
+        "seed": 7,
+        "T": 4,
+        "K": 3,
+        "draws": 5,
+        "enum_budget": 1000,
+        "zero_convention": True,
+        "output_dir": "elsewhere",
+        "tolerances": {"fixed_point": 1e-8, "duality": 1e-7, "representation": 1e-11, "eq8": 1e-10},
+        "attn_d": 4,
+        "attn_heads": 1,
+        "attn_layers": 2,
+        "attn_activation": "relu",
+    }
+
+    def test_every_field_case_sets_every_field_off_its_default(self):
+        default = ExperimentConfig()
+        assert set(self.EVERY_FIELD) == CONFIG_FIELDS
+        assert all(getattr(default, name) != val for name, val in self.EVERY_FIELD.items())
+
+    @pytest.mark.parametrize("values", [{}, EVERY_FIELD], ids=["default", "every-field"])
+    def test_hash_is_the_hashlib_digest_of_the_config(self, values):
+        cfg = ExperimentConfig(**values).validate()
+        payload = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "output_dir"}
+        blob = json.dumps(payload, sort_keys=True, default=str).encode()
+        assert cfg.hash() == hashlib.sha256(blob).hexdigest()[:12]
+
+    @pytest.mark.parametrize(
+        "message, digest",
+        [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"),
+        ],
+        ids=["empty", "abc", "two-block"],
+    )
+    def test_sha256_binding_meets_the_fips_180_4_vectors(self, message, digest):
+        assert cli.sha256(message).hexdigest() == digest
 
 
 class TestInvariantViolation:

@@ -47,12 +47,14 @@ def model_file(tmp_path, rng):
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["oracle", "--path", "0.1"], ["numpy.random", "dualfilter.dual", "dualfilter.fixedpoint",
-                                        "dualfilter.predictor", "dualfilter.attention"]),
-        (["represent"], ["numpy.random", "dualfilter.dual", "dualfilter.fixedpoint", "dualfilter.attention"]),
+        (["oracle", "--path", "0.1"], ["numpy.random", "_hashlib", "dualfilter.dual", "dualfilter.fixedpoint",
+                                       "dualfilter.predictor", "dualfilter.attention"]),
+        (["represent"], ["numpy.random", "_hashlib", "dualfilter.dual", "dualfilter.fixedpoint",
+                         "dualfilter.attention"]),
+        (["fixedpoint", "--mode", "adapted", "--path", "0.1"], ["numpy.random", "_hashlib", "dualfilter.attention"]),
         (["attention-demo", "--path", "0.1"], ["dualfilter.dual", "dualfilter.fixedpoint", "dualfilter.predictor"]),
     ],
-    ids=["oracle-path", "represent", "attention-demo-path"],
+    ids=["oracle-path", "represent", "fixedpoint-adapted-path", "attention-demo-path"],
 )
 def test_command_imports_only_what_it_runs(model_file, tmp_path, argv, absent):
     loaded = imported_modules(["-m", "dualfilter.cli", *argv, "--model", str(model_file), "--out", "out"], tmp_path)
