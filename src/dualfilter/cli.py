@@ -12,8 +12,9 @@ observation, 4 invariant violation.
 ``main`` is the click group; tests and in-process callers invoke it and
 keep a normal garbage collector. A launched process (``python -m
 dualfilter.cli`` or the ``dualfilter`` script) enters through ``run``,
-which freezes the collector once ``main`` has exited, so the interpreter's
-shutdown does not walk and free every cycle the imports built.
+which keeps OpenSSL from loading and freezes the collector once ``main``
+has exited, so the interpreter's shutdown does not walk and free every
+cycle the imports built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-# CPython's own SHA-256 (named _sha2 from 3.12); hashlib would load OpenSSL into every launch
+# CPython's own SHA-256 (named _sha2 from 3.12), not hashlib: this module is imported before
+# run() blocks _hashlib, and main called in-process never blocks it, so hashlib would load OpenSSL
 try:
     from _sha2 import sha256
 except ImportError:
@@ -510,8 +512,10 @@ def cmd_attention_demo(cfg, model, generator, z):
 
 
 def run():
-    """Process entry point: run ``main``, then freeze the garbage collector as the process's last act.
+    """Process entry point: block OpenSSL, run ``main``, then freeze the garbage collector as the process's last act.
 
+    ``run`` first marks ``_hashlib`` absent, so a launch that draws random
+    numbers never loads OpenSSL; ``main`` called in-process keeps it.
     ``main`` ends by raising SystemExit; the freeze moves every tracked
     object to the permanent generation, so interpreter shutdown skips the
     collection of the cycles that importing numpy, click and the library
@@ -520,6 +524,14 @@ def run():
     closed before ``main`` returns; ``_write_csv`` and ``_write_json`` open
     each report in a ``with`` block, so it is closed when they return.
     """
+    # numpy.random -> secrets -> hmac -> _hashlib would load libcrypto. A None entry makes
+    # `import _hashlib` fail, which hashlib and hmac handle as on a build without OpenSSL:
+    # they fall back to the built-in _sha*, _md5 and _blake2 modules and to
+    # _operator._compare_digest. numpy takes only secrets.randbits, which is
+    # SystemRandom().getrandbits over os.urandom, and every run seeds its generator with
+    # cfg.seed, so no draw changes; the config hash comes from _sha2/_sha256. setdefault
+    # leaves an _hashlib that is already loaded in place.
+    sys.modules.setdefault("_hashlib", None)
     try:
         main()
     finally:

@@ -6,8 +6,8 @@ scalar signal and the feedback law transcribed from their formulas, the
 backward equation swept and its residual taken node by node, the two
 costs of the dual problem (the control cost of a given control and the
 minimum mean-squared error), an estimator's squared error term by term,
-and the forward recursion and the per-path map in exact rational
-arithmetic.
+and the forward recursion, the per-path map and the minimum mean-squared
+error in exact rational arithmetic.
 """
 
 from fractions import Fraction
@@ -278,3 +278,20 @@ def mmse(model, F) -> float:
         return diff * diff
 
     return exact_expectation(model, h)
+
+
+def mmse_exact(model, F) -> Fraction:
+    """E|F(X_T) - pi_T(F)|^2 in ``Fraction`` arithmetic: the sum over every observation path z of P(z) Var_{pi_T}(F).
+
+    P(z) and pi_T come from ``forward_exact`` on the exact rationals of the
+    model's floats, and F's values are the exact rationals of its floats; an
+    impossible path adds 0. F is a (d,) vector or an adapted process whose
+    level T holds F at each path.
+    """
+    rows = [[Fraction(v) for v in row] for row in dual._terminal_level(F, model.d, model.m, model.T).tolist()]
+    total = Fraction(0)
+    for z, row in zip(prefixes(model.m, model.T), rows):
+        pis, prob = forward_exact(model, z)
+        mean = sum(p * f for p, f in zip(pis[-1], row))
+        total += prob * sum(p * (f - mean) ** 2 for p, f in zip(pis[-1], row))
+    return total

@@ -2,9 +2,12 @@
 
 Each case starts a fresh interpreter. The import cases run it with ``-X
 importtime``, which writes one line per imported module to stderr, and read
-the module names off it. The exit cases run ``python -m dualfilter.cli``,
-whose entry point freezes the garbage collector after ``main``, and check
-the exit-code contract, the reports and ``atexit`` on that path.
+the module names off it. The OpenSSL cases call the entry point ``run``
+from a ``-c`` script and read, at exit and from inside the process, what it
+holds: ``-X importtime`` would also list a blocked import attempt. The exit
+cases run ``python -m dualfilter.cli``, whose entry point freezes the
+garbage collector after ``main``, and check the exit-code contract, the
+reports and ``atexit`` on that path.
 """
 
 import json
@@ -79,6 +82,38 @@ def test_duality_loads_fixedpoint_which_it_does_not_run(model_file, tmp_path):
     assert "dualfilter.fixedpoint" in imported_modules(["-m", "dualfilter.cli", *argv], tmp_path)
 
 
+# At exit: is numpy.random loaded, is _hashlib absent, is libcrypto mapped, and hmac's
+# HMAC-SHA256 of the published test vector, computed after the other three are read.
+OPENSSL_PROBE = """\
+import atexit, json, os, sys
+
+def probe():
+    maps = open("/proc/self/maps").read() if os.path.exists("/proc/self/maps") else ""
+    state = ["numpy.random" in sys.modules, sys.modules.get("_hashlib") is None, "libcrypto" in maps]
+    import hmac
+    state.append(hmac.new(b"key", b"The quick brown fox jumps over the lazy dog", "sha256").hexdigest())
+    print(json.dumps(state))
+
+atexit.register(probe)
+from dualfilter.cli import run
+sys.argv = ["dualfilter", *sys.argv[1:]]
+run()
+"""
+
+HMAC_SHA256_VECTOR = "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["duality", "--draws", "1"], ["attention-demo", "--path", "0.1"], ["oracle"]],
+    ids=["duality", "attention-demo-path", "oracle-sampled"],
+)
+def test_drawing_launch_loads_numpy_random_but_not_openssl(model_file, tmp_path, argv):
+    proc = launch(["-c", OPENSSL_PROBE, *argv, "--model", str(model_file), "--out", "out"], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [True, True, False, HMAC_SHA256_VECTOR]
+
+
 def test_bare_package_import_loads_no_submodule(tmp_path):
     loaded = imported_modules(["-c", "import dualfilter"], tmp_path)
     assert "dualfilter" in loaded
@@ -106,15 +141,26 @@ def reports(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-def test_launched_run_exits_0_with_the_reports_of_an_in_process_run(model_file, tmp_path, monkeypatch):
-    args = ["oracle", "--model", str(model_file), "--path", "0.1", "--out", "out"]
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["oracle", "--path", "0.1"], "wrote filter trajectory for path 0.1 to out\n"),
+        (["attention-demo", "--seed", "3", "--path", "0.1.1"], None),
+        (["duality", "--draws", "1"], None),
+        (["oracle"], None),
+    ],
+    ids=["oracle-path", "attention-demo-seed3-path", "duality", "oracle-sampled"],
+)
+def test_launched_run_exits_0_with_the_reports_of_an_in_process_run(model_file, tmp_path, monkeypatch, argv, stdout):
+    """A launch, where ``run`` blocks OpenSSL, draws and writes the same as ``main`` in-process, which keeps it."""
+    args = [*argv, "--model", str(model_file), "--out", "out"]
     for sub in ("launched", "in-process"):
         (tmp_path / sub).mkdir()
     proc = launch(["-m", "dualfilter.cli", *args], tmp_path / "launched")
     monkeypatch.chdir(tmp_path / "in-process")
     res = CliRunner().invoke(main, args)
     assert (proc.returncode, res.exit_code) == (0, 0), proc.stderr
-    assert proc.stdout == res.stdout == "wrote filter trajectory for path 0.1 to out\n"
+    assert proc.stdout == res.stdout == (stdout or res.stdout)
     assert proc.stderr == ""
     assert reports(tmp_path / "launched" / "out") == reports(tmp_path / "in-process" / "out")
 
