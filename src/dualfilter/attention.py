@@ -2,12 +2,13 @@
 
 Sequences live as (d, T) matrices whose column t-1 is the signal at
 position t, and a layer's heads are stacked on the leading axis of its
-projections. Causality is structural. The projections and the misc ops act
-on each column alone, so each is one product on the whole (d, T) matrix,
-for all heads at once; the only step that mixes positions is the causal
-softmax. It runs on tiles of TILE query positions: one score product per
-tile for all heads, with the keys after each query masked to weight
-exactly zero, so position t still reads columns 1..t only. Memory is
+projections. Causality is structural. The projections and the tail a block
+adds after attention (residual, layernorm, feed-forward) act on each column
+alone, so each is one product on the whole (d, T) matrix, for all heads at
+once; the only step that mixes positions is the causal softmax. It runs on
+tiles of TILE query positions: one score product per tile for all heads,
+with the keys after each query masked to weight exactly zero, so position
+t still reads columns 1..t only. Memory is
 O(n_head TILE T + d T): no (T, T) score matrix is formed. No training, no
 dropout, no caching; this module exercises the layer map itself.
 """
@@ -90,7 +91,7 @@ class FeedForwardParams:
 
 @dataclass(frozen=True)
 class LayerParams:
-    """One layer's parameters; ``misc`` switches on the stabilization tail after attention.
+    """One block's parameters: the attention map's projections, then the tail's gamma, beta and ffn.
 
     The heads are stacked: W_Q and W_K are (n_head, d_K, d), W_V is
     (n_head, d_V, d) and head h feeds W_O's columns h*d_V .. (h+1)*d_V - 1.
@@ -103,7 +104,6 @@ class LayerParams:
     gamma: np.ndarray
     beta: np.ndarray
     ffn: FeedForwardParams
-    misc: bool = False
 
     def __post_init__(self):
         W_O = np.asarray(self.W_O, dtype=float)
@@ -188,12 +188,11 @@ def layer_norm(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
 
 
 def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
-    """One layer: causal multi-head attention, then the misc ops if ``params.misc``.
+    """The causal multi-head attention map: W_O times the stacked head outputs.
 
-    Misc order: residual add, layernorm, feed-forward with residual,
-    layernorm. Every output column depends only on input columns at or
-    before it, to the bit. Each projection is one product for all heads and
-    columns; then each tile of TILE query positions a..b-1 takes one
+    Every output column depends only on input columns at or before it, to
+    the bit. Each projection is one product for all heads and columns;
+    then each tile of TILE query positions a..b-1 takes one
     (n_head, b-a, b) score product with the keys of positions up to b, sets
     the scores of the keys after each query to -inf so they get weight
     exactly 0, and takes one softmax and one weighted sum of the value
@@ -214,28 +213,24 @@ def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
         scores /= scale
         np.copyto(scores[:, :, a:], -np.inf, where=_FUTURE[: b - a, : b - a])
         heads[:, :, a:b] = V[:, :, :b] @ _softmax(scores).transpose(0, 2, 1)
-    y = params.W_O @ heads.reshape(d, T)
-    if params.misc:
-        y = layer_norm(y + sigmas, params.gamma, params.beta)
-        y = layer_norm(y + params.ffn(y), params.gamma, params.beta)
-    return y
+    return params.W_O @ heads.reshape(d, T)
 
 
 def simplified_form(params: LayerParams, sigmas: np.ndarray, t: int, f: np.ndarray) -> float:
-    """Bilinear form sum_{s<=t} sigma_s . y_s(t) of the attention-only layer.
+    """Bilinear form sum_{s<=t} sigma_s . y_s(t) of the attention map.
 
     y_s(t) = sum_h alpha(s; t, h) (L_h)^T f with L_h the W_O block column
-    times W_V of head h, and f a (d,) vector. Equals f . (layer output at
-    position t) when the misc ops are disabled, which is required here.
+    times W_V of head h, and f a (d,) vector. Equals f . (layer_forward's
+    output at position t).
     """
-    if params.misc:
-        raise ValueError("the bilinear form describes the attention map alone; disable misc ops")
     sigmas = _block(params, sigmas)
     f = np.asarray(f, dtype=float)
     if f.shape != (params.d,):
         raise ValueError(f"functional f must have shape ({params.d},), got {f.shape}")
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise ValueError(f"position t must be an integer, got {t!r}")
     if not 1 <= t <= sigmas.shape[1]:
-        raise ValueError(f"position {t} outside 1..{sigmas.shape[1]}")
+        raise ValueError(f"position t = {t} outside 1..{sigmas.shape[1]}")
     block = sigmas[:, :t]
     L = params.W_O.reshape(params.d, *params.W_V.shape[:2]).transpose(1, 0, 2) @ params.W_V
     total = 0.0
@@ -244,37 +239,27 @@ def simplified_form(params: LayerParams, sigmas: np.ndarray, t: int, f: np.ndarr
     return total
 
 
-def unembed(emb: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Softmax over tokens of the logits sigma . emb(:, z).
-
-    sigma is one (d,) signal or a stack (..., d) of them; the softmax runs
-    along the last axis, one distribution per signal.
-    """
-    return _softmax(np.asarray(sigma, dtype=float) @ np.asarray(emb, dtype=float))
-
-
 def predictions(emb: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """(m+1, T) table of per-position next-token distributions."""
-    return unembed(emb, np.asarray(sigmas, dtype=float).T).T
+    """(m+1, T) table of next-token distributions: column t-1 is the softmax over z of sigma_t . emb(:, z)."""
+    return _softmax(np.asarray(sigmas, dtype=float).T @ np.asarray(emb, dtype=float)).T
 
 
 def layer_stack(params: LayerParams, sigmas: np.ndarray, n_layers: int) -> list[np.ndarray]:
-    """Repeat one layer n_layers times; returns [input, after layer 1, ...]."""
+    """Apply one block n_layers times; returns [input, after block 1, ...].
+
+    A block is layer_forward's attention map, then the tail: residual add,
+    layernorm, feed-forward with residual, layernorm.
+    """
     if n_layers < 1:
         raise ValueError(f"need n_layers >= 1, got {n_layers}")
     outs = [np.asarray(sigmas, dtype=float)]
     for _ in range(n_layers):
-        outs.append(layer_forward(params, outs[-1]))
+        y = layer_norm(layer_forward(params, outs[-1]) + outs[-1], params.gamma, params.beta)
+        outs.append(layer_norm(y + params.ffn(y), params.gamma, params.beta))
     return outs
 
 
-def random_layer_params(
-    rng: np.random.Generator,
-    d: int,
-    n_head: int,
-    activation: str = "gelu",
-    misc: bool = False,
-) -> LayerParams:
+def random_layer_params(rng: np.random.Generator, d: int, n_head: int, activation: str = "gelu") -> LayerParams:
     """Seeded Gaussian parameters scaled by 1/sqrt(d) for reproducible demos."""
     if d % n_head != 0:
         raise ValueError(f"n_head = {n_head} must divide d = {d}")
@@ -291,4 +276,4 @@ def random_layer_params(
         activation=activation,
     )
     W_O = scale * rng.standard_normal((d, d))
-    return LayerParams(W_Q, W_K, W_V, W_O, gamma=np.ones(d), beta=np.zeros(d), ffn=ffn, misc=misc)
+    return LayerParams(W_Q, W_K, W_V, W_O, gamma=np.ones(d), beta=np.zeros(d), ffn=ffn)

@@ -464,7 +464,7 @@ def cmd_attention_demo(cfg, model, generator, z):
 
     rng = generator()
     d = cfg.attn_d
-    params = random_layer_params(rng, d, cfg.attn_heads, activation=cfg.attn_activation, misc=True)
+    params = random_layer_params(rng, d, cfg.attn_heads, activation=cfg.attn_activation)
     emb = rng.standard_normal((d, model.m + 1)) / np.sqrt(d)
     pe = positional_encoding(d, len(z))
     sig0 = embed_sequence(emb, pe, z)
@@ -486,13 +486,12 @@ def cmd_attention_demo(cfg, model, generator, z):
     ]
     _write_csv(out / "layer_divergence.csv", cfg, ["layer", "kl_bar"], kl_rows)
 
-    # cross-path equality of the bilinear form against the plain layer, misc off
-    bare = random_layer_params(rng, d, cfg.attn_heads, activation=cfg.attn_activation)
+    # cross-path equality of the bilinear form against the attention map the stack applies
     sig = rng.standard_normal((d, len(z)))
-    bare_out = layer_forward(bare, sig)
+    attended = layer_forward(params, sig)
     tol = float(cfg.tolerances["eq8"])
     worst = float(np.max([
-        abs(float(f @ bare_out[:, t - 1]) - simplified_form(bare, sig, t, f))
+        abs(float(f @ attended[:, t - 1]) - simplified_form(params, sig, t, f))
         for t, f in enumerate(rng.standard_normal((len(z), d)), start=1)
     ]))
     ok = worst <= tol

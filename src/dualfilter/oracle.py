@@ -114,8 +114,8 @@ def kl_divergence_bar(p_final: np.ndarray, p_layer: np.ndarray) -> float:
     """
     p_final = np.asarray(p_final, dtype=float)
     p_layer = np.asarray(p_layer, dtype=float)
-    if p_final.shape != p_layer.shape or p_final.ndim != 2:
-        raise ValueError(f"shapes must match and be 2-d, got {p_final.shape} and {p_layer.shape}")
+    if p_final.shape != p_layer.shape or p_final.ndim != 2 or p_final.shape[1] == 0:
+        raise ValueError(f"shapes must match and be 2-d with T >= 1, got {p_final.shape} and {p_layer.shape}")
     support = p_final > 0.0
     if np.any(support & (p_layer <= 0.0)):
         return float("inf")

@@ -36,6 +36,18 @@ def sparse_model(rng, d, m, T, p_zero=0.4):
     return make_model(rows(1, d)[0], rows(d, d), rows(d, m + 1), T)
 
 
+def dyadic_simplex(rng, n, bits):
+    """A probability vector of n multiples of 2^-bits: its float entries sum to 1 exactly."""
+    cuts = np.sort(rng.integers(0, 2**bits + 1, n - 1))
+    return np.diff(np.concatenate([[0], cuts, [2**bits]])) / 2.0**bits
+
+
+def dyadic_model(rng, d, m, T, bits=20):
+    """mu and every row of A and C drawn by dyadic_simplex: exactly normalized, so identities hold exactly."""
+    return make_model(dyadic_simplex(rng, d, bits), [dyadic_simplex(rng, d, bits) for _ in range(d)],
+                      [dyadic_simplex(rng, m + 1, bits) for _ in range(d)], T)
+
+
 def point_mass_model():
     """d=3, m=1, T=3: every emission row is a point mass, so the risk tensor is zero."""
     return make_model([0.5, 0.5, 0.0], [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],

@@ -6,8 +6,9 @@ scalar signal and the feedback law transcribed from their formulas, the
 backward equation swept and its residual taken node by node, the two
 costs of the dual problem (the control cost of a given control and the
 minimum mean-squared error), an estimator's squared error term by term,
-and the forward recursion, the per-path map and the minimum mean-squared
-error in exact rational arithmetic.
+and, in exact rational arithmetic, the forward recursion, the per-path
+map, the minimum mean-squared error, the predictor weights and both sides
+of the duality identity for a given control.
 """
 
 from fractions import Fraction
@@ -295,3 +296,91 @@ def mmse_exact(model, F) -> Fraction:
         mean = sum(p * f for p, f in zip(pis[-1], row))
         total += prob * sum(p * (f - mean) ** 2 for p, f in zip(pis[-1], row))
     return total
+
+
+def build_weights_exact(target, m: int, T: int):
+    """build_weights in ``Fraction`` arithmetic on the exact rationals of the float target: (constant, levels).
+
+    Level t-1 of levels lists one row of m Fractions per prefix of length
+    t-1 in rank order, the weight -tilde of the split of its m+1 children's
+    values into mean + tilde . e(z).
+    """
+    level = [Fraction(v) for v in np.asarray(target, dtype=float).tolist()]
+    levels = [None] * T
+    for t in range(T, 0, -1):
+        rows = [level[r : r + m + 1] for r in range(0, len(level), m + 1)]
+        level = [sum(row) / (m + 1) for row in rows]
+        levels[t - 1] = [[mean - s for s in row[1:]] for row, mean in zip(rows, level)]
+    return level[0], levels
+
+
+def path_values_exact(constant, levels, m: int):
+    """constant - sum_t U_t(z_1..z_t) . e(z_{t+1}) on every path, in ``prefixes(m, T)`` order, as Fractions.
+
+    e(0) = -(e(1) + ... + e(m)), so the z = 0 term is minus the row's sum.
+    """
+    level = [Fraction(constant)]
+    for U in levels:
+        level = [v - (-sum(u) if z == 0 else u[z - 1]) for v, u in zip(level, U) for z in range(m + 1)]
+    return level
+
+
+def duality_exact(model, U, F):
+    """(J_T, mse) of the control U in ``Fraction`` arithmetic on the exact rationals of the floats.
+
+    The backward equation is swept node by node: the successor values
+    (A Y_{t+1})(prefix + z) split into mean + V e(z), W = mean + (c V) 1
+    and Y_t = W + c U_t. Both sides then sum over every joint path
+    (x_0..x_T, z_1..z_T) of weight mu(x_0) prod_t C(x_t, z_{t+1}) A(x_t, x_{t+1}):
+    J_T = Var_mu(Y_0) + E sum_t [Var(Y_{t+1}(X_{t+1}) | X_t) + Var(e(Z_{t+1}) . (U_t + V_t(X_t)) | X_t)],
+    each conditional variance taken from its law (a row of A, a row of C), and
+    mse = E (F(X_T) - S_T)^2 with S_T = mu(Y_0) - sum_t U_t . e(z_{t+1}).
+    Both are Fractions; the identity says they are equal.
+    """
+    d, m, T = model.d, model.m, model.T
+    mu, A, C = ([Fraction(v) for v in np.ravel(arr).tolist()] for arr in (model.mu, model.A, model.C))
+    A, C = [A[x * d : (x + 1) * d] for x in range(d)], [C[x * (m + 1) : (x + 1) * (m + 1)] for x in range(d)]
+    c = [[C[x][i] - C[x][0] for i in range(1, m + 1)] for x in range(d)]
+    Uf = [[[Fraction(v) for v in row] for row in U.levels[t].tolist()] for t in range(T)]
+    Y = [None] * T + [[[Fraction(v) for v in row] for row in dual._terminal_level(F, d, m, T).tolist()]]
+    V = [None] * T
+    for t in range(T - 1, -1, -1):
+        Y[t], V[t] = [], []
+        for r, u in enumerate(Uf[t]):
+            AY = [[sum(a * y for a, y in zip(A[x], Y[t + 1][r * (m + 1) + z])) for x in range(d)] for z in range(m + 1)]
+            mean = [sum(AY[z][x] for z in range(m + 1)) / (m + 1) for x in range(d)]
+            v = [[AY[i][x] - mean[x] for i in range(1, m + 1)] for x in range(d)]
+            w = [mean[x] + sum(ci * vi for ci, vi in zip(c[x], v[x])) for x in range(d)]
+            Y[t].append([w[x] + sum(ci * ui for ci, ui in zip(c[x], u)) for x in range(d)])
+            V[t].append(v)
+
+    def var(law, values):
+        first = sum(p * f for p, f in zip(law, values))
+        return sum(p * f * f for p, f in zip(law, values)) - first * first
+
+    def e_dot(s, z):
+        return -sum(s) if z == 0 else s[z - 1]
+
+    def node_costs(t, r, z):
+        # the running cost at the node z_1..z_{t+1}, child z of row r of level t, as a list over x_t
+        child = Y[t + 1][r * (m + 1) + z]
+        risk = [[e_dot([ui + vi for ui, vi in zip(Uf[t][r], V[t][r][x])], k) for k in range(m + 1)] for x in range(d)]
+        return [var(A[x], child) + var(C[x], risk[x]) for x in range(d)]
+
+    # costs[t][rank of z_1..z_{t+1}], steps[z][x][y] = C(x, z) A(x, y)
+    costs = [[node_costs(t, r, z) for r in range((m + 1) ** t) for z in range(m + 1)] for t in range(T)]
+    steps = [[[C[x][z] * a for a in A[x]] for x in range(d)] for z in range(m + 1)]
+    y0 = Y[0][0]
+    J, mse = var(mu, y0), Fraction(0)
+    for z_path in product(range(m + 1), repeat=T):
+        ranks = [prefix_rank(z_path[:t], m) for t in range(T + 1)]
+        path_costs = [costs[t][ranks[t + 1]] for t in range(T)]
+        estimate = sum(p * y for p, y in zip(mu, y0)) - sum(e_dot(Uf[t][ranks[t]], z) for t, z in enumerate(z_path))
+        squares = [(f - estimate) ** 2 for f in Y[T][ranks[T]]]
+        for x_path in product(range(d), repeat=T + 1):
+            weight = mu[x_path[0]]
+            for t, z in enumerate(z_path):
+                weight *= steps[z][x_path[t]][x_path[t + 1]]
+            J += weight * sum(cost[x] for cost, x in zip(path_costs, x_path))
+            mse += weight * squares[x_path[-1]]
+    return J, mse

@@ -285,7 +285,7 @@ def test_criterion_09_kl_metric():
     # demo outputs: seeded stack, divergence of each layer against the last
     from dualfilter.attention import embed_sequence, layer_stack, positional_encoding, predictions
 
-    params = random_layer_params(rng, 8, 2, misc=True)
+    params = random_layer_params(rng, 8, 2)
     emb = rng.standard_normal((8, 3)) / np.sqrt(8)
     pe = positional_encoding(8, 6)
     sig0 = embed_sequence(emb, pe, tuple(int(t) for t in rng.integers(0, 3, size=6)))

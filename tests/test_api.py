@@ -23,9 +23,7 @@ OPTIONS = [
     "fixedpoint.iterate.K",
     "fixedpoint.iterate.zero_convention",
     "attention.FeedForwardParams.activation",
-    "attention.LayerParams.misc",
     "attention.random_layer_params.activation",
-    "attention.random_layer_params.misc",
 ]
 
 
@@ -58,7 +56,7 @@ def options(module_name):
 def test_the_option_list_is_closed():
     found = [name for module in MODULES for name in options(module)]
     assert sorted(found) == sorted(OPTIONS)
-    assert len(found) == len(set(found)) == 13
+    assert len(found) == len(set(found)) == 11
 
 
 def test_every_exported_name_resolves():

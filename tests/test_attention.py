@@ -19,12 +19,11 @@ from dualfilter.attention import (
     predictions,
     random_layer_params,
     simplified_form,
-    unembed,
 )
 
 
-def per_position_layer(params, sigmas):
-    """layer_forward written as one full layer evaluation per position on columns 1..t."""
+def per_position_layer(params, sigmas, tail):
+    """The attention map, then the block's tail if tail, as one full evaluation per position on columns 1..t."""
 
     def norm(y):
         mean = y.mean()
@@ -53,7 +52,7 @@ def per_position_layer(params, sigmas):
             w = np.exp(logits - logits.max())
             heads.append(W_V @ (block @ (w / w.sum())))
         y = params.W_O @ np.concatenate(heads)
-        if params.misc:
+        if tail:
             y = norm(y + sigmas[:, t - 1])
             y = norm(y + ffn(y))
         out[:, t - 1] = y
@@ -90,7 +89,7 @@ def per_position_bilinear(params, sigmas, t, f):
 
 
 def bare_layer(W_Q, W_K, W_V, W_O):
-    """Attention-only parameters from stacked projections; the feed-forward block is zero, as the misc ops are off."""
+    """Attention parameters from stacked projections; the tail gets an identity layernorm and a zero feed-forward."""
     d = W_O.shape[0]
     ffn = FeedForwardParams(W1=np.zeros((d, d)), b1=np.zeros(d), W2=np.zeros((d, d)), b2=np.zeros(d))
     return LayerParams(W_Q=W_Q, W_K=W_K, W_V=W_V, W_O=W_O, gamma=np.ones(d), beta=np.zeros(d), ffn=ffn)
@@ -251,23 +250,23 @@ class TestLayerForward:
             np.testing.assert_allclose(out[:, t - 1], sig[:, :t].mean(axis=1), atol=1e-12)
 
     def test_causality_bit_exact(self, rng):
-        params = random_layer_params(rng, 8, 2, misc=True)
+        params = random_layer_params(rng, 8, 2)
         sig = rng.standard_normal((8, 6))
-        out_a = layer_forward(params, sig)
+        out_a = layer_stack(params, sig, 1)[1]
         bumped = sig.copy()
         bumped[:, 4:] = rng.standard_normal((8, 2))
-        out_b = layer_forward(params, bumped)
+        out_b = layer_stack(params, bumped, 1)[1]
         assert np.array_equal(out_a[:, :4], out_b[:, :4])
 
-    @pytest.mark.parametrize("misc", [False, True], ids=["---", "RLF"])
+    @pytest.mark.parametrize("tail", [False, True], ids=["---", "RLF"])
     @pytest.mark.parametrize("activation", ["gelu", "tanh", "relu"])
-    def test_matches_per_position_evaluation(self, rng, misc, activation):
+    def test_matches_per_position_evaluation(self, rng, tail, activation):
         for n_head in (1, 2, 4):
-            params = random_layer_params(rng, 8, n_head, activation=activation, misc=misc)
+            params = random_layer_params(rng, 8, n_head, activation=activation)
             for T in (1, 7, TILE - 1, TILE, TILE + 1, 64, 2 * TILE + 1):
                 sig = rng.standard_normal((8, T))
-                diff = layer_forward(params, sig) - per_position_layer(params, sig)
-                assert np.max(np.abs(diff)) <= 1e-13
+                out = layer_stack(params, sig, 1)[1] if tail else layer_forward(params, sig)
+                assert np.max(np.abs(out - per_position_layer(params, sig, tail))) <= 1e-13
 
     @pytest.mark.parametrize("n_head", [1, 2, 4, 8])
     def test_stacked_heads_match_one_head_at_a_time_to_the_bit(self, rng, n_head):
@@ -278,16 +277,17 @@ class TestLayerForward:
 
     @pytest.mark.parametrize("start", [6 * TILE + 8, 6 * TILE], ids=["mid-tile", "tile-edge"])
     def test_causality_bit_exact_long_sequence(self, rng, start):
-        params = random_layer_params(rng, 8, 2, misc=True)
+        params = random_layer_params(rng, 8, 2)
         sig = rng.standard_normal((8, 300))
         bumped = sig.copy()
         bumped[:, start:] = rng.standard_normal((8, 300 - start))
-        assert np.array_equal(layer_forward(params, sig)[:, :start], layer_forward(params, bumped)[:, :start])
+        block_a, block_b = (layer_stack(params, s, 1)[1] for s in (sig, bumped))
+        assert np.array_equal(block_a[:, :start], block_b[:, :start])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_input_names_its_position(self, rng, bad):
         # one tile holds positions 1..TILE: a NaN or inf at position 5 would reach positions 1..4
-        params = random_layer_params(rng, 8, 2, misc=True)
+        params = random_layer_params(rng, 8, 2)
         sig = rng.standard_normal((8, TILE))
         sig[3, 4] = bad
         sig[0, 9] = bad
@@ -315,7 +315,7 @@ class TestLayerForward:
 
     def test_memory_is_linear_in_length(self, rng):
         # one (T, T) float64 array at T = 1000 would take 7.6 MiB
-        params = random_layer_params(rng, 8, 2, misc=True)
+        params = random_layer_params(rng, 8, 2)
         sig = rng.standard_normal((8, 1000))
         tracemalloc.start()
         try:
@@ -383,6 +383,17 @@ class TestParameterValidation:
         params = random_layer_params(rng, 4, 2)
         with pytest.raises(ValueError, match="outside"):
             simplified_form(params, rng.standard_normal((4, 3)), t, np.zeros(4))
+
+    @pytest.mark.parametrize("t", [2.5, 2.0, True, "2", None], ids=["fraction", "whole-float", "bool", "str", "none"])
+    def test_simplified_form_position_must_be_an_integer(self, rng, t):
+        params = random_layer_params(rng, 4, 2)
+        with pytest.raises(ValueError, match=rf"position t must be an integer, got {re.escape(repr(t))}$"):
+            simplified_form(params, rng.standard_normal((4, 3)), t, np.zeros(4))
+
+    def test_simplified_form_takes_a_numpy_integer_position(self, rng):
+        params = random_layer_params(rng, 4, 2)
+        sig, f = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        assert simplified_form(params, sig, np.int64(2), f) == simplified_form(params, sig, 2, f)
 
 
 class TestLayerNorm:
@@ -474,24 +485,19 @@ class TestSimplifiedForm:
         with pytest.raises(ValueError, match=r"functional f must have shape \(4,\)"):
             simplified_form(params, rng.standard_normal((4, 3)), 2, np.ones(shape))
 
-    def test_requires_misc_disabled(self, rng):
-        params = random_layer_params(rng, 4, 2, misc=True)
-        with pytest.raises(ValueError, match="disable"):
-            simplified_form(params, rng.standard_normal((4, 3)), 1, np.zeros(4))
 
-
-class TestUnembed:
+class TestPredictions:
     def test_zero_signal_is_uniform(self, rng):
         emb = rng.standard_normal((4, 3))
-        np.testing.assert_allclose(unembed(emb, np.zeros(4)), np.full(3, 1 / 3))
+        np.testing.assert_allclose(predictions(emb, np.zeros((4, 2))), np.full((3, 2), 1 / 3))
 
     def test_logit_shift_invariance(self, rng):
-        # adding a constant direction to every embedding column shifts all logits equally
+        # adding a constant direction to every embedding column shifts each position's logits equally
         emb = rng.standard_normal((4, 3))
-        sigma = rng.standard_normal(4)
+        sigmas = rng.standard_normal((4, 5))
         shift = rng.standard_normal(4)
         shifted = emb + np.tile(shift[:, None], (1, 3))
-        np.testing.assert_allclose(unembed(emb, sigma), unembed(shifted, sigma), atol=1e-12)
+        np.testing.assert_allclose(predictions(emb, sigmas), predictions(shifted, sigmas), atol=1e-12)
 
     def test_recovers_filtered_mixture_on_constructed_instance(self):
         # two states, binary tokens: embedding columns are the elementwise logs of
@@ -501,15 +507,15 @@ class TestUnembed:
         p = pi @ C
         emb = np.log(C)  # (d, m+1) with emb[x, z] = ln C(x, z)
         sigma1 = (np.log(p[1]) - np.log(p[0])) / (np.log(C[0, 1]) - np.log(C[0, 0]))
-        sigma = np.array([sigma1, 0.0])
-        np.testing.assert_allclose(unembed(emb, sigma), p, atol=1e-12)
+        sigma = np.array([[sigma1], [0.0]])  # one position
+        np.testing.assert_allclose(predictions(emb, sigma), p[:, None], atol=1e-12)
 
-    def test_stacked_signals_give_one_distribution_each(self, rng):
+    def test_each_position_gives_its_own_distribution(self, rng):
         emb = rng.standard_normal((4, 3))
-        sigmas = 5.0 * rng.standard_normal((6, 4))
-        table = unembed(emb, sigmas)
-        for row, sigma in zip(table, sigmas):
-            np.testing.assert_allclose(row, unembed(emb, sigma), rtol=0, atol=1e-15)
+        sigmas = 5.0 * rng.standard_normal((4, 6))
+        table = predictions(emb, sigmas)
+        for t in range(6):
+            np.testing.assert_allclose(table[:, t], predictions(emb, sigmas[:, [t]])[:, 0], rtol=0, atol=1e-15)
 
     def test_predictions_table_shape_and_columns(self, rng):
         emb = rng.standard_normal((4, 3))
@@ -556,7 +562,7 @@ class TestFeedForward:
 
 class TestLayerStack:
     def test_returns_input_and_each_layer(self, rng):
-        params = random_layer_params(rng, 4, 2, misc=True)
+        params = random_layer_params(rng, 4, 2)
         sig = rng.standard_normal((4, 3))
         outs = layer_stack(params, sig, 3)
         assert len(outs) == 4

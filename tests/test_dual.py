@@ -22,6 +22,7 @@ from dualfilter.hmm import obs_matrix, risk_tensor, token_basis
 from dualfilter.oracle import exact_expectation, filter_process, forward_filter, path_probability
 from dualfilter.predictor import PredictorRepresentation, build_weights, path_values, represent_conditional
 from conftest import (
+    dyadic_model,
     from_tree,
     make_model,
     random_measure_process,
@@ -34,6 +35,7 @@ from oracles import (
     backward_sweep_by_node,
     bsde_residual,
     bsde_residual_levels,
+    duality_exact,
     mmse,
     mmse_exact,
     optimal_feedback,
@@ -735,3 +737,45 @@ class TestMmseAgainstExactArithmetic:
         F = np.array([1.0, -1.0])
         assert mmse_exact(make_model([0.5, 0.5], A, np.full((2, 2), 0.5), 1), F) == Fraction(15, 16)
         assert mmse_exact(make_model([0.5, 0.5], A, np.eye(2), 1), F) == Fraction(7, 8)
+
+
+class TestDualityAgainstExactArithmetic:
+    """Both sides of the identity for a random control that is not optimal, against ``oracles.duality_exact``.
+
+    The exact sides sweep the backward equation in Fractions and enumerate
+    every joint path (2187 at d = 3, m = 2, T = 3). Each float side is
+    within a few eps of the condition figure (T+1) M^2, with M the largest
+    value that a variance or square takes in the float trajectory: |Y| (F
+    is Y's level T), |(U_t + V_t(x)) . e(z)| and |F - S_T|. J_T adds T
+    running costs and var(Y_0), each a variance of such values; mse
+    squares F - S_T. In a sweep of 600 draws of each model kind the
+    largest error was 1.5 eps times it.
+    """
+
+    BOUND_EPS = 8
+
+    @pytest.mark.parametrize("make", [random_model, sparse_model, dyadic_model])
+    def test_within_a_few_eps_of_the_condition_figure(self, rng, make):
+        eps = Fraction(np.finfo(float).eps)
+        for draw in range(6):
+            d, m, T = (int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))) if draw else (3, 2, 3)
+            model = make(rng, d, m, T)
+            U = random_weight_process(rng, m, T)
+            F = random_terminal(rng, model, path_dependent=draw % 2 == 1)
+            traj = solve_bsde(model, U, F)
+            risk = [(U.levels[t][:, None] + traj.V.levels[t]) @ token_basis(m).T for t in range(T)]
+            misses = dual._terminal_level(F, d, m, T) - estimator_values(model, traj)[:, None]
+            M = max(float(np.max(np.abs(a))) for a in (*traj.Y.levels, *risk, misses))
+            figure = (T + 1) * Fraction(M) ** 2
+            report = duality_report(model, traj, F)
+            exact_J, exact_mse = duality_exact(model, U, F)
+            for got, exact in ((report["J_T"], exact_J), (report["mse"], exact_mse)):
+                assert abs(Fraction(got) - exact) <= self.BOUND_EPS * eps * figure, (got, float(exact))
+
+    def test_identity_is_exact_on_exactly_normalized_models(self, rng):
+        # float rows summing to 1 only to rounding move the two sides apart by about eps
+        for _ in range(4):
+            d, m, T = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            model = dyadic_model(rng, d, m, T)
+            J, mse = duality_exact(model, random_weight_process(rng, m, T), random_terminal(rng, model, True))
+            assert J == mse

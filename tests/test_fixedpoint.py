@@ -22,6 +22,7 @@ from dualfilter.hmm import is_probability_vector, obs_matrix, risk_tensor
 from dualfilter.oracle import filter_process, forward_filter, kl_divergence_bar, sample_path
 
 from conftest import (
+    dyadic_simplex,
     from_tree,
     make_model,
     point_mass_model,
@@ -57,12 +58,6 @@ def feedback_step(G, y, carried=0.0):
     """``scalar_feedback`` from the state (carried, y): the control u and the next y."""
     u, state = scalar_feedback(G, np.concatenate(([carried], y)))
     return u, state[1:]
-
-
-def dyadic_simplex(rng, n, bits):
-    """A probability vector of n multiples of 2^-bits: its float entries sum to 1 exactly."""
-    cuts = np.sort(rng.integers(0, 2**bits + 1, n - 1))
-    return np.diff(np.concatenate([[0], cuts, [2**bits]])) / 2.0**bits
 
 
 def near_degenerate_dyadic_model(rng, d, m, z, T, powers=(10, 30)):
@@ -900,6 +895,10 @@ class TestKlDivergenceBar:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
             kl_divergence_bar(np.ones((2, 1)), np.ones((3, 1)))
+
+    def test_no_columns(self):
+        with pytest.raises(ValueError, match=r"T >= 1, got \(3, 0\) and \(3, 0\)$"):
+            kl_divergence_bar(np.ones((3, 0)), np.ones((3, 0)))
 
     def test_equals_column_loop(self, rng):
         # the per-column loop the contraction replaced; pairwise summation of 8 or more

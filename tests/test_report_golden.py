@@ -78,7 +78,7 @@ CASES = [
     # d_V = 2 per head: the layer's stacked head projections at a head count other than the default 2
     ("attention-demo-heads4", ["attention-demo", "--model", "dense.json", "--config", "heads4.json",
                                "--path", "0.2.1.1.0", "--seed", "3"], 0, {
-        "attention_report.json": "12fca2d18fd1c8cda798b87f7fc91c1bcad8d1e090a3f895e7397dda4f88cb30",
+        "attention_report.json": "d676a603a7d46728cec332f5f639d0d25bbad423ed41ca0a2af76069b15aaea8",
         "layer_divergence.csv": "c86f495802ede467ee3968da5235b4f9f6d2c3dfef38be2e5d360c754a6900c9",
         "layer_predictions.csv": "225350c74cff32edee141cba985a595440d945c0fb48bf4db9c224df37bc389c",
     }),
@@ -108,7 +108,7 @@ CASES = [
         "next_token_probs.csv": "1466a92b325449e9dcca1f5d006ed72459281853239fa1db16ec2344a46c36a6",
     }),
     ("attention-demo-sampled", ["attention-demo", "--model", "dense.json", "--seed", "3"], 0, {
-        "attention_report.json": "0331b0d4b824ea70122c6692a65ab29ba90319fb0b8b51523d50d5e899572b87",
+        "attention_report.json": "afe7fe5c3a25f4c52a6bbdd01862f750b6dd035178da5641be4fa9a86e1a3ee0",
         "layer_divergence.csv": "66c641bc193d7629f6c9fd7b9ecd3e239fb1c33c5b008485cd285e5bdcd2d490",
         "layer_predictions.csv": "9c67f5dde2bb94742d78b3ad9e712eb15d88694e73577d02855523fe5acc444e",
     }),
