@@ -66,26 +66,18 @@ def _down_columns(v, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeedForwardParams:
-    """Affine, nonlinearity, affine; the nonlinearity is a config knob."""
+    """Affine, gelu, affine."""
 
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
-    activation: str = "gelu"
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """Apply to one (d,) signal or column-wise to a (d, T) matrix."""
         h = np.asarray(self.W1) @ y + _down_columns(self.b1, y)
-        if self.activation == "gelu":
-            # tanh form of the smooth gate
-            h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h**3)))
-        elif self.activation == "tanh":
-            h = np.tanh(h)
-        elif self.activation == "relu":
-            h = np.maximum(h, 0.0)
-        else:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        # tanh form of the smooth gate
+        h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h**3)))
         return np.asarray(self.W2) @ h + _down_columns(self.b2, y)
 
 
@@ -259,7 +251,7 @@ def layer_stack(params: LayerParams, sigmas: np.ndarray, n_layers: int) -> list[
     return outs
 
 
-def random_layer_params(rng: np.random.Generator, d: int, n_head: int, activation: str = "gelu") -> LayerParams:
+def random_layer_params(rng: np.random.Generator, d: int, n_head: int) -> LayerParams:
     """Seeded Gaussian parameters scaled by 1/sqrt(d) for reproducible demos."""
     if d % n_head != 0:
         raise ValueError(f"n_head = {n_head} must divide d = {d}")
@@ -273,7 +265,6 @@ def random_layer_params(rng: np.random.Generator, d: int, n_head: int, activatio
         b1=np.zeros(hidden),
         W2=scale * rng.standard_normal((d, hidden)),
         b2=np.zeros(d),
-        activation=activation,
     )
     W_O = scale * rng.standard_normal((d, d))
     return LayerParams(W_Q, W_K, W_V, W_O, gamma=np.ones(d), beta=np.zeros(d), ffn=ffn)

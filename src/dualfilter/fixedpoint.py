@@ -213,7 +213,8 @@ def iterate(
     model: HmmModel,
     z,
     rho0: np.ndarray | None = None,
-    K: int = 10,
+    *,
+    K: int,
     zero_convention: bool = False,
 ) -> IterationTrace:
     """Apply the per-path map K times, recording residuals and KL diagnostics.

@@ -169,15 +169,17 @@ class HmmModel:
 def validate_tokens(z, m: int) -> tuple[int, ...]:
     """Check z is a sequence of integer-valued tokens in {0, ..., m}; returns it as a tuple of ints.
 
-    1.0 and numpy integers pass as the ints they equal; 1.5, '1' or a z that is not iterable raise ValueError.
+    1.0 and numpy integers pass as the ints they equal; 1.5, '1', a bool or a non-iterable z raise ValueError.
     """
     try:
         z = tuple(z)
     except TypeError:
         raise ValueError(f"observation path must be a sequence of tokens, got {z!r}") from None
     for i, tok in enumerate(z):
-        # plain ints, the common case, skip the slower abstract-class check
-        if type(tok) is not int and not (isinstance(tok, numbers.Real) and float(tok).is_integer()):
+        # plain ints, the common case, skip the slower abstract-class check; a bool is not a token
+        if type(tok) is not int and (
+            isinstance(tok, bool) or not (isinstance(tok, numbers.Real) and float(tok).is_integer())
+        ):
             raise ValueError(f"token z_{i + 1} = {tok!r} is not an integer")
         if not 0 <= tok <= m:
             raise ValueError(f"token z_{i + 1} = {int(tok)} outside alphabet 0..{m}")

@@ -20,10 +20,7 @@ OPTIONS = [
     "predictor.represent_conditional.zero_convention",
     "dual.solve_optimal.laws",
     "fixedpoint.iterate.rho0",
-    "fixedpoint.iterate.K",
     "fixedpoint.iterate.zero_convention",
-    "attention.FeedForwardParams.activation",
-    "attention.random_layer_params.activation",
 ]
 
 
@@ -56,7 +53,7 @@ def options(module_name):
 def test_the_option_list_is_closed():
     found = [name for module in MODULES for name in options(module)]
     assert sorted(found) == sorted(OPTIONS)
-    assert len(found) == len(set(found)) == 11
+    assert len(found) == len(set(found)) == 8
 
 
 def test_every_exported_name_resolves():

@@ -34,12 +34,7 @@ def per_position_layer(params, sigmas, tail):
     def ffn(y):
         f = params.ffn
         h = f.W1 @ y + f.b1
-        if f.activation == "gelu":
-            h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h**3)))
-        elif f.activation == "tanh":
-            h = np.tanh(h)
-        else:
-            h = np.maximum(h, 0.0)
+        h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h**3)))
         return f.W2 @ h + f.b2
 
     out = np.zeros_like(sigmas)
@@ -259,10 +254,9 @@ class TestLayerForward:
         assert np.array_equal(out_a[:, :4], out_b[:, :4])
 
     @pytest.mark.parametrize("tail", [False, True], ids=["---", "RLF"])
-    @pytest.mark.parametrize("activation", ["gelu", "tanh", "relu"])
-    def test_matches_per_position_evaluation(self, rng, tail, activation):
+    def test_matches_per_position_evaluation(self, rng, tail):
         for n_head in (1, 2, 4):
-            params = random_layer_params(rng, 8, n_head, activation=activation)
+            params = random_layer_params(rng, 8, n_head)
             for T in (1, 7, TILE - 1, TILE, TILE + 1, 64, 2 * TILE + 1):
                 sig = rng.standard_normal((8, T))
                 out = layer_stack(params, sig, 1)[1] if tail else layer_forward(params, sig)
@@ -526,38 +520,27 @@ class TestPredictions:
 
 
 class TestFeedForward:
-    @pytest.mark.parametrize("activation", ["gelu", "tanh", "relu"])
-    def test_activations_run(self, rng, activation):
+    def test_activations_run(self, rng):
         ffn = FeedForwardParams(
             W1=rng.standard_normal((8, 4)),
             b1=rng.standard_normal(8),
             W2=rng.standard_normal((4, 8)),
             b2=rng.standard_normal(4),
-            activation=activation,
         )
         out = ffn(rng.standard_normal(4))
         assert out.shape == (4,) and np.all(np.isfinite(out))
 
-    @pytest.mark.parametrize("activation", ["gelu", "tanh", "relu"])
-    def test_matrix_input_acts_column_wise(self, rng, activation):
+    def test_matrix_input_acts_column_wise(self, rng):
         ffn = FeedForwardParams(
             W1=rng.standard_normal((8, 4)),
             b1=rng.standard_normal(8),
             W2=rng.standard_normal((4, 8)),
             b2=rng.standard_normal(4),
-            activation=activation,
         )
         y = rng.standard_normal((4, 6))
         out = ffn(y)
         for t in range(6):
             np.testing.assert_allclose(out[:, t], ffn(y[:, t]), rtol=0, atol=1e-13)
-
-    def test_unknown_activation(self, rng):
-        ffn = FeedForwardParams(
-            W1=np.eye(4), b1=np.zeros(4), W2=np.eye(4), b2=np.zeros(4), activation="swish"
-        )
-        with pytest.raises(ValueError, match="activation"):
-            ffn(np.zeros(4))
 
 
 class TestLayerStack:

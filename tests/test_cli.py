@@ -381,19 +381,24 @@ class TestConfigResolution:
         # K=3 iterations, T=3 rows each
         assert len(trace) == 2 + 3 * 3
 
-    def test_unknown_config_key_rejected(self, runner, model_file, tmp_path):
+    # the check tolerances are fixed, a sampled path has the model file's T, and the layer applies gelu,
+    # so the keys that once set them are unknown too
+    @pytest.mark.parametrize(
+        "command, key, val",
+        [
+            ("oracle", "horizon", 3),
+            ("attention-demo", "tolerances", {"eq8": 10.0}),
+            ("oracle", "T", 9),
+            ("attention-demo", "attn_activation", "gelu"),
+        ],
+        ids=["horizon", "tolerances", "T", "attn_activation"],
+    )
+    def test_unknown_config_key_rejected(self, runner, model_file, tmp_path, command, key, val):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model_path": str(model_file), "horizon": 3}))
-        res = runner.invoke(main, ["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert res.exit_code == 2
-
-    def test_nonpositive_tolerance_rejected(self, runner, model_file, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps({"model_path": str(model_file), "tolerances": {"duality": 0.0}})
-        )
-        res = runner.invoke(main, ["duality", "--config", str(cfg), "--out", str(tmp_path / "d")])
-        assert res.exit_code == 2
+        cfg.write_text(json.dumps({"model_path": str(model_file), key: val}))
+        res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: unknown config key {key!r}\n"
 
     @pytest.mark.parametrize("text", [None, "{ not json", "[1, 2]"], ids=["missing", "not-json", "not-object"])
     def test_unreadable_config_exits_2(self, runner, model_file, tmp_path, text):
@@ -410,15 +415,10 @@ class TestConfigResolution:
         [
             ("oracle", {"seed": "abc"}, []),
             ("fixedpoint", {"K": "5"}, []),
-            ("duality", {"tolerances": {"duality": "1e-9"}}, []),
-            ("duality", {"tolerances": 5}, []),
-            ("duality", {"tolerances": {"dualty": 0.5}}, []),
             ("duality", {"enum_budget": "x"}, []),
             ("duality", {"draws": 2.5}, []),
             ("attention-demo", {"attn_heads": 0}, []),
             ("attention-demo", {"attn_layers": 0}, []),
-            ("attention-demo", {"attn_activation": "foo"}, []),
-            ("attention-demo", {"attn_activation": 3}, []),
             ("duality", {"enum_budget": 1}, []),
             ("oracle", {"zero_convention": "yes"}, []),
             ("duality", {}, ["--seed", "-1"]),
@@ -439,9 +439,7 @@ class TestConfigResolution:
             ("oracle", {}, ["--out", "list.json/o"]),
         ],
         ids=[
-            "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "unknown-tolerance",
-            "str-enum-budget",
-            "float-draws", "zero-heads", "zero-layers", "unknown-activation", "int-activation", "over-budget",
+            "str-seed", "str-K", "str-enum-budget", "float-draws", "zero-heads", "zero-layers", "over-budget",
             "str-zero-convention", "negative-seed-flag", "dot-path", "empty-path-fixedpoint", "empty-path-oracle",
             "empty-token-dots", "empty-token-commas", "underscore-token", "space-token", "plus-token",
             "minus-token", "non-ascii-digit-token", "list-model", "int-model", "null-model",
@@ -471,17 +469,14 @@ class TestConfigHash:
     EVERY_FIELD = {
         "model_path": "models/dense.json",
         "seed": 7,
-        "T": 4,
         "K": 3,
         "draws": 5,
         "enum_budget": 1000,
         "zero_convention": True,
         "output_dir": "elsewhere",
-        "tolerances": {"fixed_point": 1e-8, "duality": 1e-7, "representation": 1e-11, "eq8": 1e-10},
         "attn_d": 4,
         "attn_heads": 1,
         "attn_layers": 2,
-        "attn_activation": "relu",
     }
 
     def test_every_field_case_sets_every_field_off_its_default(self):

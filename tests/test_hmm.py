@@ -154,8 +154,8 @@ class TestRoundingNegatives:
 
 class TestValidateTokens:
     def test_integer_valued_tokens_read_as_ints(self):
-        got = validate_tokens([1, 1.0, np.int64(2), np.float64(0.0), True], 2)
-        assert got == (1, 1, 2, 0, 1) and all(type(tok) is int for tok in got)
+        got = validate_tokens([1, 1.0, np.int64(2), np.float64(0.0)], 2)
+        assert got == (1, 1, 2, 0) and all(type(tok) is int for tok in got)
         assert validate_tokens(np.array([2, 0]), 2) == (2, 0)
         assert validate_tokens(iter([]), 2) == ()
 
@@ -167,6 +167,10 @@ class TestValidateTokens:
         ([float("nan")], "token z_1 = nan is not an integer"),
         ([float("inf")], "token z_1 = inf is not an integer"),
         ([None], "token z_1 = None is not an integer"),
+        # a bool is rejected as a Python bool just as a numpy one, as are bools in the other integer inputs
+        ([True, False], "token z_1 = True is not an integer"),
+        ([0, False], "token z_2 = False is not an integer"),
+        ([np.True_], "token z_1 = np.True_ is not an integer"),
         ([1, 3], "token z_2 = 3 outside alphabet 0..2"),
         ([-1.0], "token z_1 = -1 outside alphabet 0..2"),
         (None, "observation path must be a sequence of tokens, got None"),

@@ -7,9 +7,11 @@ same wherever the suite runs. A change that is meant to alter report bytes
 (a new report field, a different order of summation) re-records the hashes
 with ``PYTHONPATH=src python tests/test_report_golden.py``, which also lists
 under ``changed`` each report whose digest differs from CASES, old beside
-new, and says why in CHANGES.md; the hashes assume numpy's float64
-arithmetic and may need re-recording after a numpy upgrade that changes
-rounding.
+new, and under ``bodies`` each report's digest without its header (a CSV's
+first line, a JSON's ``header`` key), so bodies that match across a change
+show that only the config hash moved. The change says why in CHANGES.md.
+The hashes assume numpy's float64 arithmetic and may need re-recording
+after a numpy upgrade that changes rounding.
 """
 
 import hashlib
@@ -43,104 +45,117 @@ SPARSE = {
     "C": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
 }
 
-MODELS = {"dense.json": DENSE, "sparse.json": SPARSE}
+MODELS = {"dense.json": DENSE, "dense9.json": {**DENSE, "T": 9}, "sparse.json": SPARSE}
 
 # Config files written beside the models; a case names one with --config.
-CONFIGS = {"heads4.json": {"attn_heads": 4}, "T9.json": {"T": 9}}
+CONFIGS = {"heads4.json": {"attn_heads": 4}}
 
 # (case, argv without --out, exit code, {report: sha256})
 CASES = [
     ("oracle", ["oracle", "--model", "dense.json", "--path", "2.0.1"], 0, {
-        "filter_trajectory.csv": "b40b1c98f54a753b23b057a2f7f2858b8b08adbbcd3d1cc85f0dfadf07c78068",
-        "next_token_probs.csv": "1d7704df92ed70e3a7b3a2adbcf0c7c5a45c9b8afb62aaf26e805efa323a6aec",
+        "filter_trajectory.csv": "de6438dc60810f017be2a3622098f34e3747cc4fd9504b302bdd3a676085eb18",
+        "next_token_probs.csv": "ad5cc87cf956317a2f51ae0cb84ba81b125e6e7546903b7ad69318f57f08d719",
     }),
     ("fixedpoint-path", ["fixedpoint", "--model", "dense.json", "--path", "1.2.0", "--iterations", "2"], 0, {
-        "iteration_trace.csv": "34672994abae2d6e49e786286e8484cac83409ed662c95fc1b12cf47573fd9d7",
-        "residual_report.json": "ef9ca470e97aae0e210db93217eebff5f0834fe7468aeec52ceecc3be91b9e50",
+        "iteration_trace.csv": "ead319b2a5deee0f190898c32a8e50254606296da3b3a197566a026f9ee56cce",
+        "residual_report.json": "cb48e8a667c7f983973f74a84f01ff88be450d366aeb97368173bc5465e9b7ea",
     }),
     ("fixedpoint-adapted", ["fixedpoint", "--model", "dense.json", "--mode", "adapted", "--path", "0.1.2",
                             "--iterations", "2"], 0, {
-        "iteration_trace.csv": "2ccef796393ac4b1cb4565ab9911d63b4f498918dba248a87bcdf72267446b9e",
-        "residual_report.json": "1f88fe591b7c4b71d8808da6e203b3accbcbd24b07c09c6a33df8b133be5064c",
+        "iteration_trace.csv": "d0e527b4424d41ec429e0745305bfe2a7becb6c4892ab8655d17e4e89d06e6b5",
+        "residual_report.json": "ff60e5d81888822565f9f187babc39023ad94e0079c61d43e6806b7d877ede5b",
     }),
     ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
-        "diagnostics.csv": "904eb10fa97cc293ab7c3b251249f642c218a79cafad08a04be5d746048efec1",
-        "duality_report.json": "d48660ec6a638e88195695a97ed7b746d9b3cbbc93c27d51aab4b18879374216",
+        "diagnostics.csv": "d019d7154ac546b02e26b3aa3c2b6a78f0b793ed709332542c4a570edf3493c8",
+        "duality_report.json": "d80951c2dd29cb29623bad9b09c4c485f23f729c30680e3b8e1973b91e2c634b",
     }),
     ("represent", ["represent", "--model", "dense.json", "--z-query", "1"], 0, {
-        "representation.json": "568656ee82e62817192f0b97a2db57248582fee330ccdb6f61a41c39aca7cfbe",
+        "representation.json": "4a099db993f3fb9bff082397fa0108340df8c6d667cca28d3d6a49ea283b04a3",
     }),
     ("attention-demo", ["attention-demo", "--model", "dense.json", "--path", "0.2.1.1.0", "--seed", "3"], 0, {
-        "attention_report.json": "72692aedfd1746e199d96d857819d18eefb434227ccea8dda8db22264227e373",
-        "layer_divergence.csv": "0b97b49100d97b6bc8183719744661c776125b9cfedd74c25366ba11c965d7f6",
-        "layer_predictions.csv": "4ff695f5a976829dcae322af89d3ce4314fc45fe70c65024db8d9cd425bd3bca",
+        "attention_report.json": "cbafefeb2f283e34d345822275bd8ca664cc88a9f524f9695f37bc4c08e4eae1",
+        "layer_divergence.csv": "55a68c5d163af344abd294e143ae11a5c1e5d3986a5f4071efdaf02e505b1560",
+        "layer_predictions.csv": "dde1d5a93243c806e4b0d363ac5f395a68b9a1a7aae0bb2ff883e02b2616dbe9",
     }),
     # d_V = 2 per head: the layer's stacked head projections at a head count other than the default 2
     ("attention-demo-heads4", ["attention-demo", "--model", "dense.json", "--config", "heads4.json",
                                "--path", "0.2.1.1.0", "--seed", "3"], 0, {
-        "attention_report.json": "d676a603a7d46728cec332f5f639d0d25bbad423ed41ca0a2af76069b15aaea8",
-        "layer_divergence.csv": "c86f495802ede467ee3968da5235b4f9f6d2c3dfef38be2e5d360c754a6900c9",
-        "layer_predictions.csv": "225350c74cff32edee141cba985a595440d945c0fb48bf4db9c224df37bc389c",
+        "attention_report.json": "04a72bcfb5e62a70b23ab066c9e215ce3f952a9c90f9e1e22423e78bf1ae3e9e",
+        "layer_divergence.csv": "59354725ad64b0b4ed3b718bc3986c981f7c8b6bb5032496bc2b1ceae78e5964",
+        "layer_predictions.csv": "e4093cb07912ed87e6e54ef57867101b076dbcc9116a527ddf1b3361470f4dde",
     }),
     ("represent-zero", ["represent", "--model", "sparse.json", "--z-query", "0", "--zero-convention"], 0, {
-        "representation.json": "5803b5a8752b1b4626cf908952496f8172ac8209edc5477d249f566409c45e9c",
+        "representation.json": "6e18e041fb54a7e7a2e21a3bb5287d13903ac0ac10a81582f751a1a13b073b2d",
     }),
     ("fixedpoint-adapted-zero", ["fixedpoint", "--model", "sparse.json", "--mode", "adapted", "--path", "0.1.1",
                                  "--iterations", "1", "--zero-convention"], 0, {
-        "iteration_trace.csv": "9abc6bbe050e053d16cdd411e6042e717509a0a735507771ae7f8fd2ecf39cca",
-        "residual_report.json": "535ba850586a5decaa87962f75835c041fe1d21a9f4c34e2a11983ddcb2f0f95",
+        "iteration_trace.csv": "1e191883f586bf8b090d541ff8e82e700e30d756d85ece9b4c8442fa2e6dfad3",
+        "residual_report.json": "3f3361029ac3d492d399aa68ed9d24e090889eccbc1796fd68c30c70f8bc5b5f",
     }),
     # rows 2 and 3 of the filter are zero measures and row 1 is (0, 0, 1), where
     # token 0 has predictive probability 0: both reach the per-path map's degenerate branch
     ("fixedpoint-path-zero", ["fixedpoint", "--model", "sparse.json", "--path", "1.0.1", "--iterations", "2",
                               "--zero-convention"], 0, {
-        "iteration_trace.csv": "633fc703675a4003e0ad99deda8b7ff3aa3e0f64e44b09f9c78271c954dc7da5",
-        "residual_report.json": "078749e4a17c6013394aae8088631dff7f8de951cc0d6739bfc3da9cc46041a8",
+        "iteration_trace.csv": "b0df853d99591c7db8ce0aeebfd80276643f9e65b2ef6e835da86fbce6eb842e",
+        "residual_report.json": "0f0daa8e2752ee815eaa85dfb8f5b6d18acde0f3849aca6f08565aeccb0f692b",
     }),
     # without --path the path is sampled first, then the command makes its own draws from the same generator
     ("oracle-sampled", ["oracle", "--model", "dense.json", "--seed", "4"], 0, {
-        "filter_trajectory.csv": "72c784184fe7eeb9fc38be1fb1c2824f214e54da969c457b712fe160bc13e774",
-        "next_token_probs.csv": "11caee127ba1e50a209524a537d9a2cf412d3af30954b0edaa3973281ae0d2be",
+        "filter_trajectory.csv": "a1efd4ddb300d800401edaf60228a8dc93ea908cb1596f0eab10812ac9fe0b9a",
+        "next_token_probs.csv": "f8863afe8847ab4a6ad53613be5257ea0685c7412594412ecc2af95130e9d381",
     }),
-    # config T samples from the model at that horizon: the same draws as a model file with T = 9
-    ("oracle-sampled-T9", ["oracle", "--model", "dense.json", "--config", "T9.json", "--seed", "4"], 0, {
-        "filter_trajectory.csv": "52eedc34ab04d40de59ac1f4e3e4dbfa697b595756c7b8050536491e20b396b1",
-        "next_token_probs.csv": "1466a92b325449e9dcca1f5d006ed72459281853239fa1db16ec2344a46c36a6",
+    # a sampled path has the model file's horizon
+    ("oracle-sampled-T9", ["oracle", "--model", "dense9.json", "--seed", "4"], 0, {
+        "filter_trajectory.csv": "cc91e5a1edae3d59fea5683d9639c2812b2d5f2f7e5f02a05aaece227c0868a2",
+        "next_token_probs.csv": "3d6bf3f19517b2c865554cfab73f7eb8be8715b2ed6d9db6d909469dd1f6abc8",
     }),
     ("attention-demo-sampled", ["attention-demo", "--model", "dense.json", "--seed", "3"], 0, {
-        "attention_report.json": "afe7fe5c3a25f4c52a6bbdd01862f750b6dd035178da5641be4fa9a86e1a3ee0",
-        "layer_divergence.csv": "66c641bc193d7629f6c9fd7b9ecd3e239fb1c33c5b008485cd285e5bdcd2d490",
-        "layer_predictions.csv": "9c67f5dde2bb94742d78b3ad9e712eb15d88694e73577d02855523fe5acc444e",
+        "attention_report.json": "5cdeae76013e0fd654d383683ef5eae09a4f5b1606e4325ba56574ada7e15775",
+        "layer_divergence.csv": "1879bb2ee41e5df4051797dbfdd38e034ff2c6fd9ef6fbfdcb092963f6af6144",
+        "layer_predictions.csv": "ea5cb42e7f27e1b5ff6a8a7dc858ab4248a52c255b88f926fb39344fc9c3b813",
     }),
 ]
 
 
+def body_digest(path):
+    """sha256 of a report without its header: a CSV without its first line, a JSON without its header key."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        text = json.dumps({k: v for k, v in json.loads(text).items() if k != "header"}, indent=2, sort_keys=True)
+    else:
+        text = text.split("\n", 1)[1]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_case(runner, argv):
-    """Run one case in the current directory; returns (click result, {report: sha256})."""
+    """Run one case in the current directory; returns (click result, {report: sha256}, {report: body sha256})."""
     for name, doc in {**MODELS, **CONFIGS}.items():
         Path(name).write_text(json.dumps(doc))
     out = Path("out")
     res = runner.invoke(main, [*argv, "--out", str(out)])
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    return res, digests
+    reports = sorted(out.iterdir())
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in reports}
+    return res, digests, {p.name: body_digest(p) for p in reports}
 
 
 @pytest.mark.parametrize("case, argv, code, want", CASES, ids=[c[0] for c in CASES])
 def test_report_bytes_match_golden(case, argv, code, want):
     runner = CliRunner()
     with runner.isolated_filesystem():
-        res, got = run_case(runner, argv)
+        res, got, _ = run_case(runner, argv)
     assert res.exit_code == code, res.output
     assert got == want
 
 
 if __name__ == "__main__":
-    # Re-record: print each case's exit code, digests, and the old and new digest of each report that moved.
+    # Re-record: print each case's exit code, digests, the old and new digest of each report that moved,
+    # and each report's body digest
     runner = CliRunner()
     for case, argv, _, want in CASES:
         with runner.isolated_filesystem():
-            res, got = run_case(runner, argv)
+            res, got, bodies = run_case(runner, argv)
         changed = {name: {"old": want.get(name), "new": got.get(name)}
                    for name in sorted(got.keys() | want.keys()) if got.get(name) != want.get(name)}
-        json.dump({"case": case, "exit": res.exit_code, "reports": got, "changed": changed}, sys.stdout)
+        json.dump({"case": case, "exit": res.exit_code, "reports": got, "changed": changed, "bodies": bodies},
+                  sys.stdout)
         sys.stdout.write("\n")

@@ -186,9 +186,15 @@ def test_launched_run_exits_with_one_error_line(model_file, tmp_path, model, arg
 def test_launched_run_exits_4_on_an_invariant_violation(tmp_path):
     model = make_model([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], [[0.2, 0.8], [0.7, 0.3]], 3)
     (tmp_path / "model.json").write_text(model.to_json())
-    (tmp_path / "cfg.json").write_text(json.dumps({"tolerances": {"representation": 1e-300}}))
-    proc = launch(["-m", "dualfilter.cli", "represent", "--model", "model.json", "--config", "cfg.json",
-                   "--out", "out"], tmp_path)
+    # the tolerances are fixed, so the launched script tightens the one it checks before entering run
+    script = (
+        "import sys\n"
+        "from dualfilter import cli\n"
+        "cli.TOLERANCES['representation'] = 1e-300\n"
+        "sys.argv = ['dualfilter', 'represent', '--model', 'model.json', '--out', 'out']\n"
+        "cli.run()\n"
+    )
+    proc = launch(["-c", script], tmp_path)
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("error: reconstruction error") and proc.stderr.count("\n") == 1, proc.stderr
     # the error is rounding, 2.2e-16 on this model; a zero error could exceed no tolerance
