@@ -415,10 +415,16 @@ class TestConfigResolution:
         [
             ("oracle", {"seed": "abc"}, []),
             ("fixedpoint", {"K": "5"}, []),
+            # the tolerances and the activation are fixed, so a config that sets them, well formed or not, is bad
+            ("duality", {"tolerances": {"duality": "1e-9"}}, []),
+            ("duality", {"tolerances": 5}, []),
+            ("duality", {"tolerances": {"dualty": 0.5}}, []),
             ("duality", {"enum_budget": "x"}, []),
             ("duality", {"draws": 2.5}, []),
             ("attention-demo", {"attn_heads": 0}, []),
             ("attention-demo", {"attn_layers": 0}, []),
+            ("attention-demo", {"attn_activation": "foo"}, []),
+            ("attention-demo", {"attn_activation": 3}, []),
             ("duality", {"enum_budget": 1}, []),
             ("oracle", {"zero_convention": "yes"}, []),
             ("duality", {}, ["--seed", "-1"]),
@@ -439,7 +445,9 @@ class TestConfigResolution:
             ("oracle", {}, ["--out", "list.json/o"]),
         ],
         ids=[
-            "str-seed", "str-K", "str-enum-budget", "float-draws", "zero-heads", "zero-layers", "over-budget",
+            "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "unknown-tolerance",
+            "str-enum-budget",
+            "float-draws", "zero-heads", "zero-layers", "unknown-activation", "int-activation", "over-budget",
             "str-zero-convention", "negative-seed-flag", "dot-path", "empty-path-fixedpoint", "empty-path-oracle",
             "empty-token-dots", "empty-token-commas", "underscore-token", "space-token", "plus-token",
             "minus-token", "non-ascii-digit-token", "list-model", "int-model", "null-model",
@@ -543,6 +551,26 @@ class TestInvariantViolation:
         assert res.stderr.startswith("error: ") and "exceeds tolerance" in res.stderr, res.stderr
         assert failed(json.loads((out / report).read_text()))
         assert (out / "findings.json").exists() == (command == "fixedpoint")
+
+    def test_tolerances_are_the_four_fixed_bounds(self):
+        assert cli.TOLERANCES == {"fixed_point": 1e-10, "duality": 1e-9, "representation": 1e-12, "eq8": 1e-12}
+
+    @pytest.mark.parametrize(
+        "command, flags, key",
+        [("fixedpoint", ["--mode", "path"], "fixed_point"),
+         ("fixedpoint", ["--mode", "adapted"], "fixed_point"),
+         ("duality", [], "duality"),
+         ("represent", [], "representation"),
+         ("attention-demo", [], "eq8")],
+        ids=["fixedpoint-path", "fixedpoint-adapted", "duality", "represent", "attention-demo"],
+    )
+    def test_each_check_reads_its_bound_when_it_runs(self, runner, model_file, tmp_path, monkeypatch,
+                                                     command, flags, key):
+        # a negative bound fails even an error of exactly 0, so the exit shows which entry the check read
+        monkeypatch.setitem(cli.TOLERANCES, key, -1.0)
+        res = runner.invoke(main, [command, "--model", str(model_file), *flags, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 4, res.output
+        assert res.stderr.startswith("error: ") and res.stderr.endswith("exceeds tolerance -1.0e+00\n"), res.stderr
 
     @pytest.mark.parametrize(
         "command, target, report, key",
