@@ -401,6 +401,18 @@ def cmd_duality(cfg, model, generator):
     click.echo(f"duality gap over {cfg.draws} draws: max {max_gap:.3e} (tolerance {tol:.1e}) -> pass")
 
 
+def _reconstruction_error(model, rep, z_query: int, zero_convention: bool) -> float:
+    """Worst |evaluate - oracle| over every possible path; its tables are freed before the report is built."""
+    from .oracle import filter_levels, next_token_prob
+    from .predictor import evaluate
+
+    pi_T = filter_levels(model, zero_convention)[-1]
+    possible = pi_T.sum(axis=1) != 0.0
+    paths = np.indices((model.m + 1,) * model.T, dtype=np.min_scalar_type(model.m)).reshape(model.T, -1).T[possible]
+    target = next_token_prob(model, pi_T[possible])[:, z_query]
+    return float(np.max(np.abs(evaluate(rep, paths) - target), initial=0.0))
+
+
 @command(
     "represent",
     click.option("--z-query", type=int, default=0, show_default=True,
@@ -408,18 +420,11 @@ def cmd_duality(cfg, model, generator):
 )
 def cmd_represent(cfg, model, generator, z_query):
     """Build the predictor weights for a next-token conditional probability."""
-    from .oracle import filter_levels, next_token_prob
-    from .predictor import evaluate, represent_conditional
+    from .predictor import represent_conditional
 
     rep = represent_conditional(model, z_query, zero_convention=cfg.zero_convention)
-
-    # reconstruction check against the oracle on every possible path
     tol = TOLERANCES["representation"]
-    pi_T = filter_levels(model, cfg.zero_convention)[-1]
-    possible = pi_T.sum(axis=1) != 0.0
-    paths = np.indices((model.m + 1,) * model.T).reshape(model.T, -1).T[possible]
-    target = next_token_prob(model, pi_T[possible])[:, z_query]
-    worst = float(np.max(np.abs(evaluate(rep, paths) - target), initial=0.0))
+    worst = _reconstruction_error(model, rep, z_query, cfg.zero_convention)
     ok = worst <= tol
 
     out = _out_dir(cfg)

@@ -85,17 +85,19 @@ def _backward_sweep(model: HmmModel, F, control: Callable[..., np.ndarray]):
     V_t is pinned by the mean/tilde split of each node's successor values,
     the only choice keeping Y_t measurable with respect to the prefix for
     every successor token. The split is one ``_successor_split`` call per
-    node, which the benchmark's node counts are pinned to; W, the level's
-    (n, m) controls ``control(t, W, V_t)`` and Y_t are stacked numpy
-    operations on the whole level. Returns the Y, V and U processes.
+    node, which the benchmark's node counts are pinned to, and fills that
+    node's row of the level's means (n, d) and V_t (n, d, m) in place. W,
+    the level's (n, m) controls ``control(t, W, V_t)`` and Y_t are stacked
+    numpy operations on the whole level. Returns the Y, V and U processes.
     """
     c_mat, T = obs_matrix(model), model.T
     Y = [None] * T + [_terminal_level(F, model.d, model.m, T)]
     V, U = [None] * T, [None] * T
     for t in range(T - 1, -1, -1):
-        means, tildes = zip(*[_successor_split(model, Y[t + 1], r) for r in range((model.m + 1) ** t)])
-        V[t] = np.array(tildes)
-        W = np.array(means) + (c_mat * V[t]).sum(axis=-1)
+        W, V[t] = np.empty(((model.m + 1) ** t, model.d)), np.empty(((model.m + 1) ** t, model.d, model.m))
+        for r in range(len(W)):
+            W[r], V[t][r] = _successor_split(model, Y[t + 1], r)
+        W += (c_mat * V[t]).sum(axis=-1)  # W = mean + (c V) 1
         U[t] = control(t, W, V[t])
         Y[t] = W + U[t] @ c_mat.T
     return AdaptedProcess(model.m, tuple(Y)), AdaptedProcess(model.m, tuple(V)), AdaptedProcess(model.m, tuple(U))
@@ -287,15 +289,16 @@ def solve_optimal(
     The solved law, a control operator (K_lead, K_drag), depends only on
     the measure at the node, so each level does U_t = -(K_lead W + K_drag
     vec(V_t)) as stacked products. ``laws`` is a memo keyed by level t,
-    filled on first use with one ``_control_operator`` per prefix: the
-    level's K_lead (n, m, d) and K_drag (n, m, d m) and its singular
-    prefixes in rank order. Pass one dict to several solves with the same
-    rho and any F, on models that differ only in T (``replace(model,
-    T=t)`` keeps the bits of mu, A and C, see ``HmmModel``), and each
-    prefix's law is solved once. It changes no result, and every solve
-    records its own diagnostics. A caller passing ``laws`` has checked rho
-    complete on the levels the solve reads (apply_N_adapted checks once
-    for all its solves); without it the solve checks, with a fresh memo.
+    filled on first use with one ``_control_operator`` per prefix, written
+    into that prefix's row of the level's K_lead (n, m, d) and K_drag (n,
+    m, d m), with the singular prefixes in rank order. Pass one dict to
+    several solves with the same rho and any F, on models that differ only
+    in T (``replace(model, T=t)`` keeps the bits of mu, A and C, see
+    ``HmmModel``), and each prefix's law is solved once. It changes no
+    result, and every solve records its own diagnostics. A caller passing
+    ``laws`` has checked rho complete on the levels the solve reads
+    (apply_N_adapted checks once for all its solves); without it the
+    solve checks, with a fresh memo.
     """
     if laws is None:
         rho.check_complete(model.m, range(1, model.T))
@@ -306,10 +309,14 @@ def solve_optimal(
 
     def feedback(t, W, V):
         if t not in laws:
-            ws = list(prefixes(model.m, t))
-            K_lead, K_drag, singular = zip(*(
-                _control_operator(model, c_mat, R, np.asarray(rho.at(w), dtype=float) if t else model.mu) for w in ws))
-            laws[t] = np.array(K_lead), np.array(K_drag), tuple(w for w, s in zip(ws, singular) if s)
+            n, m, d = len(W), model.m, model.d
+            K_lead, K_drag, singular = np.empty((n, m, d)), np.empty((n, m, d * m)), []
+            for r, w in enumerate(prefixes(m, t)):
+                K_lead[r], K_drag[r], s = _control_operator(
+                    model, c_mat, R, np.asarray(rho.at(w), dtype=float) if t else model.mu)
+                if s:
+                    singular.append(w)
+            laws[t] = K_lead, K_drag, tuple(singular)
         K_lead, K_drag, singular = laws[t]
         diagnostics.extend(f"singular predictive covariance at t={t}, prefix={w}: minimum-norm control" for w in singular)
         return -((K_lead @ W[..., None]) + (K_drag @ V.reshape(len(V), -1, 1)))[..., 0]

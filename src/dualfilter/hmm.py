@@ -142,9 +142,6 @@ class HmmModel:
             "C": [row.tolist() for row in self.C],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, obj: dict) -> "HmmModel":
         """Load ``to_dict``'s output; its sizes d, m and T must be integers that match mu and C."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapted import AdaptedProcess, prefix_string, prefixes
-from .hmm import HmmModel, decompose, token_basis
+from .hmm import HmmModel, decompose, token_basis, validate_tokens
 from .oracle import filter_levels, next_token_prob
 
 
@@ -34,10 +34,10 @@ class PredictorRepresentation:
         return len(self.weights.levels)
 
     def to_dict(self) -> dict:
+        """The file form: weights as (prefix string, row) pairs, level by level in rank order."""
         pairs = []
         for t in range(self.T):
-            rows = self.weights.levels[t].tolist()
-            pairs.extend([prefix_string(w), row] for w, row in zip(prefixes(self.m, t), rows))
+            pairs.extend(zip(map(prefix_string, prefixes(self.m, t)), self.weights.levels[t].tolist()))
         return {"constant": self.constant, "weights": pairs, "m": self.m, "T": self.T}
 
 
@@ -100,6 +100,9 @@ def evaluate(rep: PredictorRepresentation, z):
 
     z is one path (T,), which gives a float, or paths (N, T), which give an
     (N,) array: each path's entry of ``path_values``, gathered by its rank.
+    Tokens are read as ``validate_tokens`` reads them, with its errors. The
+    ranks are one int64 vector built by Horner's rule, a column at a time,
+    so a table of small integers (say int8) is never copied whole.
     """
     z = np.asarray(z)
     if z.ndim not in (1, 2):
@@ -107,10 +110,13 @@ def evaluate(rep: PredictorRepresentation, z):
     if z.shape[-1] != rep.T:
         raise ValueError(f"path length {z.shape[-1]} does not match horizon {rep.T}")
     paths = np.atleast_2d(z)
-    toks = paths.astype(int)
-    bad = (toks != paths) | (toks < 0) | (toks > rep.m)
-    if bad.any():
-        row, i = np.argwhere(bad)[0]
-        raise ValueError(f"token z_{i + 1} = {paths[row, i]} outside alphabet 0..{rep.m}")
-    acc = path_values(rep)[toks @ (rep.m + 1) ** np.arange(rep.T - 1, -1, -1)]
+    whole = paths.dtype.kind in "iu" or paths.dtype.kind == "f" and bool(np.all(paths == np.floor(paths)))
+    if not (whole and (paths.size == 0 or 0 <= paths.min() and paths.max() <= rep.m)):
+        # raises at the first bad token in row order, or gives the rows as ints
+        paths = np.array([validate_tokens(row, rep.m) for row in paths.tolist()], dtype=int).reshape(paths.shape)
+    ranks = np.zeros(len(paths), dtype=np.int64)
+    for col in paths.T:
+        ranks *= rep.m + 1
+        ranks += col.astype(np.int64, copy=False)
+    acc = path_values(rep)[ranks]
     return float(acc[0]) if z.ndim == 1 else acc

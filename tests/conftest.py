@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,27 @@ def make_model(mu, A, C, T):
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
     return HmmModel(mu, A, C, T)
+
+
+def write_model(path, model):
+    """Write the model file the CLI reads (``HmmModel.from_json``); returns path."""
+    path.write_text(json.dumps(model.to_dict(), indent=2, sort_keys=True))
+    return path
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced (``tracemalloc``) while one call of fn runs, after one untraced warm-up call.
+
+    The warm-up call takes lazy imports and first-use caches out of the count.
+    What the call returns is alive at its end, so it counts too.
+    """
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_model(rng, d, m, T):

@@ -31,7 +31,7 @@ from dualfilter.oracle import (
 )
 from dualfilter.predictor import evaluate, represent_conditional
 
-from conftest import random_model, scaled
+from conftest import random_model, scaled, write_model
 from oracles import build_weights_lstsq, mmse, total_cost
 
 
@@ -305,8 +305,7 @@ def test_criterion_09_kl_metric():
 def test_criterion_10_cli_determinism(tmp_path):
     rng = np.random.default_rng(1010)
     model = random_model(rng, 2, 1, 3)
-    model_file = tmp_path / "model.json"
-    model_file.write_text(model.to_json())
+    model_file = write_model(tmp_path / "model.json", model)
     runner = CliRunner()
     commands = {
         "oracle": ["oracle", "--seed", "7"],

@@ -10,7 +10,7 @@ from dualfilter import attention, cli, dual, fixedpoint, predictor
 from dualfilter.cli import CONFIG_FIELDS, ExperimentConfig, main
 from dualfilter.hmm import is_probability_vector
 
-from conftest import make_model, point_mass_model, random_model, uninformative_model
+from conftest import make_model, point_mass_model, random_model, uninformative_model, write_model
 
 
 @pytest.fixture
@@ -21,18 +21,14 @@ def runner():
 @pytest.fixture
 def model_file(tmp_path, rng):
     model = random_model(rng, 2, 1, 3)
-    path = tmp_path / "model.json"
-    path.write_text(model.to_json())
-    return path
+    return write_model(tmp_path / "model.json", model)
 
 
 @pytest.fixture
 def deterministic_model_file(tmp_path):
     # state 0 surely emits token 1, state 1 surely emits token 0; identity chain
     model = make_model([1.0, 0.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]], 2)
-    path = tmp_path / "det_model.json"
-    path.write_text(model.to_json())
-    return path
+    return write_model(tmp_path / "det_model.json", model)
 
 
 def read_lines(path):
@@ -152,9 +148,7 @@ class TestFixedpointCommand:
     def point_mass_model_file(self, tmp_path):
         # rho(R) is zero at every node, so only the predictive covariance
         # rho(R) + lead(c) carries the adapted feedback law
-        path = tmp_path / "point_mass.json"
-        path.write_text(point_mass_model().to_json())
-        return path
+        return write_model(tmp_path / "point_mass.json", point_mass_model())
 
     @pytest.mark.parametrize("mode", ["adapted", "path"])
     def test_point_mass_emissions_pass_both_maps(self, runner, tmp_path, point_mass_model_file, mode):
@@ -266,8 +260,7 @@ class TestDualityCommand:
             raise AssertionError("solve_bsde called on an over-budget model")
 
         monkeypatch.setattr(dual, "solve_bsde", refuse)
-        path = tmp_path / "long.json"
-        path.write_text(random_model(rng, 2, 1, 17).to_json())
+        path = write_model(tmp_path / "long.json", random_model(rng, 2, 1, 17))
         res = runner.invoke(main, ["duality", "--model", str(path), "--out", str(tmp_path / "d")])
         assert res.exit_code == 2, res.output
         assert "exceeds the enumeration budget" in res.stderr
@@ -286,7 +279,7 @@ class TestDualityCommand:
 
         monkeypatch.setattr(dual, "solve_bsde", counted)
         path, cfg = tmp_path / "model.json", tmp_path / "cfg.json"
-        path.write_text(random_model(rng, 2, 1, 2).to_json())
+        write_model(path, random_model(rng, 2, 1, 2))
         cfg.write_text(json.dumps({"model_path": str(path), "enum_budget": budget, "draws": 2}))
         res = runner.invoke(main, ["duality", "--config", str(cfg), "--out", str(tmp_path / "d")])
         assert res.exit_code == code, res.output
@@ -302,8 +295,7 @@ class TestDualityCommand:
             raise ValueError("past the gate")
 
         monkeypatch.setattr(dual, "solve_bsde", reached)
-        path = tmp_path / "model.json"
-        path.write_text(random_model(rng, d, m, T).to_json())
+        path = write_model(tmp_path / "model.json", random_model(rng, d, m, T))
         for budget, stderr in ((cost, "error: past the gate\n"),
                                (cost - 1, f"error: d^(T+1)*(m+1)^(T+1) = {cost} exceeds the enumeration budget "
                                           f"{cost - 1} ((m+1) times the d^(T+1)*(m+1)^T joint paths walked); "
@@ -318,8 +310,7 @@ class TestDualityCommand:
 class TestRepresentCommand:
     def test_uninformative_model_has_zero_weights(self, runner, tmp_path, rng):
         model = uninformative_model(rng, 2, 1, 2)
-        path = tmp_path / "flat.json"
-        path.write_text(model.to_json())
+        path = write_model(tmp_path / "flat.json", model)
         out = tmp_path / "rep"
         res = runner.invoke(
             main, ["represent", "--model", str(path), "--z-query", "1", "--out", str(out)]

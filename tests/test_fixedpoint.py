@@ -29,6 +29,7 @@ from conftest import (
     random_measure_process,
     random_model,
     sparse_model,
+    traced_peak,
     uninformative_model,
 )
 from oracles import apply_N_path_exact, scalar_obs
@@ -656,6 +657,16 @@ class TestApplyNAdaptedSharedLaws:
         flagged = sum(len(diag) for diag in ref_diag)
         solved = sum((model.m + 1) ** s for t in range(1, model.T + 1) for s in range(t)) * model.d
         assert 0 < flagged < solved  # some systems fell back, some did not
+
+    def test_peak_memory_is_the_arrays_it_must_hold(self, rng):
+        d, m, T = 4, 2, 7
+        model = random_model(rng, d, m, T)
+        nodes = sum((m + 1) ** t for t in range(T))  # prefixes of lengths 0..T-1: one law and one sweep node each
+        output = sum((m + 1) ** t for t in range(1, T + 1)) * d * 9  # float levels and their bool flags
+        laws = nodes * (m * d + m * d * m) * 8  # K_lead and K_drag
+        trajectory = nodes * (d + d * m + m) * 8  # Y_0..Y_{T-1}, V and U; the terminal indicator is a broadcast
+        # half again is room for one level's temporaries, not for a level's worth of per-node arrays
+        assert traced_peak(apply_N_adapted, model, filter_process(model)) < 1.5 * (output + laws + trajectory)
 
 
 class TestStrictCausality:

@@ -18,7 +18,7 @@ from dualfilter.hmm import (
     validate_tokens,
 )
 
-from conftest import make_model, random_model, sparse_model
+from conftest import make_model, random_model, sparse_model, write_model
 from oracles import scalar_obs
 
 
@@ -87,22 +87,23 @@ class TestModelConstruction:
         assert np.all(np.abs(model.A.sum(axis=1) - 1.0) < 1e-15)
         assert np.all(np.abs(model.C.sum(axis=1) - 1.0) < 1e-15)
 
-    def test_json_round_trip(self, rng):
+    def test_json_round_trip(self, rng, tmp_path):
         model = random_model(rng, 3, 2, 4)
-        clone = HmmModel.from_json(model.to_json())
+        clone = HmmModel.from_json(write_model(tmp_path / "model.json", model).read_text())
         assert (clone.d, clone.m, clone.T) == (model.d, model.m, model.T) == (3, 2, 4)
         np.testing.assert_array_equal(clone.mu, model.mu)
         np.testing.assert_array_equal(clone.A, model.A)
         np.testing.assert_array_equal(clone.C, model.C)
 
     @pytest.mark.parametrize("off", [0.0, 5e-10], ids=["normalized", "rows-off-by-5e-10"])
-    def test_rebuilding_from_own_arrays_changes_no_bit(self, rng, off):
+    def test_rebuilding_from_own_arrays_changes_no_bit(self, rng, tmp_path, off):
         for _ in range(100):
             d, m = int(rng.integers(2, 9)), int(rng.integers(1, 4))
             mu, A, C = (rng.dirichlet(np.ones(k), size=n) * (1 + rng.uniform(-off, off, (n, 1)))
                         for n, k in ((1, d), (d, d), (d, m + 1)))
             model = make_model(mu[0], A, C, 3)
-            for clone in (HmmModel.from_json(model.to_json()), replace(model, T=5), replace(replace(model, T=2), T=3)):
+            loaded = HmmModel.from_json(write_model(tmp_path / "model.json", model).read_text())
+            for clone in (loaded, replace(model, T=5), replace(replace(model, T=2), T=3)):
                 for name in ("mu", "A", "C"):
                     assert getattr(clone, name).tobytes() == getattr(model, name).tobytes(), name
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dualfilter.adapted import AdaptedProcess, prefix_string, prefixes
-from dualfilter.hmm import token_basis
+from dualfilter.hmm import token_basis, validate_tokens
 from dualfilter.oracle import ImpossibleObservationError, forward_filter, next_token_prob
 from dualfilter.predictor import (
     PredictorRepresentation,
@@ -15,7 +15,7 @@ from dualfilter.predictor import (
     represent_conditional,
 )
 
-from conftest import make_model, random_model, sparse_model, uninformative_model
+from conftest import make_model, random_model, sparse_model, traced_peak, uninformative_model
 from oracles import build_weights_exact, build_weights_lstsq, path_values_exact
 
 
@@ -158,6 +158,36 @@ class TestEvaluate:
         rep = build_weights(np.array([0.0, 1.0]), m=1, T=1)
         with pytest.raises(ValueError, match="length"):
             evaluate(rep, (0, 1))
+
+    @pytest.mark.parametrize(
+        "z, bad_row",
+        [([True, False], [True, False]), (np.array([1.5, 0.0]), [1.5, 0.0]), (np.array(["1", "0"]), ["1", "0"]),
+         (np.array([[0, 1], [1, False]], dtype=object), [1, False]), ([[0.0, 1.0], [1.0, np.nan]], [1.0, np.nan])],
+        ids=["bool", "not-whole-float", "string", "object-holding-bool", "nan"],
+    )
+    def test_rejects_what_validate_tokens_rejects_with_its_error(self, z, bad_row):
+        rep = build_weights(np.zeros(4), m=1, T=2)
+        with pytest.raises(ValueError) as want:
+            validate_tokens(bad_row, 1)
+        assert str(want.value).endswith("is not an integer")
+        with pytest.raises(ValueError) as got:
+            evaluate(rep, z)
+        assert str(got.value) == str(want.value)
+
+    def test_whole_floats_and_small_integer_tables_read_as_the_tokens(self, rng):
+        rep = build_weights(rng.standard_normal(27), m=2, T=3)
+        paths = np.array(list(prefixes(2, 3)))
+        want = evaluate(rep, paths).tobytes()
+        for table in (paths.astype(float), paths.astype(np.int8), paths.astype(np.uint8), paths.astype(object)):
+            assert evaluate(rep, table).tobytes() == want
+        assert evaluate(rep, [2.0, 0.0, 1.0]) == evaluate(rep, (2, 0, 1))
+
+    def test_peak_memory_holds_no_int64_copy_of_the_table(self, rng):
+        m, T = 1, 12
+        rep = build_weights(rng.standard_normal((m + 1) ** T), m, T)
+        paths = np.indices((m + 1,) * T, dtype=np.int8).reshape(T, -1).T.copy()  # every path, 1 byte a token
+        # path_values' levels and the ranks are a few (N,) float and int64 vectors; an (N, T) int64 copy is N T 8 bytes
+        assert traced_peak(evaluate, rep, paths) < paths.size * 8
 
 
 class TestRepresentConditional:

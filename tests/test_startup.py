@@ -22,7 +22,7 @@ from click.testing import CliRunner
 
 import dualfilter
 from dualfilter.cli import main
-from conftest import make_model, random_model
+from conftest import make_model, random_model, write_model
 
 SRC = Path(dualfilter.__file__).resolve().parent.parent
 
@@ -42,9 +42,7 @@ def imported_modules(args, cwd):
 
 @pytest.fixture
 def model_file(tmp_path, rng):
-    path = tmp_path / "model.json"
-    path.write_text(random_model(rng, 2, 1, 3).to_json())
-    return path
+    return write_model(tmp_path / "model.json", random_model(rng, 2, 1, 3))
 
 
 @pytest.mark.parametrize(
@@ -176,7 +174,7 @@ def test_launched_run_exits_0_with_the_reports_of_an_in_process_run(model_file, 
 )
 def test_launched_run_exits_with_one_error_line(model_file, tmp_path, model, args, code):
     if model is not None:
-        model_file.write_text(model.to_json())
+        write_model(model_file, model)
     proc = launch(["-m", "dualfilter.cli", "oracle", "--model", str(model_file), *args, "--out", "out"], tmp_path)
     assert proc.returncode == code, proc.stderr
     lines = proc.stderr.splitlines()
@@ -185,7 +183,7 @@ def test_launched_run_exits_with_one_error_line(model_file, tmp_path, model, arg
 
 def test_launched_run_exits_4_on_an_invariant_violation(tmp_path):
     model = make_model([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], [[0.2, 0.8], [0.7, 0.3]], 3)
-    (tmp_path / "model.json").write_text(model.to_json())
+    write_model(tmp_path / "model.json", model)
     # the tolerances are fixed, so the launched script tightens the one it checks before entering run
     script = (
         "import sys\n"
