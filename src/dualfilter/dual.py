@@ -16,12 +16,13 @@ a level are independent. All functions are pure and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefix_rank, prefixes
-from .hmm import HmmModel, decompose, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
+from .hmm import HmmModel, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
 from .oracle import exact_expectation, forward_step
 from .predictor import PredictorRepresentation, path_values
 
@@ -68,15 +69,16 @@ def _terminal_level(F, d: int, m: int, T: int) -> np.ndarray:
     return np.broadcast_to(arr, ((m + 1) ** T, d))
 
 
-def _successor_split(model: HmmModel, Y_next: np.ndarray, row: int):
-    """``decompose`` of z -> (A Y_{t+1})(prefix + z) at one row of level t; returns (mean (d,), V (d, m)).
+def _successor_split(A: np.ndarray, successors: np.ndarray, mean: np.ndarray, V: np.ndarray) -> None:
+    """``decompose`` of z -> (A Y_{t+1})(prefix + z) at one node, written into ``mean`` (d,) and ``V`` (d, m).
 
-    ``Y_next`` is level t+1 of Y, whose rows row (m+1) + z are the
-    successors: one product of A with them gives the successor values as
-    the columns of a (d, m+1) array, so V is one R^m row per state.
+    ``successors`` are the node's m+1 rows of Y_{t+1}: one product of A
+    with them gives the successor values as the columns of a (d, m+1)
+    array, and the split has ``decompose``'s arithmetic and bits.
     """
-    n = model.m + 1
-    return decompose(model.A.dot(Y_next[row * n : (row + 1) * n].T))
+    s = A.dot(successors.T)
+    np.divide(np.add.reduce(s, axis=1), len(successors), out=mean)
+    np.subtract(s[:, 1:], mean[:, None], out=V)
 
 
 def _backward_sweep(model: HmmModel, F, control: Callable[..., np.ndarray]):
@@ -85,8 +87,9 @@ def _backward_sweep(model: HmmModel, F, control: Callable[..., np.ndarray]):
     V_t is pinned by the mean/tilde split of each node's successor values,
     the only choice keeping Y_t measurable with respect to the prefix for
     every successor token. The split is one ``_successor_split`` call per
-    node, which the benchmark's node counts are pinned to, and fills that
-    node's row of the level's means (n, d) and V_t (n, d, m) in place. W,
+    node, which the benchmark's node counts are pinned to: one product,
+    sum, divide and subtract into that node's row of the level's means
+    (n, d) and V_t (n, d, m), in place. W,
     the level's (n, m) controls ``control(t, W, V_t)`` and Y_t are stacked
     numpy operations on the whole level. Returns the Y, V and U processes.
     """
@@ -95,8 +98,8 @@ def _backward_sweep(model: HmmModel, F, control: Callable[..., np.ndarray]):
     V, U = [None] * T, [None] * T
     for t in range(T - 1, -1, -1):
         W, V[t] = np.empty(((model.m + 1) ** t, model.d)), np.empty(((model.m + 1) ** t, model.d, model.m))
-        for r in range(len(W)):
-            W[r], V[t][r] = _successor_split(model, Y[t + 1], r)
+        for successors, mean, V_node in zip(Y[t + 1].reshape(len(W), model.m + 1, model.d), W, V[t]):
+            _successor_split(model.A, successors, mean, V_node)
         W += (c_mat * V[t]).sum(axis=-1)  # W = mean + (c V) 1
         U[t] = control(t, W, V[t])
         Y[t] = W + U[t] @ c_mat.T
@@ -226,43 +229,41 @@ def duality_report(model: HmmModel, traj: DualTrajectory, F) -> dict:
     return {"J_T": J, "mse": mse, "gap": abs(J - mse)}
 
 
-def _lead_drag(c_mat: np.ndarray, R: np.ndarray, rho: np.ndarray):
-    """The two terms of the feedback law at rho as matrices: (lead (m, d), drag (m, d m)).
+def _level_laws(model: HmmModel, c_mat: np.ndarray, R: np.ndarray, rows: np.ndarray):
+    """The feedback law at each measure of a level, rows (n, d), solved for the control: (K_lead, K_drag, singular).
 
-    lead @ y = rho((c - rho(c)) y) and drag @ v.ravel() = rho(R v) for a
-    function y (d,) and a (d, m) array v.
+    With Y = W + c u, the law u = phi(Y, V; rho) at a measure rho is the
+    linear system Sigma_p u = -(lead @ W + drag @ V.ravel()), where lead
+    (m, d) and drag (m, d m) are the matrices of y -> rho((c - rho(c)) y)
+    and v -> rho(R v), and Sigma_p = rho(R) + lead @ c is the covariance of
+    e(Z) under the predictive law p = rho C. So u = -(K_lead @ W + K_drag @
+    V.ravel()) with [K_lead | K_drag] = Sigma_p^{-1} [lead | drag]. The
+    terms are stacked over the level, lead and drag in K_lead (n, m, d) and
+    K_drag (n, m, d m), each row with the bits of the term at that one
+    measure; then each row solves its own m x m system into its K. Sigma_p
+    is singular exactly when some token has p(z) = 0, decided with
+    PRED_PROB_TOL, or when LAPACK says so: that row is the minimum-norm
+    solution (pseudo-inverse, cutoff PINV_RCOND), flagged in ``singular``.
     """
-    d, m = c_mat.shape
-    lead = (rho[:, None] * (c_mat - rho @ c_mat)).T
-    drag = (rho[:, None, None] * R).transpose(1, 0, 2).reshape(m, d * m)
-    return lead, drag
-
-
-def _control_operator(model: HmmModel, c_mat: np.ndarray, R: np.ndarray, rho: np.ndarray):
-    """The feedback law at rho solved for the control: (K_lead, K_drag, singular).
-
-    With Y = W + c u, the law u = phi(Y, V; rho) is the linear system
-    Sigma_p u = -(lead @ W + drag @ V.ravel()), where Sigma_p = rho(R) +
-    lead @ c is the covariance of e(Z) under the predictive law p = rho C.
-    So u = -(K_lead @ W + K_drag @ V.ravel()) with [K_lead | K_drag] =
-    Sigma_p^{-1} [lead | drag]. Sigma_p is singular exactly when some token
-    has p(z) = 0, decided with PRED_PROB_TOL; then K is the minimum-norm
-    solution (pseudo-inverse, cutoff PINV_RCOND) and ``singular`` is True.
-    LAPACK's exact-singularity error, which the tolerance should preclude,
-    takes the same branch.
-    """
-    lead, drag = _lead_drag(c_mat, R, rho)
-    sigma = np.einsum("x,xij->ij", rho, R) + lead @ c_mat
-    gains = np.hstack([lead, drag])
-    singular = bool((rho @ model.C).min() <= PRED_PROB_TOL)
-    if not singular:
-        try:
-            K = np.linalg.solve(sigma, gains)
-        except np.linalg.LinAlgError:
-            singular = True
-    if singular:
-        K = np.linalg.pinv(sigma, rcond=PINV_RCOND) @ gains
-    return K[:, : model.d], K[:, model.d :], singular
+    n, (d, m) = len(rows), c_mat.shape
+    K_lead, K_drag = np.empty((n, m, d)), np.empty((n, m, d * m))
+    # written in K's own memory order: a transposed output costs numpy a buffer the size of the level
+    np.subtract(c_mat.T, (rows[:, None, :] @ c_mat).transpose(0, 2, 1), out=K_lead)
+    K_lead *= rows[:, None, :]
+    np.multiply(rows[:, None, :, None], R.transpose(1, 0, 2), out=K_drag.reshape(n, m, d, m))
+    sigma = np.einsum("nx,xij->nij", rows, R) + K_lead @ c_mat
+    singular = (rows[:, None, :] @ model.C).min(axis=(1, 2)) <= PRED_PROB_TOL
+    for r in range(n):
+        gains = np.concatenate((K_lead[r], K_drag[r]), axis=1)
+        if not singular[r]:
+            try:
+                K = np.linalg.solve(sigma[r], gains)
+            except np.linalg.LinAlgError:
+                singular[r] = True
+        if singular[r]:
+            K = np.linalg.pinv(sigma[r], rcond=PINV_RCOND) @ gains
+        K_lead[r], K_drag[r] = K[:, :d], K[:, d:]
+    return K_lead, K_drag, singular
 
 
 def solve_optimal(
@@ -281,7 +282,7 @@ def solve_optimal(
     phi(Y_t, V_t; rho_t) and Y_t = W + c U_t.
     Substituting is affine in U_t. Multiplied through by rho(R) it is the
     m x m system Sigma_p U_t = -(lead(W) + drag(V_t)) in the predictive
-    covariance Sigma_p = rho(R) + lead(c) (see ``_control_operator``), which
+    covariance Sigma_p = rho(R) + lead(c) (see ``_level_laws``), which
     needs no pseudo-inverse of rho(R). Nodes where Sigma_p is singular (a
     next token of predictive probability 0) take the minimum-norm control
     and are named in the trajectory diagnostics.
@@ -289,12 +290,12 @@ def solve_optimal(
     The solved law, a control operator (K_lead, K_drag), depends only on
     the measure at the node, so each level does U_t = -(K_lead W + K_drag
     vec(V_t)) as stacked products. ``laws`` is a memo keyed by level t,
-    filled on first use with one ``_control_operator`` per prefix, written
-    into that prefix's row of the level's K_lead (n, m, d) and K_drag (n,
-    m, d m), with the singular prefixes in rank order. Pass one dict to
-    several solves with the same rho and any F, on models that differ only
-    in T (``replace(model, T=t)`` keeps the bits of mu, A and C, see
-    ``HmmModel``), and each prefix's law is solved once. It changes no
+    filled on first use by ``_level_laws`` on the level's measures, read
+    into one (n, d) array with one ``rho.at`` per prefix: K_lead (n, m, d),
+    K_drag (n, m, d m) and the singular prefixes in rank order. Pass one
+    dict to several solves with the same rho and any F, on models that
+    differ only in T (``replace(model, T=t)`` keeps the bits of mu, A and
+    C, see ``HmmModel``), and each prefix's law is solved once. It changes no
     result, and every solve records its own diagnostics. A caller passing
     ``laws`` has checked rho complete on the levels the solve reads
     (apply_N_adapted checks once for all its solves); without it the
@@ -309,14 +310,11 @@ def solve_optimal(
 
     def feedback(t, W, V):
         if t not in laws:
-            n, m, d = len(W), model.m, model.d
-            K_lead, K_drag, singular = np.empty((n, m, d)), np.empty((n, m, d * m)), []
-            for r, w in enumerate(prefixes(m, t)):
-                K_lead[r], K_drag[r], s = _control_operator(
-                    model, c_mat, R, np.asarray(rho.at(w), dtype=float) if t else model.mu)
-                if s:
-                    singular.append(w)
-            laws[t] = K_lead, K_drag, tuple(singular)
+            rows = np.empty((len(W), model.d))
+            for r, w in enumerate(prefixes(model.m, t)):
+                rows[r] = rho.at(w) if t else model.mu
+            K_lead, K_drag, singular = _level_laws(model, c_mat, R, rows)
+            laws[t] = K_lead, K_drag, tuple(compress(prefixes(model.m, t), singular))
         K_lead, K_drag, singular = laws[t]
         diagnostics.extend(f"singular predictive covariance at t={t}, prefix={w}: minimum-norm control" for w in singular)
         return -((K_lead @ W[..., None]) + (K_drag @ V.reshape(len(V), -1, 1)))[..., 0]

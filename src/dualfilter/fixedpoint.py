@@ -45,7 +45,7 @@ def step_law(A: np.ndarray, nu: np.ndarray, col: np.ndarray, rest: np.ndarray) -
     near 1. Since A 1 = 1 and p + q = 1, k . 1 = 0 to a few eps whatever the
     mass of nu: the constant function rides through with zero control. The
     step is degenerate when min(|p|, |q|) <= PRED_PROB_TOL, the adapted map's
-    rule on the simplex (see dual._control_operator; the absolute values keep
+    rule on the simplex (see dual._level_laws; the absolute values keep
     signed measures off that branch, and the zero measure takes it); then
     k = 0 and M is A.
     """

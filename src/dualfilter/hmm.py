@@ -166,9 +166,11 @@ class HmmModel:
 def validate_tokens(z, m: int) -> tuple[int, ...]:
     """Check z is a sequence of integer-valued tokens in {0, ..., m}; returns it as a tuple of ints.
 
-    1.0 and numpy integers pass as the ints they equal; 1.5, '1', a bool or a non-iterable z raise ValueError.
+    1.0 and numpy integers pass as the ints they equal; 1.5, '1', a bool, bytes or a non-iterable z raise ValueError.
     """
     try:
+        if isinstance(z, (bytes, bytearray)):
+            raise TypeError
         z = tuple(z)
     except TypeError:
         raise ValueError(f"observation path must be a sequence of tokens, got {z!r}") from None

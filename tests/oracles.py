@@ -3,12 +3,13 @@
 None of the commands needs these: brute-force enumerations over hidden
 paths, a least-squares construction of the predictor weights, the per-path
 scalar signal and the feedback law transcribed from their formulas, the
-backward equation swept and its residual taken node by node, the two
-costs of the dual problem (the control cost of a given control and the
-minimum mean-squared error), an estimator's squared error term by term,
-and, in exact rational arithmetic, the forward recursion, the per-path
-map, the minimum mean-squared error, the predictor weights and both sides
-of the duality identity for a given control.
+feedback law solved one prefix at a time, the backward equation swept and
+its residual taken node by node, the two costs of the dual problem (the
+control cost of a given control and the minimum mean-squared error), an
+estimator's squared error term by term, and, in exact rational
+arithmetic, the forward recursion, the per-path map, the minimum
+mean-squared error, the predictor weights and both sides of the duality
+identity for a given control.
 """
 
 from fractions import Fraction
@@ -212,6 +213,41 @@ def optimal_feedback(model, y, v, rho) -> np.ndarray:
     lead = rho @ ((c - rho @ c) * y[:, None])
     drag = np.einsum("x,xij,xj->i", rho, R, v)
     return -np.linalg.pinv(np.einsum("x,xij->ij", rho, R), rcond=dual.PINV_RCOND) @ (lead + drag)
+
+
+def lead_drag(c_mat, R, rho):
+    """The two terms of the feedback law at one measure rho as matrices: (lead (m, d), drag (m, d m)).
+
+    lead @ y = rho((c - rho(c)) y) and drag @ v.ravel() = rho(R v) for a
+    function y (d,) and a (d, m) array v.
+    """
+    d, m = c_mat.shape
+    lead = (rho[:, None] * (c_mat - rho @ c_mat)).T
+    drag = (rho[:, None, None] * R).transpose(1, 0, 2).reshape(m, d * m)
+    return lead, drag
+
+
+def control_operator(model, c_mat, R, rho):
+    """The feedback law at one measure rho solved for the control, one prefix at a time: (K_lead, K_drag, singular).
+
+    [K_lead | K_drag] = Sigma_p^{-1} [lead | drag] with Sigma_p = rho(R) +
+    lead @ c, or the pseudo-inverse's minimum-norm solution, flagged
+    singular, where a next token has predictive probability at or below
+    PRED_PROB_TOL or LAPACK reports the system singular. The reference for
+    each row of ``dual._level_laws``, to the bit.
+    """
+    lead, drag = lead_drag(c_mat, R, rho)
+    sigma = np.einsum("x,xij->ij", rho, R) + lead @ c_mat
+    gains = np.hstack([lead, drag])
+    singular = bool((rho @ model.C).min() <= dual.PRED_PROB_TOL)
+    if not singular:
+        try:
+            K = np.linalg.solve(sigma, gains)
+        except np.linalg.LinAlgError:
+            singular = True
+    if singular:
+        K = np.linalg.pinv(sigma, rcond=dual.PINV_RCOND) @ gains
+    return K[:, : model.d], K[:, model.d :], singular
 
 
 def running_cost(model, y, v, u) -> np.ndarray:

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dualfilter import dual
+from dualfilter import dual, hmm
 from dualfilter.adapted import AdaptedProcess, prefix_rank, prefixes, random_weight_process
 from dualfilter.dual import (
     _backward_sweep,
@@ -35,7 +35,9 @@ from oracles import (
     backward_sweep_by_node,
     bsde_residual,
     bsde_residual_levels,
+    control_operator,
     duality_exact,
+    lead_drag,
     mmse,
     mmse_exact,
     optimal_feedback,
@@ -72,14 +74,14 @@ def old_feedback_system(model, rho):
 
 
 def feedback_by_node(model, rho, diagnostics):
-    """solve_optimal's law as a per-node control for ``backward_sweep_by_node``: one control operator per node.
+    """solve_optimal's law as a per-node control for ``backward_sweep_by_node``: the reference control operator per node.
 
     Each node at which the operator is singular appends solve_optimal's diagnostic to ``diagnostics``.
     """
     c, R = obs_matrix(model), risk_tensor(model)
 
     def control(t, r, w, W, V):
-        K_lead, K_drag, singular = dual._control_operator(model, c, R, node_measure(model, rho, w))
+        K_lead, K_drag, singular = control_operator(model, c, R, node_measure(model, rho, w))
         if singular:
             diagnostics.append(f"singular predictive covariance at t={t}, prefix={w}: minimum-norm control")
         return -(K_lead.dot(W) + K_drag.dot(V.ravel()))
@@ -297,7 +299,8 @@ class TestLawsMemoAcrossHorizons:
         model = random_model(rng, d, m, T)
         rho = random_measure_process(rng, model)
         laws: dict = {}
-        with mock.patch.object(dual, "_control_operator", wraps=dual._control_operator) as spy:
+        with mock.patch.object(np.linalg, "solve", side_effect=np.linalg.solve) as solve, \
+                mock.patch.object(np.linalg, "pinv", side_effect=np.linalg.pinv) as pinv:
             for t in range(1, T + 1):
                 sub, F = replace(model, T=t), rng.standard_normal(d)
                 shared, fresh = solve_optimal(sub, rho, F, laws=laws), solve_optimal(sub, rho, F)
@@ -306,7 +309,7 @@ class TestLawsMemoAcrossHorizons:
                         np.testing.assert_array_equal(got, want)
                 assert shared.diagnostics == fresh.diagnostics
         fresh_calls = sum((m + 1) ** s for t in range(1, T + 1) for s in range(t))
-        assert spy.call_count == sum((m + 1) ** s for s in range(T)) + fresh_calls
+        assert solve.call_count + pinv.call_count == sum((m + 1) ** s for s in range(T)) + fresh_calls
 
 
 class TestPredictiveCovarianceLaw:
@@ -350,7 +353,7 @@ class TestPredictiveCovarianceLaw:
             model = random_model(rng, d, m, 1)
             nu = rng.dirichlet(np.ones(d))
             c = obs_matrix(model)
-            lead, _ = dual._lead_drag(c, risk_tensor(model), nu)
+            lead, _ = lead_drag(c, risk_tensor(model), nu)
             sigma = np.einsum("x,xij->ij", nu, risk_tensor(model)) + lead @ c
             E, p = token_basis(m), nu @ model.C
             mean = p @ E
@@ -366,7 +369,7 @@ class TestPredictiveCovarianceLaw:
         c, R, nu = obs_matrix(model), risk_tensor(model), rho.at((1,))
         u, V = np.asarray(traj.U.at((1,))), np.asarray(traj.V.at((1,)))
         W = np.asarray(traj.Y.at((1,))) - c @ u
-        lead, drag = dual._lead_drag(c, R, nu)
+        lead, drag = lead_drag(c, R, nu)
         sigma = np.einsum("x,xij->ij", nu, R) + lead @ c
         rhs = -(lead @ W + drag @ V.ravel())
         assert np.linalg.matrix_rank(sigma) == 1
@@ -384,8 +387,10 @@ class TestSuccessorSplit:
                                rng.dirichlet(np.ones(m + 1), size=d), 1)
             row = int(rng.integers(3))
             Y_next = rng.standard_normal((3 * (m + 1), d)) * 10.0 ** rng.uniform(-3, 3)
-            succ = model.A.dot(Y_next[row * (m + 1) : (row + 1) * (m + 1)].T)  # column z: the successor along z
-            mean, V = _successor_split(model, Y_next, row)
+            successors = Y_next[row * (m + 1) : (row + 1) * (m + 1)]
+            succ = model.A.dot(successors.T)  # column z: the successor along z
+            mean, V = np.full(d, np.nan), np.full((d, m), np.nan)
+            assert _successor_split(model.A, successors, mean, V) is None  # written in place
             assert mean.tobytes() == succ.mean(axis=-1).tobytes()
             assert V.tobytes() == (succ[:, 1:] - succ.mean(axis=-1)[:, None]).tobytes()
             # the successors added left to right; each row of the product is contiguous,
@@ -395,6 +400,84 @@ class TestSuccessorSplit:
                 for z in range(1, m + 1):
                     total = total + succ[:, z]
                 assert mean.tobytes() == (total / (m + 1)).tobytes()
+
+
+class TestWorkShape:
+    """What the solves do per level and what they leave out, counted on the numpy and library calls."""
+
+    def test_one_einsum_per_filled_level(self, rng):
+        d, m, T = 3, 2, 4
+        model = random_model(rng, d, m, T)
+        with mock.patch.object(np, "einsum", side_effect=np.einsum) as einsum:
+            solve_optimal(model, filter_process(model), rng.standard_normal(d))
+        assert einsum.call_count == T  # levels 0..T-1, not one per prefix
+
+    def test_sweep_makes_no_decompose_call(self, rng):
+        model = random_model(rng, 3, 2, 3)
+        with mock.patch.object(dual, "decompose", create=True, side_effect=hmm.decompose) as in_dual, \
+                mock.patch.object(hmm, "decompose", side_effect=hmm.decompose) as in_hmm:
+            solve_bsde(model, random_weight_process(rng, model.m, model.T), rng.standard_normal(model.d))
+            solve_optimal(model, filter_process(model), rng.standard_normal(model.d))
+        assert in_dual.call_count == in_hmm.call_count == 0
+
+
+class TestLevelLaws:
+    """Each row of the stacked level law against the per-prefix reference, byte for byte."""
+
+    @staticmethod
+    def last_state_token_model(rng, d, m):
+        """Token m emitted by the last state only (by no state at d = 1): a measure without it has p(m) = 0."""
+        C = rng.dirichlet(np.ones(m + 1), size=d)
+        C[: max(d - 1, 1), m] = 0.0
+        return make_model(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d), size=d),
+                          C / C.sum(axis=1, keepdims=True), 3)
+
+    @staticmethod
+    def assert_rows_match_reference(model, rows):
+        c, R = obs_matrix(model), risk_tensor(model)
+        K_lead, K_drag, singular = dual._level_laws(model, c, R, rows)
+        assert K_lead.shape == (len(rows), model.m, model.d) and K_drag.shape == (len(rows), model.m, model.d * model.m)
+        for r, rho in enumerate(rows):
+            want_lead, want_drag, want_singular = control_operator(model, c, R, rho)
+            assert K_lead[r].tobytes() == want_lead.tobytes()
+            assert K_drag[r].tobytes() == want_drag.tobytes()
+            assert singular[r] == want_singular
+        return singular
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_every_row_is_the_reference(self, rng, d, m):
+        flagged = 0
+        for model in (random_model(rng, d, m, 3), self.last_state_token_model(rng, d, m)):
+            for rho in (filter_process(model, zero_convention=True), random_measure_process(rng, model)):
+                for t in range(model.T):
+                    rows = model.mu[None, :] if t == 0 else rho.levels[t]
+                    self.assert_rows_match_reference(model, rows)
+            no_last = np.append(rng.dirichlet(np.ones(d - 1)), 0.0) if d > 1 else np.ones(1)
+            flagged += self.assert_rows_match_reference(model, np.stack([rng.dirichlet(np.ones(d)), no_last])).sum()
+        assert flagged >= 1  # the measure without the last state takes the pinv branch
+
+    def test_forced_lapack_singular_rows(self, rng):
+        solve = np.linalg.solve
+
+        def flaky_solve(a, b):
+            # systems whose (0, 0) entry has its lowest mantissa bit set are declared singular
+            if np.float64(a[0, 0]).view(np.uint64) & 1:
+                raise np.linalg.LinAlgError("forced")
+            return solve(a, b)
+
+        flagged = 0
+        with mock.patch.object(np.linalg, "solve", flaky_solve):
+            for d, m in ((2, 1), (3, 2), (4, 3), (5, 4)):
+                model = random_model(rng, d, m, 3)
+                rho = random_measure_process(rng, model)
+                for t in range(model.T):
+                    rows = model.mu[None, :] if t == 0 else rho.levels[t]
+                    flagged += self.assert_rows_match_reference(model, rows).sum()
+                F, diagnostics = rng.standard_normal(d), []
+                backward_sweep_by_node(model, F, model.T, feedback_by_node(model, rho, diagnostics))
+                assert solve_optimal(model, rho, F).diagnostics == tuple(diagnostics)
+        assert flagged >= 1
 
 
 class TestSweepMatchesNodeByNode:

@@ -7,7 +7,7 @@ import pytest
 
 from dualfilter import fixedpoint
 from dualfilter.adapted import AdaptedProcess, prefixes
-from dualfilter.dual import PRED_PROB_TOL, _control_operator, estimator_values, solve_optimal
+from dualfilter.dual import PRED_PROB_TOL, estimator_values, solve_optimal
 from dualfilter.fixedpoint import (
     apply_N_adapted,
     apply_N_path,
@@ -32,7 +32,7 @@ from conftest import (
     traced_peak,
     uninformative_model,
 )
-from oracles import apply_N_path_exact, scalar_obs
+from oracles import apply_N_path_exact, control_operator, scalar_obs
 
 
 def token_columns(model, z):
@@ -483,7 +483,7 @@ class TestClosedLoopStep:
             for e in (0.0, 1e-16, 1e-14, 1e-12, 1e-10, 1e-6, 0.5):
                 # the smaller predictive probability is e / 2: clearly below or above PRED_PROB_TOL
                 nu = (1 - e) * np.eye(d)[0] + e * np.eye(d)[1]
-                singular = _control_operator(model, c_mat, R, nu)[2]
+                singular = control_operator(model, c_mat, R, nu)[2]
                 for z in (0, 1):
                     assert is_degenerate_law(token_law(model, nu, z), model.A) == singular
                 cases[singular] += 1

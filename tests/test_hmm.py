@@ -176,6 +176,9 @@ class TestValidateTokens:
         ([-1.0], "token z_1 = -1 outside alphabet 0..2"),
         (None, "observation path must be a sequence of tokens, got None"),
         (5, "observation path must be a sequence of tokens, got 5"),
+        # a byte string iterates as its byte values: b"\x01\x00" is not the path (1, 0)
+        (b"\x01\x00", "observation path must be a sequence of tokens, got b'\\x01\\x00'"),
+        (bytearray(b"\x01"), "observation path must be a sequence of tokens, got bytearray(b'\\x01')"),
     ])
     def test_rejects_what_is_not_a_token_path(self, z, text):
         with pytest.raises(ValueError) as err:
