@@ -24,7 +24,7 @@ import functools
 import gc
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import click
@@ -147,7 +147,7 @@ def _load_model(cfg: ExperimentConfig) -> HmmModel:
     except OSError as exc:
         raise ValueError(f"cannot read model file {cfg.model_path}: {exc}") from exc
     try:
-        return HmmModel.from_json(text)
+        return replace(HmmModel.from_json(text), zero_convention=cfg.zero_convention)
     except json.JSONDecodeError as exc:
         raise ValueError(f"model file {cfg.model_path} is not valid JSON: {exc}") from exc
 
@@ -260,7 +260,7 @@ def cmd_oracle(cfg, model, generator, z):
     """Write the exact filter trajectory and next-token probabilities for one path."""
     from .oracle import forward_filter, next_token_prob
 
-    pis = forward_filter(model, z, zero_convention=cfg.zero_convention)
+    pis = forward_filter(model, z)
 
     out = _out_dir(cfg)
     _write_csv(
@@ -294,14 +294,14 @@ def cmd_fixedpoint(cfg, model, generator, z, mode):
     tol = TOLERANCES["fixed_point"]
     out = _out_dir(cfg)
     if mode == "path":
-        rho = forward_filter(model, z, zero_convention=cfg.zero_convention)
+        rho = forward_filter(model, z)
         image, _ = apply_N_path(model, rho, z)
     else:
-        pi_proc = filter_process(model, zero_convention=cfg.zero_convention)
+        pi_proc = filter_process(model)
         image_proc, _ = apply_N_adapted(model, pi_proc)
         image, rho = (np.concatenate(proc.levels[1:]) for proc in (image_proc, pi_proc))
     residual = fixed_point_residual(image, rho)
-    trace = iterate(model, z, K=cfg.K, zero_convention=cfg.zero_convention)
+    trace = iterate(model, z, K=cfg.K)
 
     rows = (
         (k, t, repr(residual), repr(kl), int(flag))
@@ -367,7 +367,7 @@ def cmd_duality(cfg, model, generator):
             np.maximum(worst, level, out=worst)
 
     # estimator identity along the optimal feedback trajectory
-    pi_proc = filter_process(model, zero_convention=cfg.zero_convention)
+    pi_proc = filter_process(model)
     F = rng.standard_normal(model.d)
     traj = solve_optimal(model, pi_proc, F)
     est_worst = []
@@ -401,12 +401,12 @@ def cmd_duality(cfg, model, generator):
     click.echo(f"duality gap over {cfg.draws} draws: max {max_gap:.3e} (tolerance {tol:.1e}) -> pass")
 
 
-def _reconstruction_error(model, rep, z_query: int, zero_convention: bool) -> float:
+def _reconstruction_error(model, rep, z_query: int) -> float:
     """Worst |evaluate - oracle| over every possible path; its tables are freed before the report is built."""
     from .oracle import filter_levels, next_token_prob
     from .predictor import evaluate
 
-    pi_T = filter_levels(model, zero_convention)[-1]
+    pi_T = filter_levels(model)[-1]
     possible = pi_T.sum(axis=1) != 0.0
     paths = np.indices((model.m + 1,) * model.T, dtype=np.min_scalar_type(model.m)).reshape(model.T, -1).T[possible]
     target = next_token_prob(model, pi_T[possible])[:, z_query]
@@ -422,9 +422,9 @@ def cmd_represent(cfg, model, generator, z_query):
     """Build the predictor weights for a next-token conditional probability."""
     from .predictor import represent_conditional
 
-    rep = represent_conditional(model, z_query, zero_convention=cfg.zero_convention)
+    rep = represent_conditional(model, z_query)
     tol = TOLERANCES["representation"]
-    worst = _reconstruction_error(model, rep, z_query, cfg.zero_convention)
+    worst = _reconstruction_error(model, rep, z_query)
     ok = worst <= tol
 
     out = _out_dir(cfg)

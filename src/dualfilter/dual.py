@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .adapted import AdaptedProcess, Prefix, prefix_rank, prefixes
-from .hmm import HmmModel, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
+from .hmm import HmmModel, check_integer, gamma_op, obs_matrix, risk_tensor, token_basis, validate_tokens
 from .oracle import exact_expectation, forward_step
 from .predictor import PredictorRepresentation, path_values
 
@@ -181,6 +181,7 @@ def estimator_path(model: HmmModel, traj: DualTrajectory, z, t: int) -> float:
     ``path_values``' operations in its order, so the value has the bits of
     ``estimator_values`` cut at t. Only the first t tokens are read.
     """
+    t = check_integer(t, "time t")
     if not 0 <= t <= traj.horizon:
         raise ValueError(f"time {t} outside 0..{traj.horizon}")
     w = validate_tokens(z[:t], model.m)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .adapted import AdaptedProcess
 from .dual import PRED_PROB_TOL, estimator_values, solve_optimal
-from .hmm import HmmModel, drop_rounding_negatives, is_probability_vector, validate_tokens
+from .hmm import HmmModel, check_integer, drop_rounding_negatives, is_probability_vector, validate_tokens
 from .oracle import forward_filter, kl_divergence_bar, next_token_prob
 
 
@@ -215,7 +215,6 @@ def iterate(
     rho0: np.ndarray | None = None,
     *,
     K: int,
-    zero_convention: bool = False,
 ) -> IterationTrace:
     """Apply the per-path map K times, recording residuals and KL diagnostics.
 
@@ -228,19 +227,20 @@ def iterate(
     that are clipped at zero and renormalized (and flagged) so the
     iteration is total. The map adds no mass, so this projection is for
     sparse models, whose near-degenerate steps amplify rounding, and starts
-    far from the filter. Under the zero convention, times with an
+    far from the filter. Under ``model.zero_convention``, times with an
     impossible observation prefix contribute a zero reference column and
     drop out of the KL diagnostic.
     """
     z = validate_tokens(z, model.m)
     T = len(z)
+    K = check_integer(K, "K")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if rho0 is None:
         rho0 = np.full((T, model.d), 1.0 / model.d)
     rho0 = np.asarray(rho0, dtype=float)
 
-    pis_ref = forward_filter(model, z, zero_convention=zero_convention)
+    pis_ref = forward_filter(model, z)
     possible = pis_ref.sum(axis=1) > 0.0
     p_ref = np.zeros((model.m + 1, T))
     p_ref[:, possible] = next_token_prob(model, pis_ref[possible]).T

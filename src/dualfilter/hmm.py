@@ -104,12 +104,19 @@ class HmmModel:
     entries fail construction. A row whose float sum is within 4 cols eps
     of 1 is kept as given and every other row is divided by its sum once,
     so building a model from another model's arrays changes no bit.
+
+    ``zero_convention`` picks the version of the conditional measure on an
+    observation prefix of probability 0: False raises
+    ``ImpossibleObservationError``, True uses the 0/0 := 0 zero measure.
+    It is a run choice, not part of the HMM, so ``to_dict`` and the model
+    file leave it out; set it with ``dataclasses.replace``.
     """
 
     mu: np.ndarray
     A: np.ndarray
     C: np.ndarray
     T: int
+    zero_convention: bool = False
 
     def __post_init__(self):
         mu, C = np.asarray(self.mu, dtype=float), np.asarray(self.C, dtype=float)
@@ -117,6 +124,8 @@ class HmmModel:
             raise ValueError(f"mu must be a vector and C a matrix, got shapes {mu.shape} and {C.shape}")
         d, m = len(mu), C.shape[1] - 1
         _check_sizes(d=(d, 1), m=(m, 1), T=(self.T, 1))
+        if not isinstance(self.zero_convention, bool):
+            raise ValueError(f"zero_convention must be true or false, got {self.zero_convention!r}")
         mu = _stochastic_matrix(mu[None, :], "mu", 1, d)[0]
         A = _stochastic_matrix(self.A, "A", d, d)
         C = _stochastic_matrix(C, "C", d, m + 1)
@@ -163,10 +172,23 @@ class HmmModel:
         return cls.from_dict(json.loads(text))
 
 
+def check_integer(val, name: str) -> int:
+    """val as an int if it is integer-valued; the one rule for every integer argument.
+
+    Ints, numpy integers and whole reals such as 2.0 pass as the int they
+    equal; a bool, a non-whole or non-finite real, a string or anything else
+    raises ValueError naming ``name``.
+    """
+    if isinstance(val, bool) or not (isinstance(val, numbers.Real) and float(val).is_integer()):
+        raise ValueError(f"{name} = {val!r} is not an integer")
+    return int(val)
+
+
 def validate_tokens(z, m: int) -> tuple[int, ...]:
     """Check z is a sequence of integer-valued tokens in {0, ..., m}; returns it as a tuple of ints.
 
-    1.0 and numpy integers pass as the ints they equal; 1.5, '1', a bool, bytes or a non-iterable z raise ValueError.
+    Each token is read by ``check_integer``: 1.0 and numpy integers pass as the ints they equal; 1.5,
+    '1' or a bool raise ValueError, as do bytes or a non-iterable z.
     """
     try:
         if isinstance(z, (bytes, bytearray)):
@@ -175,11 +197,9 @@ def validate_tokens(z, m: int) -> tuple[int, ...]:
     except TypeError:
         raise ValueError(f"observation path must be a sequence of tokens, got {z!r}") from None
     for i, tok in enumerate(z):
-        # plain ints, the common case, skip the slower abstract-class check; a bool is not a token
-        if type(tok) is not int and (
-            isinstance(tok, bool) or not (isinstance(tok, numbers.Real) and float(tok).is_integer())
-        ):
-            raise ValueError(f"token z_{i + 1} = {tok!r} is not an integer")
+        # plain ints, the common case, skip the call
+        if type(tok) is not int:
+            check_integer(tok, f"token z_{i + 1}")
         if not 0 <= tok <= m:
             raise ValueError(f"token z_{i + 1} = {int(tok)} outside alphabet 0..{m}")
     return tuple(int(tok) for tok in z)

@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from .adapted import AdaptedProcess
-from .hmm import HmmModel, check_probability_vector, validate_tokens
+from .hmm import HmmModel, check_integer, check_probability_vector, validate_tokens
 
 class ImpossibleObservationError(ValueError):
     """Raised when an observation prefix has probability zero."""
@@ -38,7 +38,7 @@ def forward_step(model: HmmModel, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pi, mass
 
 
-def forward_filter(model: HmmModel, z, zero_convention: bool = False) -> np.ndarray:
+def forward_filter(model: HmmModel, z) -> np.ndarray:
     """Exact conditional distributions pi_1..pi_T for one observation path.
 
     Returns a (T, d) array whose row t-1 is pi_t(x) = P(X_t = x | z_1..z_t).
@@ -47,20 +47,20 @@ def forward_filter(model: HmmModel, z, zero_convention: bool = False) -> np.ndar
     ``forward_step`` of the time t-1 posterior reweighted by C(., z_t).
 
     A zero-probability prefix raises ImpossibleObservationError naming the
-    offending time; with ``zero_convention`` the 0/0 := 0 rule is used
-    instead and all remaining rows are zero measures.
+    offending time; with ``model.zero_convention`` the 0/0 := 0 rule is
+    used instead and all remaining rows are zero measures.
     """
     z = validate_tokens(z, model.m)
     pis, prev = np.empty((len(z), model.d)), model.mu
     for i, tok in enumerate(z):
         prev, mass = forward_step(model, prev * model.C[:, tok])
-        if mass <= 0.0 and not zero_convention:
+        if mass <= 0.0 and not model.zero_convention:
             raise ImpossibleObservationError(i + 1, z[: i + 1])
         pis[i] = prev
     return pis
 
 
-def filter_levels(model: HmmModel, zero_convention: bool = False) -> list[np.ndarray]:
+def filter_levels(model: HmmModel) -> list[np.ndarray]:
     """The filter at every prefix of length 1..model.T, one array per level.
 
     Level t is a ((m+1)^t, d) array whose row r is pi_t at the prefix of
@@ -71,7 +71,7 @@ def filter_levels(model: HmmModel, zero_convention: bool = False) -> list[np.nda
     hold about (m+1)/m (m+1)^T d floats.
 
     A zero-probability prefix raises ImpossibleObservationError unless
-    ``zero_convention``, in which case it and every prefix below it carry
+    ``model.zero_convention``, in which case it and every prefix below it carry
     the zero measure. The error is forward_filter's on the first length-T
     path, in lexicographic order, whose last row is zero: it names that
     path's first impossible prefix, which is the lexicographically smallest
@@ -84,14 +84,14 @@ def filter_levels(model: HmmModel, zero_convention: bool = False) -> list[np.nda
         prev = forward_step(model, prev[:, None, :] * emit)[0].reshape(-1, model.d)
         levels.append(prev)
     dead = np.flatnonzero(~prev.any(axis=1))
-    if dead.size and not zero_convention:
+    if dead.size and not model.zero_convention:
         forward_filter(model, np.unravel_index(dead[0], (model.m + 1,) * model.T))
     return levels
 
 
-def filter_process(model: HmmModel, zero_convention: bool = False) -> AdaptedProcess:
+def filter_process(model: HmmModel) -> AdaptedProcess:
     """The filter as an adapted process: ``filter_levels``' arrays (and errors) as levels 1..T, level 0 absent."""
-    return AdaptedProcess(model.m, (None, *filter_levels(model, zero_convention)))
+    return AdaptedProcess(model.m, (None, *filter_levels(model)))
 
 
 def next_token_prob(model: HmmModel, pi: np.ndarray) -> np.ndarray:
@@ -161,7 +161,7 @@ def exact_expectation(model: HmmModel, h, T: int | None = None) -> float:
     weight * h are added in call order, so the result is the same to the bit
     as a term-by-term loop in that order.
     """
-    T = model.T if T is None else int(T)
+    T = model.T if T is None else check_integer(T, "horizon T")
     d, n_tok = model.d, model.m + 1
     # steps[z][a, b] = C(a, z) A(a, b): the factor of one step a -> b emitting z.
     steps = [model.C[:, [tok]] * model.A for tok in range(n_tok)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapted import AdaptedProcess, prefix_string, prefixes
-from .hmm import HmmModel, decompose, token_basis, validate_tokens
+from .hmm import HmmModel, check_integer, decompose, token_basis, validate_tokens
 from .oracle import filter_levels, next_token_prob
 
 
@@ -76,19 +76,19 @@ def path_values(rep: PredictorRepresentation) -> np.ndarray:
     return level
 
 
-def represent_conditional(model: HmmModel, z_query: int, zero_convention: bool = False) -> PredictorRepresentation:
+def represent_conditional(model: HmmModel, z_query: int) -> PredictorRepresentation:
     """Predictor weights for path -> P(Z_{T+1} = z_query | Z_1..Z_T = path), T = model.T.
 
     The target is the filtered next-token probability on every path, read off the last of
     ``filter_levels`` in one stacked ``next_token_prob`` call. Impossible paths raise, or with
-    ``zero_convention`` take the value 0 (the 0/0 := 0 extension). The weights are unique only once
+    ``model.zero_convention`` take the value 0 (the 0/0 := 0 extension). The weights are unique only once
     impossible paths have values: the optimal dual control for F = C(., z_query) along the filter gives
     them another, so it is this predictor on the possible paths only (on every path of a positive model).
     """
-    z_query = int(z_query)
+    z_query = check_integer(z_query, "query token")
     if not 0 <= z_query <= model.m:
         raise ValueError(f"token {z_query} outside alphabet 0..{model.m}")
-    pi_T = filter_levels(model, zero_convention)[-1]
+    pi_T = filter_levels(model)[-1]
     possible = pi_T.sum(axis=-1) != 0.0  # zero rows only under the zero convention
     target = np.zeros(len(pi_T))
     target[possible] = next_token_prob(model, pi_T[possible])[:, z_query]

@@ -13,14 +13,10 @@ import dualfilter
 MODULES = ("adapted", "hmm", "oracle", "predictor", "dual", "fixedpoint", "attention")
 
 OPTIONS = [
-    "oracle.forward_filter.zero_convention",
-    "oracle.filter_levels.zero_convention",
-    "oracle.filter_process.zero_convention",
     "oracle.exact_expectation.T",
-    "predictor.represent_conditional.zero_convention",
     "dual.solve_optimal.laws",
     "fixedpoint.iterate.rho0",
-    "fixedpoint.iterate.zero_convention",
+    "hmm.HmmModel.zero_convention",
 ]
 
 
@@ -53,7 +49,15 @@ def options(module_name):
 def test_the_option_list_is_closed():
     found = [name for module in MODULES for name in options(module)]
     assert sorted(found) == sorted(OPTIONS)
-    assert len(found) == len(set(found)) == 8
+    assert len(found) == len(set(found)) == 4
+
+
+def test_no_function_takes_the_zero_convention():
+    # the convention is the model's field, so a filter and its predictor target cannot disagree on it
+    takers = [f"{module}.{name}" for module in MODULES
+              for name, fn in vars(importlib.import_module(f"dualfilter.{module}")).items()
+              if inspect.isfunction(fn) and "zero_convention" in inspect.signature(fn).parameters]
+    assert takers == []
 
 
 def test_every_exported_name_resolves():

@@ -418,6 +418,8 @@ class TestConfigResolution:
             ("attention-demo", {"attn_activation": 3}, []),
             ("duality", {"enum_budget": 1}, []),
             ("oracle", {"zero_convention": "yes"}, []),
+            ("oracle", {"model_path": 5}, []),
+            ("oracle", {"output_dir": 3}, []),
             ("duality", {}, ["--seed", "-1"]),
             ("attention-demo", {}, ["--path", "."]),
             ("fixedpoint", {}, ["--path", ""]),
@@ -439,7 +441,8 @@ class TestConfigResolution:
             "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "unknown-tolerance",
             "str-enum-budget",
             "float-draws", "zero-heads", "zero-layers", "unknown-activation", "int-activation", "over-budget",
-            "str-zero-convention", "negative-seed-flag", "dot-path", "empty-path-fixedpoint", "empty-path-oracle",
+            "str-zero-convention", "int-model-path", "int-output-dir", "negative-seed-flag", "dot-path",
+            "empty-path-fixedpoint", "empty-path-oracle",
             "empty-token-dots", "empty-token-commas", "underscore-token", "space-token", "plus-token",
             "minus-token", "non-ascii-digit-token", "list-model", "int-model", "null-model",
             "out-is-a-file", "out-under-a-file",
@@ -453,8 +456,9 @@ class TestConfigResolution:
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model_path": str(model_file), **config}))
-        # flags go last, so a case's own --out wins
-        res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
+        # flags go last, so a case's own --out wins; a config that sets output_dir gets no --out over it
+        out = [] if "output_dir" in config else ["--out", str(tmp_path / "o")]
+        res = runner.invoke(main, [command, "--config", str(cfg), *out, *flags])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         lines = res.stderr.splitlines()

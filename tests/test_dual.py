@@ -144,8 +144,9 @@ class TestSolveBsde:
         for _ in range(40):
             d, m, T = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
             model = make(rng, d, m, T)
+            pi = filter_process(replace(model, zero_convention=True))
             for traj in (solve_bsde(model, random_weight_process(rng, m, T), rng.standard_normal(d)),
-                         solve_optimal(model, filter_process(model, zero_convention=True), rng.standard_normal(d))):
+                         solve_optimal(model, pi, rng.standard_normal(d))):
                 got = dual.bsde_residual_by_node(model, traj).levels
                 want = bsde_residual_levels(model, traj)
                 assert [level.tobytes() for level in got] == [level.tobytes() for level in want]
@@ -449,7 +450,7 @@ class TestLevelLaws:
     def test_every_row_is_the_reference(self, rng, d, m):
         flagged = 0
         for model in (random_model(rng, d, m, 3), self.last_state_token_model(rng, d, m)):
-            for rho in (filter_process(model, zero_convention=True), random_measure_process(rng, model)):
+            for rho in (filter_process(replace(model, zero_convention=True)), random_measure_process(rng, model)):
                 for t in range(model.T):
                     rows = model.mu[None, :] if t == 0 else rho.levels[t]
                     self.assert_rows_match_reference(model, rows)
@@ -581,11 +582,11 @@ class TestPredictorWeightsAreTheOptimalControl:
         for _ in range(60):
             d, m, T = int(rng.integers(2, 5)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
             model = sparse_model(rng, d, m, T)
-            pi = filter_process(model, zero_convention=True)
+            pi = filter_process(replace(model, zero_convention=True))
             possible = pi.levels[T].sum(axis=-1) != 0.0
             for q in range(m + 1):
                 traj = solve_optimal(model, pi, model.C[:, q])
-                rep = represent_conditional(model, q, zero_convention=True)
+                rep = represent_conditional(replace(model, zero_convention=True), q)
                 diff = np.abs(estimator_values(model, traj) - path_values(rep))
                 assert np.max(diff[possible]) <= 1e-10
                 constants_differ += abs(rep.constant - float(model.mu @ traj.y0())) > 1e-6
@@ -628,6 +629,15 @@ class TestEstimatorPath:
         with pytest.raises(ValueError, match="outside"):
             estimator_path(model, traj, (1, 1, 0), model.T + 1)
 
+    @pytest.mark.parametrize("t", [True, 1.5, "1"])
+    def test_time_must_be_an_integer(self, rng, reference_model, t):
+        model = reference_model
+        traj = solve_optimal(model, filter_process(model), rng.standard_normal(model.d))
+        with pytest.raises(ValueError) as err:
+            estimator_path(model, traj, (1, 1, 0), t)
+        assert str(err.value) == f"time t = {t!r} is not an integer"
+        assert estimator_path(model, traj, (1, 1, 0), 1.0) == estimator_path(model, traj, (1, 1, 0), 1)
+
     def test_path_shorter_than_time_names_both_lengths(self, rng, reference_model):
         model = reference_model
         traj = solve_optimal(model, filter_process(model), rng.standard_normal(model.d))
@@ -645,7 +655,7 @@ class TestEstimatorPath:
             for make in (random_model, sparse_model):
                 model = make(rng, d, m, T)
                 F = rng.standard_normal(d)
-                rho = filter_process(model, zero_convention=True)
+                rho = filter_process(replace(model, zero_convention=True))
                 for traj in (solve_bsde(model, random_weight_process(rng, m, T), F), solve_optimal(model, rho, F)):
                     constant = float(model.mu @ traj.y0())
                     cut = [path_values(PredictorRepresentation(constant, AdaptedProcess(m, traj.U.levels[:t])))
@@ -681,7 +691,7 @@ class TestSquaredError:
         # fully informative chain: the terminal value is known from the tokens
         model = make_model([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], 2)
         F = np.array([1.0, -1.0])
-        pi = filter_process(model, zero_convention=True)
+        pi = filter_process(replace(model, zero_convention=True))
         traj = solve_optimal(model, pi, F)
         assert squared_error(model, traj, F) <= 1e-12
 
@@ -773,7 +783,7 @@ class TestCostContraction:
                 scale = float(np.max(np.abs(dual._terminal_level(F, d, m, T)))) ** 2
                 # a random control, and the optimal feedback control under the zero convention
                 for U in (random_weight_process(rng, m, T),
-                          solve_optimal(model, filter_process(model, zero_convention=True), F).U):
+                          solve_optimal(model, filter_process(replace(model, zero_convention=True)), F).U):
                     J = total_cost(model, U, F)
                     got = dual._cost_of_trajectory(model, solve_bsde(model, U, F))
                     assert abs(got - J) <= 1e-12 * max(abs(J), scale), (got, J)
@@ -810,7 +820,8 @@ class TestMmseAgainstExactArithmetic:
             F = random_terminal(rng, model, path_dependent=draw % 2 == 1)
             exact = mmse_exact(model, F)
             figure = (T + 1) * Fraction(float(np.max(np.abs(dual._terminal_level(F, d, m, T))))) ** 2
-            report = duality_report(model, solve_optimal(model, filter_process(model, zero_convention=True), F), F)
+            pi = filter_process(replace(model, zero_convention=True))
+            report = duality_report(model, solve_optimal(model, pi, F), F)
             for got in (mmse(model, F), report["J_T"], report["mse"]):
                 assert abs(Fraction(got) - exact) <= self.BOUND_EPS * eps * figure, (got, float(exact))
 

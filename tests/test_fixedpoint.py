@@ -292,7 +292,7 @@ class TestApplyNPathSharedLaws:
             d, m, T = int(rng.integers(2, 6)), int(rng.integers(1, 3)), int(rng.integers(2, 12))
             model = sparse_model(rng, d, m, T)
             z = random_path(rng, model)
-            rho = forward_filter(model, z, zero_convention=True)
+            rho = forward_filter(replace(model, zero_convention=True), z)
             zero_rows += int((rho.sum(axis=1) == 0.0).sum())
             self.assert_same_map(model, rho, z)
         assert zero_rows > 0
@@ -361,7 +361,8 @@ class TestApplyNPathExact:
             d, m, T = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
             model = sparse_model(rng, d, m, T)
             z = random_path(rng, model)
-            degenerate += self.assert_near_exact(model, forward_filter(model, z, zero_convention=True), z)[1]
+            rho = forward_filter(replace(model, zero_convention=True), z)
+            degenerate += self.assert_near_exact(model, rho, z)[1]
         assert degenerate > 0
 
     def test_near_degenerate_dyadic_draws(self, rng):
@@ -419,7 +420,7 @@ class TestClosedLoopStep:
             d, m, T = int(rng.integers(2, 6)), int(rng.integers(1, 3)), int(rng.integers(2, 12))
             model = sparse_model(rng, d, m, T)
             z = random_path(rng, model)
-            rho = forward_filter(model, z, zero_convention=True)
+            rho = forward_filter(replace(model, zero_convention=True), z)
             zero_rows += int((rho.sum(axis=1) == 0.0).sum())
             self.assert_paper_steps(rng, model, rho, z)
         assert zero_rows > 0
@@ -722,10 +723,10 @@ class TestStrictCausality:
             d, m, T = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
             model = sparse_model(rng, d, m, T)
             z = random_path(rng, model)
-            pis = forward_filter(model, z, zero_convention=True)
+            pis = forward_filter(replace(model, zero_convention=True), z)
             possible = pis.sum(axis=1) > 0.0
             impossible += int((~possible).sum())
-            trace = iterate(model, z, K=T, zero_convention=True)
+            trace = iterate(replace(model, zero_convention=True), z, K=T)
             for k in range(1, T + 1):
                 rows = possible & (np.arange(T) < k)
                 assert np.max(np.abs(trace.iterates[k][rows] - pis[rows]), initial=0.0) <= 1e-10
@@ -834,6 +835,19 @@ class TestIterate:
         with pytest.raises(ValueError, match="K"):
             iterate(reference_model, (1, 0, 1), K=0)
 
+    @pytest.mark.parametrize("K", ["2", True, 2.5])
+    def test_iteration_count_must_be_an_integer(self, reference_model, K):
+        with pytest.raises(ValueError) as err:
+            iterate(reference_model, (1, 0, 1), K=K)
+        assert str(err.value) == f"K = {K!r} is not an integer"
+
+    def test_whole_number_iteration_count_is_that_count(self, reference_model):
+        want = iterate(reference_model, (1, 0, 1), K=2)
+        for K in (2.0, np.int64(2)):
+            got = iterate(reference_model, (1, 0, 1), K=K)
+            assert got.iterates.tobytes() == want.iterates.tobytes()
+            assert got.kl_per_iter.tobytes() == want.kl_per_iter.tobytes()
+
     def test_rounding_level_negatives_read_as_zero(self, monkeypatch):
         # every image of the map gets a -1.1e-16 entry at time 1, state 3 (where the filter is 0),
         # by construction, so no summation order inside the map can remove it
@@ -858,13 +872,13 @@ class TestIterate:
         model = make_model([1.0, 0.0], [[0.31372608573215877, 0.6862739142678413], [0.0, 1.0]],
                            [[0.06408592081455812, 0.0, 0.888178865351324, 0.04773521383411797],
                             [0.2449533579787974, 0.0, 0.00890394533834512, 0.7461426966828575]], 11)
-        trace = iterate(model, (3, 2, 3, 0, 3, 2, 3, 2, 3, 1, 2), K=11, zero_convention=True)
+        trace = iterate(replace(model, zero_convention=True), (3, 2, 3, 0, 3, 2, 3, 2, 3, 1, 2), K=11)
         np.testing.assert_allclose(trace.iterates.sum(axis=2), 1.0, atol=1e-12)
         assert np.all(np.isfinite(trace.kl_per_iter))
 
     def test_impossible_path_under_zero_convention(self):
         model = make_model([1.0, 0.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]], 2)
-        trace = iterate(model, (0, 0), K=3, zero_convention=True)
+        trace = iterate(replace(model, zero_convention=True), (0, 0), K=3)
         assert np.all(np.isfinite(trace.residuals))
         assert np.all(np.isfinite(trace.kl_per_iter))
 

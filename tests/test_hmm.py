@@ -7,6 +7,7 @@ import pytest
 from dualfilter.hmm import (
     HmmModel,
     ROUNDING_TOL,
+    check_integer,
     check_probability_vector,
     decompose,
     drop_rounding_negatives,
@@ -129,6 +130,23 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match="model size T must be an integer, got 2.0"):
             make_model([0.5, 0.5], np.eye(2), [[0.5, 0.5], [0.5, 0.5]], 2.0)
 
+    @pytest.mark.parametrize("val", ["yes", 1, 0, None, np.True_])
+    def test_zero_convention_must_be_a_bool(self, val):
+        with pytest.raises(ValueError) as err:
+            HmmModel(mu=[0.5, 0.5], A=np.eye(2), C=[[0.5, 0.5], [0.5, 0.5]], T=2, zero_convention=val)
+        assert str(err.value) == f"zero_convention must be true or false, got {val!r}"
+
+    def test_zero_convention_is_a_run_choice_not_part_of_the_file(self, rng, tmp_path):
+        model = random_model(rng, 3, 2, 4)
+        assert model.zero_convention is False
+        lenient = replace(model, zero_convention=True)
+        assert lenient.to_dict() == model.to_dict() and "zero_convention" not in model.to_dict()
+        assert HmmModel.from_json(write_model(tmp_path / "model.json", lenient).read_text()).zero_convention is False
+        # a copy at another horizon keeps the convention and every bit of the arrays
+        short = replace(lenient, T=2)
+        assert short.zero_convention is True
+        assert all(getattr(short, name).tobytes() == getattr(model, name).tobytes() for name in ("mu", "A", "C"))
+
 
 class TestRoundingNegatives:
     def test_only_rounding_level_negatives_read_as_zero(self):
@@ -184,6 +202,19 @@ class TestValidateTokens:
         with pytest.raises(ValueError) as err:
             validate_tokens(z, 2)
         assert str(err.value) == text
+
+
+class TestCheckInteger:
+    def test_integer_values_read_as_ints(self):
+        got = [check_integer(val, "n") for val in (3, 3.0, np.int64(3), np.float64(3.0), np.uint8(3))]
+        assert got == [3] * 5 and all(type(val) is int for val in got)
+
+    @pytest.mark.parametrize("val", [True, False, np.True_, 1.7, np.float64(2.9), float("nan"), float("inf"), "1",
+                                     None, [1]])
+    def test_rejects_what_is_not_an_integer(self, val):
+        with pytest.raises(ValueError) as err:
+            check_integer(val, "K")
+        assert str(err.value) == f"K = {val!r} is not an integer"
 
 
 class TestCheckProbabilityVector:

@@ -73,7 +73,7 @@ class TestForwardFilter:
 
     def test_zero_convention_fills_zero_measures(self):
         model = make_model([1.0, 0.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]], 2)
-        pis = forward_filter(model, (1, 0), zero_convention=True)
+        pis = forward_filter(replace(model, zero_convention=True), (1, 0))
         np.testing.assert_allclose(pis[0], [1.0, 0.0])
         np.testing.assert_array_equal(pis[1], [0.0, 0.0])
 
@@ -96,7 +96,7 @@ class TestFilterProcess:
         model = make_model([1.0, 0.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]], 2)
         with pytest.raises(ImpossibleObservationError):
             filter_process(model)
-        proc = filter_process(model, zero_convention=True)
+        proc = filter_process(replace(model, zero_convention=True))
         assert np.asarray(proc.at((0,))).sum() == 0.0
 
 
@@ -119,7 +119,7 @@ class TestFilterWalk:
         raised = 0
         for _ in range(12):
             d, m, T = int(rng.integers(1, 9)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
-            model = make(rng, d, m, T)
+            model = replace(make(rng, d, m, T), zero_convention=zero_convention)
             first = None if zero_convention else first_impossible_by_paths(model, T)
             if first is not None:
                 raised += 1
@@ -128,13 +128,13 @@ class TestFilterWalk:
                         build()
                     assert (err.value.t, err.value.prefix) == first
                 continue
-            levels = filter_levels(model, zero_convention)
+            levels = filter_levels(model)
             assert [level.shape for level in levels] == [((m + 1) ** t, d) for t in range(1, T + 1)]
-            proc = filter_process(model, zero_convention=zero_convention)
+            proc = filter_process(model)
             assert list(proc.tree) == [w for t in range(1, T + 1) for w in prefixes(m, t)]
             for t, level in enumerate(levels, start=1):
                 for prefix, pi in zip(prefixes(m, t), level):
-                    row = forward_filter(model, prefix, zero_convention=zero_convention)[-1]
+                    row = forward_filter(model, prefix)[-1]
                     assert pi.tobytes() == row.tobytes(), prefix
                     assert proc.at(prefix).tobytes() == row.tobytes(), prefix
         if make is sparse_model and not zero_convention:
@@ -177,7 +177,7 @@ class TestForwardStepAgainstExactArithmetic:
             for z in (w for t in range(1, T + 1) for w in prefixes(m, t)):
                 rows, prob = forward_exact(model, z)
                 bound = 4 * len(z) * eps
-                pis = forward_filter(model, z, zero_convention=True)
+                pis = forward_filter(replace(model, zero_convention=True), z)
                 assert max(abs(Fraction(v) - e) for row, exact in zip(pis.tolist(), rows)
                            for v, e in zip(row, exact)) <= bound
                 got = path_probability(model, z)
@@ -336,6 +336,22 @@ class TestExactExpectationAgainstScalarEnumeration:
             assert calls == sorted(set(calls), key=lambda c: (c[1], c[0]))
             for (_, z), (_, z_next) in zip(calls, calls[1:]):
                 assert (z is z_next) == (z == z_next)
+
+
+class TestExactExpectationHorizon:
+    def test_default_is_the_model_horizon(self, reference_model):
+        def h(x_path, z_path):
+            return float(x_path[-1] + len(z_path))
+
+        got = exact_expectation(reference_model, h)
+        assert got == exact_expectation(reference_model, h, T=None) == exact_expectation(reference_model, h, T=3)
+        assert exact_expectation(reference_model, h, T=2.0) == exact_expectation(reference_model, h, T=2)
+
+    @pytest.mark.parametrize("T", [1.5, True, "2"])
+    def test_horizon_must_be_an_integer(self, reference_model, T):
+        with pytest.raises(ValueError) as err:
+            exact_expectation(reference_model, lambda x, z: 1.0, T=T)
+        assert str(err.value) == f"horizon T = {T!r} is not an integer"
 
 
 class TestSamplePath:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -245,7 +246,7 @@ class TestRepresentConditional:
 
     def test_zero_convention_fills_zero(self):
         model = make_model([1.0, 0.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]], 2)
-        rep = represent_conditional(model, 0, zero_convention=True)
+        rep = represent_conditional(replace(model, zero_convention=True), 0)
         # the only possible path is (1, 1); its conditional is C(0, 0) = 0 after staying in state 0
         assert abs(evaluate(rep, (1, 1)) - 0.0) <= 1e-12
 
@@ -253,13 +254,27 @@ class TestRepresentConditional:
         with pytest.raises(ValueError, match="alphabet"):
             represent_conditional(reference_model, 2)
 
+    @pytest.mark.parametrize("z_query", [True, 1.7, "1", np.float64(2.9)])
+    def test_query_token_must_be_an_integer(self, rng, z_query):
+        # read by validate_tokens' rule: none of these is token 1's (or token 2's) query
+        model = random_model(rng, 2, 2, 2)
+        with pytest.raises(ValueError) as err:
+            represent_conditional(model, z_query)
+        assert str(err.value) == f"query token = {z_query!r} is not an integer"
 
-def represent_by_paths(model, z_query, zero_convention):
+    def test_whole_number_query_is_that_token(self, rng):
+        model = random_model(rng, 2, 2, 2)
+        want = json.dumps(represent_conditional(model, 1).to_dict())
+        for z_query in (1.0, np.int64(1), np.float64(1.0)):
+            assert json.dumps(represent_conditional(model, z_query).to_dict()) == want
+
+
+def represent_by_paths(model, z_query):
     """represent_conditional written as one forward_filter per path, for comparison."""
     target = []
     for path in prefixes(model.m, model.T):
-        pi_T = forward_filter(model, path, zero_convention=zero_convention)[-1]
-        if zero_convention and pi_T.sum() == 0.0:
+        pi_T = forward_filter(model, path)[-1]
+        if model.zero_convention and pi_T.sum() == 0.0:
             target.append(0.0)
         else:
             target.append(float(next_token_prob(model, pi_T)[z_query]))
@@ -272,16 +287,16 @@ class TestRepresentAgainstPerPathLoop:
     def test_same_weights_and_errors(self, rng, make, zero_convention):
         for _ in range(8):
             d, m, T = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
-            model = make(rng, d, m, T)
+            model = replace(make(rng, d, m, T), zero_convention=zero_convention)
             z_query = int(rng.integers(m + 1))
             try:
-                ref = represent_by_paths(model, z_query, zero_convention)
+                ref = represent_by_paths(model, z_query)
             except ImpossibleObservationError as exc:
                 with pytest.raises(ImpossibleObservationError) as err:
-                    represent_conditional(model, z_query, zero_convention=zero_convention)
+                    represent_conditional(model, z_query)
                 assert (err.value.t, err.value.prefix) == (exc.t, exc.prefix)
                 continue
-            rep = represent_conditional(model, z_query, zero_convention=zero_convention)
+            rep = represent_conditional(model, z_query)
             assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
 
 

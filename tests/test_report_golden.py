@@ -99,6 +99,11 @@ CASES = [
         "iteration_trace.csv": "b0df853d99591c7db8ce0aeebfd80276643f9e65b2ef6e835da86fbce6eb842e",
         "residual_report.json": "0f0daa8e2752ee815eaa85dfb8f5b6d18acde0f3849aca6f08565aeccb0f692b",
     }),
+    # prefixes such as 1.0 and 0.1.0 have probability 0, so the estimator identity skips them
+    ("duality-zero", ["duality", "--model", "sparse.json", "--draws", "2", "--seed", "5", "--zero-convention"], 0, {
+        "diagnostics.csv": "057b202497463258ff6c4b3caff72d220467d5d2164e180f8a1f569c4e8c31d5",
+        "duality_report.json": "0e32d6f51a93d13b4f062460caf33e8c500b6d737cae54ef0d1effda85e6f34e",
+    }),
     # without --path the path is sampled first, then the command makes its own draws from the same generator
     ("oracle-sampled", ["oracle", "--model", "dense.json", "--seed", "4"], 0, {
         "filter_trajectory.csv": "a1efd4ddb300d800401edaf60228a8dc93ea908cb1596f0eab10812ac9fe0b9a",
