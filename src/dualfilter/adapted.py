@@ -86,3 +86,8 @@ def random_weight_process(rng: np.random.Generator, m: int, T: int) -> AdaptedPr
 def prefix_string(prefix: Prefix) -> str:
     """Serialize a prefix as token digits joined by '.'; the root is ''."""
     return ".".join(str(t) for t in prefix)
+
+
+def prefix_strings(m: int, t: int) -> Iterator[str]:
+    """``prefix_string`` of each of ``prefixes(m, t)``, in rank order, joined from the token strings."""
+    return map(".".join, product([str(z) for z in range(m + 1)], repeat=t))

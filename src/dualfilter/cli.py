@@ -23,8 +23,10 @@ import csv
 import functools
 import gc
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
 
 import click
@@ -38,7 +40,7 @@ except ImportError:
     from _sha256 import sha256
 
 from . import __version__
-from .adapted import prefix_string
+from .adapted import AdaptedProcess, prefix_string, prefix_strings
 from .hmm import HmmModel, validate_tokens
 from .oracle import ImpossibleObservationError, sample_path
 
@@ -54,6 +56,9 @@ TOLERANCES = {
     "representation": 1e-12,
     "eq8": 1e-12,
 }
+
+# Rows of a report's weight list rendered per write: the file's text is never built whole.
+JSON_CHUNK = 256
 
 # Integer config fields and their least allowed value.
 INT_MINIMA = {
@@ -183,11 +188,52 @@ def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows):
         writer.writerows(rows)
 
 
+def _json_float(x: float) -> str:
+    """A float as ``json`` writes it: its repr, or NaN, Infinity and -Infinity."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _weight_pairs(weights: AdaptedProcess):
+    """The list items of ``weights`` as [prefix string, row] pairs at depth 2, JSON_CHUNK rows of text at a time.
+
+    Level by level in rank order, with the bytes ``json.dump(..., indent=2)``
+    gives each pair as an item of a top-level key's list. A prefix string is
+    digits and dots, which json writes between quotes unchanged.
+    """
+    for t, level in enumerate(weights.levels):
+        names = prefix_strings(weights.m, t)
+        width = level.shape[1]
+        item = '[\n      "%s",\n      [\n        ' + ",\n        ".join(["%s"] * width) + "\n      ]\n    ]"
+        for start in range(0, len(level), JSON_CHUNK):
+            chunk = level[start : start + JSON_CHUNK]
+            values = map(_json_float, chunk.ravel().tolist())
+            # zip draws each row's width values from the one iterator: (name, *row) per item
+            yield ",\n    ".join(item % fields for fields in zip(islice(names, len(chunk)), *[values] * width))
+
+
 def _write_json(path: Path, cfg: ExperimentConfig, payload: dict):
+    """Write ``{"header": ..., **payload}`` with the bytes of ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline.
+
+    Each top-level value goes through ``json.dumps``, except an
+    ``AdaptedProcess`` of rows, which is written as the list of its
+    (prefix string, row) pairs, level by level in rank order
+    (``_weight_pairs``), a chunk at a time: json's indenting encoder is pure
+    Python and would walk every number of it.
+    """
     doc = {"header": cfg.header(), **payload}
     with path.open("w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for i, key in enumerate(sorted(doc)):
+            fh.write(("{" if i == 0 else ",") + f"\n  {json.dumps(key)}: ")
+            value = doc[key]
+            if not isinstance(value, AdaptedProcess):
+                fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+                continue
+            opened = False
+            for chunk in _weight_pairs(value):
+                fh.write(("," if opened else "[") + "\n    " + chunk)
+                opened = True
+            fh.write("\n  ]" if opened else "[]")
+        fh.write("\n}\n")
 
 
 pass_config_options = [
@@ -428,9 +474,8 @@ def cmd_represent(cfg, model, generator, z_query):
     ok = worst <= tol
 
     out = _out_dir(cfg)
-    payload = rep.to_dict()
-    payload["z_query"] = z_query
-    payload["reconstruction_error"] = worst
+    payload = {"constant": rep.constant, "weights": rep.weights, "m": rep.m, "T": rep.T,
+               "z_query": z_query, "reconstruction_error": worst}
     _write_json(out / "representation.json", cfg, payload)
     if not ok:
         _fail(EXIT_INVARIANT, f"reconstruction error {worst:.3e} exceeds tolerance {tol:.1e}")

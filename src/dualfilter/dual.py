@@ -34,6 +34,9 @@ PINV_RCOND = 1e-10
 # feedback control takes its minimum-norm value.
 PRED_PROB_TOL = 1e-12
 
+# Feedback systems per stacked solve in ``_level_laws``: a level's systems are solved this many at a time.
+SOLVE_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class DualTrajectory:
@@ -241,10 +244,14 @@ def _level_laws(model: HmmModel, c_mat: np.ndarray, R: np.ndarray, rows: np.ndar
     V.ravel()) with [K_lead | K_drag] = Sigma_p^{-1} [lead | drag]. The
     terms are stacked over the level, lead and drag in K_lead (n, m, d) and
     K_drag (n, m, d m), each row with the bits of the term at that one
-    measure; then each row solves its own m x m system into its K. Sigma_p
-    is singular exactly when some token has p(z) = 0, decided with
-    PRED_PROB_TOL, or when LAPACK says so: that row is the minimum-norm
-    solution (pseudo-inverse, cutoff PINV_RCOND), flagged in ``singular``.
+    measure. Sigma_p is singular exactly when some token has p(z) = 0,
+    decided with PRED_PROB_TOL, or when LAPACK says so: that row is the
+    minimum-norm solution (pseudo-inverse, cutoff PINV_RCOND), flagged in
+    ``singular``. The other rows are solved SOLVE_BLOCK at a time, one
+    stacked ``np.linalg.solve`` per block, which LAPACK solves matrix by
+    matrix, with the bits of one solve per row. A block that LAPACK reports
+    singular is solved again row by row, so exactly its singular rows are
+    flagged. The stacked gains [lead | drag] are a block's, not a level's.
     """
     n, (d, m) = len(rows), c_mat.shape
     K_lead, K_drag = np.empty((n, m, d)), np.empty((n, m, d * m))
@@ -254,16 +261,33 @@ def _level_laws(model: HmmModel, c_mat: np.ndarray, R: np.ndarray, rows: np.ndar
     np.multiply(rows[:, None, :, None], R.transpose(1, 0, 2), out=K_drag.reshape(n, m, d, m))
     sigma = np.einsum("nx,xij->nij", rows, R) + K_lead @ c_mat
     singular = (rows[:, None, :] @ model.C).min(axis=(1, 2)) <= PRED_PROB_TOL
-    for r in range(n):
-        gains = np.concatenate((K_lead[r], K_drag[r]), axis=1)
+
+    def gains(r):
+        return np.concatenate((K_lead[r], K_drag[r]), axis=-1)
+
+    def store(r, K):
+        K_lead[r], K_drag[r] = K[..., :d], K[..., d:]
+
+    def solve_row(r):
         if not singular[r]:
             try:
-                K = np.linalg.solve(sigma[r], gains)
+                K = np.linalg.solve(sigma[r], gains(r))
             except np.linalg.LinAlgError:
                 singular[r] = True
         if singular[r]:
-            K = np.linalg.pinv(sigma[r], rcond=PINV_RCOND) @ gains
-        K_lead[r], K_drag[r] = K[:, :d], K[:, d:]
+            K = np.linalg.pinv(sigma[r], rcond=PINV_RCOND) @ gains(r)
+        store(r, K)
+
+    for r in np.flatnonzero(singular).tolist():
+        solve_row(r)
+    solvable = np.flatnonzero(~singular)
+    for start in range(0, len(solvable), SOLVE_BLOCK):
+        block = solvable[start : start + SOLVE_BLOCK]
+        try:
+            store(block, np.linalg.solve(sigma[block], gains(block)))
+        except np.linalg.LinAlgError:
+            for r in block.tolist():
+                solve_row(r)
     return K_lead, K_drag, singular
 
 
@@ -292,8 +316,9 @@ def solve_optimal(
     the measure at the node, so each level does U_t = -(K_lead W + K_drag
     vec(V_t)) as stacked products. ``laws`` is a memo keyed by level t,
     filled on first use by ``_level_laws`` on the level's measures, read
-    into one (n, d) array with one ``rho.at`` per prefix: K_lead (n, m, d),
-    K_drag (n, m, d m) and the singular prefixes in rank order. Pass one
+    into one (n, d) array with one ``rho.at`` per prefix, whose systems are
+    solved in stacks of SOLVE_BLOCK: K_lead (n, m, d), K_drag (n, m, d m)
+    and the singular prefixes in rank order. Pass one
     dict to several solves with the same rho and any F, on models that
     differ only in T (``replace(model, T=t)`` keeps the bits of mu, A and
     C, see ``HmmModel``), and each prefix's law is solved once. It changes no

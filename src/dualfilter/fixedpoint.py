@@ -221,8 +221,9 @@ def iterate(
     The map is strictly causal (see ``apply_N_path``), so from any start,
     K >= T applications give the filter up to rounding, which layer k
     amplifies by the product of 1/p_s along the path (p_s the predictive
-    probability of the observed token). The default start is the uniform
-    measure at every time. Rounding-level negative entries read as 0
+    probability of the observed token). The start rho0 has shape (T, d),
+    one measure per token; the default is the uniform measure at every
+    time. Rounding-level negative entries read as 0
     (``drop_rounding_negatives``); iterates that leave the simplex beyond
     that are clipped at zero and renormalized (and flagged) so the
     iteration is total. The map adds no mass, so this projection is for
@@ -239,6 +240,8 @@ def iterate(
     if rho0 is None:
         rho0 = np.full((T, model.d), 1.0 / model.d)
     rho0 = np.asarray(rho0, dtype=float)
+    if rho0.shape != (T, model.d):
+        raise ValueError(f"rho0 must have shape ({T}, {model.d}), got {rho0.shape}")
 
     pis_ref = forward_filter(model, z)
     possible = pis_ref.sum(axis=1) > 0.0

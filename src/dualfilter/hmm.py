@@ -92,7 +92,7 @@ def _stochastic_matrix(M, name: str, rows: int, cols: int) -> np.ndarray:
     return np.where(kept[:, None], M, M / sums[:, None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmmModel:
     """HMM(mu, A, C) over horizon T: prior mu on X_0, transition A, emission C.
 
@@ -110,6 +110,9 @@ class HmmModel:
     ``ImpossibleObservationError``, True uses the 0/0 := 0 zero measure.
     It is a run choice, not part of the HMM, so ``to_dict`` and the model
     file leave it out; set it with ``dataclasses.replace``.
+
+    Two models are equal exactly when T, zero_convention and the bits of
+    mu, A and C are, and equal models hash alike.
     """
 
     mu: np.ndarray
@@ -132,6 +135,15 @@ class HmmModel:
         for name, arr in (("mu", mu), ("A", A), ("C", C)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def _key(self) -> tuple:
+        return self.T, self.zero_convention, self.mu.tobytes(), self.A.tobytes(), self.C.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, HmmModel) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def d(self) -> int:

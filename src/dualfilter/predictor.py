@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapted import AdaptedProcess, prefix_string, prefixes
+from .adapted import AdaptedProcess
 from .hmm import HmmModel, check_integer, decompose, token_basis, validate_tokens
 from .oracle import filter_levels, next_token_prob
 
@@ -32,13 +32,6 @@ class PredictorRepresentation:
     @property
     def T(self) -> int:
         return len(self.weights.levels)
-
-    def to_dict(self) -> dict:
-        """The file form: weights as (prefix string, row) pairs, level by level in rank order."""
-        pairs = []
-        for t in range(self.T):
-            pairs.extend(zip(map(prefix_string, prefixes(self.m, t)), self.weights.levels[t].tolist()))
-        return {"constant": self.constant, "weights": pairs, "m": self.m, "T": self.T}
 
 
 def build_weights(target: np.ndarray, m: int, T: int) -> PredictorRepresentation:

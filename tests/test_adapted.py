@@ -5,6 +5,7 @@ from dualfilter.adapted import (
     AdaptedProcess,
     prefix_rank,
     prefix_string,
+    prefix_strings,
     prefixes,
     random_weight_process,
 )
@@ -94,3 +95,8 @@ def test_random_weights_draw_level_by_level_in_rank_order():
 def test_prefix_string_joins_digits():
     assert prefix_string(()) == ""
     assert prefix_string((1, 0, 2)) == "1.0.2"
+
+
+@pytest.mark.parametrize("m, t", [(1, 0), (1, 3), (2, 4), (11, 2)])
+def test_prefix_strings_are_each_prefix_string_in_rank_order(m, t):
+    assert list(prefix_strings(m, t)) == [prefix_string(w) for w in prefixes(m, t)]

@@ -310,7 +310,9 @@ class TestLawsMemoAcrossHorizons:
                         np.testing.assert_array_equal(got, want)
                 assert shared.diagnostics == fresh.diagnostics
         fresh_calls = sum((m + 1) ** s for t in range(1, T + 1) for s in range(t))
-        assert solve.call_count + pinv.call_count == sum((m + 1) ** s for s in range(T)) + fresh_calls
+        # each solve call is a stack of (m, m) systems; count the systems
+        systems = sum(call.args[0].size // m**2 for call in solve.call_args_list)
+        assert systems + pinv.call_count == sum((m + 1) ** s for s in range(T)) + fresh_calls
 
 
 class TestPredictiveCovarianceLaw:
@@ -462,8 +464,9 @@ class TestLevelLaws:
         solve = np.linalg.solve
 
         def flaky_solve(a, b):
-            # systems whose (0, 0) entry has its lowest mantissa bit set are declared singular
-            if np.float64(a[0, 0]).view(np.uint64) & 1:
+            # a system whose (0, 0) entry has its lowest mantissa bit set is declared singular,
+            # and with it the whole stack that holds it
+            if np.any(a[..., 0, 0].view(np.uint64) & 1):
                 raise np.linalg.LinAlgError("forced")
             return solve(a, b)
 
@@ -479,6 +482,42 @@ class TestLevelLaws:
                 backward_sweep_by_node(model, F, model.T, feedback_by_node(model, rho, diagnostics))
                 assert solve_optimal(model, rho, F).diagnostics == tuple(diagnostics)
         assert flagged >= 1
+
+
+    @pytest.mark.parametrize("n", [5, dual.SOLVE_BLOCK, 3 * dual.SOLVE_BLOCK + 7], ids=["short", "one", "partial"])
+    def test_blocks_are_the_reference(self, rng, n):
+        # a level shorter than one block, of one block, and not a whole number of blocks,
+        # with rows at or below PRED_PROB_TOL inside the blocks
+        model = self.last_state_token_model(rng, 3, 2)
+        rows = rng.dirichlet(np.ones(3), size=n)
+        rows[::4] = np.append(rng.dirichlet(np.ones(2)), 0.0)  # no mass on the state that emits token 2
+        singular = self.assert_rows_match_reference(model, rows)
+        assert singular.tolist() == [r % 4 == 0 for r in range(n)]
+        with mock.patch.object(np.linalg, "solve", side_effect=np.linalg.solve) as solve:
+            dual._level_laws(model, obs_matrix(model), risk_tensor(model), rows)
+        solvable = n - int(singular.sum())  # the other rows, in stacks of SOLVE_BLOCK and one last partial stack
+        assert [len(call.args[0]) for call in solve.call_args_list] == \
+            [min(dual.SOLVE_BLOCK, solvable - start) for start in range(0, solvable, dual.SOLVE_BLOCK)]
+
+    def test_a_block_lapack_reports_singular_is_solved_row_by_row(self, rng):
+        solve = np.linalg.solve
+        raised, passed = [], []
+
+        def flaky_solve(a, b):
+            # a system whose (0, 0) entry has its 6 lowest mantissa bits set (one in 64) is declared
+            # singular, and with it the whole stack that holds it
+            hit = bool(np.any((a[..., 0, 0].view(np.uint64) & 63) == 63))
+            if a.ndim == 3:
+                (raised if hit else passed).append(len(a))
+            if hit:
+                raise np.linalg.LinAlgError("forced")
+            return solve(a, b)
+
+        model = random_model(rng, 3, 2, 3)
+        with mock.patch.object(np.linalg, "solve", flaky_solve):
+            singular = self.assert_rows_match_reference(model, rng.dirichlet(np.ones(3), size=4 * dual.SOLVE_BLOCK))
+        assert raised and passed  # some blocks fell back to the per-row rule, some did not
+        assert 0 < singular.sum() < dual.SOLVE_BLOCK  # and only the flagged systems of those blocks are singular
 
 
 class TestSweepMatchesNodeByNode:

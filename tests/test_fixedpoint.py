@@ -7,7 +7,7 @@ import pytest
 
 from dualfilter import fixedpoint
 from dualfilter.adapted import AdaptedProcess, prefixes
-from dualfilter.dual import PRED_PROB_TOL, estimator_values, solve_optimal
+from dualfilter.dual import PRED_PROB_TOL, SOLVE_BLOCK, estimator_values, solve_optimal
 from dualfilter.fixedpoint import (
     apply_N_adapted,
     apply_N_path,
@@ -589,9 +589,11 @@ class TestApplyNAdaptedSharedLaws:
         with mock.patch.object(np.linalg, "solve", side_effect=np.linalg.solve) as solve, \
                 mock.patch.object(np.linalg, "pinv", side_effect=np.linalg.pinv) as pinv:
             apply_N_adapted(model, rho)
-        # interior prefixes of lengths 0..T-1, each with one Sigma_p system for all T*d solves
-        assert solve.call_count == sum((model.m + 1) ** t for t in range(model.T))
-        assert all(call.args[0].shape == (model.m, model.m) for call in solve.call_args_list)
+        # interior prefixes of lengths 0..T-1, each with one Sigma_p system for all T*d solves,
+        # solved in stacks of at most SOLVE_BLOCK systems
+        stacks = [call.args[0] for call in solve.call_args_list]
+        assert sum(len(a) for a in stacks) == sum((model.m + 1) ** t for t in range(model.T))
+        assert all(a.ndim == 3 and a.shape[1:] == (model.m, model.m) and len(a) <= SOLVE_BLOCK for a in stacks)
         assert pinv.call_count == 0
 
     def test_zero_probability_token_flags_each_solve_once(self, rng):
@@ -636,9 +638,9 @@ class TestApplyNAdaptedSharedLaws:
         solve = np.linalg.solve
 
         def flaky_solve(a, b):
-            # a deterministic share of the feedback systems is declared singular:
-            # those whose (0, 0) entry has its lowest mantissa bit set
-            if np.float64(a[0, 0]).view(np.uint64) & 1:
+            # a deterministic share of the feedback systems is declared singular: those whose
+            # (0, 0) entry has its lowest mantissa bit set, and with them the whole stack that holds them
+            if np.any(a[..., 0, 0].view(np.uint64) & 1):
                 raise np.linalg.LinAlgError("forced")
             return solve(a, b)
 
@@ -840,6 +842,13 @@ class TestIterate:
         with pytest.raises(ValueError) as err:
             iterate(reference_model, (1, 0, 1), K=K)
         assert str(err.value) == f"K = {K!r} is not an integer"
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2,), (2, 3), (1, 2, 2)])
+    def test_start_must_have_one_measure_per_token(self, rng, shape):
+        model = random_model(rng, 2, 1, 2)
+        with pytest.raises(ValueError) as err:
+            iterate(model, (0, 1), rho0=np.full(shape, 0.5), K=1)
+        assert str(err.value) == f"rho0 must have shape (2, 2), got {shape}"
 
     def test_whole_number_iteration_count_is_that_count(self, reference_model):
         want = iterate(reference_model, (1, 0, 1), K=2)

@@ -148,6 +148,33 @@ class TestModelConstruction:
         assert all(getattr(short, name).tobytes() == getattr(model, name).tobytes() for name in ("mu", "A", "C"))
 
 
+class TestModelEquality:
+    """Models are equal exactly when T, the zero convention and the bits of mu, A and C are."""
+
+    def test_copies_are_equal_and_hash_alike(self, rng, tmp_path):
+        model = random_model(rng, 3, 2, 4)
+        loaded = HmmModel.from_json(write_model(tmp_path / "model.json", model).read_text())
+        for other in (replace(model), loaded, replace(replace(model, T=2), T=4)):
+            assert other == model and not other != model
+            assert hash(other) == hash(model)
+        assert len({model, replace(model), loaded}) == 1
+
+    def test_any_field_that_differs_makes_them_unequal(self, rng):
+        model = random_model(rng, 2, 1, 3)
+        nudged_mu = model.mu.copy()
+        nudged_mu[0] = np.nextafter(nudged_mu[0], 1.0)
+        nudged_mu[1] = 1.0 - nudged_mu[0]
+        others = [replace(model, T=2), replace(model, zero_convention=True), replace(model, mu=nudged_mu),
+                  replace(model, A=model.A[::-1]), replace(model, C=model.C[:, ::-1])]
+        assert others[2].mu.tobytes() != model.mu.tobytes()  # the nudge survives construction
+        assert [other == model for other in others] == [False] * 5
+        assert len({model, *others}) == 6
+
+    def test_a_model_is_not_equal_to_other_types(self, rng):
+        model = random_model(rng, 2, 1, 2)
+        assert model != model.to_dict() and model != (model.mu, model.A, model.C, model.T)
+
+
 class TestRoundingNegatives:
     def test_only_rounding_level_negatives_read_as_zero(self):
         p = np.array([0.5, -5.55e-17, -ROUNDING_TOL, -2 * ROUNDING_TOL, 0.25, -0.0])

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from dualfilter import cli
 from dualfilter.adapted import AdaptedProcess, prefix_string, prefixes
+from dualfilter.cli import ExperimentConfig, main
 from dualfilter.hmm import token_basis, validate_tokens
 from dualfilter.oracle import ImpossibleObservationError, forward_filter, next_token_prob
 from dualfilter.predictor import (
@@ -16,7 +19,7 @@ from dualfilter.predictor import (
     represent_conditional,
 )
 
-from conftest import make_model, random_model, sparse_model, traced_peak, uninformative_model
+from conftest import make_model, random_model, sparse_model, traced_peak, uninformative_model, write_model
 from oracles import build_weights_exact, build_weights_lstsq, path_values_exact
 
 
@@ -264,9 +267,16 @@ class TestRepresentConditional:
 
     def test_whole_number_query_is_that_token(self, rng):
         model = random_model(rng, 2, 2, 2)
-        want = json.dumps(represent_conditional(model, 1).to_dict())
+        want = represent_conditional(model, 1)
         for z_query in (1.0, np.int64(1), np.float64(1.0)):
-            assert json.dumps(represent_conditional(model, z_query).to_dict()) == want
+            assert_same_bits(represent_conditional(model, z_query), want)
+
+
+def assert_same_bits(rep, want):
+    """The same constant and weight levels, bit for bit."""
+    assert np.float64(rep.constant).tobytes() == np.float64(want.constant).tobytes()
+    assert [(level.shape, level.tobytes()) for level in rep.weights.levels] == \
+        [(level.shape, level.tobytes()) for level in want.weights.levels]
 
 
 def represent_by_paths(model, z_query):
@@ -297,7 +307,7 @@ class TestRepresentAgainstPerPathLoop:
                 assert (err.value.t, err.value.prefix) == (exc.t, exc.prefix)
                 continue
             rep = represent_conditional(model, z_query)
-            assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
+            assert_same_bits(rep, ref)
 
 
 def read_weights(obj):
@@ -308,39 +318,80 @@ def read_weights(obj):
         for t in range(T)))
 
 
+def written_representation(tmp_path, model, z_query):
+    """The text of representation.json as ``represent`` writes it for the model and query."""
+    write_model(tmp_path / "model.json", model)
+    args = ["represent", "--model", str(tmp_path / "model.json"), "--z-query", str(z_query), "--out", str(tmp_path)]
+    res = CliRunner().invoke(main, args + ["--zero-convention"] * model.zero_convention)
+    assert res.exit_code == 0, res.output
+    return (tmp_path / "representation.json").read_text()
+
+
+def write_report(tmp_path, payload):
+    """The text ``cli._write_json`` writes for the payload under the default config's header."""
+    cli._write_json(tmp_path / "report.json", ExperimentConfig(), payload)
+    return (tmp_path / "report.json").read_text()
+
+
+def json_dump_text(doc):
+    """What ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline write."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 class TestRepresentationFile:
-    """``to_dict`` is what ``represent`` writes to representation.json."""
+    """representation.json as ``represent`` writes it: json.dump's text of the representation's bits."""
 
     SHAPES = pytest.mark.parametrize("d, m, T", [(2, 1, 1), (2, 2, 2), (3, 2, 3), (2, 3, 2)])
 
     @SHAPES
-    def test_file_holds_the_constant_weights_and_integer_sizes(self, rng, d, m, T):
-        obj = represent_conditional(random_model(rng, d, m, T), 1).to_dict()
-        assert list(obj) == ["constant", "weights", "m", "T"]
+    def test_file_holds_the_constant_weights_and_integer_sizes(self, rng, tmp_path, d, m, T):
+        obj = json.loads(written_representation(tmp_path, random_model(rng, d, m, T), 1))
+        assert list(obj) == ["T", "constant", "header", "m", "reconstruction_error", "weights", "z_query"]
         assert type(obj["constant"]) is float
         assert (type(obj["m"]), type(obj["T"])) == (int, int) and (obj["m"], obj["T"]) == (m, T)
 
     @SHAPES
-    def test_weights_name_each_prefix_once_in_rank_order(self, rng, d, m, T):
-        obj = represent_conditional(random_model(rng, d, m, T), 0).to_dict()
+    def test_weights_name_each_prefix_once_in_rank_order(self, rng, tmp_path, d, m, T):
+        obj = json.loads(written_representation(tmp_path, random_model(rng, d, m, T), 0))
         assert [name for name, _ in obj["weights"]] == [prefix_string(w) for t in range(T) for w in prefixes(m, t)]
         assert all(len(row) == m and all(type(x) is float for x in row) for _, row in obj["weights"])
 
     @SHAPES
-    def test_written_weights_rebuild_the_representation_bit_for_bit(self, rng, d, m, T):
-        rep = represent_conditional(random_model(rng, d, m, T), 1)
-        obj = json.loads(json.dumps(rep.to_dict()))
+    def test_written_weights_rebuild_the_representation_bit_for_bit(self, rng, tmp_path, d, m, T):
+        model = random_model(rng, d, m, T)
+        rep = represent_conditional(model, 1)
+        obj = json.loads(written_representation(tmp_path, model, 1))
         weights = read_weights(obj)
         for t in range(T):
             np.testing.assert_array_equal(weights.levels[t], rep.weights.levels[t])
+        assert obj["constant"] == rep.constant
         clone = PredictorRepresentation(constant=obj["constant"], weights=weights)
         np.testing.assert_array_equal(path_values(clone), path_values(rep))
 
-    @SHAPES
-    def test_file_text_is_stable_through_json(self, rng, d, m, T):
-        text = json.dumps(represent_conditional(random_model(rng, d, m, T), 1).to_dict())
-        assert json.dumps(json.loads(text)) == text
+    def test_file_is_the_text_json_dump_writes(self, rng, tmp_path):
+        models = [random_model(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+                  for _ in range(12)]
+        # a level of exactly JSON_CHUNK rows, a level of several chunks, and zero weights on impossible paths
+        models += [random_model(rng, 2, 3, 5), random_model(rng, 2, 2, 7)]
+        models.append(replace(sparse_model(rng, 3, 1, 4), zero_convention=True))
+        assert (3 + 1) ** 4 == cli.JSON_CHUNK < (2 + 1) ** 6
+        for model in models:
+            text = written_representation(tmp_path, model, int(rng.integers(model.m + 1)))
+            assert text == json_dump_text(json.loads(text))
 
-    def test_empty_horizon_writes_no_weights(self):
-        obj = build_weights(np.array([0.3]), m=1, T=0).to_dict()
-        assert obj == {"constant": 0.3, "weights": [], "m": 1, "T": 0}
+    def test_signed_zero_and_non_finite_weights_are_written_as_json_writes_them(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        levels = (np.array([[-0.0, nan]]), np.array([[inf, -inf], [0.0, 5e-324], [1e300, -1.5]]))
+        text = write_report(tmp_path, {"constant": -0.0, "weights": AdaptedProcess(2, levels), "m": 2, "T": 2})
+        pairs = [["", [-0.0, nan]], ["0", [inf, -inf]], ["1", [0.0, 5e-324]], ["2", [1e300, -1.5]]]
+        header = ExperimentConfig().header()
+        assert text == json_dump_text({"header": header, "constant": -0.0, "weights": pairs, "m": 2, "T": 2})
+        for got, want in zip(read_weights(json.loads(text)).levels, levels, strict=True):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_empty_horizon_writes_no_weights(self, tmp_path):
+        rep = build_weights(np.array([0.3]), m=1, T=0)
+        text = write_report(tmp_path, {"constant": rep.constant, "weights": rep.weights, "m": rep.m, "T": rep.T})
+        header = ExperimentConfig().header()
+        assert text == json_dump_text({"header": header, "constant": 0.3, "weights": [], "m": 1, "T": 0})

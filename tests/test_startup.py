@@ -146,8 +146,10 @@ def reports(out):
         (["attention-demo", "--seed", "3", "--path", "0.1.1"], None),
         (["duality", "--draws", "1"], None),
         (["oracle"], None),
+        (["represent", "--z-query", "1"], None),
+        (["fixedpoint", "--mode", "adapted", "--path", "1.0.1"], None),
     ],
-    ids=["oracle-path", "attention-demo-seed3-path", "duality", "oracle-sampled"],
+    ids=["oracle-path", "attention-demo-seed3-path", "duality", "oracle-sampled", "represent", "fixedpoint-adapted"],
 )
 def test_launched_run_exits_0_with_the_reports_of_an_in_process_run(model_file, tmp_path, monkeypatch, argv, stdout):
     """A launch, where ``run`` blocks OpenSSL, draws and writes the same as ``main`` in-process, which keeps it."""
