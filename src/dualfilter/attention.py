@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hmm import validate_tokens
+from .hmm import check_integer, validate_tokens
 
 # Variance at or below this triggers the epsilon-regularized layernorm branch.
 LAYERNORM_DEGENERATE_VAR = 1e-12
@@ -37,10 +37,14 @@ def positional_encoding(d: int, T: int) -> np.ndarray:
     Rows 2i-1 / 2i (1-based) are sin / cos at frequency 10000^(-2i/d).
 
     d must be even; the frequencies sweep a wide range of scales as i runs
-    over 1..d/2. All entries lie in [-1, 1].
+    over 1..d/2. All entries lie in [-1, 1]. d and T are read by
+    ``check_integer``, and T may be 0.
     """
+    d, T = check_integer(d, "d"), check_integer(T, "T")
     if d < 2 or d % 2 != 0:
         raise ValueError(f"sinusoidal encoding needs even d >= 2, got {d}")
+    if T < 0:
+        raise ValueError(f"need T >= 0 positions, got {T}")
     W = np.zeros((d, T))
     ts = np.arange(1, T + 1, dtype=float)
     for i in range(1, d // 2 + 1):
@@ -219,8 +223,7 @@ def simplified_form(params: LayerParams, sigmas: np.ndarray, t: int, f: np.ndarr
     f = np.asarray(f, dtype=float)
     if f.shape != (params.d,):
         raise ValueError(f"functional f must have shape ({params.d},), got {f.shape}")
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-        raise ValueError(f"position t must be an integer, got {t!r}")
+    t = check_integer(t, "position t")
     if not 1 <= t <= sigmas.shape[1]:
         raise ValueError(f"position t = {t} outside 1..{sigmas.shape[1]}")
     block = sigmas[:, :t]
@@ -240,8 +243,9 @@ def layer_stack(params: LayerParams, sigmas: np.ndarray, n_layers: int) -> list[
     """Apply one block n_layers times; returns [input, after block 1, ...].
 
     A block is layer_forward's attention map, then the tail: residual add,
-    layernorm, feed-forward with residual, layernorm.
+    layernorm, feed-forward with residual, layernorm. n_layers is read by ``check_integer``.
     """
+    n_layers = check_integer(n_layers, "n_layers")
     if n_layers < 1:
         raise ValueError(f"need n_layers >= 1, got {n_layers}")
     outs = [np.asarray(sigmas, dtype=float)]
@@ -252,7 +256,13 @@ def layer_stack(params: LayerParams, sigmas: np.ndarray, n_layers: int) -> list[
 
 
 def random_layer_params(rng: np.random.Generator, d: int, n_head: int) -> LayerParams:
-    """Seeded Gaussian parameters scaled by 1/sqrt(d) for reproducible demos."""
+    """Seeded Gaussian parameters scaled by 1/sqrt(d) for reproducible demos.
+
+    d and n_head are read by ``check_integer``; n_head must divide d.
+    """
+    d, n_head = check_integer(d, "d"), check_integer(n_head, "n_head")
+    if min(d, n_head) < 1:
+        raise ValueError(f"need d >= 1 and n_head >= 1, got d = {d}, n_head = {n_head}")
     if d % n_head != 0:
         raise ValueError(f"n_head = {n_head} must divide d = {d}")
     d_V = d // n_head

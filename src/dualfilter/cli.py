@@ -60,33 +60,27 @@ TOLERANCES = {
 # Rows of a report's weight list rendered per write: the file's text is never built whole.
 JSON_CHUNK = 256
 
+# The one size gate, checked before any work: duality's (m+1) times the joint paths it enumerates,
+# and the floats of the prefix tree's leaf level that represent and fixedpoint --mode adapted build.
+ENUM_BUDGET = 10**7
+
+# The attention demo's fixed toy stack: signal dimension, heads and layers.
+ATTN_D, ATTN_HEADS, ATTN_LAYERS = 8, 2, 4
+
 # Integer config fields and their least allowed value.
-INT_MINIMA = {
-    "seed": 0,
-    "K": 1,
-    "draws": 1,
-    "enum_budget": 1,
-    "attn_d": 1,
-    "attn_heads": 1,
-    "attn_layers": 1,
-}
+INT_MINIMA = {"seed": 0, "K": 1, "draws": 1}
 
 
 @dataclass
 class ExperimentConfig:
-    """What a run varies, resolved: file values first, flags override; the horizon is the model file's T."""
+    """What a run varies, resolved: flags over file values. T is the model file's; budget and sizes are constants."""
 
     model_path: str | None = None
     seed: int = 0
     K: int = 10
     draws: int = 20
-    # cap on d^(T+1) (m+1)^(T+1) for duality: (m+1) times the joint paths exact_expectation walks
-    enum_budget: int = 10**7
     zero_convention: bool = False
     output_dir: str = "out"
-    attn_d: int = 8
-    attn_heads: int = 2
-    attn_layers: int = 4
 
     def validate(self) -> "ExperimentConfig":
         """Type- and range-check every field; nothing is coerced, so the hash is the value given."""
@@ -155,6 +149,18 @@ def _load_model(cfg: ExperimentConfig) -> HmmModel:
         return replace(HmmModel.from_json(text), zero_convention=cfg.zero_convention)
     except json.JSONDecodeError as exc:
         raise ValueError(f"model file {cfg.model_path} is not valid JSON: {exc}") from exc
+
+
+def _check_size(cost: int, formula: str, what: str) -> None:
+    """The one size gate: a ValueError when ``cost``, the value of ``formula``, is over ENUM_BUDGET."""
+    if cost > ENUM_BUDGET:
+        raise ValueError(f"{formula} = {cost} exceeds the enumeration budget {ENUM_BUDGET} ({what}); "
+                         "reduce T, d, or m")
+
+
+def _check_tree_size(model: HmmModel) -> None:
+    """Gate a command that builds every prefix level: its leaf level holds d*(m+1)^T floats."""
+    _check_size(model.d * (model.m + 1) ** model.T, "d*(m+1)^T", "floats in the prefix tree's leaf level")
 
 
 def _parse_path(text: str | None, model: HmmModel, generator) -> tuple[int, ...]:
@@ -337,6 +343,8 @@ def cmd_fixedpoint(cfg, model, generator, z, mode):
     from .fixedpoint import apply_N_adapted, apply_N_path, fixed_point_residual, iterate
     from .oracle import filter_process, forward_filter
 
+    if mode == "adapted":
+        _check_tree_size(model)
     tol = TOLERANCES["fixed_point"]
     out = _out_dir(cfg)
     if mode == "path":
@@ -397,10 +405,8 @@ def cmd_duality(cfg, model, generator):
     from . import fixedpoint  # noqa: F401
 
     tol = TOLERANCES["duality"]
-    cost = model.d ** (model.T + 1) * (model.m + 1) ** (model.T + 1)
-    if cost > cfg.enum_budget:  # the one size gate, before any draw is solved
-        raise ValueError(f"d^(T+1)*(m+1)^(T+1) = {cost} exceeds the enumeration budget {cfg.enum_budget} "
-                         f"((m+1) times the d^(T+1)*(m+1)^T joint paths walked); reduce T, d, or m")
+    _check_size(model.d ** (model.T + 1) * (model.m + 1) ** (model.T + 1), "d^(T+1)*(m+1)^(T+1)",
+                "(m+1) times the d^(T+1)*(m+1)^T joint paths walked")
     rng = generator()
     reports = []
     node_residuals = [np.zeros((model.m + 1) ** t) for t in range(model.T)]  # max over draws, per level
@@ -468,6 +474,7 @@ def cmd_represent(cfg, model, generator, z_query):
     """Build the predictor weights for a next-token conditional probability."""
     from .predictor import represent_conditional
 
+    _check_tree_size(model)
     rep = represent_conditional(model, z_query)
     tol = TOLERANCES["representation"]
     worst = _reconstruction_error(model, rep, z_query)
@@ -497,12 +504,11 @@ def cmd_attention_demo(cfg, model, generator, z):
     from .oracle import kl_divergence_bar
 
     rng = generator()
-    d = cfg.attn_d
-    params = random_layer_params(rng, d, cfg.attn_heads)
-    emb = rng.standard_normal((d, model.m + 1)) / np.sqrt(d)
-    pe = positional_encoding(d, len(z))
+    params = random_layer_params(rng, ATTN_D, ATTN_HEADS)
+    emb = rng.standard_normal((ATTN_D, model.m + 1)) / np.sqrt(ATTN_D)
+    pe = positional_encoding(ATTN_D, len(z))
     sig0 = embed_sequence(emb, pe, z)
-    layers = layer_stack(params, sig0, cfg.attn_layers)
+    layers = layer_stack(params, sig0, ATTN_LAYERS)
     tables = [predictions(emb, sig) for sig in layers]
 
     out = _out_dir(cfg)
@@ -521,12 +527,12 @@ def cmd_attention_demo(cfg, model, generator, z):
     _write_csv(out / "layer_divergence.csv", cfg, ["layer", "kl_bar"], kl_rows)
 
     # cross-path equality of the bilinear form against the attention map the stack applies
-    sig = rng.standard_normal((d, len(z)))
+    sig = rng.standard_normal((ATTN_D, len(z)))
     attended = layer_forward(params, sig)
     tol = TOLERANCES["eq8"]
     worst = float(np.max([
         abs(float(f @ attended[:, t - 1]) - simplified_form(params, sig, t, f))
-        for t, f in enumerate(rng.standard_normal((len(z), d)), start=1)
+        for t, f in enumerate(rng.standard_normal((len(z), ATTN_D)), start=1)
     ]))
     ok = worst <= tol
     _write_json(
@@ -534,14 +540,14 @@ def cmd_attention_demo(cfg, model, generator, z):
         cfg,
         {
             "prompt": prefix_string(z),
-            "layers": cfg.attn_layers,
+            "layers": ATTN_LAYERS,
             "bilinear_equality_error": worst,
             "bilinear_equality_ok": ok,
         },
     )
     if not ok:
         _fail(EXIT_INVARIANT, f"bilinear-form equality error {worst:.3e} exceeds tolerance {tol:.1e}")
-    click.echo(f"attention demo wrote {cfg.attn_layers} layer tables; bilinear equality error {worst:.3e}")
+    click.echo(f"attention demo wrote {ATTN_LAYERS} layer tables; bilinear equality error {worst:.3e}")
 
 
 def run():

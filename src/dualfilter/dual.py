@@ -226,7 +226,7 @@ def duality_report(model: HmmModel, traj: DualTrajectory, F) -> dict:
 
     traj is the trajectory ``solve_bsde(model, U, F)`` returns for the control U.
     J_T is a forward contraction; mse enumerates every joint path, so a
-    caller sizes the model first (the CLI's ``duality`` checks ``enum_budget``).
+    caller sizes the model first (the CLI's ``duality`` checks ``ENUM_BUDGET``).
     """
     J = _cost_of_trajectory(model, traj)
     mse = squared_error(model, traj, F)

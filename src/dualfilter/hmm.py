@@ -64,14 +64,10 @@ def drop_rounding_negatives(p: np.ndarray) -> np.ndarray:
     return np.where((p < 0.0) & (p >= -ROUNDING_TOL), 0.0, p)
 
 
-def _check_sizes(**sizes: tuple[object, int]) -> None:
-    """Each size, given as name=(value, least), must be an integer (not a bool) of at least ``least``."""
-    for name, (val, _) in sizes.items():
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ValueError(f"model size {name} must be an integer, got {val!r}")
-    if any(val < least for val, least in sizes.values()):
-        raise ValueError("spaces require " + ", ".join(f"{k} >= {least}" for k, (_, least) in sizes.items())
-                         + "; got " + ", ".join(f"{k}={val}" for k, (val, _) in sizes.items()))
+def _check_sizes(d: int, m: int, T: int) -> None:
+    """The spaces must be nonempty and the horizon positive: d, m and T all at least 1."""
+    if min(d, m, T) < 1:
+        raise ValueError(f"spaces require d >= 1, m >= 1, T >= 1; got d={d}, m={m}, T={T}")
 
 
 def _stochastic_matrix(M, name: str, rows: int, cols: int) -> np.ndarray:
@@ -103,7 +99,8 @@ class HmmModel:
     are validated to sum to 1 within PROB_SUM_TOL; negative or non-finite
     entries fail construction. A row whose float sum is within 4 cols eps
     of 1 is kept as given and every other row is divided by its sum once,
-    so building a model from another model's arrays changes no bit.
+    so building a model from another model's arrays changes no bit. T is
+    read by ``check_integer`` and stored as the int it equals (2.0 is 2).
 
     ``zero_convention`` picks the version of the conditional measure on an
     observation prefix of probability 0: False raises
@@ -125,8 +122,9 @@ class HmmModel:
         mu, C = np.asarray(self.mu, dtype=float), np.asarray(self.C, dtype=float)
         if mu.ndim != 1 or C.ndim != 2:
             raise ValueError(f"mu must be a vector and C a matrix, got shapes {mu.shape} and {C.shape}")
-        d, m = len(mu), C.shape[1] - 1
-        _check_sizes(d=(d, 1), m=(m, 1), T=(self.T, 1))
+        d, m, T = len(mu), C.shape[1] - 1, check_integer(self.T, "model size T")
+        _check_sizes(d, m, T)
+        object.__setattr__(self, "T", T)
         if not isinstance(self.zero_convention, bool):
             raise ValueError(f"zero_convention must be true or false, got {self.zero_convention!r}")
         mu = _stochastic_matrix(mu[None, :], "mu", 1, d)[0]
@@ -173,7 +171,11 @@ class HmmModel:
             d, m, T, mu, A, C = (obj[key] for key in ("d", "m", "T", "mu", "A", "C"))
         except KeyError as exc:
             raise ValueError(f"model file missing key {exc.args[0]!r}") from exc
-        _check_sizes(d=(d, 1), m=(m, 1), T=(T, 1))
+        # the file is stricter than the library: its sizes are JSON integers, so 3.0 is an error
+        for name, val in (("d", d), ("m", m), ("T", T)):
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ValueError(f"model size {name} must be an integer, got {val!r}")
+        _check_sizes(d, m, T)
         for name, arr, shape in (("mu", mu, (d,)), ("C", C, (d, m + 1))):
             if np.shape(arr) != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {np.shape(arr)}")

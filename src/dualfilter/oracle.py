@@ -2,7 +2,7 @@
 
 Everything here is exact arithmetic over the finite joint path space; the
 rest of the package is validated against these routines. No sampling, no
-log-space and no size check: the CLI's ``enum_budget`` keeps sizes desk-scale.
+log-space and no size check: the CLI's ``ENUM_BUDGET`` keeps sizes desk-scale.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def exact_expectation(model: HmmModel, h, T: int | None = None) -> float:
     which checks the cost's forward contraction, and the tests' reference;
     tolerances assume exactness, so there is deliberately no sampling fallback.
     The walk itself checks no size: the CLI's ``duality`` checks its
-    ``enum_budget`` once, before any draw. ``T`` defaults to ``model.T``;
+    size against ``ENUM_BUDGET`` once, before any draw. ``T`` defaults to ``model.T``;
     it stays an option because the benchmark's per-layer harness passes it.
 
     The weights of all d^(T+1) hidden paths of one z_path are built at once

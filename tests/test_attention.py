@@ -378,16 +378,55 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="outside"):
             simplified_form(params, rng.standard_normal((4, 3)), t, np.zeros(4))
 
-    @pytest.mark.parametrize("t", [2.5, 2.0, True, "2", None], ids=["fraction", "whole-float", "bool", "str", "none"])
+    @pytest.mark.parametrize("t", [2.5, True, "2", None], ids=["fraction", "bool", "str", "none"])
     def test_simplified_form_position_must_be_an_integer(self, rng, t):
         params = random_layer_params(rng, 4, 2)
-        with pytest.raises(ValueError, match=rf"position t must be an integer, got {re.escape(repr(t))}$"):
+        with pytest.raises(ValueError, match=rf"^position t = {re.escape(repr(t))} is not an integer$"):
             simplified_form(params, rng.standard_normal((4, 3)), t, np.zeros(4))
 
-    def test_simplified_form_takes_a_numpy_integer_position(self, rng):
+    @pytest.mark.parametrize("t", [np.int64(2), 2.0], ids=["numpy-int", "whole-float"])
+    def test_simplified_form_takes_an_integer_valued_position(self, rng, t):
         params = random_layer_params(rng, 4, 2)
         sig, f = rng.standard_normal((4, 3)), rng.standard_normal(4)
-        assert simplified_form(params, sig, np.int64(2), f) == simplified_form(params, sig, 2, f)
+        assert simplified_form(params, sig, t, f) == simplified_form(params, sig, 2, f)
+
+
+class TestSizeArguments:
+    """Every size argument is read by check_integer and range-checked: a ValueError, never a numpy or Python error."""
+
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (lambda rng: random_layer_params(rng, 8, 0), "need d >= 1 and n_head >= 1, got d = 8, n_head = 0"),
+            (lambda rng: random_layer_params(rng, 0, 1), "need d >= 1 and n_head >= 1, got d = 0, n_head = 1"),
+            (lambda rng: random_layer_params(rng, 8, 3), "n_head = 3 must divide d = 8"),
+            (lambda rng: random_layer_params(rng, 8, 2.5), "n_head = 2.5 is not an integer"),
+            (lambda rng: random_layer_params(rng, True, 1), "d = True is not an integer"),
+            (lambda rng: layer_stack(random_layer_params(rng, 4, 2), np.zeros((4, 2)), 2.5),
+             "n_layers = 2.5 is not an integer"),
+            (lambda rng: layer_stack(random_layer_params(rng, 4, 2), np.zeros((4, 2)), "2"),
+             "n_layers = '2' is not an integer"),
+            (lambda rng: positional_encoding(4.5, 2), "d = 4.5 is not an integer"),
+            (lambda rng: positional_encoding(4, 2.5), "T = 2.5 is not an integer"),
+            (lambda rng: positional_encoding(4, -1), "need T >= 0 positions, got -1"),
+        ],
+        ids=["zero-heads", "zero-d", "heads-not-dividing", "fraction-heads", "bool-d", "fraction-layers",
+             "str-layers", "fraction-encoding-d", "fraction-encoding-T", "negative-encoding-T"],
+    )
+    def test_bad_size_raises_a_value_error(self, rng, call, text):
+        with pytest.raises(ValueError) as err:
+            call(rng)
+        assert str(err.value) == text
+
+    def test_whole_real_sizes_are_the_ints_they_equal(self):
+        want, got = (random_layer_params(np.random.default_rng(3), 8, n) for n in (2, 2.0))
+        for name in ("W_Q", "W_K", "W_V", "W_O", "gamma", "beta"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.ffn.W1.tobytes() == want.ffn.W1.tobytes() and got.ffn.W2.tobytes() == want.ffn.W2.tobytes()
+        assert positional_encoding(4.0, np.int64(2)).tobytes() == positional_encoding(4, 2).tobytes()
+        sig = np.random.default_rng(4).standard_normal((8, 3))
+        for a, b in zip(layer_stack(want, sig, 2.0), layer_stack(want, sig, 2)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestLayerNorm:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dualfilter import attention, cli, dual, fixedpoint, predictor
+from dualfilter import attention, cli, dual, fixedpoint, oracle, predictor
 from dualfilter.cli import CONFIG_FIELDS, ExperimentConfig, main
 from dualfilter.hmm import is_probability_vector
 
@@ -278,10 +278,9 @@ class TestDualityCommand:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(dual, "solve_bsde", counted)
-        path, cfg = tmp_path / "model.json", tmp_path / "cfg.json"
-        write_model(path, random_model(rng, 2, 1, 2))
-        cfg.write_text(json.dumps({"model_path": str(path), "enum_budget": budget, "draws": 2}))
-        res = runner.invoke(main, ["duality", "--config", str(cfg), "--out", str(tmp_path / "d")])
+        monkeypatch.setattr(cli, "ENUM_BUDGET", budget)
+        path = write_model(tmp_path / "model.json", random_model(rng, 2, 1, 2))
+        res = runner.invoke(main, ["duality", "--model", str(path), "--draws", "2", "--out", str(tmp_path / "d")])
         assert res.exit_code == code, res.output
         assert len(calls) == solves
         if code == 2:
@@ -300,11 +299,61 @@ class TestDualityCommand:
                                (cost - 1, f"error: d^(T+1)*(m+1)^(T+1) = {cost} exceeds the enumeration budget "
                                           f"{cost - 1} ((m+1) times the d^(T+1)*(m+1)^T joint paths walked); "
                                           f"reduce T, d, or m\n")):
-            cfg = tmp_path / f"cfg{budget}.json"
-            cfg.write_text(json.dumps({"model_path": str(path), "enum_budget": budget}))
-            res = runner.invoke(main, ["duality", "--config", str(cfg), "--out", str(tmp_path / "d")])
+            monkeypatch.setattr(cli, "ENUM_BUDGET", budget)
+            res = runner.invoke(main, ["duality", "--model", str(path), "--out", str(tmp_path / "d")])
             assert res.exit_code == 2
             assert res.stderr == stderr
+
+
+class TestTreeSizeGate:
+    """represent and fixedpoint --mode adapted check d*(m+1)^T against ENUM_BUDGET before any level is built."""
+
+    COMMANDS = pytest.mark.parametrize(
+        "argv", [["represent"], ["fixedpoint", "--mode", "adapted", "--path", "0"]],
+        ids=["represent", "fixedpoint-adapted"],
+    )
+
+    @staticmethod
+    def count_levels(monkeypatch, refuse=False):
+        """Wrap filter_levels where both commands reach it; returns the list of calls."""
+        calls = []
+        build = oracle.filter_levels
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            if refuse:
+                raise AssertionError("filter_levels called on an over-budget model")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "filter_levels", counted)
+        monkeypatch.setattr(predictor, "filter_levels", counted)
+        return calls
+
+    @COMMANDS
+    @pytest.mark.parametrize("budget, code", [(16, 0), (15, 2)], ids=["at-budget", "one-over"])
+    def test_leaf_level_is_checked_before_any_level(self, runner, tmp_path, rng, monkeypatch, argv, budget, code):
+        # d=2, m=1, T=3: the leaf level holds d (m+1)^T = 2 * 8 = 16 floats
+        calls = self.count_levels(monkeypatch)
+        monkeypatch.setattr(cli, "ENUM_BUDGET", budget)
+        path = write_model(tmp_path / "model.json", random_model(rng, 2, 1, 3))
+        res = runner.invoke(main, [*argv, "--model", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == code, res.output
+        if code == 2:
+            assert res.stderr == ("error: d*(m+1)^T = 16 exceeds the enumeration budget 15 (floats in the prefix "
+                                  "tree's leaf level); reduce T, d, or m\n")
+            assert calls == [] and not (tmp_path / "o").exists()
+        else:
+            assert calls
+
+    @COMMANDS
+    def test_long_horizon_exits_2_at_the_fixed_budget(self, runner, tmp_path, rng, monkeypatch, argv):
+        # d=2, m=2, T=30: a leaf level of 2 * 3^30 floats, about 3.3 PB
+        self.count_levels(monkeypatch, refuse=True)
+        path = write_model(tmp_path / "long.json", random_model(rng, 2, 2, 30))
+        res = runner.invoke(main, [*argv, "--model", str(path), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == (f"error: d*(m+1)^T = {2 * 3**30} exceeds the enumeration budget 10000000 (floats in "
+                              "the prefix tree's leaf level); reduce T, d, or m\n")
 
 
 class TestRepresentCommand:
@@ -372,8 +421,8 @@ class TestConfigResolution:
         # K=3 iterations, T=3 rows each
         assert len(trace) == 2 + 3 * 3
 
-    # the check tolerances are fixed, a sampled path has the model file's T, and the layer applies gelu,
-    # so the keys that once set them are unknown too
+    # the check tolerances, the size budget and the demo's sizes are fixed, a sampled path has the model
+    # file's T, and the layer applies gelu, so the keys that once set them are unknown too
     @pytest.mark.parametrize(
         "command, key, val",
         [
@@ -381,8 +430,13 @@ class TestConfigResolution:
             ("attention-demo", "tolerances", {"eq8": 10.0}),
             ("oracle", "T", 9),
             ("attention-demo", "attn_activation", "gelu"),
+            ("duality", "enum_budget", 10**7),
+            ("attention-demo", "attn_d", 8),
+            ("attention-demo", "attn_heads", 2),
+            ("attention-demo", "attn_layers", 4),
         ],
-        ids=["horizon", "tolerances", "T", "attn_activation"],
+        ids=["horizon", "tolerances", "T", "attn_activation", "enum_budget", "attn_d", "attn_heads",
+             "attn_layers"],
     )
     def test_unknown_config_key_rejected(self, runner, model_file, tmp_path, command, key, val):
         cfg = tmp_path / "cfg.json"
@@ -406,7 +460,8 @@ class TestConfigResolution:
         [
             ("oracle", {"seed": "abc"}, []),
             ("fixedpoint", {"K": "5"}, []),
-            # the tolerances and the activation are fixed, so a config that sets them, well formed or not, is bad
+            # the tolerances, the activation, the budget and the demo's sizes are fixed, so a config that sets
+            # them, well formed or not, is bad
             ("duality", {"tolerances": {"duality": "1e-9"}}, []),
             ("duality", {"tolerances": 5}, []),
             ("duality", {"tolerances": {"dualty": 0.5}}, []),
@@ -466,6 +521,18 @@ class TestConfigResolution:
         assert "Traceback" not in res.output
 
 
+class TestFixedValues:
+    """The config holds what a run varies; the size budget and the demo's sizes are module constants."""
+
+    def test_config_has_the_six_keys_a_run_varies(self):
+        assert CONFIG_FIELDS == {"model_path", "seed", "K", "draws", "zero_convention", "output_dir"}
+        assert cli.INT_MINIMA == {"seed": 0, "K": 1, "draws": 1}
+
+    def test_budget_and_demo_sizes_are_constants(self):
+        assert cli.ENUM_BUDGET == 10**7
+        assert (cli.ATTN_D, cli.ATTN_HEADS, cli.ATTN_LAYERS) == (8, 2, 4)
+
+
 class TestConfigHash:
     """The header fingerprint is SHA-256 of the config without ``output_dir``, from CPython's own module."""
 
@@ -474,12 +541,8 @@ class TestConfigHash:
         "seed": 7,
         "K": 3,
         "draws": 5,
-        "enum_budget": 1000,
         "zero_convention": True,
         "output_dir": "elsewhere",
-        "attn_d": 4,
-        "attn_heads": 1,
-        "attn_layers": 2,
     }
 
     def test_every_field_case_sets_every_field_off_its_default(self):

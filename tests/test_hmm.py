@@ -127,8 +127,23 @@ class TestModelConstruction:
         assert str(err.value) == f"model size {key} must be an integer, got {val!r}"
 
     def test_library_horizon_must_be_an_integer(self):
-        with pytest.raises(ValueError, match="model size T must be an integer, got 2.0"):
-            make_model([0.5, 0.5], np.eye(2), [[0.5, 0.5], [0.5, 0.5]], 2.0)
+        # the library reads T by check_integer: a whole real is the int it equals, a fraction is an error
+        assert make_model([0.5, 0.5], np.eye(2), [[0.5, 0.5], [0.5, 0.5]], 2.0).T == 2
+        with pytest.raises(ValueError, match=r"^model size T = 2.5 is not an integer$"):
+            make_model([0.5, 0.5], np.eye(2), [[0.5, 0.5], [0.5, 0.5]], 2.5)
+
+    @pytest.mark.parametrize("T", [2.0, np.int64(2), np.float64(2.0)], ids=["float", "numpy-int", "numpy-float"])
+    def test_whole_horizon_is_stored_as_an_int(self, rng, T):
+        model = random_model(rng, 2, 1, 3)
+        short = replace(model, T=T)
+        assert type(short.T) is int and short.T == 2
+        assert short == replace(model, T=2)
+
+    @pytest.mark.parametrize("T", [True, "2", None, float("inf")], ids=["bool", "str", "none", "inf"])
+    def test_horizon_that_is_not_an_integer_raises(self, rng, T):
+        with pytest.raises(ValueError) as err:
+            replace(random_model(rng, 2, 1, 3), T=T)
+        assert str(err.value) == f"model size T = {T!r} is not an integer"
 
     @pytest.mark.parametrize("val", ["yes", 1, 0, None, np.True_])
     def test_zero_convention_must_be_a_bool(self, val):

@@ -53,71 +53,67 @@ CONFIGS = {"heads4.json": {"attn_heads": 4}}
 # (case, argv without --out, exit code, {report: sha256})
 CASES = [
     ("oracle", ["oracle", "--model", "dense.json", "--path", "2.0.1"], 0, {
-        "filter_trajectory.csv": "de6438dc60810f017be2a3622098f34e3747cc4fd9504b302bdd3a676085eb18",
-        "next_token_probs.csv": "ad5cc87cf956317a2f51ae0cb84ba81b125e6e7546903b7ad69318f57f08d719",
+        "filter_trajectory.csv": "f3a51a932936ea113a758d06c99655b9e10cd6512f8999ef949a432f55248725",
+        "next_token_probs.csv": "39e5df393d88fa4214a564feb5bb0a5ac571b240421c67f274b76474874458c7",
     }),
     ("fixedpoint-path", ["fixedpoint", "--model", "dense.json", "--path", "1.2.0", "--iterations", "2"], 0, {
-        "iteration_trace.csv": "ead319b2a5deee0f190898c32a8e50254606296da3b3a197566a026f9ee56cce",
-        "residual_report.json": "cb48e8a667c7f983973f74a84f01ff88be450d366aeb97368173bc5465e9b7ea",
+        "iteration_trace.csv": "6a1ee7c71024fcebe81de6d5620cf735507a909331433a92bacdedb22b53d9bb",
+        "residual_report.json": "b0aac6e37b6559dd56ebbd99561a19f0bd4a531839c89ee65cdb4d9eb80bb31d",
     }),
     ("fixedpoint-adapted", ["fixedpoint", "--model", "dense.json", "--mode", "adapted", "--path", "0.1.2",
                             "--iterations", "2"], 0, {
-        "iteration_trace.csv": "d0e527b4424d41ec429e0745305bfe2a7becb6c4892ab8655d17e4e89d06e6b5",
-        "residual_report.json": "ff60e5d81888822565f9f187babc39023ad94e0079c61d43e6806b7d877ede5b",
+        "iteration_trace.csv": "8d8448c53630e7d9bce812bb3829a03923581d8e9781f253c47b944e94cc2938",
+        "residual_report.json": "29dc551cff3238b031255242e0bb84f8e7dc420bc337f32b3d167a65e98ac6b8",
     }),
     ("duality", ["duality", "--model", "dense.json", "--draws", "2", "--seed", "5"], 0, {
-        "diagnostics.csv": "d019d7154ac546b02e26b3aa3c2b6a78f0b793ed709332542c4a570edf3493c8",
-        "duality_report.json": "d80951c2dd29cb29623bad9b09c4c485f23f729c30680e3b8e1973b91e2c634b",
+        "diagnostics.csv": "a9ce24f321cb214e10b9c4b44fee61f8a60f1b7409a8451a83fc48ebdba6d66c",
+        "duality_report.json": "4eb84cb95b37d4b8fd872571fbb2f172629dcd99e375f1db245369ffe580892b",
     }),
     ("represent", ["represent", "--model", "dense.json", "--z-query", "1"], 0, {
-        "representation.json": "4a099db993f3fb9bff082397fa0108340df8c6d667cca28d3d6a49ea283b04a3",
+        "representation.json": "ae003bca74962c935e51b9c362b674cde10de817cff0d0baccd18fca7b33205f",
     }),
     ("attention-demo", ["attention-demo", "--model", "dense.json", "--path", "0.2.1.1.0", "--seed", "3"], 0, {
-        "attention_report.json": "cbafefeb2f283e34d345822275bd8ca664cc88a9f524f9695f37bc4c08e4eae1",
-        "layer_divergence.csv": "55a68c5d163af344abd294e143ae11a5c1e5d3986a5f4071efdaf02e505b1560",
-        "layer_predictions.csv": "dde1d5a93243c806e4b0d363ac5f395a68b9a1a7aae0bb2ff883e02b2616dbe9",
+        "attention_report.json": "de24ac3569e9cc95d37c8ab3894ddb545a078a86080d304ad8e03192ea24e59b",
+        "layer_divergence.csv": "74f5885934039adafc3b6277f8fd2db3c94c64e4e46ffdec5332906e61f18055",
+        "layer_predictions.csv": "7be39f94275541f2e0e272c50cd5a5ef98131793bee0a1dc4ce31827ae6b9240",
     }),
-    # d_V = 2 per head: the layer's stacked head projections at a head count other than the default 2
+    # the demo's head count is a constant, so a config that sets it is an input error and writes no report
     ("attention-demo-heads4", ["attention-demo", "--model", "dense.json", "--config", "heads4.json",
-                               "--path", "0.2.1.1.0", "--seed", "3"], 0, {
-        "attention_report.json": "04a72bcfb5e62a70b23ab066c9e215ce3f952a9c90f9e1e22423e78bf1ae3e9e",
-        "layer_divergence.csv": "59354725ad64b0b4ed3b718bc3986c981f7c8b6bb5032496bc2b1ceae78e5964",
-        "layer_predictions.csv": "e4093cb07912ed87e6e54ef57867101b076dbcc9116a527ddf1b3361470f4dde",
-    }),
+                               "--path", "0.2.1.1.0", "--seed", "3"], 2, {}),
     ("represent-zero", ["represent", "--model", "sparse.json", "--z-query", "0", "--zero-convention"], 0, {
-        "representation.json": "6e18e041fb54a7e7a2e21a3bb5287d13903ac0ac10a81582f751a1a13b073b2d",
+        "representation.json": "6bdd633faea14804ae359481e2e0e25ecc55c9cd2039cf7c43458a6360466ff5",
     }),
     ("fixedpoint-adapted-zero", ["fixedpoint", "--model", "sparse.json", "--mode", "adapted", "--path", "0.1.1",
                                  "--iterations", "1", "--zero-convention"], 0, {
-        "iteration_trace.csv": "1e191883f586bf8b090d541ff8e82e700e30d756d85ece9b4c8442fa2e6dfad3",
-        "residual_report.json": "3f3361029ac3d492d399aa68ed9d24e090889eccbc1796fd68c30c70f8bc5b5f",
+        "iteration_trace.csv": "d8f214917d64cf8406b5dac99c0bec8ceca965e0babaedf865bfc908cd07a879",
+        "residual_report.json": "5cc4daa2f933187dfa39a27180e52d598203dfd8357797e18895f0958301a56e",
     }),
     # rows 2 and 3 of the filter are zero measures and row 1 is (0, 0, 1), where
     # token 0 has predictive probability 0: both reach the per-path map's degenerate branch
     ("fixedpoint-path-zero", ["fixedpoint", "--model", "sparse.json", "--path", "1.0.1", "--iterations", "2",
                               "--zero-convention"], 0, {
-        "iteration_trace.csv": "b0df853d99591c7db8ce0aeebfd80276643f9e65b2ef6e835da86fbce6eb842e",
-        "residual_report.json": "0f0daa8e2752ee815eaa85dfb8f5b6d18acde0f3849aca6f08565aeccb0f692b",
+        "iteration_trace.csv": "b5c6f92806188ec5339cc0c1a399fabe9ef2be7613e1db33408a61b91ad45444",
+        "residual_report.json": "9009e36fa222742523a3e107fad8ca41218430bd76aa4574b6d526fc701f8888",
     }),
     # prefixes such as 1.0 and 0.1.0 have probability 0, so the estimator identity skips them
     ("duality-zero", ["duality", "--model", "sparse.json", "--draws", "2", "--seed", "5", "--zero-convention"], 0, {
-        "diagnostics.csv": "057b202497463258ff6c4b3caff72d220467d5d2164e180f8a1f569c4e8c31d5",
-        "duality_report.json": "0e32d6f51a93d13b4f062460caf33e8c500b6d737cae54ef0d1effda85e6f34e",
+        "diagnostics.csv": "bca8a091d158e40426bf22848c437a524c2a35551b3c9336952f058ed9ea7653",
+        "duality_report.json": "5824450cc1e84a8265182d526d149fa3109118e2ad480104159449809283b6b5",
     }),
     # without --path the path is sampled first, then the command makes its own draws from the same generator
     ("oracle-sampled", ["oracle", "--model", "dense.json", "--seed", "4"], 0, {
-        "filter_trajectory.csv": "a1efd4ddb300d800401edaf60228a8dc93ea908cb1596f0eab10812ac9fe0b9a",
-        "next_token_probs.csv": "f8863afe8847ab4a6ad53613be5257ea0685c7412594412ecc2af95130e9d381",
+        "filter_trajectory.csv": "dac5270d3db5ad59da051824f7487063d02c74a16b3d4df7856086b63304be23",
+        "next_token_probs.csv": "27974e48bb214abdd9c01da6dd8791f6af9eae7adc9d8526b8f6d5e1d63ab5d8",
     }),
     # a sampled path has the model file's horizon
     ("oracle-sampled-T9", ["oracle", "--model", "dense9.json", "--seed", "4"], 0, {
-        "filter_trajectory.csv": "cc91e5a1edae3d59fea5683d9639c2812b2d5f2f7e5f02a05aaece227c0868a2",
-        "next_token_probs.csv": "3d6bf3f19517b2c865554cfab73f7eb8be8715b2ed6d9db6d909469dd1f6abc8",
+        "filter_trajectory.csv": "2a768342b4b224b07e95d8e83ffe684619148c4e55bfa5174fba4906b0b36a63",
+        "next_token_probs.csv": "2f98da47bf5106da8c77146d5ddb88a887399a3f6b5131f29a9029505f511c9d",
     }),
     ("attention-demo-sampled", ["attention-demo", "--model", "dense.json", "--seed", "3"], 0, {
-        "attention_report.json": "5cdeae76013e0fd654d383683ef5eae09a4f5b1606e4325ba56574ada7e15775",
-        "layer_divergence.csv": "1879bb2ee41e5df4051797dbfdd38e034ff2c6fd9ef6fbfdcb092963f6af6144",
-        "layer_predictions.csv": "ea5cb42e7f27e1b5ff6a8a7dc858ab4248a52c255b88f926fb39344fc9c3b813",
+        "attention_report.json": "87d1bfa60c00050fe7963ec7e374175dd48864c18f47cd97df2a6b5ac3d2d9ca",
+        "layer_divergence.csv": "9a913e0c7060748918c42ac7800a40d40b8786749b2c252edea1d572be81675f",
+        "layer_predictions.csv": "a42d6a5e6c56736494a40fbff64b7edc2ece9588da106c0b66eb94a7f6922fd3",
     }),
 ]
 
@@ -133,12 +129,15 @@ def body_digest(path):
 
 
 def run_case(runner, argv):
-    """Run one case in the current directory; returns (click result, {report: sha256}, {report: body sha256})."""
+    """Run one case in the current directory; returns (click result, {report: sha256}, {report: body sha256}).
+
+    A command that exits before it makes the output directory wrote no reports.
+    """
     for name, doc in {**MODELS, **CONFIGS}.items():
         Path(name).write_text(json.dumps(doc))
     out = Path("out")
     res = runner.invoke(main, [*argv, "--out", str(out)])
-    reports = sorted(out.iterdir())
+    reports = sorted(out.iterdir()) if out.exists() else []
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in reports}
     return res, digests, {p.name: body_digest(p) for p in reports}
 
