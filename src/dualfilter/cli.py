@@ -1,13 +1,15 @@
 """Command-line driver: models in, CSV/JSON reports out.
 
 Consumers are scripts and CI, so everything is non-interactive and
-deterministic: all randomness flows from one seeded generator, every report
-starts with a header carrying the version, seed, and a hash of the resolved
-configuration, and re-running with the same inputs reproduces each file
-byte for byte.
+deterministic: flags are the one input, all randomness flows from one
+seeded generator, every report starts with a header carrying the version,
+seed, and a hash of the run's flag values, and re-running with the same
+inputs reproduces each file byte for byte.
 
 Exit codes are a stable contract: 0 ok, 2 input error, 3 impossible
 observation, 4 invariant violation: a check beyond its fixed TOLERANCES bound.
+Every error exits with one ``error:`` line on stderr, click's own parse
+errors included.
 
 ``main`` is the click group; tests and in-process callers invoke it and
 keep a normal garbage collector. A launched process (``python -m
@@ -67,13 +69,10 @@ ENUM_BUDGET = 10**7
 # The attention demo's fixed toy stack: signal dimension, heads and layers.
 ATTN_D, ATTN_HEADS, ATTN_LAYERS = 8, 2, 4
 
-# Integer config fields and their least allowed value.
-INT_MINIMA = {"seed": 0, "K": 1, "draws": 1}
-
 
 @dataclass
 class ExperimentConfig:
-    """What a run varies, resolved: flags over file values. T is the model file's; budget and sizes are constants."""
+    """What a run varies, one field per flag and its default. T is the model file's; budget and sizes are constants."""
 
     model_path: str | None = None
     seed: int = 0
@@ -81,22 +80,6 @@ class ExperimentConfig:
     draws: int = 20
     zero_convention: bool = False
     output_dir: str = "out"
-
-    def validate(self) -> "ExperimentConfig":
-        """Type- and range-check every field; nothing is coerced, so the hash is the value given."""
-        for name, low in INT_MINIMA.items():
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ValueError(f"{name} must be an integer, got {val!r}")
-            if val < low:
-                raise ValueError(f"{name} must be >= {low}, got {val}")
-        for name in ("model_path", "output_dir"):
-            val = getattr(self, name)
-            if not isinstance(val, str) and not (name == "model_path" and val is None):
-                raise ValueError(f"{name} must be a string, got {val!r}")
-        if not isinstance(self.zero_convention, bool):
-            raise ValueError(f"zero_convention must be true or false, got {self.zero_convention!r}")
-        return self
 
     def hash(self) -> str:
         # output_dir is where the report lands, not part of what it says
@@ -119,28 +102,7 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def load_config(config_path: str | None, **overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if config_path is not None:
-        try:
-            raw = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read config {config_path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object with flat keys")
-        for key, val in raw.items():
-            if key not in CONFIG_FIELDS:
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, val)
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg.validate()
-
-
 def _load_model(cfg: ExperimentConfig) -> HmmModel:
-    if cfg.model_path is None:
-        raise ValueError("no model given: pass --model or set model_path in the config")
     try:
         text = Path(cfg.model_path).read_text()
     except OSError as exc:
@@ -243,19 +205,45 @@ def _write_json(path: Path, cfg: ExperimentConfig, payload: dict):
 
 
 pass_config_options = [
-    click.option("--model", "model_path", type=str, default=None, help="HMM model JSON file."),
-    click.option("--config", "config_path", type=str, default=None, help="Experiment config JSON."),
-    click.option("--seed", type=int, default=None, help="Seed for the run's generator."),
-    click.option("--out", "output_dir", type=str, default=None, help="Output directory."),
+    click.option("--model", "model_path", type=str, required=True, help="HMM model JSON file."),
+    click.option("--seed", type=click.IntRange(min=0), default=ExperimentConfig.seed, show_default=True,
+                 help="Seed for the run's generator."),
+    click.option("--out", "output_dir", type=str, default=ExperimentConfig.output_dir, show_default=True,
+                 help="Output directory."),
     click.option(
         "--zero-convention/--no-zero-convention",
-        default=None,
+        default=ExperimentConfig.zero_convention,
+        show_default=True,
         help="Use the 0/0 := 0 extension on impossible observation prefixes.",
     ),
 ]
 
 
-@click.group()
+class _Group(click.Group):
+    """A click usage or parameter error exits 2 with one ``error:`` line, as any bad input does.
+
+    The group's flags are parsed in ``make_context`` and a command's in
+    ``invoke``; both catch the error before ``click.Command.main`` would
+    print a usage block, standalone or not. A bare ``dualfilter`` prints
+    the help.
+    """
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.exceptions.NoArgsIsHelpError:
+            raise
+        except click.ClickException as exc:
+            _fail(EXIT_INPUT, exc.format_message())
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.ClickException as exc:
+            _fail(EXIT_INPUT, exc.format_message())
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__)
 def main():
     """Exact HMM filtering, its dual control system, and fixed-point inference checks."""
@@ -264,8 +252,8 @@ def main():
 def command(name: str, *options, path_help: str | None = None):
     """Register ``fn(cfg, model, generator, [z,] **flags)`` as a subcommand on the shared skeleton.
 
-    The skeleton adds the common options, resolves the config (flags that
-    name an ExperimentConfig field override it) and loads the model. It
+    The skeleton adds the common options, builds the ExperimentConfig from
+    the flags that name its fields and loads the model. It
     passes ``generator``, a no-argument function that returns the run's one
     generator, seeded with ``cfg.seed`` and built on the first call, so a
     run that draws nothing never builds it. When ``path_help`` is given it
@@ -281,10 +269,9 @@ def command(name: str, *options, path_help: str | None = None):
 
     def register(fn):
         @functools.wraps(fn)
-        def callback(config_path, path_text=None, **flags):
-            overrides = {key: flags.pop(key) for key in list(flags) if key in CONFIG_FIELDS}
+        def callback(path_text=None, **flags):
+            cfg = ExperimentConfig(**{key: flags.pop(key) for key in list(flags) if key in CONFIG_FIELDS})
             try:
-                cfg = load_config(config_path, **overrides)
                 model = _load_model(cfg)
                 generator = functools.cache(lambda: np.random.default_rng(cfg.seed))
                 if path_help is not None:
@@ -335,7 +322,8 @@ def cmd_oracle(cfg, model, generator, z):
 @command(
     "fixedpoint",
     click.option("--mode", type=click.Choice(["path", "adapted"]), default="path", show_default=True),
-    click.option("--iterations", "K", type=int, default=None, help="Number of map applications for the trace."),
+    click.option("--iterations", "K", type=click.IntRange(min=1), default=ExperimentConfig.K, show_default=True,
+                 help="Number of map applications for the trace."),
     path_help=PATH_HELP,
 )
 def cmd_fixedpoint(cfg, model, generator, z, mode):
@@ -389,7 +377,8 @@ def cmd_fixedpoint(cfg, model, generator, z, mode):
     click.echo(f"fixed-point residual {residual:.3e} (tolerance {tol:.1e}) -> pass")
 
 
-@command("duality", click.option("--draws", type=int, default=None, help="Number of random (U, F) draws."))
+@command("duality", click.option("--draws", type=click.IntRange(min=1), default=ExperimentConfig.draws,
+                                 show_default=True, help="Number of random (U, F) draws."))
 def cmd_duality(cfg, model, generator):
     """Cross-check the control cost against the estimator mean-squared error."""
     from .adapted import prefixes, random_weight_process

@@ -57,6 +57,7 @@ class TestOracleCommand:
     def test_missing_model_exits_2(self, runner, tmp_path):
         res = runner.invoke(main, ["oracle", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+        assert res.stderr == "error: Missing option '--model'.\n"
 
     def test_non_integer_model_size_exits_2(self, runner, model_file, tmp_path):
         bad = tmp_path / "bad.json"
@@ -410,110 +411,65 @@ class TestAttentionDemoCommand:
 
 
 class TestConfigResolution:
-    def test_config_file_supplies_model_and_flags_override(self, runner, model_file, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model_path": str(model_file), "seed": 4, "K": 3}))
-        out = tmp_path / "fp"
-        res = runner.invoke(main, ["fixedpoint", "--config", str(cfg), "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        trace = read_lines(out / "iteration_trace.csv")
-        assert "seed=4" in trace[0]
-        # K=3 iterations, T=3 rows each
-        assert len(trace) == 2 + 3 * 3
+    """Flags are the one input: each bad value exits 2 with one ``error:`` line, click's own parse errors included."""
 
-    # the check tolerances, the size budget and the demo's sizes are fixed, a sampled path has the model
-    # file's T, and the layer applies gelu, so the keys that once set them are unknown too
-    @pytest.mark.parametrize(
-        "command, key, val",
-        [
-            ("oracle", "horizon", 3),
-            ("attention-demo", "tolerances", {"eq8": 10.0}),
-            ("oracle", "T", 9),
-            ("attention-demo", "attn_activation", "gelu"),
-            ("duality", "enum_budget", 10**7),
-            ("attention-demo", "attn_d", 8),
-            ("attention-demo", "attn_heads", 2),
-            ("attention-demo", "attn_layers", 4),
-        ],
-        ids=["horizon", "tolerances", "T", "attn_activation", "enum_budget", "attn_d", "attn_heads",
-             "attn_layers"],
-    )
-    def test_unknown_config_key_rejected(self, runner, model_file, tmp_path, command, key, val):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model_path": str(model_file), key: val}))
-        res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert res.exit_code == 2, res.output
-        assert res.stderr == f"error: unknown config key {key!r}\n"
-
-    @pytest.mark.parametrize("text", [None, "{ not json", "[1, 2]"], ids=["missing", "not-json", "not-object"])
-    def test_unreadable_config_exits_2(self, runner, model_file, tmp_path, text):
-        cfg = tmp_path / "cfg.json"
-        if text is not None:
-            cfg.write_text(text)
-        res = runner.invoke(main, ["oracle", "--model", str(model_file), "--config", str(cfg),
+    def test_config_file_option_is_gone(self, runner, model_file, tmp_path):
+        res = runner.invoke(main, ["oracle", "--model", str(model_file), "--config", "x.json",
                                    "--out", str(tmp_path / "o")])
-        assert res.exit_code == 2
-        assert res.stderr.startswith("error: ") and "config" in res.stderr, res.stderr
+        assert res.exit_code == 2, res.output
+        assert res.stderr == "error: No such option '--config'.\n"
 
     @pytest.mark.parametrize(
-        "command, config, flags",
+        "argv, code, text",
+        [(["--help"], 0, "Commands:"), (["oracle", "--help"], 0, "--model TEXT"),
+         (["--version"], 0, f"version {cli.__version__}"), ([], 2, "Commands:")],
+        ids=["help", "command-help", "version", "bare"],
+    )
+    def test_help_and_version_keep_click_output(self, runner, argv, code, text):
+        # only a parse error becomes one error line; a bare call still prints the help
+        res = runner.invoke(main, argv)
+        assert res.exit_code == code, res.output
+        assert text in res.output and "error:" not in res.output
+
+    @pytest.mark.parametrize(
+        "command, flags",
         [
-            ("oracle", {"seed": "abc"}, []),
-            ("fixedpoint", {"K": "5"}, []),
-            # the tolerances, the activation, the budget and the demo's sizes are fixed, so a config that sets
-            # them, well formed or not, is bad
-            ("duality", {"tolerances": {"duality": "1e-9"}}, []),
-            ("duality", {"tolerances": 5}, []),
-            ("duality", {"tolerances": {"dualty": 0.5}}, []),
-            ("duality", {"enum_budget": "x"}, []),
-            ("duality", {"draws": 2.5}, []),
-            ("attention-demo", {"attn_heads": 0}, []),
-            ("attention-demo", {"attn_layers": 0}, []),
-            ("attention-demo", {"attn_activation": "foo"}, []),
-            ("attention-demo", {"attn_activation": 3}, []),
-            ("duality", {"enum_budget": 1}, []),
-            ("oracle", {"zero_convention": "yes"}, []),
-            ("oracle", {"model_path": 5}, []),
-            ("oracle", {"output_dir": 3}, []),
-            ("duality", {}, ["--seed", "-1"]),
-            ("attention-demo", {}, ["--path", "."]),
-            ("fixedpoint", {}, ["--path", ""]),
-            ("oracle", {}, ["--path", ""]),
-            ("oracle", {}, ["--path", "1..0"]),
-            ("oracle", {}, ["--path", "0,,1"]),
-            ("oracle", {}, ["--path", "1_0"]),
-            ("oracle", {}, ["--path", " 1"]),
-            ("fixedpoint", {}, ["--path", "0.+1"]),
-            ("oracle", {}, ["--path", "-0"]),
-            ("attention-demo", {}, ["--path", "0.\u0661"]),
-            ("oracle", {}, ["--model", "list.json"]),
-            ("oracle", {}, ["--model", "int.json"]),
-            ("represent", {}, ["--model", "null.json"]),
-            ("oracle", {}, ["--out", "list.json"]),
-            ("oracle", {}, ["--out", "list.json/o"]),
+            ("oracle", ["--seed", "abc"]),
+            ("fixedpoint", ["--iterations", "5x"]),
+            ("duality", ["--draws", "2.5"]),
+            ("oracle", ["--zero-convention", "yes"]),
+            ("duality", ["--seed", "-1"]),
+            ("attention-demo", ["--path", "."]),
+            ("fixedpoint", ["--path", ""]),
+            ("oracle", ["--path", ""]),
+            ("oracle", ["--path", "1..0"]),
+            ("oracle", ["--path", "0,,1"]),
+            ("oracle", ["--path", "1_0"]),
+            ("oracle", ["--path", " 1"]),
+            ("fixedpoint", ["--path", "0.+1"]),
+            ("oracle", ["--path", "-0"]),
+            ("attention-demo", ["--path", "0.\u0661"]),
+            ("oracle", ["--model", "list.json"]),
+            ("oracle", ["--model", "int.json"]),
+            ("represent", ["--model", "null.json"]),
+            ("oracle", ["--out", "list.json"]),
+            ("oracle", ["--out", "list.json/o"]),
         ],
         ids=[
-            "str-seed", "str-K", "str-tolerance", "tolerances-not-object", "unknown-tolerance",
-            "str-enum-budget",
-            "float-draws", "zero-heads", "zero-layers", "unknown-activation", "int-activation", "over-budget",
-            "str-zero-convention", "int-model-path", "int-output-dir", "negative-seed-flag", "dot-path",
+            "str-seed", "str-K", "float-draws", "str-zero-convention", "negative-seed-flag", "dot-path",
             "empty-path-fixedpoint", "empty-path-oracle",
             "empty-token-dots", "empty-token-commas", "underscore-token", "space-token", "plus-token",
             "minus-token", "non-ascii-digit-token", "list-model", "int-model", "null-model",
             "out-is-a-file", "out-under-a-file",
         ],
     )
-    def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, monkeypatch,
-                                                   command, config, flags):
+    def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, monkeypatch, command, flags):
         # model files whose JSON is not an object, named relative to tmp_path
         for name, text in {"list.json": "[1, 2]", "int.json": "3", "null.json": "null"}.items():
             (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model_path": str(model_file), **config}))
-        # flags go last, so a case's own --out wins; a config that sets output_dir gets no --out over it
-        out = [] if "output_dir" in config else ["--out", str(tmp_path / "o")]
-        res = runner.invoke(main, [command, "--config", str(cfg), *out, *flags])
+        # flags go last, so a case's own --model or --out wins
+        res = runner.invoke(main, [command, "--model", str(model_file), "--out", str(tmp_path / "o"), *flags])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         lines = res.stderr.splitlines()
@@ -526,7 +482,6 @@ class TestFixedValues:
 
     def test_config_has_the_six_keys_a_run_varies(self):
         assert CONFIG_FIELDS == {"model_path", "seed", "K", "draws", "zero_convention", "output_dir"}
-        assert cli.INT_MINIMA == {"seed": 0, "K": 1, "draws": 1}
 
     def test_budget_and_demo_sizes_are_constants(self):
         assert cli.ENUM_BUDGET == 10**7
@@ -552,7 +507,7 @@ class TestConfigHash:
 
     @pytest.mark.parametrize("values", [{}, EVERY_FIELD], ids=["default", "every-field"])
     def test_hash_is_the_hashlib_digest_of_the_config(self, values):
-        cfg = ExperimentConfig(**values).validate()
+        cfg = ExperimentConfig(**values)
         payload = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "output_dir"}
         blob = json.dumps(payload, sort_keys=True, default=str).encode()
         assert cfg.hash() == hashlib.sha256(blob).hexdigest()[:12]

@@ -47,9 +47,6 @@ SPARSE = {
 
 MODELS = {"dense.json": DENSE, "dense9.json": {**DENSE, "T": 9}, "sparse.json": SPARSE}
 
-# Config files written beside the models; a case names one with --config.
-CONFIGS = {"heads4.json": {"attn_heads": 4}}
-
 # (case, argv without --out, exit code, {report: sha256})
 CASES = [
     ("oracle", ["oracle", "--model", "dense.json", "--path", "2.0.1"], 0, {
@@ -77,9 +74,8 @@ CASES = [
         "layer_divergence.csv": "74f5885934039adafc3b6277f8fd2db3c94c64e4e46ffdec5332906e61f18055",
         "layer_predictions.csv": "7be39f94275541f2e0e272c50cd5a5ef98131793bee0a1dc4ce31827ae6b9240",
     }),
-    # the demo's head count is a constant, so a config that sets it is an input error and writes no report
-    ("attention-demo-heads4", ["attention-demo", "--model", "dense.json", "--config", "heads4.json",
-                               "--path", "0.2.1.1.0", "--seed", "3"], 2, {}),
+    # token 3 is outside 0..m = 0..2, an input error found before the output directory is made: no report
+    ("oracle-token-out-of-range", ["oracle", "--model", "dense.json", "--path", "0.3"], 2, {}),
     ("represent-zero", ["represent", "--model", "sparse.json", "--z-query", "0", "--zero-convention"], 0, {
         "representation.json": "6bdd633faea14804ae359481e2e0e25ecc55c9cd2039cf7c43458a6360466ff5",
     }),
@@ -133,7 +129,7 @@ def run_case(runner, argv):
 
     A command that exits before it makes the output directory wrote no reports.
     """
-    for name, doc in {**MODELS, **CONFIGS}.items():
+    for name, doc in MODELS.items():
         Path(name).write_text(json.dumps(doc))
     out = Path("out")
     res = runner.invoke(main, [*argv, "--out", str(out)])

@@ -169,10 +169,12 @@ def test_launched_run_exits_0_with_the_reports_of_an_in_process_run(model_file, 
     "model, args, code",
     [
         (None, ["--path", "1_0"], 2),
+        # a click parse error, which click itself would print as a usage block
+        (None, ["--seed", "abc"], 2),
         # state 0 surely emits token 1 and never leaves, so z_1 = 0 has probability 0
         (make_model([1.0, 0.0], np.eye(2), [[0.0, 1.0], [1.0, 0.0]], 2), ["--path", "0"], 3),
     ],
-    ids=["bad-path-token", "impossible-observation"],
+    ids=["bad-path-token", "str-seed", "impossible-observation"],
 )
 def test_launched_run_exits_with_one_error_line(model_file, tmp_path, model, args, code):
     if model is not None:
@@ -181,6 +183,7 @@ def test_launched_run_exits_with_one_error_line(model_file, tmp_path, model, arg
     assert proc.returncode == code, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert proc.stdout == ""
 
 
 def test_launched_run_exits_4_on_an_invariant_violation(tmp_path):
