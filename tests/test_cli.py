@@ -419,6 +419,27 @@ class TestConfigResolution:
         assert res.exit_code == 2, res.output
         assert res.stderr == "error: No such option '--config'.\n"
 
+    def test_flags_supply_model_and_run_values(self, runner, model_file, tmp_path):
+        out = tmp_path / "fp"
+        res = runner.invoke(main, ["fixedpoint", "--model", str(model_file), "--seed", "4", "--iterations", "3",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        trace = read_lines(out / "iteration_trace.csv")
+        assert "seed=4" in trace[0]
+        # K=3 iterations, T=3 rows each
+        assert len(trace) == 2 + 3 * 3
+
+    @pytest.mark.parametrize("name", ["oracle", "fixedpoint", "duality", "represent", "attention-demo"])
+    def test_each_flag_defaults_to_its_config_field(self, name):
+        # a run that passes no flag hashes the dataclass defaults, so its header does not move
+        params = {p.name: p for p in main.commands[name].params if p.name in CONFIG_FIELDS}
+        assert {"model_path", "seed", "zero_convention", "output_dir"} <= set(params)
+        assert params["model_path"].required
+        default = ExperimentConfig()
+        for key, param in params.items():
+            if key != "model_path":
+                assert param.default == getattr(default, key), key
+
     @pytest.mark.parametrize(
         "argv, code, text",
         [(["--help"], 0, "Commands:"), (["oracle", "--help"], 0, "--model TEXT"),
@@ -454,19 +475,35 @@ class TestConfigResolution:
             ("represent", ["--model", "null.json"]),
             ("oracle", ["--out", "list.json"]),
             ("oracle", ["--out", "list.json/o"]),
+            ("fixedpoint", ["--iterations", "0"]),
+            ("duality", ["--draws", "0"]),
+            ("oracle", ["--seed", "1.5"]),
+            ("represent", ["--z-query", "q"]),
+            ("fixedpoint", ["--mode", "tree"]),
+            ("oracle", ["--path"]),
+            ("oracle", ["--bogus"]),
+            ("oracle", ["extra"]),
+            ("oracle", ["--model", "."]),
+            ("oracle", ["--model", "nope.json"]),
+            ("duality", ["--model", "big.json"]),
         ],
         ids=[
             "str-seed", "str-K", "float-draws", "str-zero-convention", "negative-seed-flag", "dot-path",
             "empty-path-fixedpoint", "empty-path-oracle",
             "empty-token-dots", "empty-token-commas", "underscore-token", "space-token", "plus-token",
             "minus-token", "non-ascii-digit-token", "list-model", "int-model", "null-model",
-            "out-is-a-file", "out-under-a-file",
+            "out-is-a-file", "out-under-a-file", "zero-K", "zero-draws", "float-seed", "str-z-query",
+            "unknown-mode", "path-without-value", "unknown-option", "extra-argument", "directory-model",
+            "missing-model", "over-budget",
         ],
     )
-    def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, monkeypatch, command, flags):
+    def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, rng, monkeypatch,
+                                                   command, flags):
         # model files whose JSON is not an object, named relative to tmp_path
         for name, text in {"list.json": "[1, 2]", "int.json": "3", "null.json": "null"}.items():
             (tmp_path / name).write_text(text)
+        # d=2, m=2, T=30: far over the duality enumeration budget
+        write_model(tmp_path / "big.json", random_model(rng, 2, 2, 30))
         monkeypatch.chdir(tmp_path)
         # flags go last, so a case's own --model or --out wins
         res = runner.invoke(main, [command, "--model", str(model_file), "--out", str(tmp_path / "o"), *flags])
@@ -486,6 +523,29 @@ class TestFixedValues:
     def test_budget_and_demo_sizes_are_constants(self):
         assert cli.ENUM_BUDGET == 10**7
         assert (cli.ATTN_D, cli.ATTN_HEADS, cli.ATTN_LAYERS) == (8, 2, 4)
+
+    # the check tolerances, the size budget and the demo's sizes are fixed, a sampled path has the model
+    # file's T, and the layer applies gelu, so no flag sets them
+    @pytest.mark.parametrize(
+        "command, flag, val",
+        [
+            ("oracle", "--horizon", "3"),
+            ("attention-demo", "--tolerances", "x"),
+            ("oracle", "--T", "9"),
+            ("attention-demo", "--attn-activation", "gelu"),
+            ("duality", "--enum-budget", "10000000"),
+            ("attention-demo", "--attn-d", "8"),
+            ("attention-demo", "--attn-heads", "2"),
+            ("attention-demo", "--attn-layers", "4"),
+        ],
+        ids=["horizon", "tolerances", "T", "attn_activation", "enum_budget", "attn_d", "attn_heads",
+             "attn_layers"],
+    )
+    def test_fixed_value_has_no_flag(self, runner, model_file, tmp_path, command, flag, val):
+        res = runner.invoke(main, [command, "--model", str(model_file), flag, val, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: No such option {flag!r}.\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigHash:
