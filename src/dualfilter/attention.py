@@ -2,15 +2,17 @@
 
 Sequences live as (d, T) matrices whose column t-1 is the signal at
 position t, and a layer's heads are stacked on the leading axis of its
-projections. Causality is structural. The projections and the tail a block
-adds after attention (residual, layernorm, feed-forward) act on each column
-alone, so each is one product on the whole (d, T) matrix, for all heads at
-once; the only step that mixes positions is the causal softmax. It runs on
+projections. A block's parameters are W_Q, W_K, W_V, W_O, W1 and W2: its
+layernorm has no gain or offset and its feed-forward no biases.
+Causality is structural. The projections and the tail a block adds after
+attention (residual, layernorm, feed-forward) act on each column alone,
+so each is one product on the whole (d, T) matrix, for all heads at once;
+the only step that mixes positions is the causal softmax. It runs on
 tiles of TILE query positions: one score product per tile for all heads,
 with the keys after each query masked to weight exactly zero, so position
-t still reads columns 1..t only. Memory is
-O(n_head TILE T + d T): no (T, T) score matrix is formed. No training, no
-dropout, no caching; this module exercises the layer map itself.
+t still reads columns 1..t only. Memory is O(n_head TILE T + d T): no
+(T, T) score matrix is formed. No training, no dropout, no caching; this
+module exercises the layer map itself.
 """
 
 from __future__ import annotations
@@ -63,43 +65,22 @@ def embed_sequence(emb: np.ndarray, pe: np.ndarray, z) -> np.ndarray:
     return emb[:, list(z)] + pe[:, : len(z)]
 
 
-def _down_columns(v, y) -> np.ndarray:
-    """A (d,) vector shaped to broadcast down the columns of y, (d,) or (d, T)."""
-    return np.reshape(np.asarray(v, dtype=float), (-1,) + (1,) * (np.ndim(y) - 1))
-
-
-@dataclass(frozen=True)
-class FeedForwardParams:
-    """Affine, gelu, affine."""
-
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Apply to one (d,) signal or column-wise to a (d, T) matrix."""
-        h = np.asarray(self.W1) @ y + _down_columns(self.b1, y)
-        # tanh form of the smooth gate
-        h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h**3)))
-        return np.asarray(self.W2) @ h + _down_columns(self.b2, y)
-
-
 @dataclass(frozen=True)
 class LayerParams:
-    """One block's parameters: the attention map's projections, then the tail's gamma, beta and ffn.
+    """One block's six arrays: the attention map's W_Q, W_K, W_V and W_O, then the feed-forward's W1 and W2.
 
     The heads are stacked: W_Q and W_K are (n_head, d_K, d), W_V is
     (n_head, d_V, d) and head h feeds W_O's columns h*d_V .. (h+1)*d_V - 1.
+    W1 is (hidden, d) and W2 is (d, hidden); the tail's layernorm has no
+    gain or offset and its feed-forward no biases.
     """
 
     W_Q: np.ndarray
     W_K: np.ndarray
     W_V: np.ndarray
     W_O: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
-    ffn: FeedForwardParams
+    W1: np.ndarray
+    W2: np.ndarray
 
     def __post_init__(self):
         W_O = np.asarray(self.W_O, dtype=float)
@@ -115,8 +96,7 @@ class LayerParams:
             raise ValueError(f"need at least one head on inputs of dimension d = {d}, got W_V {W_V.shape}")
         if n_head * d_V != d:
             raise ValueError(f"n_head * d_V = {n_head * d_V} must equal d = {d}")
-        arrays = dict(W_Q=W_Q, W_K=W_K, W_V=W_V, W_O=W_O, gamma=self.gamma, beta=self.beta)
-        for name, arr in arrays.items():
+        for name, arr in dict(W_Q=W_Q, W_K=W_K, W_V=W_V, W_O=W_O, W1=self.W1, W2=self.W2).items():
             object.__setattr__(self, name, np.asarray(arr, dtype=float))
 
     @property
@@ -168,8 +148,8 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not finite at position {int(np.argmax(bad)) + 1}")
 
 
-def layer_norm(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """gamma * (y - mean) / std + beta, with population std over the d entries.
+def layer_norm(y: np.ndarray) -> np.ndarray:
+    """(y - mean) / std, with population std over the d entries; no gain or offset.
 
     y is one (d,) signal or a (d, T) matrix normalized column by column.
     A near-zero variance falls back to sqrt(var + eps) so constant inputs
@@ -177,10 +157,16 @@ def layer_norm(y: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     root keeps the normalized output at exactly unit standard deviation.
     """
     y = np.asarray(y, dtype=float)
-    mean = y.mean(axis=0, keepdims=True)
-    var = np.mean((y - mean) ** 2, axis=0, keepdims=True)
-    denom = np.sqrt(np.where(var <= LAYERNORM_DEGENERATE_VAR, var + LAYERNORM_EPS, var))
-    return _down_columns(gamma, y) * ((y - mean) / denom) + _down_columns(beta, y)
+    centered = y - y.mean(axis=0, keepdims=True)
+    var = np.mean(centered**2, axis=0, keepdims=True)
+    return centered / np.sqrt(np.where(var <= LAYERNORM_DEGENERATE_VAR, var + LAYERNORM_EPS, var))
+
+
+def feed_forward(params: LayerParams, y: np.ndarray) -> np.ndarray:
+    """W2 gelu(W1 y), gelu in its tanh form, on one (d,) signal or column-wise on a (d, T) matrix."""
+    h = params.W1 @ y
+    h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h**3)))
+    return params.W2 @ h
 
 
 def layer_forward(params: LayerParams, sigmas: np.ndarray) -> np.ndarray:
@@ -243,15 +229,16 @@ def layer_stack(params: LayerParams, sigmas: np.ndarray, n_layers: int) -> list[
     """Apply one block n_layers times; returns [input, after block 1, ...].
 
     A block is layer_forward's attention map, then the tail: residual add,
-    layernorm, feed-forward with residual, layernorm. n_layers is read by ``check_integer``.
+    layernorm, feed_forward with residual, layernorm; the layernorms have
+    no gain or offset. n_layers is read by ``check_integer``.
     """
     n_layers = check_integer(n_layers, "n_layers")
     if n_layers < 1:
         raise ValueError(f"need n_layers >= 1, got {n_layers}")
     outs = [np.asarray(sigmas, dtype=float)]
     for _ in range(n_layers):
-        y = layer_norm(layer_forward(params, outs[-1]) + outs[-1], params.gamma, params.beta)
-        outs.append(layer_norm(y + params.ffn(y), params.gamma, params.beta))
+        y = layer_norm(layer_forward(params, outs[-1]) + outs[-1])
+        outs.append(layer_norm(y + feed_forward(params, y)))
     return outs
 
 
@@ -265,16 +252,9 @@ def random_layer_params(rng: np.random.Generator, d: int, n_head: int) -> LayerP
         raise ValueError(f"need d >= 1 and n_head >= 1, got d = {d}, n_head = {n_head}")
     if d % n_head != 0:
         raise ValueError(f"n_head = {n_head} must divide d = {d}")
-    d_V = d // n_head
     scale = 1.0 / np.sqrt(d)
-    # drawn head by head, query then key then value: seeded demos depend on this order
-    W_Q, W_K, W_V = (scale * rng.standard_normal((n_head, 3, d_V, d))).transpose(1, 0, 2, 3)
-    hidden = 4 * d
-    ffn = FeedForwardParams(
-        W1=scale * rng.standard_normal((hidden, d)),
-        b1=np.zeros(hidden),
-        W2=scale * rng.standard_normal((d, hidden)),
-        b2=np.zeros(d),
-    )
+    # drawn head by head, query then key then value, then W1, W2 and W_O: seeded demos depend on this order
+    W_Q, W_K, W_V = (scale * rng.standard_normal((n_head, 3, d // n_head, d))).transpose(1, 0, 2, 3)
+    W1, W2 = scale * rng.standard_normal((4 * d, d)), scale * rng.standard_normal((d, 4 * d))
     W_O = scale * rng.standard_normal((d, d))
-    return LayerParams(W_Q, W_K, W_V, W_O, gamma=np.ones(d), beta=np.zeros(d), ffn=ffn)
+    return LayerParams(W_Q, W_K, W_V, W_O, W1, W2)

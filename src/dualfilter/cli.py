@@ -9,7 +9,7 @@ inputs reproduces each file byte for byte.
 Exit codes are a stable contract: 0 ok, 2 input error, 3 impossible
 observation, 4 invariant violation: a check beyond its fixed TOLERANCES bound.
 Every error exits with one ``error:`` line on stderr, click's own parse
-errors included.
+errors included; a line break in its text prints escaped.
 
 ``main`` is the click group; tests and in-process callers invoke it and
 keep a normal garbage collector. A launched process (``python -m
@@ -98,6 +98,8 @@ CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def _fail(code: int, message: str):
+    """Exit with code after one ``error:`` line; a line break in the message (from a path, say) prints escaped."""
+    message = message.replace("\r", "\\r").replace("\n", "\\n")
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -8,10 +9,10 @@ from dualfilter.attention import (
     LAYERNORM_DEGENERATE_VAR,
     LAYERNORM_EPS,
     TILE,
-    FeedForwardParams,
     LayerParams,
     attention_weights,
     embed_sequence,
+    feed_forward,
     layer_forward,
     layer_norm,
     layer_stack,
@@ -29,13 +30,12 @@ def per_position_layer(params, sigmas, tail):
         mean = y.mean()
         var = np.mean((y - mean) ** 2)
         denom = np.sqrt(var + LAYERNORM_EPS) if var <= LAYERNORM_DEGENERATE_VAR else np.sqrt(var)
-        return params.gamma * ((y - mean) / denom) + params.beta
+        return (y - mean) / denom
 
     def ffn(y):
-        f = params.ffn
-        h = f.W1 @ y + f.b1
+        h = params.W1 @ y
         h = 0.5 * h * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h**3)))
-        return f.W2 @ h + f.b2
+        return params.W2 @ h
 
     out = np.zeros_like(sigmas)
     for t in range(1, sigmas.shape[1] + 1):
@@ -84,10 +84,9 @@ def per_position_bilinear(params, sigmas, t, f):
 
 
 def bare_layer(W_Q, W_K, W_V, W_O):
-    """Attention parameters from stacked projections; the tail gets an identity layernorm and a zero feed-forward."""
+    """Attention parameters from stacked projections; the tail gets a zero feed-forward."""
     d = W_O.shape[0]
-    ffn = FeedForwardParams(W1=np.zeros((d, d)), b1=np.zeros(d), W2=np.zeros((d, d)), b2=np.zeros(d))
-    return LayerParams(W_Q=W_Q, W_K=W_K, W_V=W_V, W_O=W_O, gamma=np.ones(d), beta=np.zeros(d), ffn=ffn)
+    return LayerParams(W_Q=W_Q, W_K=W_K, W_V=W_V, W_O=W_O, W1=np.zeros((d, d)), W2=np.zeros((d, d)))
 
 
 def one_head(W_Q, W_K, W_V):
@@ -352,6 +351,11 @@ class TestParameterValidation:
         assert (params.d, params.n_head) == (8, 4)
         assert params.W_Q.shape == params.W_K.shape == params.W_V.shape == (4, 2, 8)
 
+    def test_block_holds_its_six_arrays(self, rng):
+        params = random_layer_params(rng, 8, 4)
+        assert [f.name for f in dataclasses.fields(params)] == ["W_Q", "W_K", "W_V", "W_O", "W1", "W2"]
+        assert (params.W1.shape, params.W2.shape) == ((32, 8), (8, 32))
+
     @pytest.mark.parametrize("shape", [(4,), (4, 0), (5, 3)], ids=["vector", "no-columns", "wrong-dimension"])
     def test_attention_weights_need_a_block(self, rng, shape):
         params = random_layer_params(rng, 4, 1)
@@ -420,9 +424,8 @@ class TestSizeArguments:
 
     def test_whole_real_sizes_are_the_ints_they_equal(self):
         want, got = (random_layer_params(np.random.default_rng(3), 8, n) for n in (2, 2.0))
-        for name in ("W_Q", "W_K", "W_V", "W_O", "gamma", "beta"):
+        for name in ("W_Q", "W_K", "W_V", "W_O", "W1", "W2"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert got.ffn.W1.tobytes() == want.ffn.W1.tobytes() and got.ffn.W2.tobytes() == want.ffn.W2.tobytes()
         assert positional_encoding(4.0, np.int64(2)).tobytes() == positional_encoding(4, 2).tobytes()
         sig = np.random.default_rng(4).standard_normal((8, 3))
         for a, b in zip(layer_stack(want, sig, 2.0), layer_stack(want, sig, 2)):
@@ -433,29 +436,20 @@ class TestLayerNorm:
     def test_normalizes_to_zero_mean_unit_std(self, rng):
         for _ in range(20):
             y = rng.standard_normal(16) * rng.choice([0.01, 1.0, 50.0])
-            out = layer_norm(y, np.ones(16), np.zeros(16))
+            out = layer_norm(y)
             assert abs(out.mean()) <= 1e-9
             assert abs(out.std() - 1.0) <= 1e-9
 
     def test_degenerate_input_maps_to_zero(self):
-        out = layer_norm(np.full(8, 3.0), np.ones(8), np.zeros(8))
+        out = layer_norm(np.full(8, 3.0))
         np.testing.assert_array_equal(out, np.zeros(8))
 
     def test_matrix_normalizes_each_column(self, rng):
         y = rng.standard_normal((8, 5)) * np.array([0.01, 1.0, 50.0, 1.0, 1.0])
         y[:, 3] = 2.0  # a degenerate column
-        gamma = rng.standard_normal(8)
-        beta = rng.standard_normal(8)
-        out = layer_norm(y, gamma, beta)
+        out = layer_norm(y)
         for t in range(5):
-            np.testing.assert_allclose(out[:, t], layer_norm(y[:, t], gamma, beta), rtol=0, atol=1e-14)
-
-    def test_gain_and_offset_applied(self, rng):
-        y = rng.standard_normal(8)
-        gamma = rng.standard_normal(8)
-        beta = rng.standard_normal(8)
-        base = layer_norm(y, np.ones(8), np.zeros(8))
-        np.testing.assert_allclose(layer_norm(y, gamma, beta), gamma * base + beta, atol=1e-14)
+            np.testing.assert_allclose(out[:, t], layer_norm(y[:, t]), rtol=0, atol=1e-14)
 
 
 class TestSimplifiedForm:
@@ -559,27 +553,23 @@ class TestPredictions:
 
 
 class TestFeedForward:
-    def test_activations_run(self, rng):
-        ffn = FeedForwardParams(
-            W1=rng.standard_normal((8, 4)),
-            b1=rng.standard_normal(8),
-            W2=rng.standard_normal((4, 8)),
-            b2=rng.standard_normal(4),
+    @staticmethod
+    def params(rng):
+        """A d = 4 block whose feed-forward has 8 hidden units and unscaled Gaussian weights."""
+        return dataclasses.replace(
+            random_layer_params(rng, 4, 2), W1=rng.standard_normal((8, 4)), W2=rng.standard_normal((4, 8))
         )
-        out = ffn(rng.standard_normal(4))
+
+    def test_activations_run(self, rng):
+        out = feed_forward(self.params(rng), rng.standard_normal(4))
         assert out.shape == (4,) and np.all(np.isfinite(out))
 
     def test_matrix_input_acts_column_wise(self, rng):
-        ffn = FeedForwardParams(
-            W1=rng.standard_normal((8, 4)),
-            b1=rng.standard_normal(8),
-            W2=rng.standard_normal((4, 8)),
-            b2=rng.standard_normal(4),
-        )
+        params = self.params(rng)
         y = rng.standard_normal((4, 6))
-        out = ffn(y)
+        out = feed_forward(params, y)
         for t in range(6):
-            np.testing.assert_allclose(out[:, t], ffn(y[:, t]), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(out[:, t], feed_forward(params, y[:, t]), rtol=0, atol=1e-13)
 
 
 class TestLayerStack:

@@ -443,14 +443,18 @@ class TestConfigResolution:
     @pytest.mark.parametrize(
         "argv, code, text",
         [(["--help"], 0, "Commands:"), (["oracle", "--help"], 0, "--model TEXT"),
-         (["--version"], 0, f"version {cli.__version__}"), ([], 2, "Commands:")],
-        ids=["help", "command-help", "version", "bare"],
+         (["--version"], 0, f"version {cli.__version__}"), ([], 2, "Commands:"),
+         (["--bogus"], 2, "error: No such option '--bogus'.\n")],
+        ids=["help", "command-help", "version", "bare", "group-unknown-option"],
     )
     def test_help_and_version_keep_click_output(self, runner, argv, code, text):
-        # only a parse error becomes one error line; a bare call still prints the help
+        # only a parse error, the group's own included, becomes one error line; a bare call still prints the help
         res = runner.invoke(main, argv)
         assert res.exit_code == code, res.output
-        assert text in res.output and "error:" not in res.output
+        if text.startswith("error: "):
+            assert res.stderr == text and res.stdout == ""
+        else:
+            assert text in res.output and "error:" not in res.output
 
     @pytest.mark.parametrize(
         "command, flags",
@@ -486,6 +490,9 @@ class TestConfigResolution:
             ("oracle", ["--model", "."]),
             ("oracle", ["--model", "nope.json"]),
             ("duality", ["--model", "big.json"]),
+            ("oracle", ["a\nb"]),
+            ("oracle", ["--model", "no\nsuch.json"]),
+            ("oracle", ["--out", "list.json/o\r\np"]),
         ],
         ids=[
             "str-seed", "str-K", "float-draws", "str-zero-convention", "negative-seed-flag", "dot-path",
@@ -494,7 +501,7 @@ class TestConfigResolution:
             "minus-token", "non-ascii-digit-token", "list-model", "int-model", "null-model",
             "out-is-a-file", "out-under-a-file", "zero-K", "zero-draws", "float-seed", "str-z-query",
             "unknown-mode", "path-without-value", "unknown-option", "extra-argument", "directory-model",
-            "missing-model", "over-budget",
+            "missing-model", "over-budget", "line-break-argument", "line-break-model", "line-break-out",
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, rng, monkeypatch,
