@@ -27,6 +27,7 @@ import gc
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -149,9 +150,23 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
+@contextmanager
+def _report(path: Path, **kwargs):
+    """``path`` open for writing; an OSError from opening, writing or closing it is bad input naming the report.
+
+    Only these file operations map OSError to ValueError, so an error
+    elsewhere (a closed stdout pipe, say) is not reported as bad input.
+    """
+    try:
+        with path.open("w", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise ValueError(f"cannot write report {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows):
     """Write the header line, the column names and ``rows``, which may be any iterable of rows."""
-    with path.open("w", newline="") as fh:
+    with _report(path, newline="") as fh:
         fh.write(cfg.header_line() + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -191,7 +206,7 @@ def _write_json(path: Path, cfg: ExperimentConfig, payload: dict):
     Python and would walk every number of it.
     """
     doc = {"header": cfg.header(), **payload}
-    with path.open("w") as fh:
+    with _report(path) as fh:
         for i, key in enumerate(sorted(doc)):
             fh.write(("{" if i == 0 else ",") + f"\n  {json.dumps(key)}: ")
             value = doc[key]

@@ -193,55 +193,42 @@ def fixed_point_residual(image: np.ndarray, rho: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Iterates of the per-path map with residual and divergence diagnostics.
+    """Iterates of the per-path map from the uniform start, with residual and divergence diagnostics.
 
-    iterates[0] is the supplied initialization; residuals[k] is the max-norm
-    step from iterate k to k+1; kl_per_iter[k] compares iterate k+1's
+    iterates[0] is the uniform start; residuals[k] is the max-norm step
+    from iterate k to k+1; kl_per_iter[k] compares iterate k+1's
     next-token predictions against the oracle's; in_domain[k, t-1] flags
-    membership of component t before any projection; projected[k] records
-    whether clipping back to the simplex was needed.
+    membership of component t before any projection.
     """
 
     iterates: np.ndarray
     residuals: np.ndarray
     kl_per_iter: np.ndarray
     in_domain: np.ndarray
-    projected: np.ndarray
 
 
-def iterate(
-    model: HmmModel,
-    z,
-    rho0: np.ndarray | None = None,
-    *,
-    K: int,
-) -> IterationTrace:
-    """Apply the per-path map K times, recording residuals and KL diagnostics.
+def iterate(model: HmmModel, z, *, K: int) -> IterationTrace:
+    """Apply the per-path map K times from the uniform start, recording residuals and KL diagnostics.
 
-    The map is strictly causal (see ``apply_N_path``), so from any start,
-    K >= T applications give the filter up to rounding, which layer k
-    amplifies by the product of 1/p_s along the path (p_s the predictive
-    probability of the observed token). The start rho0 has shape (T, d),
-    one measure per token; the default is the uniform measure at every
-    time. Rounding-level negative entries read as 0
+    The start is the uniform measure at each of the T times. The map is
+    strictly causal (see ``apply_N_path``), so K >= T applications give
+    the filter up to rounding, which layer k amplifies by the product of
+    1/p_s along the path (p_s the predictive probability of the observed
+    token). Rounding-level negative entries read as 0
     (``drop_rounding_negatives``); iterates that leave the simplex beyond
-    that are clipped at zero and renormalized (and flagged) so the
-    iteration is total. The map adds no mass, so this projection is for
-    sparse models, whose near-degenerate steps amplify rounding, and starts
-    far from the filter. Under ``model.zero_convention``, times with an
-    impossible observation prefix contribute a zero reference column and
-    drop out of the KL diagnostic.
+    that are clipped at zero and renormalized so the iteration is total.
+    The map adds no mass, so this projection is for sparse models, whose
+    near-degenerate steps amplify rounding. Under ``model.zero_convention``,
+    times with an impossible observation prefix contribute a zero reference
+    column and drop out of the KL diagnostic.
     """
     z = validate_tokens(z, model.m)
     T = len(z)
+    if T == 0:
+        raise ValueError("observation path must have at least one token")
     K = check_integer(K, "K")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    if rho0 is None:
-        rho0 = np.full((T, model.d), 1.0 / model.d)
-    rho0 = np.asarray(rho0, dtype=float)
-    if rho0.shape != (T, model.d):
-        raise ValueError(f"rho0 must have shape ({T}, {model.d}), got {rho0.shape}")
 
     pis_ref = forward_filter(model, z)
     possible = pis_ref.sum(axis=1) > 0.0
@@ -249,13 +236,12 @@ def iterate(
     p_ref[:, possible] = next_token_prob(model, pis_ref[possible]).T
 
     iterates = np.zeros((K + 1, T, model.d))
-    iterates[0] = rho0
+    iterates[0] = 1.0 / model.d
     residuals = np.zeros(K)
     kls = np.zeros(K)
     in_domain = np.zeros((K, T), dtype=bool)
-    projected = np.zeros(K, dtype=bool)
-    cur = rho0
     for k in range(K):
+        cur = iterates[k]
         out, flags = apply_N_path(model, cur, z)
         residuals[k] = float(np.max(np.abs(out - cur)))
         in_domain[k] = flags
@@ -265,15 +251,6 @@ def iterate(
             sums = out.sum(axis=1, keepdims=True)
             sums[sums == 0.0] = 1.0
             out = out / sums
-            projected[k] = True
         kls[k] = kl_divergence_bar(p_ref, next_token_prob(model, out).T)
         iterates[k + 1] = out
-        cur = out
-    return IterationTrace(
-        iterates=iterates,
-        residuals=residuals,
-        kl_per_iter=kls,
-        in_domain=in_domain,
-        projected=projected,
-    )
-
+    return IterationTrace(iterates=iterates, residuals=residuals, kl_per_iter=kls, in_domain=in_domain)

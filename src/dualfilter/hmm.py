@@ -163,7 +163,7 @@ class HmmModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "HmmModel":
-        """Load ``to_dict``'s output; its sizes d, m and T must be integers that match mu and C."""
+        """Load ``to_dict``'s output; its sizes d, m and T must be integers that match mu, A and C, all numbers."""
         if not isinstance(obj, dict):
             raise ValueError(f"model file must hold a JSON object with keys d, m, T, mu, A and C, "
                              f"got {type(obj).__name__}")
@@ -176,9 +176,17 @@ class HmmModel:
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ValueError(f"model size {name} must be an integer, got {val!r}")
         _check_sizes(d, m, T)
-        for name, arr, shape in (("mu", mu, (d,)), ("C", C, (d, m + 1))):
+        for name, arr, shape in (("mu", mu, (d,)), ("A", A, (d, d)), ("C", C, (d, m + 1))):
             if np.shape(arr) != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {np.shape(arr)}")
+        # and its entries are JSON numbers, so true or "0.5" is an error, not 1.0 or 0.5; a row's set of
+        # entry types is read in one pass, and only a row with another type is searched for its first one
+        for name, rows in (("mu", [mu]), ("A", A), ("C", C)):
+            for i, row in enumerate(rows):
+                if not set(map(type, row)) <= {int, float}:
+                    j = next(j for j, val in enumerate(row) if type(val) not in (int, float))
+                    where = f"[{j}]" if name == "mu" else f"[{i}][{j}]"
+                    raise ValueError(f"model file entry {name}{where} must be a number, got {row[j]!r}")
         return cls(mu=mu, A=A, C=C, T=T)
 
     @classmethod

@@ -15,7 +15,6 @@ MODULES = ("adapted", "hmm", "oracle", "predictor", "dual", "fixedpoint", "atten
 OPTIONS = [
     "oracle.exact_expectation.T",
     "dual.solve_optimal.laws",
-    "fixedpoint.iterate.rho0",
     "hmm.HmmModel.zero_convention",
 ]
 
@@ -49,7 +48,7 @@ def options(module_name):
 def test_the_option_list_is_closed():
     found = [name for module in MODULES for name in options(module)]
     assert sorted(found) == sorted(OPTIONS)
-    assert len(found) == len(set(found)) == 4
+    assert len(found) == len(set(found)) == 3
 
 
 def test_no_function_takes_the_zero_convention():

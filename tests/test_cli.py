@@ -493,6 +493,9 @@ class TestConfigResolution:
             ("oracle", ["a\nb"]),
             ("oracle", ["--model", "no\nsuch.json"]),
             ("oracle", ["--out", "list.json/o\r\np"]),
+            ("oracle", ["--out", "reports"]),
+            ("fixedpoint", ["--out", "reports"]),
+            ("oracle", ["--model", "strings.json"]),
         ],
         ids=[
             "str-seed", "str-K", "float-draws", "str-zero-convention", "negative-seed-flag", "dot-path",
@@ -502,6 +505,7 @@ class TestConfigResolution:
             "out-is-a-file", "out-under-a-file", "zero-K", "zero-draws", "float-seed", "str-z-query",
             "unknown-mode", "path-without-value", "unknown-option", "extra-argument", "directory-model",
             "missing-model", "over-budget", "line-break-argument", "line-break-model", "line-break-out",
+            "csv-report-is-a-directory", "json-report-is-a-directory", "non-number-model-entries",
         ],
     )
     def test_bad_input_exits_2_with_one_error_line(self, runner, model_file, tmp_path, rng, monkeypatch,
@@ -509,6 +513,14 @@ class TestConfigResolution:
         # model files whose JSON is not an object, named relative to tmp_path
         for name, text in {"list.json": "[1, 2]", "int.json": "3", "null.json": "null"}.items():
             (tmp_path / name).write_text(text)
+        # a model file whose arrays hold strings and bools where numbers belong
+        (tmp_path / "strings.json").write_text(
+            '{"d": 2, "m": 1, "T": 2, "mu": ["0.5", "0.5"], "A": [[true, false], [false, true]], '
+            '"C": [["0.3", "0.7"], ["0.6", "0.4"]]}'
+        )
+        # an output directory in which oracle's first CSV report and fixedpoint's JSON report are directories
+        for name in ("filter_trajectory.csv", "residual_report.json"):
+            (tmp_path / "reports" / name).mkdir(parents=True)
         # d=2, m=2, T=30: far over the duality enumeration budget
         write_model(tmp_path / "big.json", random_model(rng, 2, 2, 30))
         monkeypatch.chdir(tmp_path)

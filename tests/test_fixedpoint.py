@@ -795,9 +795,11 @@ class TestIterate:
     def test_filter_start_stays_put(self, reference_model):
         model = reference_model
         z = (1, 0, 1)
-        trace = iterate(model, z, rho0=forward_filter(model, z), K=5)
-        assert np.max(trace.residuals) <= 1e-10
-        assert np.max(trace.kl_per_iter) <= 1e-12
+        # T layers from the uniform start reach the filter, and every later layer leaves it in place
+        T = len(z)
+        trace = iterate(model, z, K=T + 5)
+        assert np.max(trace.residuals[T:]) <= 1e-10
+        assert np.max(trace.kl_per_iter[T - 1:]) <= 1e-12
         assert trace.in_domain.all()
 
     def test_uninformative_converges_in_one_step(self, rng):
@@ -807,16 +809,28 @@ class TestIterate:
         assert trace.residuals[1] <= 1e-12
         assert np.max(trace.kl_per_iter) <= 1e-12
 
-    def test_start_off_the_simplex_is_projected_back(self, reference_model):
+    def test_start_off_the_simplex_is_projected_back(self, monkeypatch, reference_model):
+        # the first image of the map is moved off the simplex at every time; later images are the map's own
         model = reference_model
         z = (1, 0, 1)
-        rho0 = np.tile([2.0, -1.0], (model.T, 1))
-        trace = iterate(model, z, rho0=rho0, K=2)
-        image, flags = apply_N_path(model, rho0, z)
-        assert not flags.all() and not trace.in_domain[0].all()
+        shift = np.array([1.0, -1.0])
+        calls = []
+
+        def first_image_off_the_simplex(model, rho, z):
+            image, flags = apply_N_path(model, rho, z)
+            if not calls:
+                image = image + shift
+                flags = is_probability_vector(image)
+            calls.append(1)
+            return image, flags
+
+        image = apply_N_path(model, np.full((model.T, model.d), 1.0 / model.d), z)[0] + shift
+        assert not is_probability_vector(image).any()
+        monkeypatch.setattr(fixedpoint, "apply_N_path", first_image_off_the_simplex)
+        trace = iterate(model, z, K=2)
         clipped = np.clip(image, 0.0, None)
         np.testing.assert_array_equal(trace.iterates[1], clipped / clipped.sum(axis=1, keepdims=True))
-        assert trace.projected.tolist() == [True, False]
+        assert (~trace.in_domain.all(axis=1)).tolist() == [True, False]
 
     def test_exploratory_run_emits_full_trace(self, rng, reference_model):
         model = reference_model
@@ -843,12 +857,10 @@ class TestIterate:
             iterate(reference_model, (1, 0, 1), K=K)
         assert str(err.value) == f"K = {K!r} is not an integer"
 
-    @pytest.mark.parametrize("shape", [(3, 2), (2,), (2, 3), (1, 2, 2)])
-    def test_start_must_have_one_measure_per_token(self, rng, shape):
-        model = random_model(rng, 2, 1, 2)
+    def test_empty_path_rejected(self, reference_model):
         with pytest.raises(ValueError) as err:
-            iterate(model, (0, 1), rho0=np.full(shape, 0.5), K=1)
-        assert str(err.value) == f"rho0 must have shape (2, 2), got {shape}"
+            iterate(reference_model, [], K=1)
+        assert str(err.value) == "observation path must have at least one token"
 
     def test_whole_number_iteration_count_is_that_count(self, reference_model):
         want = iterate(reference_model, (1, 0, 1), K=2)
@@ -872,7 +884,7 @@ class TestIterate:
         raw, flags = with_rounding_negative(model, np.full((3, 3), 1.0 / 3), z)
         assert flags.all() and -1e-15 < raw.min() < 0.0
         trace = iterate(model, z, K=2)
-        assert trace.iterates.min() == 0.0 and not trace.projected.any()
+        assert trace.iterates.min() == 0.0 and trace.in_domain.all()
         assert np.array_equal(trace.iterates[1], np.where(raw < 0.0, 0.0, raw))
 
     def test_impossible_times_keep_their_mass_under_zero_convention(self):
@@ -900,7 +912,7 @@ class TestIterate:
                            rng.dirichlet(5 * np.ones(2), size=4), 80)
         z = rng.integers(0, 2, 80)
         trace = iterate(model, z, K=12)
-        assert trace.in_domain.all() and not trace.projected.any()
+        assert trace.in_domain.all()
         np.testing.assert_allclose(trace.iterates.sum(axis=2), 1.0, rtol=0.0, atol=1e-13)
 
 

@@ -126,6 +126,20 @@ class TestModelConstruction:
             HmmModel.from_dict({**obj, key: val})
         assert str(err.value) == f"model size {key} must be an integer, got {val!r}"
 
+    @pytest.mark.parametrize(
+        "name, val, message",
+        [("mu", ["0.5", 0.5], "mu[0] must be a number, got '0.5'"),
+         ("A", [[1, 0], [0, True]], "A[1][1] must be a number, got True"),
+         ("C", [[0.5, 0.5], [0.5, "0.5"]], "C[1][1] must be a number, got '0.5'")],
+        ids=["str-in-mu", "bool-in-A", "str-in-C"],
+    )
+    def test_file_entries_must_be_numbers(self, name, val, message):
+        # the file is stricter than the library, which reads "0.5" as 0.5 and True as 1.0
+        obj = {"d": 2, "m": 1, "T": 3, "mu": [0.5, 0.5], "A": [[1, 0], [0, 1]], "C": [[0.5, 0.5], [0.5, 0.5]]}
+        with pytest.raises(ValueError) as err:
+            HmmModel.from_dict({**obj, name: val})
+        assert str(err.value) == f"model file entry {message}"
+
     def test_library_horizon_must_be_an_integer(self):
         # the library reads T by check_integer: a whole real is the int it equals, a fraction is an error
         assert make_model([0.5, 0.5], np.eye(2), [[0.5, 0.5], [0.5, 0.5]], 2.0).T == 2
